@@ -506,11 +506,7 @@ def _check_tilde_lemma(n):
     failures = []
     seqs = _random_sequences("tilde", n)
     for i, m in enumerate(seqs):
-        try:
-            out = tilde_transform(m)
-        except AssertionError as exc:
-            failures.append(f"seq#{i}: {exc}")
-            continue
+        out = tilde_transform(m)
         if tilde_transform(out) != m:
             failures.append(f"seq#{i}: not an involution")
         if cumulants_from_moments(B, out) != [-x for x in cumulants_from_moments(R, m)]:
@@ -700,15 +696,15 @@ IDENTITY_CATALOG: dict[str, IdentityInfo] = {
               "monotone moment formula, grouped and ordered forms"),
         _info("mobius_inversions", 6, _check_mobius_inversions,
               "Moebius-inverted cumulant formulas on all three lattices"),
-        _info("series_B", 9, _check_series_B,
+        _info("series_B", 10, _check_series_B,
               "B(z) M(z) = M(z) - 1 on random rational moment sequences"),
-        _info("series_R", 9, _check_series_R,
+        _info("series_R", 10, _check_series_R,
               "R(z M(z)) = M(z) - 1 on random rational moment sequences"),
-        _info("swap_identities", 9, _check_swap_identities,
+        _info("swap_identities", 10, _check_swap_identities,
               "the two reciprocal substitution identities exchanged by the tilde map"),
-        _info("tilde_lemma", 9, _check_tilde_lemma,
+        _info("tilde_lemma", 10, _check_tilde_lemma,
               "tilde swaps free and Boolean cumulants and negates monotone ones"),
-        _info("monotone_flow_integer", 9, _check_monotone_flow_integer,
+        _info("monotone_flow_integer", 10, _check_monotone_flow_integer,
               "integer-parameter composition law of the monotone dilation"),
         _info("lenczewski_sum", 7, _check_lenczewski_sum,
               "colored free-cumulant sums match monotone dilation moments"),

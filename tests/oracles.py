@@ -11,8 +11,11 @@ from itertools import product
 from math import factorial
 
 from cumulantcalc.algebra import TruncatedSeries
+from cumulantcalc.cumulants import CumulantKind
+from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.partitions import (
     SetPartition,
+    enumerate_partitions,
     lattice_leq,
     partitions_of,
 )
@@ -68,6 +71,55 @@ def mobius_brute(members, pi: SetPartition, sigma: SetPartition) -> int:
                 mu[nu] for nu in interval if nu in mu and lattice_leq(nu, rho) and nu != rho
             )
     return mu[sigma]
+
+
+# --- moment-cumulant sums, one term per set partition -----------------------
+
+
+def _lattice_terms(kind, n: int):
+    """(block sizes, weight) for every member of the kind's lattice."""
+    cls = {
+        CumulantKind.CLASSICAL: "all",
+        CumulantKind.FREE: "noncrossing",
+        CumulantKind.BOOLEAN: "interval",
+        CumulantKind.MONOTONE: "noncrossing",
+    }[kind]
+    for pi in enumerate_partitions(n, cls):
+        if kind is CumulantKind.MONOTONE:
+            weight = Fraction(1, partition_tree_factorial(pi))
+        else:
+            weight = Fraction(1)
+        yield pi.block_sizes(), weight
+
+
+def _block_product(sizes, values) -> Fraction:
+    out = Fraction(1)
+    for s in sizes:
+        out *= values[s - 1]
+    return out
+
+
+def moments_per_partition(kind, cumulants) -> list:
+    """m_n = sum over the lattice of weight(pi) * prod of cumulants per block."""
+    return [
+        sum(
+            (w * _block_product(sizes, cumulants) for sizes, w in _lattice_terms(kind, n)),
+            Fraction(0),
+        )
+        for n in range(1, len(cumulants) + 1)
+    ]
+
+
+def cumulants_per_partition(kind, moments) -> list:
+    """Triangular solve of the same sum, one set partition at a time."""
+    out: list = []
+    for n in range(1, len(moments) + 1):
+        acc = Fraction(moments[n - 1])
+        for sizes, w in _lattice_terms(kind, n):
+            if len(sizes) > 1:
+                acc -= w * _block_product(sizes, out)
+        out.append(acc)
+    return out
 
 
 # --- Tutte with randomized pivot order ---------------------------------------

@@ -91,6 +91,9 @@ def test_verify_unknown_identity(capsys):
 def test_verify_beyond_limit(capsys):
     code, _, err = run_cli(capsys, "verify", "moment_cumulant_K", "9")
     assert code == 3
+    for name in ("series_B", "series_R", "swap_identities", "tilde_lemma",
+                 "monotone_flow_integer"):
+        assert run_cli(capsys, "verify", name, "11")[0] == 3
 
 
 def test_verify_all_small(capsys):

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from cumulantcalc.algebra import MomentPolynomial, Polynomial
 from cumulantcalc.cumulants import (
     CumulantKind,
+    _profiles,
     beta,
     beta_expansion_check,
     beta_formula,
@@ -29,7 +31,8 @@ from cumulantcalc.cumulants import (
 )
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
 from cumulantcalc.limits import ResourceLimitError
-from cumulantcalc.partitions import SetPartition, partitions_of
+from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
+from oracles import cumulants_per_partition, moments_per_partition
 
 K, R, B, H = (
     CumulantKind.CLASSICAL,
@@ -150,7 +153,10 @@ def test_tilde_transform():
     for _ in range(15):
         n = rng.randint(1, 9)
         m = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-        assert tilde_transform(tilde_transform(m)) == m
+        out = tilde_transform(m)
+        assert tilde_transform(out) == m
+        assert cumulants_from_moments(B, out) == [-x for x in cumulants_from_moments(R, m)]
+        assert cumulants_from_moments(H, out) == [-x for x in cumulants_from_moments(H, m)]
 
 
 def test_monotone_dilate():
@@ -278,22 +284,52 @@ def test_logbessel_carlitz():
 
 
 def test_moment_formula_brute_force_cross_check():
-    # the defining sums, summed the naive way, reproduce moments_from_cumulants
+    # the defining sums, one term per set partition, against the library's
+    # sums grouped by block-size type, in both directions
     rng = random.Random(41)
-    from cumulantcalc.partitions import enumerate_partitions
+    for kind in CumulantKind:
+        for _ in range(3):
+            c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
+            assert moments_from_cumulants(kind, c) == moments_per_partition(kind, c)
+            assert cumulants_from_moments(kind, c) == cumulants_per_partition(kind, c)
 
-    for n in range(1, 6):
-        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        by_lattice = {
-            K: enumerate_partitions(n, "all"),
-            R: enumerate_partitions(n, "noncrossing"),
-            B: enumerate_partitions(n, "interval"),
-        }
-        for kind, members in by_lattice.items():
-            total = Fraction(0)
-            for pi in members:
-                term = Fraction(1)
-                for block in pi.blocks:
-                    term *= c[len(block) - 1]
-                total += term
-            assert total == moments_from_cumulants(kind, c)[n - 1]
+
+def test_profiles_limit_checked_on_every_call(monkeypatch):
+    cumulants_from_moments(K, [1] * 6)  # fills the cache
+    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "5")
+    with pytest.raises(ResourceLimitError):
+        cumulants_from_moments(K, [1] * 6)
+    with pytest.raises(ResourceLimitError):
+        moments_from_cumulants(K, [1] * 6)
+    assert cumulants_from_moments(K, [1] * 5) == [1, 0, 0, 0, 0]
+
+
+def test_type_weights_closed_counts():
+    monotone_types = {}
+    for n in range(1, 8):
+        for op in enumerate_monotone(n):
+            key = tuple(sorted(op.base.block_sizes()))
+            monotone_types[key] = monotone_types.get(key, 0) + 1
+    for n in range(1, 10):
+        for kind in CumulantKind:
+            profiles = _profiles(kind, n)
+            assert len({sizes for sizes, _ in profiles}) == len(profiles)
+            for sizes, weight in profiles:
+                assert list(sizes) == sorted(sizes)
+                k = len(sizes)
+                mults = prod(factorial(sizes.count(s)) for s in set(sizes))
+                if kind is K:
+                    expect = factorial(n) // (prod(factorial(s) for s in sizes) * mults)
+                elif kind is R:  # Kreweras
+                    expect = factorial(n) // (factorial(n - k + 1) * mults)
+                elif kind is B:
+                    expect = factorial(k) // mults
+                elif n <= 7:
+                    expect = Fraction(monotone_types[sizes], factorial(k))
+                else:
+                    continue
+                assert weight == expect, (kind, n, sizes)
+        # every integer partition of n is the type of some noncrossing partition
+        nc_types = {sizes for sizes, _ in _profiles(R, n)}
+        assert nc_types == {sizes for sizes, _ in _profiles(H, n)}
+        assert nc_types == {sizes for sizes, _ in _profiles(K, n)}
