@@ -18,6 +18,7 @@ from .algebra import (
     bernoulli_number,
     bernoulli_polynomial,
     faulhaber_polynomial,
+    linear_combination,
     moment_monomial,
     rational_from_str,
     rational_to_str,

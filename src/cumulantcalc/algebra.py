@@ -20,18 +20,26 @@ Moment polynomials
 ------------------
 A moment symbol m_S is indexed by a nonempty subset S of [n] and stands for
 the joint moment of the variables listed in S (each identity in scope is
-multilinear, so no variable ever repeats inside one symbol).  A monomial is
-a *multiset* of symbols: products such as m_{1}*m_{1} cannot come from a
-partition but do occur in intermediate arithmetic and are representable.
-Symbols inside a monomial are kept sorted by (size, subset), which makes
-equality canonical and decidable term by term.
+multilinear, so no variable ever repeats inside one symbol).  A symbol is
+stored as the bitmask of S (bit i-1 for element i), and a monomial, a
+*multiset* of symbols, as the sorted tuple of its bitmasks: products such
+as m_{1}*m_{1} cannot come from a partition but do occur in intermediate
+arithmetic and are representable.  A polynomial keeps integer numerators
+over one positive denominator, reduced so that the denominator shares no
+factor with all the numerators (the zero polynomial has denominator 1);
+equality is therefore canonical and decided term by term.  Sums of
+weighted polynomials go through one accumulator, `linear_combination`,
+which the ring operations use as well.  At the boundary (construction,
+``sorted_terms``, ``evaluate`` and the text form) symbols are increasing
+element tuples, sorted inside a monomial by (size, subset), and
+coefficients are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 Rational = Fraction
 
@@ -45,6 +53,7 @@ __all__ = [
     "bernoulli_number",
     "faulhaber_polynomial",
     "MomentPolynomial",
+    "linear_combination",
     "moment_symbol",
     "moment_monomial",
 ]
@@ -467,59 +476,85 @@ def moment_symbol(elements) -> tuple[int, ...]:
     return sym
 
 
-def _sort_monomial(syms) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(syms, key=lambda s: (len(s), s)))
+def _mask(elements, n: int) -> int:
+    """Bitmask of a validated symbol of [n]: bit i-1 for element i."""
+    sym = moment_symbol(elements)
+    if sym[0] < 1 or sym[-1] > n:
+        raise ValueError(f"symbol {sym} outside ambient [{n}]")
+    mask = 0
+    for i in sym:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _elements(mask: int) -> tuple[int, ...]:
+    """The symbol (increasing element tuple) of a bitmask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _symbols(mono: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A bitmask monomial as element tuples sorted by (size, subset)."""
+    return tuple(sorted(map(_elements, mono), key=lambda s: (len(s), s)))
 
 
 class MomentPolynomial:
     """Exact polynomial in formal moment symbols m_S, S a subset of [n].
 
-    Terms map canonical monomials (sorted multisets of symbols) to nonzero
-    rationals.  Equality compares terms only; the ambient n is bookkeeping
-    (binary operations take the larger ambient).
+    ``terms`` maps monomials (sorted tuples of symbol bitmasks) to nonzero
+    integer numerators over the one denominator ``den``.  Equality compares
+    ``den`` and ``terms``; the ambient n is bookkeeping (binary operations
+    take the larger ambient).  The constructor, ``sorted_terms``,
+    ``evaluate`` and the text form speak in element tuples and Fractions.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "den")
 
     def __init__(self, n: int, terms=None):
         if n < 0:
             raise ValueError("ambient n must be nonnegative")
-        self.n = n
-        canon: dict[tuple, Fraction] = {}
+        acc: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            mono = _sort_monomial(moment_symbol(s) for s in mono)
-            for sym in mono:
-                if sym[-1] > n:
-                    raise ValueError(f"symbol {sym} outside ambient [{n}]")
-            canon[mono] = canon.get(mono, Fraction(0)) + coeff
-            if canon[mono] == 0:
-                del canon[mono]
-        self.terms = canon
+            if coeff:
+                key = tuple(sorted(_mask(s, n) for s in mono))
+                acc[key] = acc.get(key, 0) + coeff
+        den = lcm(*(c.denominator for c in acc.values()))
+        self.n = n
+        self.terms = {
+            m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
+        }
+        self.den = den if self.terms else 1
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "MomentPolynomial":
-        return cls(n)
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "MomentPolynomial":
-        """Wrap an already-canonical term dict without revalidation."""
+    def _wrap(cls, n: int, terms: dict, den: int = 1) -> "MomentPolynomial":
+        """Wrap nonzero integer numerators over den > 0, reduced to lowest terms."""
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
         out = cls.__new__(cls)
         out.n = n
         out.terms = terms
+        out.den = den
         return out
 
     @classmethod
+    def zero(cls, n: int) -> "MomentPolynomial":
+        return cls._wrap(n, {})
+
+    @classmethod
     def one(cls, n: int) -> "MomentPolynomial":
-        return cls(n, {(): 1})
+        return cls._wrap(n, {(): 1})
 
     @classmethod
     def symbol(cls, n: int, subset) -> "MomentPolynomial":
-        return cls(n, {(moment_symbol(subset),): 1})
+        return cls._wrap(n, {(_mask(subset, n),): 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -530,75 +565,74 @@ class MomentPolynomial:
         return len(self.terms)
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """(monomial as element tuples, Fraction coefficient), sorted."""
+        den = self.den
+        return sorted((_symbols(m), Fraction(c, den)) for m, c in self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _merge(self, other: "MomentPolynomial", sign: int) -> "MomentPolynomial":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + sign * c
-            if out[mono] == 0:
-                del out[mono]
-        res = MomentPolynomial.__new__(MomentPolynomial)
-        res.n = max(self.n, other.n)
-        res.terms = out
-        return res
 
     def __add__(self, other):
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
-        return self._merge(other, 1)
+        return linear_combination(max(self.n, other.n), ((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
-        return self._merge(other, -1)
+        return linear_combination(max(self.n, other.n), ((1, self), (-1, other)))
 
     def __neg__(self):
-        res = MomentPolynomial.__new__(MomentPolynomial)
-        res.n = self.n
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return MomentPolynomial._wrap(
+            self.n, {m: -c for m, c in self.terms.items()}, self.den
+        )
 
     def __mul__(self, other):
         if not isinstance(other, MomentPolynomial):
-            c = Fraction(other)
-            res = MomentPolynomial.__new__(MomentPolynomial)
-            res.n = self.n
-            res.terms = {m: c * v for m, v in self.terms.items()} if c else {}
-            return res
-        out: dict[tuple, Fraction] = {}
+            return linear_combination(self.n, ((other, self),))
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        other_terms = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _sort_monomial(m1 + m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-                if out[mono] == 0:
+            for m2, c2 in other_terms:
+                mono = tuple(sorted(m1 + m2))
+                v = get(mono, 0) + c1 * c2
+                if v:
+                    out[mono] = v
+                else:
                     del out[mono]
-        res = MomentPolynomial.__new__(MomentPolynomial)
-        res.n = max(self.n, other.n)
-        res.terms = out
-        return res
+        return MomentPolynomial._wrap(max(self.n, other.n), out, self.den * other.den)
 
     __rmul__ = __mul__
 
     # -- transformations ----------------------------------------------------
 
     def relabel(self, mapping: dict[int, int]) -> "MomentPolynomial":
-        """Push symbols through an order-preserving injection of indices."""
-        new_n = max(mapping.values(), default=self.n)
-        out: dict[tuple, Fraction] = {}
-        for mono, c in self.terms.items():
-            new_mono = _sort_monomial(
-                tuple(mapping[i] for i in sym) for sym in mono
-            )
-            out[new_mono] = out.get(new_mono, Fraction(0)) + c
-        return MomentPolynomial(max(self.n, new_n), out)
+        """Push symbols through an order-preserving injection of indices.
+
+        Such a map keeps the integer order of bitmasks, so every monomial
+        stays sorted and distinct monomials stay distinct.
+        """
+        images = [v for _, v in sorted(mapping.items())]
+        if any(b <= a for a, b in zip([0] + images, images)):
+            raise ValueError(f"relabel needs an order-preserving injection: {mapping}")
+        new_n = max(self.n, images[-1] if images else self.n)
+        symbols = set()
+        for mono in self.terms:
+            symbols.update(mono)
+        image = {}
+        for s in symbols:
+            t = 0
+            for i in _elements(s):
+                t |= 1 << (mapping[i] - 1)
+            image[s] = t
+        image = image.__getitem__
+        out = {tuple(map(image, mono)): c for mono, c in self.terms.items()}
+        return MomentPolynomial._wrap(new_n, out, self.den)
 
     def univariate(self) -> "MomentPolynomial":
         """Identify all variables: each symbol S becomes the symbol (1..|S|).
@@ -607,27 +641,25 @@ class MomentPolynomial:
         polynomials with equal univariate images agree as univariate
         identities.
         """
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for mono, c in self.terms.items():
-            new_mono = _sort_monomial(
-                tuple(range(1, len(sym) + 1)) for sym in mono
-            )
-            v = out.get(new_mono, Fraction(0)) + c
+            key = tuple(sorted((1 << s.bit_count()) - 1 for s in mono))
+            v = out.get(key, 0) + c
             if v:
-                out[new_mono] = v
+                out[key] = v
             else:
-                out.pop(new_mono, None)
-        return MomentPolynomial._raw(self.n, out)
+                del out[key]
+        return MomentPolynomial._wrap(self.n, out, self.den)
 
     def evaluate(self, value_of_symbol) -> Fraction:
         """Evaluate with `value_of_symbol(sym) -> Fraction` per symbol."""
         total = Fraction(0)
         for mono, c in self.terms.items():
-            prod = c
-            for sym in mono:
-                prod *= Fraction(value_of_symbol(sym))
+            prod = Fraction(c)
+            for s in mono:
+                prod *= Fraction(value_of_symbol(_elements(s)))
             total += prod
-        return total
+        return total / self.den
 
     # -- text ---------------------------------------------------------------
 
@@ -646,11 +678,51 @@ class MomentPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def linear_combination(n: int, pairs) -> MomentPolynomial:
+    """Sum of weight * poly over (rational weight, MomentPolynomial) pairs.
+
+    The one accumulator of the package: integer numerators are added into
+    a single dict over a running denominator, which is rescaled (to the
+    lcm) only when a contribution's denominator does not divide it.  The
+    result has ambient n.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    den = 1
+    for weight, poly in pairs:
+        if not isinstance(weight, (int, Fraction)):
+            weight = Fraction(weight)
+        a, b = weight.numerator, weight.denominator
+        if not a:
+            continue
+        q = poly.den
+        if q != 1:
+            g = gcd(a, q)
+            a //= g
+            q //= g
+        d = b * q
+        if den % d:
+            new = lcm(den, d)
+            scale = new // den
+            for m in acc:
+                acc[m] *= scale
+            den = new
+        f = a * (den // d)
+        for m, c in poly.terms.items():
+            v = get(m, 0) + f * c
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+    return MomentPolynomial._wrap(n, acc, den)
+
+
 def moment_monomial(partition) -> MomentPolynomial:
     """The monomial prod_{V in pi} m_V with coefficient 1.
 
     Accepts any object exposing ``n`` and ``blocks`` (a SetPartition).
     """
-    return MomentPolynomial(
-        partition.n, {tuple(tuple(b) for b in partition.blocks): 1}
+    n = partition.n
+    return MomentPolynomial._wrap(
+        n, {tuple(sorted(_mask(b, n) for b in partition.blocks)): 1}
     )

@@ -80,7 +80,13 @@ class Config:
         cache = args.cache_dir or os.environ.get("CUMULANTCALC_CACHE_DIR")
         jobs = args.jobs
         if jobs is None:
-            jobs = int(os.environ.get("CUMULANTCALC_JOBS", "1"))
+            raw = os.environ.get("CUMULANTCALC_JOBS", "1")
+            try:
+                jobs = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"CUMULANTCALC_JOBS must be an integer, got {raw!r}"
+                ) from None
         fmt = args.format or os.environ.get("CUMULANTCALC_FORMAT")
         if fmt is None:
             fmt = _FORMAT_DEFAULTS[args.command]
@@ -154,6 +160,9 @@ def _verify_worker(job):
 
 
 def _cmd_verify(args, cfg: Config) -> int:
+    if args.n_max < 1:
+        print(f"error: n must be positive (got {args.n_max})", file=sys.stderr)
+        return EXIT_USAGE
     if args.identity == "--all" or args.all:
         names = identity_names()
     else:
@@ -397,8 +406,8 @@ def main(argv=None) -> int:
     if args.command == "verify" and not args.all and args.identity is None:
         print("error: verify needs an identity name or --all", file=sys.stderr)
         return EXIT_USAGE
-    cfg = Config.from_args(args)
     try:
+        cfg = Config.from_args(args)
         return args.func(args, cfg)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,7 @@ from .algebra import (
     MomentPolynomial,
     Polynomial,
     TruncatedSeries,
+    linear_combination,
     moment_monomial,
 )
 from .forests import labelling_polynomial_of, partition_tree_factorial
@@ -102,6 +103,12 @@ _LATTICE_OF_KIND = {
     CumulantKind.MONOTONE: "noncrossing",
 }
 
+_MOBIUS_LATTICE_OF_KIND = {
+    CumulantKind.CLASSICAL: "P",
+    CumulantKind.FREE: "NC",
+    CumulantKind.BOOLEAN: "I",
+}
+
 
 def _kind_weight(kind: CumulantKind, pi: SetPartition) -> Fraction:
     if kind is CumulantKind.MONOTONE:
@@ -121,28 +128,22 @@ def cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
         raise ValueError("n must be positive")
     if kind is CumulantKind.CLASSICAL:
         check_limit("cumulant-classical", n)
-        out = MomentPolynomial.zero(n)
-        for pi in partitions_of(n, "all"):
-            out = out + mobius_to_top(pi, "P") * moment_monomial(pi)
-        return out
-    check_limit("cumulant-other", n)
-    if kind is CumulantKind.FREE:
-        out = MomentPolynomial.zero(n)
-        for pi in partitions_of(n, "noncrossing"):
-            out = out + mobius_to_top(pi, "NC") * moment_monomial(pi)
-        return out
-    if kind is CumulantKind.BOOLEAN:
-        out = MomentPolynomial.zero(n)
-        for pi in partitions_of(n, "interval"):
-            out = out + mobius_to_top(pi, "I") * moment_monomial(pi)
-        return out
-    # Monotone: triangular solve against the tau-weighted noncrossing sum.
-    out = MomentPolynomial.symbol(n, range(1, n + 1))
-    for pi in partitions_of(n, "noncrossing"):
-        if pi.num_blocks == 1:
-            continue
-        out = out - _kind_weight(kind, pi) * partitioned_cumulant(kind, pi)
-    return out
+    else:
+        check_limit("cumulant-other", n)
+    if kind is CumulantKind.MONOTONE:
+        # Triangular solve against the tau-weighted noncrossing sum.
+        pairs = (
+            (1, moment_monomial(pi)) if pi.num_blocks == 1
+            else (-_kind_weight(kind, pi), partitioned_cumulant(kind, pi))
+            for pi in partitions_of(n, "noncrossing")
+        )
+    else:
+        lattice = _MOBIUS_LATTICE_OF_KIND[kind]
+        pairs = (
+            (mobius_to_top(pi, lattice), moment_monomial(pi))
+            for pi in partitions_of(n, _LATTICE_OF_KIND[kind])
+        )
+    return linear_combination(n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +302,9 @@ def _univariate_cumulant(kind: CumulantKind, k: int) -> MomentPolynomial:
     return cumulant_poly(kind, k).univariate()
 
 
+@lru_cache(maxsize=None)
 def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
+    """Product of the univariate cumulants of the given block sizes."""
     out = MomentPolynomial.one(max(sizes))
     for s in sizes:
         out = out * _univariate_cumulant(kind, s)
@@ -315,15 +318,23 @@ def lenczewski_sum_check(n: int, colors: int) -> dict:
         raise ValueError("n must be in 1..7")
     if not 1 <= colors <= 5:
         raise ValueError("colors must be in 1..5")
-    lhs = MomentPolynomial.zero(n)
-    rhs = MomentPolynomial.zero(n)
-    for pi in partitions_of(n, "noncrossing"):
-        count = labelling_polynomial_of(pi).evaluate(colors)
-        lhs = lhs + count * _univariate_partitioned(CumulantKind.FREE, pi.block_sizes())
-        weight = Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi)
-        rhs = rhs + weight * _univariate_partitioned(
-            CumulantKind.MONOTONE, pi.block_sizes()
-        )
+    members = partitions_of(n, "noncrossing")
+    lhs = linear_combination(
+        n,
+        (
+            (labelling_polynomial_of(pi).evaluate(colors),
+             _univariate_partitioned(CumulantKind.FREE, pi.block_sizes()))
+            for pi in members
+        ),
+    )
+    rhs = linear_combination(
+        n,
+        (
+            (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi),
+             _univariate_partitioned(CumulantKind.MONOTONE, pi.block_sizes()))
+            for pi in members
+        ),
+    )
     holds = lhs == rhs
     return {
         "identity": "lenczewski_sum",
@@ -558,11 +569,14 @@ def beta_expansion_check(n: int) -> dict:
     if not 1 <= n <= 6:
         raise ValueError("n must be in 1..6")
     lhs = cumulant_poly(CumulantKind.CLASSICAL, n)
-    rhs = MomentPolynomial.zero(n)
-    for pi in partitions_of(n, "all"):
-        b = beta_formula(pi)
-        if b:
-            rhs = rhs + b * partitioned_cumulant(CumulantKind.MONOTONE, pi)
+    rhs = linear_combination(
+        n,
+        (
+            (b, partitioned_cumulant(CumulantKind.MONOTONE, pi))
+            for pi in partitions_of(n, "all")
+            if (b := beta_formula(pi))
+        ),
+    )
     holds = lhs == rhs
     return {
         "identity": "beta_expansion",

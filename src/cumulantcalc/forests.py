@@ -159,6 +159,7 @@ def labelling_polynomial(f: RootedForest) -> Polynomial:
     return out
 
 
+@lru_cache(maxsize=None)
 def labelling_polynomial_of(pi: SetPartition) -> Polynomial:
     return labelling_polynomial(nesting_forest(pi))
 
@@ -169,10 +170,9 @@ def alpha(pi: SetPartition) -> Fraction:
     Zero whenever the nesting forest is not a single tree, i.e. whenever
     pi is reducible.
     """
-    f = nesting_forest(pi)
-    if len(f.trees) != 1:
+    if len(nesting_forest(pi).trees) != 1:
         return Fraction(0)
-    return labelling_polynomial(f).coefficient(1)
+    return labelling_polynomial_of(pi).coefficient(1)
 
 
 def depth(pi: SetPartition) -> int:

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import MomentPolynomial, TruncatedSeries, moment_monomial
+from .algebra import (
+    MomentPolynomial,
+    TruncatedSeries,
+    linear_combination,
+    moment_monomial,
+)
 from .cumulants import (
     CumulantKind,
     beta_expansion_check,
@@ -112,22 +117,6 @@ def _compare(name, n, lhs: MomentPolynomial, rhs: MomentPolynomial, detail=None)
     )
 
 
-def _mp_sum(n: int, contributions) -> MomentPolynomial:
-    """Sum of coeff * poly over an iterable, accumulated in one dict."""
-    acc: dict = {}
-    for coeff, poly in contributions:
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            continue
-        for mono, c in poly.terms.items():
-            v = acc.get(mono, Fraction(0)) + coeff * c
-            if v:
-                acc[mono] = v
-            else:
-                acc.pop(mono, None)
-    return MomentPolynomial._raw(n, acc)
-
-
 def _quantified(name, n, failures: list[str], checked: int, detail=None):
     return Report(
         name,
@@ -154,7 +143,7 @@ def _random_sequences(tag: str, n: int, count: int = 25):
 
 
 def _check_free2boolean(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             (1, partitioned_cumulant(R, pi))
@@ -165,7 +154,7 @@ def _check_free2boolean(n):
 
 
 def _check_class2free(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         ((1, partitioned_cumulant(K, pi)) for pi in partitions_of(n, "connected")),
     )
@@ -173,7 +162,7 @@ def _check_class2free(n):
 
 
 def _check_class2boolean(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         ((1, partitioned_cumulant(K, pi)) for pi in partitions_of(n, "irreducible")),
     )
@@ -181,7 +170,7 @@ def _check_class2boolean(n):
 
 
 def _check_boolean2free(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             ((-1) ** (pi.num_blocks - 1), partitioned_cumulant(B, pi))
@@ -192,7 +181,7 @@ def _check_boolean2free(n):
 
 
 def _check_free2class_tutte(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             (
@@ -206,7 +195,7 @@ def _check_free2class_tutte(n):
 
 
 def _thm1_rhs(n, signed: bool) -> MomentPolynomial:
-    return _mp_sum(
+    return linear_combination(
         n,
         (
             (
@@ -220,7 +209,7 @@ def _thm1_rhs(n, signed: bool) -> MomentPolynomial:
 
 
 def _thm1_ordered_rhs(n, signed: bool) -> MomentPolynomial:
-    return _mp_sum(
+    return linear_combination(
         n,
         (
             (
@@ -265,7 +254,7 @@ def _check_thm1_mono2free(n):
 
 def _check_thm2_free2mono(n):
     lhs = cumulant_poly(H, n).univariate()
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             (alpha(pi), partitioned_cumulant(R, pi).univariate())
@@ -277,7 +266,7 @@ def _check_thm2_free2mono(n):
 
 def _check_thm2_boolean2mono(n):
     lhs = cumulant_poly(H, n).univariate()
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             ((-1) ** (pi.num_blocks - 1) * alpha(pi),
@@ -290,7 +279,7 @@ def _check_thm2_boolean2mono(n):
 
 def _check_thm2_class2mono(n):
     lhs = cumulant_poly(H, n).univariate()
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             (alpha(pi.noncrossing_closure()),
@@ -307,7 +296,7 @@ def _check_thm2_class2mono(n):
 
 
 def _check_thm3_boolean2class_tutte(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             (
@@ -321,7 +310,7 @@ def _check_thm3_boolean2class_tutte(n):
 
 
 def _check_thm4_cyclecruns(n):
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             ((-1) ** (cycle_runs(s).num_blocks - 1),
@@ -333,7 +322,7 @@ def _check_thm4_cyclecruns(n):
     if rep.holds and n <= 6:
         # The cancellation underlying the cyclic form: summing over all of
         # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
-        full = _mp_sum(
+        full = linear_combination(
             n,
             (
                 ((-1) ** (cycle_runs(s).num_blocks - cycles(s).num_blocks),
@@ -357,7 +346,8 @@ def _check_cor_runs(n):
             part, d = runs(s)
             yield ((-1) ** d, partitioned_cumulant(B, part))
 
-    return _compare("cor_runs", n, cumulant_poly(K, n), _mp_sum(n, contributions()))
+    rhs = linear_combination(n, contributions())
+    return _compare("cor_runs", n, cumulant_poly(K, n), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +360,7 @@ def _check_moment_cumulant(name, n, kind, cls_value):
     failures = []
     for pi in members:
         lhs = moment_monomial(pi)
-        rhs = _mp_sum(
+        rhs = linear_combination(
             n,
             (
                 (1, partitioned_cumulant(kind, sig))
@@ -397,14 +387,14 @@ def _check_moment_cumulant_B(n):
 
 def _check_moment_cumulant_H(n):
     lhs = moment_monomial(SetPartition.one_block(n))
-    rhs = _mp_sum(
+    rhs = linear_combination(
         n,
         (
             (Fraction(1, partition_tree_factorial(pi)), partitioned_cumulant(H, pi))
             for pi in partitions_of(n, "noncrossing")
         ),
     )
-    ordered = _mp_sum(
+    ordered = linear_combination(
         n,
         (
             (Fraction(1, factorial(op.base.num_blocks)),
@@ -437,7 +427,7 @@ def _check_mobius_inversions(n):
     ):
         members = partitions_of(n, cls_value)
         for pi in members:
-            rhs = _mp_sum(
+            rhs = linear_combination(
                 n,
                 (
                     (mobius(sig, pi, lattice), moment_monomial(sig))
@@ -670,13 +660,13 @@ IDENTITY_CATALOG: dict[str, IdentityInfo] = {
               "free cumulants as signed sums of Boolean cumulants"),
         _info("free2class_tutte", 7, _check_free2class_tutte,
               "classical cumulants from free cumulants weighted by crossing-graph Tutte values"),
-        _info("thm1_mono2boolean", 8, _check_thm1_mono2boolean,
+        _info("thm1_mono2boolean", 9, _check_thm1_mono2boolean,
               "Boolean cumulants from monotone cumulants with nesting-forest weights"),
-        _info("thm1_mono2free", 8, _check_thm1_mono2free,
+        _info("thm1_mono2free", 9, _check_thm1_mono2free,
               "free cumulants from monotone cumulants with signed nesting-forest weights"),
-        _info("thm2_free2mono", 8, _check_thm2_free2mono,
+        _info("thm2_free2mono", 9, _check_thm2_free2mono,
               "univariate monotone cumulants from free cumulants with alpha weights"),
-        _info("thm2_boolean2mono", 8, _check_thm2_boolean2mono,
+        _info("thm2_boolean2mono", 9, _check_thm2_boolean2mono,
               "univariate monotone cumulants from Boolean cumulants with signed alpha weights"),
         _info("thm2_class2mono", 7, _check_thm2_class2mono,
               "univariate monotone cumulants from classical cumulants via noncrossing closures"),
@@ -783,7 +773,7 @@ def experimental_thm2_multivariate(n: int) -> Report:
         raise ResourceLimitError("experimental checker limited to n <= 7")
     lhs = cumulant_poly(H, n)
     failures = []
-    rhs_free = _mp_sum(
+    rhs_free = linear_combination(
         n,
         (
             (alpha(pi), partitioned_cumulant(R, pi))
@@ -792,7 +782,7 @@ def experimental_thm2_multivariate(n: int) -> Report:
     )
     if rhs_free != lhs:
         failures.append("free form")
-    rhs_bool = _mp_sum(
+    rhs_bool = linear_combination(
         n,
         (
             ((-1) ** (pi.num_blocks - 1) * alpha(pi), partitioned_cumulant(B, pi))
@@ -801,7 +791,7 @@ def experimental_thm2_multivariate(n: int) -> Report:
     )
     if rhs_bool != lhs:
         failures.append("Boolean form")
-    rhs_class = _mp_sum(
+    rhs_class = linear_combination(
         n,
         (
             (alpha(pi.noncrossing_closure()), partitioned_cumulant(K, pi))

@@ -329,12 +329,9 @@ def lattice_leq(pi: SetPartition, sigma: SetPartition) -> bool:
     """Refinement order: every block of pi lies inside a block of sigma."""
     _require_same_n(pi, sigma)
     owner = {}
-    for i in range(1, pi.n + 1):
-        a = pi.block_index_of(i)
-        s = sigma.block_index_of(i)
-        if a in owner and owner[a] != s:
+    for a, s in zip(pi.rgs, sigma.rgs):
+        if owner.setdefault(a, s) != s:
             return False
-        owner[a] = s
     return True
 
 

@@ -3,7 +3,8 @@
 Everything here recomputes a quantity by a route different from the one
 the library takes: exhaustive search instead of closed forms, direct
 summation instead of recurrences, termwise series instead of Newton
-iteration.  Oracles intentionally stay naive and slow.
+iteration, Fraction-dict moment polynomials instead of the integer kernel.
+Oracles intentionally stay naive and slow.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cumulantcalc.partitions import (
     SetPartition,
     enumerate_partitions,
     lattice_leq,
+    mobius_to_top,
     partitions_of,
 )
 
@@ -119,6 +121,99 @@ def cumulants_per_partition(kind, moments) -> list:
             if len(sizes) > 1:
                 acc -= w * _block_product(sizes, out)
         out.append(acc)
+    return out
+
+
+# --- moment polynomials as Fraction dicts ------------------------------------
+#
+# The reference kernel: a polynomial is a dict mapping monomials (tuples of
+# increasing element tuples, sorted by (size, subset)) to nonzero Fractions,
+# so `sorted(poly.items())` has the shape of `MomentPolynomial.sorted_terms()`.
+
+
+def _canonical(symbols) -> tuple:
+    return tuple(sorted(symbols, key=lambda s: (len(s), s)))
+
+
+def fd_add(*weighted) -> dict:
+    """Sum of weight * poly over (weight, Fraction-dict poly) pairs."""
+    out: dict = {}
+    for weight, poly in weighted:
+        for mono, c in poly.items():
+            v = out.get(mono, Fraction(0)) + Fraction(weight) * c
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def fd_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _canonical(m1 + m2)
+            v = out.get(mono, Fraction(0)) + c1 * c2
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def fd_relabel(poly: dict, mapping) -> dict:
+    return {
+        _canonical(tuple(mapping[i] for i in s) for s in mono): c
+        for mono, c in poly.items()
+    }
+
+
+def fd_from_sorted_terms(terms) -> dict:
+    return {mono: Fraction(c) for mono, c in terms}
+
+
+def _fd_monomial(pi: SetPartition) -> dict:
+    return {_canonical(pi.blocks): Fraction(1)}
+
+
+_FD_CUMULANTS: dict = {}
+
+
+def fd_cumulant(kind, n: int) -> dict:
+    """The n-th multivariate cumulant: a Moebius sum for K, R, B and the
+    triangular solve m_[n] = sum over NC(n) of H_pi / tau(pi)! for H."""
+    key = (kind, n)
+    if key in _FD_CUMULANTS:
+        return _FD_CUMULANTS[key]
+    if kind is CumulantKind.MONOTONE:
+        weighted = []
+        for pi in enumerate_partitions(n, "noncrossing"):
+            if pi.num_blocks == 1:
+                weighted.append((1, _fd_monomial(pi)))
+            else:
+                weighted.append(
+                    (Fraction(-1, partition_tree_factorial(pi)),
+                     fd_partitioned_cumulant(kind, pi))
+                )
+    else:
+        cls, lattice = {
+            CumulantKind.CLASSICAL: ("all", "P"),
+            CumulantKind.FREE: ("noncrossing", "NC"),
+            CumulantKind.BOOLEAN: ("interval", "I"),
+        }[kind]
+        weighted = [
+            (mobius_to_top(pi, lattice), _fd_monomial(pi))
+            for pi in enumerate_partitions(n, cls)
+        ]
+    out = _FD_CUMULANTS[key] = fd_add(*weighted)
+    return out
+
+
+def fd_partitioned_cumulant(kind, pi: SetPartition) -> dict:
+    out = {(): Fraction(1)}
+    for block in pi.blocks:
+        mapping = {j + 1: v for j, v in enumerate(block)}
+        out = fd_mul(out, fd_relabel(fd_cumulant(kind, len(block)), mapping))
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,13 +14,14 @@ from cumulantcalc.algebra import (
     bernoulli_number,
     bernoulli_polynomial,
     faulhaber_polynomial,
+    linear_combination,
     moment_monomial,
     rational_from_str,
     rational_to_str,
 )
 from cumulantcalc.partitions import SetPartition
 
-from oracles import exp_termwise
+from oracles import exp_termwise, fd_add, fd_from_sorted_terms, fd_mul
 
 
 def test_rational_strings():
@@ -177,7 +179,7 @@ def test_moment_monomial_examples():
 def test_moment_polynomial_ring_axioms():
     rng = random.Random(7)
 
-    def rand_poly(n):
+    def rand_poly(n, rational):
         out = MomentPolynomial.zero(n)
         for _ in range(rng.randint(1, 4)):
             syms = []
@@ -185,17 +187,50 @@ def test_moment_polynomial_ring_axioms():
                 size = rng.randint(1, n)
                 start = rng.randint(1, n - size + 1)
                 syms.append(tuple(range(start, start + size)))
-            out = out + Fraction(rng.randint(-3, 3)) * MomentPolynomial(
-                n, {tuple(syms): 1}
-            )
+            coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 6) if rational else 1)
+            out = out + coeff * MomentPolynomial(n, {tuple(syms): 1})
         return out
 
-    for _ in range(30):
-        a, b, c = rand_poly(4), rand_poly(4), rand_poly(4)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == MomentPolynomial.zero(4)
+    zero = MomentPolynomial.zero(4)
+    for rational in (False, True):
+        for _ in range(30):
+            a, b, c = (rand_poly(4, rational) for _ in range(3))
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a - a == zero
+            assert (a - a).den == 1
+            assert (a * Fraction(1, 3)) * 3 == a
+            assert a * 0 == zero and (a * 0).den == 1
+            # the integer kernel against the Fraction-dict reference
+            fa, fb, fc = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b, c))
+            assert (a * b).sorted_terms() == sorted(fd_mul(fa, fb).items())
+            assert (a - b).sorted_terms() == sorted(fd_add((1, fa), (-1, fb)).items())
+            w = [Fraction(rng.randint(-4, 4), rng.randint(1, 7)) for _ in range(3)]
+            combo = linear_combination(4, zip(w, (a, b, c)))
+            assert combo.sorted_terms() == sorted(fd_add(*zip(w, (fa, fb, fc))).items())
+            # one denominator per polynomial, in lowest terms
+            assert combo.den > 0
+            assert gcd(combo.den, *combo.terms.values()) == 1
+
+
+def test_linear_combination_rescales_the_denominator():
+    x = MomentPolynomial.symbol(2, (1,))
+    y = MomentPolynomial.symbol(2, (2,))
+    halves = linear_combination(2, [(Fraction(1, 2), x), (Fraction(1, 2), y)])
+    assert halves.den == 2 and halves.terms == {(1,): 1, (2,): 1}
+    # 1/2 x + 1/3 y: 3 does not divide 2, so the running denominator becomes 6
+    mixed = linear_combination(2, [(Fraction(1, 2), x), (Fraction(1, 3), y)])
+    assert mixed.den == 6 and mixed.terms == {(1,): 3, (2,): 2}
+    assert mixed.sorted_terms() == [(((1,),), Fraction(1, 2)), (((2,),), Fraction(1, 3))]
+    # a weight that cancels a polynomial's denominator
+    assert linear_combination(2, [(6, mixed)]) == 3 * x + 2 * y
+    # cancellation back to an integer polynomial reduces the denominator
+    back = linear_combination(2, [(1, mixed), (Fraction(-1, 3), y), (Fraction(1, 2), x)])
+    assert back == x and back.den == 1
+    assert linear_combination(2, []) == MomentPolynomial.zero(2)
+    assert linear_combination(2, [(0, mixed)]).den == 1
+    assert repr(mixed) == "1/2*m{1} + 1/3*m{2}"
 
 
 def test_moment_polynomial_repeated_symbols_allowed():
@@ -213,6 +248,29 @@ def test_moment_polynomial_validation():
         MomentPolynomial.symbol(3, (2, 1))  # not increasing
     with pytest.raises(ValueError):
         MomentPolynomial.symbol(3, ())
+    with pytest.raises(ValueError):
+        MomentPolynomial(2, {((0, 1),): 1})  # elements start at 1
+    with pytest.raises(ValueError):
+        MomentPolynomial.symbol(2, (1, 2)).relabel({1: 2, 2: 1})  # not order-preserving
+
+
+def test_moment_polynomial_bitmask_storage():
+    p = MomentPolynomial(3, {((1, 3), (2,)): Fraction(1, 2), ((1, 2, 3),): Fraction(-1, 3)})
+    # m_S is the bitmask of S, a monomial the sorted tuple of its masks
+    assert p.terms == {(0b010, 0b101): 3, (0b111,): -2}
+    assert p.den == 6
+    # symbols inside a monomial by (size, subset), monomials as tuples
+    assert p.sorted_terms() == [
+        (((1, 2, 3),), Fraction(-1, 3)),
+        (((2,), (1, 3)), Fraction(1, 2)),
+    ]
+    assert repr(p) == "-1/3*m{1,2,3} + 1/2*m{2}*m{1,3}"
+    assert p.relabel({1: 2, 2: 4, 3: 5}).sorted_terms() == [
+        (((2, 4, 5),), Fraction(-1, 3)),
+        (((4,), (2, 5)), Fraction(1, 2)),
+    ]
+    values = {(2,): 5, (1, 3): 7, (1, 2, 3): Fraction(1, 4)}
+    assert p.evaluate(values.__getitem__) == Fraction(35, 2) - Fraction(1, 12)
 
 
 def test_univariate_specialization_merges_by_size():

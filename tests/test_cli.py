@@ -94,6 +94,22 @@ def test_verify_beyond_limit(capsys):
     for name in ("series_B", "series_R", "swap_identities", "tilde_lemma",
                  "monotone_flow_integer"):
         assert run_cli(capsys, "verify", name, "11")[0] == 3
+    for name in ("thm1_mono2boolean", "thm1_mono2free", "thm2_free2mono",
+                 "thm2_boolean2mono"):
+        assert run_cli(capsys, "verify", name, "10")[0] == 3
+
+
+def test_verify_nothing_to_check_is_usage_error(capsys):
+    for args in (("verify", "free2boolean", "0"), ("verify", "--all", "0")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "" and err.startswith("error:"), args
+
+
+def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CUMULANTCALC_JOBS", "abc")
+    code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "CUMULANTCALC_JOBS" in err
 
 
 def test_verify_all_small(capsys):

@@ -32,7 +32,12 @@ from cumulantcalc.cumulants import (
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
 from cumulantcalc.limits import ResourceLimitError
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
-from oracles import cumulants_per_partition, moments_per_partition
+from oracles import (
+    cumulants_per_partition,
+    fd_cumulant,
+    fd_partitioned_cumulant,
+    moments_per_partition,
+)
 
 K, R, B, H = (
     CumulantKind.CLASSICAL,
@@ -100,6 +105,17 @@ def test_partitioned_cumulant():
     got = partitioned_cumulant(K, P("1,3|2"))
     expect = (sym(3, (1, 3)) - sym(3, (1,)) * sym(3, (3,))) * sym(3, (2,))
     assert got == expect
+
+
+def test_cumulant_poly_matches_fraction_dict_oracle():
+    for kind in CumulantKind:
+        for n in range(1, 8):
+            expected = sorted(fd_cumulant(kind, n).items())
+            assert cumulant_poly(kind, n).sorted_terms() == expected, (kind, n)
+    for pi in partitions_of(6, "noncrossing")[::7]:
+        for kind in CumulantKind:
+            expected = sorted(fd_partitioned_cumulant(kind, pi).items())
+            assert partitioned_cumulant(kind, pi).sorted_terms() == expected, (kind, pi)
 
 
 def test_sequences_match_polynomials():
