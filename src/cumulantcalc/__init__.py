@@ -27,7 +27,6 @@ from .cumulants import (
     BetaTable,
     CumulantKind,
     beta,
-    beta_expansion_check,
     beta_formula,
     beta_recursive,
     boolean_poisson_kappa,
@@ -37,8 +36,6 @@ from .cumulants import (
     cumulants_from_moments,
     determinant_cumulants,
     determinant_moments,
-    lenczewski_sum_check,
-    logbessel_beta_check,
     moments_from_cumulants,
     monotone_dilate,
     nested_pair_partition,
@@ -73,6 +70,8 @@ from .identities import (
     Report,
     experimental_thm2_multivariate,
     identity_names,
+    lenczewski_sum_check,
+    logbessel_beta_check,
     run_catalog,
     verify_identity,
 )

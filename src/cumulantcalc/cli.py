@@ -6,8 +6,8 @@ invocations produce byte-identical output (reports carry no timestamps
 and all randomized checks are seeded).
 
 Flag / environment precedence: command-line flags win over environment
-variables (CUMULANTCALC_MAX_*, CUMULANTCALC_CACHE_DIR, CUMULANTCALC_JOBS),
-which win over built-in defaults.
+variables (CUMULANTCALC_MAX_*, CUMULANTCALC_CACHE_DIR, CUMULANTCALC_JOBS,
+CUMULANTCALC_FORMAT), which win over built-in defaults.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .identities import (
     identity_names,
     verify_identity,
 )
-from .limits import ResourceLimitError
+from .limits import ResourceLimitError, check_limit
 from .partitions import (
     PartitionClass,
     SetPartition,
@@ -47,6 +47,9 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+
+#: the output formats of --format and CUMULANTCALC_FORMAT
+_FORMATS = ("text", "json", "csv")
 
 #: default output format per subcommand (overridden by --format / env)
 _FORMAT_DEFAULTS = {
@@ -90,6 +93,10 @@ class Config:
         fmt = args.format or os.environ.get("CUMULANTCALC_FORMAT")
         if fmt is None:
             fmt = _FORMAT_DEFAULTS[args.command]
+        elif fmt not in _FORMATS:
+            raise ValueError(
+                f"CUMULANTCALC_FORMAT must be one of {', '.join(_FORMATS)}, got {fmt!r}"
+            )
         return cls(
             output_format=fmt,
             limit=args.limit,
@@ -154,15 +161,16 @@ def _cmd_enumerate(args, cfg: Config) -> int:
 
 
 def _verify_worker(job):
-    name, n = job
-    rep = verify_identity(name, n)
-    return rep.to_dict()
+    return verify_identity(*job)
+
+
+def _check_positive(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive (got {n})")
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    if args.n_max < 1:
-        print(f"error: n must be positive (got {args.n_max})", file=sys.stderr)
-        return EXIT_USAGE
+    _check_positive(args.n_max)
     if args.identity == "--all" or args.all:
         names = identity_names()
     else:
@@ -188,20 +196,21 @@ def _cmd_verify(args, cfg: Config) -> int:
             reports = list(pool.map(_verify_worker, jobs))
     else:
         reports = [_verify_worker(j) for j in jobs]
-    all_hold = all(r["holds"] for r in reports)
+    all_hold = all(r.holds for r in reports)
     if cfg.output_format == "text":
         for r in reports:
-            status = "ok" if r["holds"] else "FAIL"
+            status = "ok" if r.holds else "FAIL"
             extra = ""
-            if r.get("detail") and "sum" in r["detail"]:
-                extra = f" sum={r['detail']['sum']}"
-            print(f"{status} {r['identity']} n={r['n']}{extra}")
+            if r.detail and "sum" in r.detail:
+                extra = f" sum={r.detail['sum']}"
+            print(f"{status} {r.identity} n={r.n}{extra}")
     else:
-        print(_json_dumps(reports))
+        print(_json_dumps([r.to_dict() for r in reports]))
     return EXIT_OK if all_hold else EXIT_IDENTITY_FAILURE
 
 
 def _cmd_experimental(args, cfg: Config) -> int:
+    _check_positive(args.n_max)
     reports = [experimental_thm2_multivariate(n).to_dict() for n in range(1, args.n_max + 1)]
     print(_json_dumps(reports))
     return EXIT_OK  # experimental: informative only, never a failure code
@@ -220,6 +229,15 @@ def _digraph_key_str(key) -> str:
     if dirs:
         parts.append("d:" + ",".join(f"{a}>{b}" for a, b in dirs))
     return ";".join(parts)
+
+
+#: the limit keys each table's builder checks at n
+_TABLE_LIMITS = {
+    "beta": ("all", "beta-blocks"),
+    "alpha": ("noncrossing",),
+    "tutte": ("irreducible",),
+    "mobius": ("all",),
+}
 
 
 def _table_rows(what: str, n: int):
@@ -255,24 +273,39 @@ def _table_rows(what: str, n: int):
     return header, rows
 
 
+def _cached_table_rows(cache_dir: Path, what: str, n: int):
+    """`_table_rows` through a JSON file in `cache_dir`.
+
+    A hit is served only within the limits the table's builder checks.  A
+    file that does not parse counts as a miss; it is rewritten through a
+    temporary file and `os.replace`, so readers never see a partial file.
+    """
+    for key in _TABLE_LIMITS[what]:
+        check_limit(key, n)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    # v1: the version of the payload format; bump it when the shape changes
+    path = cache_dir / f"table-v1-{what}-{n}.json"
+    try:
+        payload = json.loads(path.read_text())
+        return payload["header"], [tuple(r) for r in payload["rows"]]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        pass
+    header, rows = _table_rows(what, n)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(_json_dumps({"header": header, "rows": [list(r) for r in rows]}))
+    os.replace(tmp, path)
+    return header, rows
+
+
 def _cmd_table(args, cfg: Config) -> int:
     what = args.what.lower()
-    if what not in ("beta", "alpha", "tutte", "mobius"):
+    if what not in _TABLE_LIMITS:
         print(f"error: unknown table {what!r}", file=sys.stderr)
         return EXIT_USAGE
-    cache_file = None
-    if cfg.cache_dir is not None:
-        cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cfg.cache_dir / f"table-{what}-{args.n}.json"
-    if cache_file is not None and cache_file.exists():
-        payload = json.loads(cache_file.read_text())
-        header, rows = payload["header"], [tuple(r) for r in payload["rows"]]
-    else:
+    if cfg.cache_dir is None:
         header, rows = _table_rows(what, args.n)
-        if cache_file is not None:
-            cache_file.write_text(
-                _json_dumps({"header": header, "rows": [list(r) for r in rows]})
-            )
+    else:
+        header, rows = _cached_table_rows(cfg.cache_dir, what, args.n)
     if cfg.output_format == "json":
         print(_json_dumps([dict(zip(header, r)) for r in rows]))
     else:
@@ -353,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cumulant combinatorics: enumeration, identity "
                     "verification, coefficient tables and conversions.",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=None,
+    parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="output format (default depends on the subcommand)")
     parser.add_argument("--limit", type=int, default=None,
                         help="override the enumeration size limit")

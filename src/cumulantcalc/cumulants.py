@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .algebra import (
     MomentPolynomial,
@@ -44,11 +44,10 @@ from .algebra import (
     linear_combination,
     moment_monomial,
 )
-from .forests import labelling_polynomial_of, partition_tree_factorial
+from .forests import partition_tree_factorial
 from .graphs import anti_interval_digraph, digraph_key
 from .limits import check_limit
 from .partitions import SetPartition, mobius_to_top, partitions_of
-from .permutations import eulerian_polynomial
 
 __all__ = [
     "CumulantKind",
@@ -61,7 +60,6 @@ __all__ = [
     "sequence_series",
     "tilde_transform",
     "monotone_dilate",
-    "lenczewski_sum_check",
     "boolean_poisson_kappa",
     "determinant_cumulants",
     "determinant_moments",
@@ -70,8 +68,6 @@ __all__ = [
     "beta",
     "BetaTable",
     "build_beta_table",
-    "beta_expansion_check",
-    "logbessel_beta_check",
     "nested_pair_partition",
 ]
 
@@ -293,66 +289,17 @@ def monotone_dilate(cumulants, t) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Colored sums, Boolean Poisson, determinants
+# Boolean Poisson, determinants
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _univariate_cumulant(kind: CumulantKind, k: int) -> MomentPolynomial:
-    return cumulant_poly(kind, k).univariate()
-
-
-@lru_cache(maxsize=None)
-def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
-    """Product of the univariate cumulants of the given block sizes."""
-    out = MomentPolynomial.one(max(sizes))
-    for s in sizes:
-        out = out * _univariate_cumulant(kind, s)
-    return out
-
-
-def lenczewski_sum_check(n: int, colors: int) -> dict:
-    """Check sum over NC(n) of P_pi(N) r_pi against the moment of the
-    N-fold monotone dilation, as exact univariate moment polynomials."""
-    if not 1 <= n <= 7:
-        raise ValueError("n must be in 1..7")
-    if not 1 <= colors <= 5:
-        raise ValueError("colors must be in 1..5")
-    members = partitions_of(n, "noncrossing")
-    lhs = linear_combination(
-        n,
-        (
-            (labelling_polynomial_of(pi).evaluate(colors),
-             _univariate_partitioned(CumulantKind.FREE, pi.block_sizes()))
-            for pi in members
-        ),
-    )
-    rhs = linear_combination(
-        n,
-        (
-            (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi),
-             _univariate_partitioned(CumulantKind.MONOTONE, pi.block_sizes()))
-            for pi in members
-        ),
-    )
-    holds = lhs == rhs
-    return {
-        "identity": "lenczewski_sum",
-        "n": n,
-        "colors": colors,
-        "holds": holds,
-        "lhs_terms": lhs.num_terms(),
-        "rhs_terms": rhs.num_terms(),
-        "witness": None if holds else repr(lhs - rhs),
-    }
 
 
 def boolean_poisson_kappa(n: int) -> Polynomial:
     """Classical cumulant of the law whose Boolean cumulants all equal x.
 
     Computed by converting b_k = x to moments and then to classical
-    cumulants with polynomial coefficients; the result is asserted to be
-    x * E_{n-1}(-x) with E the Eulerian polynomial.
+    cumulants with polynomial coefficients; the `prop10_eulerian` identity
+    checks that the result is x * E_{n-1}(-x) with E the Eulerian
+    polynomial.
     """
     if not 1 <= n <= 9:
         raise ValueError("n must be in 1..9")
@@ -361,13 +308,6 @@ def boolean_poisson_kappa(n: int) -> Polynomial:
     kappa = cumulants_from_moments(CumulantKind.CLASSICAL, moments)[n - 1]
     if not isinstance(kappa, Polynomial):
         kappa = Polynomial.constant(kappa, "x")
-    expected = x * eulerian_polynomial(n - 1).scale_argument(-1)
-    expected = Polynomial(expected.coeffs, "x")
-    if kappa != expected:
-        raise AssertionError(
-            f"Boolean-Poisson classical cumulant mismatch at n={n}: "
-            f"{kappa} vs {expected}"
-        )
     return kappa
 
 
@@ -564,78 +504,8 @@ def build_beta_table(n: int, check_routes: bool = False) -> BetaTable:
     return BetaTable(n, tuple(rows))
 
 
-def beta_expansion_check(n: int) -> dict:
-    """Verify K_n = sum over P(n) of beta(pi) H_pi exactly."""
-    if not 1 <= n <= 6:
-        raise ValueError("n must be in 1..6")
-    lhs = cumulant_poly(CumulantKind.CLASSICAL, n)
-    rhs = linear_combination(
-        n,
-        (
-            (b, partitioned_cumulant(CumulantKind.MONOTONE, pi))
-            for pi in partitions_of(n, "all")
-            if (b := beta_formula(pi))
-        ),
-    )
-    holds = lhs == rhs
-    return {
-        "identity": "beta_expansion",
-        "n": n,
-        "holds": holds,
-        "lhs_terms": lhs.num_terms(),
-        "rhs_terms": rhs.num_terms(),
-        "witness": None if holds else repr(lhs - rhs),
-    }
-
-
 def nested_pair_partition(n: int) -> SetPartition:
     """The fully nested pairing {{1,2n},{2,2n-1},...,{n,n+1}}."""
     return SetPartition.from_blocks(
         2 * n, [[i, 2 * n + 1 - i] for i in range(1, n + 1)]
     )
-
-
-def logbessel_beta_check(max_n: int) -> dict:
-    """Match n! beta(nested pairing) against the log-Bessel coefficients.
-
-    The exponential generating function of beta over the nested pairings
-    is log(1 + F) with F = sum z^k/(k!)^2, by the product formula for the
-    relevant incidence-algebra convolution; the resulting integer sequence
-    b_n = n! beta starts 1, -1, 4, -33, 456 and its unsigned version obeys
-    the classical convolution recursion
-    a_{m+1} = sum_k C(m,k) C(m,k-1) a_k a_{m+1-k}.
-    """
-    if not 1 <= max_n <= 7:
-        raise ValueError("max_n must be in 1..7")
-    f = TruncatedSeries(
-        [0] + [Fraction(1, factorial(k) ** 2) for k in range(1, max_n + 1)]
-    )
-    log_series = (1 + f).log()
-    from_series = [
-        factorial(k) ** 2 * log_series.coefficient(k) for k in range(1, max_n + 1)
-    ]
-    from_beta = [
-        factorial(k) * beta_formula(nested_pair_partition(k))
-        for k in range(1, max_n + 1)
-    ]
-    series_ok = from_series == from_beta
-    unsigned = [(-1) ** (k - 1) * v for k, v in enumerate(from_beta, start=1)]
-    signs_ok = all(v > 0 for v in unsigned)
-    carlitz_ok = all(
-        unsigned[m]
-        == sum(
-            comb(m, k) * comb(m, k - 1) * unsigned[k - 1] * unsigned[m - k]
-            for k in range(1, m + 1)
-        )
-        for m in range(1, max_n)
-    )
-    holds = series_ok and signs_ok and carlitz_ok
-    return {
-        "identity": "logbessel_carlitz",
-        "n": max_n,
-        "holds": holds,
-        "sequence": [str(v) for v in from_beta],
-        "series_match": series_ok,
-        "carlitz": carlitz_ok,
-        "witness": None if holds else f"series={from_series} beta={from_beta}",
-    }

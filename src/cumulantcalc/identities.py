@@ -1,11 +1,23 @@
 """Machine-checked catalog of the cumulant identities.
 
 `verify_identity(name, n)` instantiates both sides of one identity as
-exact moment polynomials (or truncated series / rational sequences) and
-compares them term by term.  A failing comparison returns the difference
-as a witness; it is never tolerated silently, and the CLI turns it into a
-nonzero exit code.  `run_catalog` sweeps every identity up to its
-documented limit and is the acceptance gate of the repository.
+exact moment polynomials (or truncated series / rational sequences),
+compares them term by term and returns a `Report`, the one report type of
+the package.  A failing comparison carries the difference as a witness;
+it is never tolerated silently, and the CLI turns it into a nonzero exit
+code.  `run_catalog` sweeps every identity up to its documented limit and
+is the acceptance gate of the repository.
+
+Most conversion formulas share one shape,
+
+    lhs_n = sum over pi in a partition class of w(pi) * rhs_pi,
+
+where rhs_pi is a partitioned cumulant and the weight w(pi) is 1, a sign,
+1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is a
+`FamilySum` row of the catalog, and `FamilySum.check` is their one
+checker.  The identities of other shapes (permutation sums, lattice-wide
+moment formulas, series, properties of beta) are `IdentityInfo` entries
+with a checker function each.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -16,33 +28,35 @@ from a seeded generator, so every run is deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 from .algebra import (
     MomentPolynomial,
+    Polynomial,
     TruncatedSeries,
     linear_combination,
     moment_monomial,
 )
 from .cumulants import (
     CumulantKind,
-    beta_expansion_check,
     beta_formula,
     beta_recursive,
     boolean_poisson_kappa,
     cumulant_poly,
     cumulants_from_moments,
     determinant_cumulants,
-    lenczewski_sum_check,
-    logbessel_beta_check,
     moment_series,
     monotone_dilate,
+    nested_pair_partition,
     partitioned_cumulant,
     sequence_series,
+    tilde_transform,
 )
-from .forests import alpha, depth, partition_tree_factorial
+from .forests import alpha, depth, labelling_polynomial_of, partition_tree_factorial
 from .graphs import anti_interval_digraph, anti_interval_graph, crossing_graph, tutte_eval
 from .limits import ResourceLimitError
 from .partitions import (
@@ -58,6 +72,7 @@ from .permutations import (
     cycles,
     cyclic_permutations,
     eulerian,
+    eulerian_polynomial,
     runs,
 )
 
@@ -69,6 +84,8 @@ __all__ = [
     "verify_identity",
     "run_catalog",
     "experimental_thm2_multivariate",
+    "lenczewski_sum_check",
+    "logbessel_beta_check",
 ]
 
 K, R, B, H = (
@@ -137,184 +154,84 @@ def _random_sequences(tag: str, n: int, count: int = 25):
     ]
 
 
-# ---------------------------------------------------------------------------
-# Conversion identities between pairs of families
-# ---------------------------------------------------------------------------
-
-
-def _check_free2boolean(n):
-    rhs = linear_combination(
-        n,
-        (
-            (1, partitioned_cumulant(R, pi))
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-    return _compare("free2boolean", n, cumulant_poly(B, n), rhs)
-
-
-def _check_class2free(n):
-    rhs = linear_combination(
-        n,
-        ((1, partitioned_cumulant(K, pi)) for pi in partitions_of(n, "connected")),
-    )
-    return _compare("class2free", n, cumulant_poly(R, n), rhs)
-
-
-def _check_class2boolean(n):
-    rhs = linear_combination(
-        n,
-        ((1, partitioned_cumulant(K, pi)) for pi in partitions_of(n, "irreducible")),
-    )
-    return _compare("class2boolean", n, cumulant_poly(B, n), rhs)
-
-
-def _check_boolean2free(n):
-    rhs = linear_combination(
-        n,
-        (
-            ((-1) ** (pi.num_blocks - 1), partitioned_cumulant(B, pi))
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-    return _compare("boolean2free", n, cumulant_poly(R, n), rhs)
-
-
-def _check_free2class_tutte(n):
-    rhs = linear_combination(
-        n,
-        (
-            (
-                (-1) ** (pi.num_blocks - 1) * tutte_eval(crossing_graph(pi), 1, 0),
-                partitioned_cumulant(R, pi),
-            )
-            for pi in partitions_of(n, "connected")
-        ),
-    )
-    return _compare("free2class_tutte", n, cumulant_poly(K, n), rhs)
-
-
-def _thm1_rhs(n, signed: bool) -> MomentPolynomial:
-    return linear_combination(
-        n,
-        (
-            (
-                Fraction((-1) ** (pi.num_blocks - 1) if signed else 1,
-                         partition_tree_factorial(pi)),
-                partitioned_cumulant(H, pi),
-            )
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-
-
-def _thm1_ordered_rhs(n, signed: bool) -> MomentPolynomial:
-    return linear_combination(
-        n,
-        (
-            (
-                Fraction((-1) ** (op.base.num_blocks - 1) if signed else 1,
-                         factorial(op.base.num_blocks)),
-                partitioned_cumulant(H, op.base),
-            )
-            for op in enumerate_monotone(n)
-            if op.base.is_irreducible()
-        ),
-    )
-
-
-def _check_thm1_mono2boolean(n):
-    lhs = cumulant_poly(B, n)
-    rep = _compare("thm1_mono2boolean", n, lhs, _thm1_rhs(n, signed=False))
-    if rep.holds and n <= 6:
-        ordered = _thm1_ordered_rhs(n, signed=False)
-        if ordered != lhs:
-            rep.holds = False
-            rep.witness = "ordered-partition form differs: " + repr(lhs - ordered)
-        rep.detail = {"ordered_form_checked": True}
-    return rep
-
-
-def _check_thm1_mono2free(n):
-    lhs = cumulant_poly(R, n)
-    rep = _compare("thm1_mono2free", n, lhs, _thm1_rhs(n, signed=True))
-    if rep.holds and n <= 6:
-        ordered = _thm1_ordered_rhs(n, signed=True)
-        if ordered != lhs:
-            rep.holds = False
-            rep.witness = "ordered-partition form differs: " + repr(lhs - ordered)
-        rep.detail = {"ordered_form_checked": True}
-    return rep
+def _sign(pi: SetPartition) -> int:
+    return (-1) ** (pi.num_blocks - 1)
 
 
 # ---------------------------------------------------------------------------
-# Univariate monotone expansions (thm2)
+# Family sums: lhs_n = sum over a partition class of weight(pi) * rhs_pi
 # ---------------------------------------------------------------------------
 
 
-def _check_thm2_free2mono(n):
-    lhs = cumulant_poly(H, n).univariate()
-    rhs = linear_combination(
-        n,
-        (
-            (alpha(pi), partitioned_cumulant(R, pi).univariate())
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-    return _compare("thm2_free2mono", n, lhs, rhs)
+@dataclass(frozen=True)
+class FamilySum:
+    """Catalog row: lhs_n = sum over pi in `cls` of weight(pi) * rhs_pi.
 
+    `lhs` is a cumulant family, or None for the moment m_{[n]}; rhs_pi is
+    the partitioned cumulant of the family `rhs`.  Each weight is computed
+    before rhs_pi is fetched, and a zero weight skips it.  Rows give the
+    weight as a lambda, so the library functions it calls are looked up
+    when it runs.  With `univariate`, both sides are compared after all
+    variables are identified.  For n <= `ordered_max_n` (monotone rhs) the
+    sum is checked again in ordered-monotone form: over every monotone
+    order of every pi, each order carrying weight(pi) * tau(pi)! / |pi|!.
+    """
 
-def _check_thm2_boolean2mono(n):
-    lhs = cumulant_poly(H, n).univariate()
-    rhs = linear_combination(
-        n,
-        (
-            ((-1) ** (pi.num_blocks - 1) * alpha(pi),
-             partitioned_cumulant(B, pi).univariate())
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-    return _compare("thm2_boolean2mono", n, lhs, rhs)
+    name: str
+    max_n: int
+    lhs: CumulantKind | None
+    rhs: CumulantKind
+    cls: str
+    weight: Callable[[SetPartition], int | Fraction]
+    univariate: bool
+    summary: str
+    ordered_max_n: int = 0
 
+    def check(self, n: int) -> Report:
+        if self.lhs is None:
+            lhs = moment_monomial(SetPartition.one_block(n))
+        else:
+            lhs = cumulant_poly(self.lhs, n)
+        if self.univariate:
+            lhs = lhs.univariate()
+        members = partitions_of(n, self.cls)
+        rhs = self._sum(n, ((self.weight(pi), pi) for pi in members))
+        rep = _compare(self.name, n, lhs, rhs)
+        if rep.holds and n <= self.ordered_max_n:
+            per_order = {
+                pi: Fraction(self.weight(pi)) * partition_tree_factorial(pi)
+                / factorial(pi.num_blocks)
+                for pi in members
+            }
+            ordered = self._sum(n, (
+                (per_order[op.base], op.base)
+                for op in enumerate_monotone(n)
+                if op.base in per_order
+            ))
+            if ordered != lhs:
+                rep.holds = False
+                rep.witness = "ordered-partition form differs: " + repr(lhs - ordered)
+            rep.detail = {"ordered_form_checked": True}
+        return rep
 
-def _check_thm2_class2mono(n):
-    lhs = cumulant_poly(H, n).univariate()
-    rhs = linear_combination(
-        n,
-        (
-            (alpha(pi.noncrossing_closure()),
-             partitioned_cumulant(K, pi).univariate())
-            for pi in partitions_of(n, "irreducible")
-        ),
-    )
-    return _compare("thm2_class2mono", n, lhs, rhs)
+    def _sum(self, n: int, weighted) -> MomentPolynomial:
+        """Sum of w * rhs_pi over (w, pi) pairs, skipping zero weights."""
+        pairs = ((w, partitioned_cumulant(self.rhs, pi)) for w, pi in weighted if w)
+        if self.univariate:
+            pairs = ((w, p.univariate()) for w, p in pairs)
+        return linear_combination(n, pairs)
 
 
 # ---------------------------------------------------------------------------
-# Tutte and permutation expressions for classical cumulants
+# Permutation sums for classical cumulants
 # ---------------------------------------------------------------------------
-
-
-def _check_thm3_boolean2class_tutte(n):
-    rhs = linear_combination(
-        n,
-        (
-            (
-                (-1) ** (pi.num_blocks - 1) * tutte_eval(anti_interval_graph(pi), 1, 0),
-                partitioned_cumulant(B, pi),
-            )
-            for pi in partitions_of(n, "irreducible")
-        ),
-    )
-    return _compare("thm3_boolean2class_tutte", n, cumulant_poly(K, n), rhs)
 
 
 def _check_thm4_cyclecruns(n):
     rhs = linear_combination(
         n,
         (
-            ((-1) ** (cycle_runs(s).num_blocks - 1),
-             partitioned_cumulant(B, cycle_runs(s)))
+            (_sign(cycle_runs(s)), partitioned_cumulant(B, cycle_runs(s)))
             for s in cyclic_permutations(n)
         ),
     )
@@ -385,38 +302,6 @@ def _check_moment_cumulant_B(n):
     return _check_moment_cumulant("moment_cumulant_B", n, B, "interval")
 
 
-def _check_moment_cumulant_H(n):
-    lhs = moment_monomial(SetPartition.one_block(n))
-    rhs = linear_combination(
-        n,
-        (
-            (Fraction(1, partition_tree_factorial(pi)), partitioned_cumulant(H, pi))
-            for pi in partitions_of(n, "noncrossing")
-        ),
-    )
-    ordered = linear_combination(
-        n,
-        (
-            (Fraction(1, factorial(op.base.num_blocks)),
-             partitioned_cumulant(H, op.base))
-            for op in enumerate_monotone(n)
-        ),
-    )
-    holds = lhs == rhs == ordered
-    witness = None
-    if not holds:
-        witness = repr(lhs - rhs) if lhs != rhs else repr(lhs - ordered)
-    return Report(
-        "moment_cumulant_H",
-        n,
-        holds,
-        lhs.num_terms(),
-        rhs.num_terms(),
-        witness,
-        {"ordered_form_checked": True},
-    )
-
-
 def _check_mobius_inversions(n):
     failures = []
     checked = 0
@@ -446,10 +331,6 @@ def _check_mobius_inversions(n):
 # ---------------------------------------------------------------------------
 
 
-def _series_report(name, n, failures, checked, detail=None):
-    return _quantified(name, n, failures, checked, detail)
-
-
 def _check_series_B(n):
     failures = []
     seqs = _random_sequences("series_B", n)
@@ -458,7 +339,7 @@ def _check_series_B(n):
         bs = sequence_series(cumulants_from_moments(B, m))
         if bs * bm != bm - 1:
             failures.append(f"seq#{i}")
-    return _series_report("series_B", n, failures, len(seqs))
+    return _quantified("series_B", n, failures, len(seqs))
 
 
 def _check_series_R(n):
@@ -470,7 +351,7 @@ def _check_series_R(n):
         zm = TruncatedSeries.z(n) * ms
         if rs.compose(zm) != ms - 1:
             failures.append(f"seq#{i}")
-    return _series_report("series_R", n, failures, len(seqs))
+    return _quantified("series_R", n, failures, len(seqs))
 
 
 def _check_swap_identities(n):
@@ -487,12 +368,10 @@ def _check_swap_identities(n):
         right_inner = z * (one + rs).reciprocal()
         if one - bs.compose(right_inner) != (one + rs).reciprocal():
             failures.append(f"seq#{i}:right")
-    return _series_report("swap_identities", n, failures, len(seqs))
+    return _quantified("swap_identities", n, failures, len(seqs))
 
 
 def _check_tilde_lemma(n):
-    from .cumulants import tilde_transform
-
     failures = []
     seqs = _random_sequences("tilde", n)
     for i, m in enumerate(seqs):
@@ -503,7 +382,7 @@ def _check_tilde_lemma(n):
             failures.append(f"seq#{i}: Boolean/free swap failed")
         if cumulants_from_moments(H, out) != [-x for x in cumulants_from_moments(H, m)]:
             failures.append(f"seq#{i}: monotone negation failed")
-    return _series_report("tilde_lemma", n, failures, len(seqs))
+    return _quantified("tilde_lemma", n, failures, len(seqs))
 
 
 def _check_monotone_flow_integer(n):
@@ -519,31 +398,61 @@ def _check_monotone_flow_integer(n):
             for s in range(-2, 3):
                 if frak[t + s] != frak[t].compose(frak[s]):
                     failures.append(f"seq#{i}:t={t},s={s}")
-    return _series_report("monotone_flow_integer", n, failures, len(seqs) * 25)
+    return _quantified("monotone_flow_integer", n, failures, len(seqs) * 25)
+
+
+@lru_cache(maxsize=None)
+def _univariate_cumulant(kind: CumulantKind, k: int) -> MomentPolynomial:
+    return cumulant_poly(kind, k).univariate()
+
+
+@lru_cache(maxsize=None)
+def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
+    """Product of the univariate cumulants of the given block sizes."""
+    out = MomentPolynomial.one(max(sizes))
+    for s in sizes:
+        out = out * _univariate_cumulant(kind, s)
+    return out
+
+
+def lenczewski_sum_check(n: int, colors: int) -> Report:
+    """Check sum over NC(n) of P_pi(N) r_pi against the moment of the
+    N-fold monotone dilation, as exact univariate moment polynomials."""
+    if not 1 <= n <= 7:
+        raise ValueError("n must be in 1..7")
+    if not 1 <= colors <= 5:
+        raise ValueError("colors must be in 1..5")
+    members = partitions_of(n, "noncrossing")
+    lhs = linear_combination(
+        n,
+        (
+            (labelling_polynomial_of(pi).evaluate(colors),
+             _univariate_partitioned(R, pi.block_sizes()))
+            for pi in members
+        ),
+    )
+    rhs = linear_combination(
+        n,
+        (
+            (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi),
+             _univariate_partitioned(H, pi.block_sizes()))
+            for pi in members
+        ),
+    )
+    return _compare("lenczewski_sum", n, lhs, rhs, {"colors": colors})
 
 
 def _check_lenczewski_sum(n):
-    failures = []
-    details = []
-    for colors in range(1, 6):
-        rep = lenczewski_sum_check(n, colors)
-        details.append(colors)
-        if not rep["holds"]:
-            failures.append(f"N={colors}")
-    return _quantified("lenczewski_sum", n, failures, len(details))
+    failures = [
+        f"N={colors}" for colors in range(1, 6)
+        if not lenczewski_sum_check(n, colors).holds
+    ]
+    return _quantified("lenczewski_sum", n, failures, 5)
 
 
 # ---------------------------------------------------------------------------
 # Beta family
 # ---------------------------------------------------------------------------
-
-
-def _check_beta_expansion(n):
-    rep = beta_expansion_check(n)
-    return Report(
-        "beta_expansion", n, rep["holds"], rep["lhs_terms"], rep["rhs_terms"],
-        rep["witness"],
-    )
 
 
 def _check_thm5_reducible(n):
@@ -565,7 +474,7 @@ def _check_thm5_nonesting(n):
         if anti_interval_digraph(pi).directed:
             continue  # has a nesting
         checked += 1
-        expected = (-1) ** (pi.num_blocks - 1) * tutte_eval(crossing_graph(pi), 1, 0)
+        expected = _sign(pi) * tutte_eval(crossing_graph(pi), 1, 0)
         if beta_formula(pi) != expected:
             failures.append(f"pi={pi}")
     return _quantified("thm5_nonesting", n, failures, checked)
@@ -578,7 +487,7 @@ def _check_thm5_depth2(n):
         if depth(pi) > 2:
             continue
         checked += 1
-        if beta_formula(pi) != Fraction((-1) ** (pi.num_blocks - 1), pi.num_blocks):
+        if beta_formula(pi) != Fraction(_sign(pi), pi.num_blocks):
             failures.append(f"pi={pi}")
     return _quantified("thm5_depth2", n, failures, checked)
 
@@ -601,13 +510,12 @@ def _check_cor9_factorial(n):
 
 
 def _check_prop10_eulerian(n):
-    try:
-        kappa = boolean_poisson_kappa(n)
-    except AssertionError as exc:
-        return Report("prop10_eulerian", n, False, 0, 0, str(exc))
+    kappa = boolean_poisson_kappa(n)
+    expected = Polynomial.monomial(1) * eulerian_polynomial(n - 1).scale_argument(-1)
+    holds = kappa == expected
     return Report(
-        "prop10_eulerian", n, True, len(kappa.coeffs), len(kappa.coeffs),
-        None, {"kappa": kappa.to_json()},
+        "prop10_eulerian", n, holds, len(kappa.coeffs), len(expected.coeffs),
+        None if holds else f"{kappa} != {expected}", {"kappa": kappa.to_json()},
     )
 
 
@@ -622,11 +530,44 @@ def _check_determinant_formulas(n):
     return _quantified("determinant_formulas", n, failures, 2 * len(seqs))
 
 
-def _check_logbessel_carlitz(n):
-    rep = logbessel_beta_check(min(n, 7))
+def logbessel_beta_check(max_n: int) -> Report:
+    """Match n! beta(nested pairing) against the log-Bessel coefficients.
+
+    The exponential generating function of beta over the nested pairings
+    is log(1 + F) with F = sum z^k/(k!)^2, by the product formula for the
+    relevant incidence-algebra convolution; the resulting integer sequence
+    b_n = n! beta starts 1, -1, 4, -33, 456 and its unsigned version obeys
+    the classical convolution recursion
+    a_{m+1} = sum_k C(m,k) C(m,k-1) a_k a_{m+1-k}.
+    """
+    if not 1 <= max_n <= 7:
+        raise ValueError("max_n must be in 1..7")
+    f = TruncatedSeries(
+        [0] + [Fraction(1, factorial(k) ** 2) for k in range(1, max_n + 1)]
+    )
+    log_series = (1 + f).log()
+    from_series = [
+        factorial(k) ** 2 * log_series.coefficient(k) for k in range(1, max_n + 1)
+    ]
+    from_beta = [
+        factorial(k) * beta_formula(nested_pair_partition(k))
+        for k in range(1, max_n + 1)
+    ]
+    unsigned = [(-1) ** (k - 1) * v for k, v in enumerate(from_beta, start=1)]
+    carlitz_ok = all(
+        unsigned[m]
+        == sum(
+            comb(m, k) * comb(m, k - 1) * unsigned[k - 1] * unsigned[m - k]
+            for k in range(1, m + 1)
+        )
+        for m in range(1, max_n)
+    )
+    holds = from_series == from_beta and all(v > 0 for v in unsigned) and carlitz_ok
+    sequence = [str(v) for v in from_beta]
     return Report(
-        "logbessel_carlitz", n, rep["holds"], len(rep["sequence"]),
-        len(rep["sequence"]), rep["witness"], {"sequence": rep["sequence"]},
+        "logbessel_carlitz", max_n, holds, len(sequence), len(sequence),
+        None if holds else f"series={from_series} beta={from_beta}",
+        {"sequence": sequence},
     )
 
 
@@ -637,83 +578,91 @@ def _check_logbessel_carlitz(n):
 
 @dataclass(frozen=True)
 class IdentityInfo:
+    """Catalog entry of an identity checked by its own function."""
+
     name: str
     max_n: int
     check: callable
     summary: str
 
 
-def _info(name, max_n, check, summary):
-    return IdentityInfo(name, max_n, check, summary)
-
-
-IDENTITY_CATALOG: dict[str, IdentityInfo] = {
+IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
     i.name: i
     for i in [
-        _info("free2boolean", 8, _check_free2boolean,
-              "Boolean cumulants as sums of free cumulants over irreducible noncrossing partitions"),
-        _info("class2free", 7, _check_class2free,
-              "free cumulants as sums of classical cumulants over connected partitions"),
-        _info("class2boolean", 7, _check_class2boolean,
-              "Boolean cumulants as sums of classical cumulants over irreducible partitions"),
-        _info("boolean2free", 8, _check_boolean2free,
-              "free cumulants as signed sums of Boolean cumulants"),
-        _info("free2class_tutte", 7, _check_free2class_tutte,
-              "classical cumulants from free cumulants weighted by crossing-graph Tutte values"),
-        _info("thm1_mono2boolean", 9, _check_thm1_mono2boolean,
-              "Boolean cumulants from monotone cumulants with nesting-forest weights"),
-        _info("thm1_mono2free", 9, _check_thm1_mono2free,
-              "free cumulants from monotone cumulants with signed nesting-forest weights"),
-        _info("thm2_free2mono", 9, _check_thm2_free2mono,
-              "univariate monotone cumulants from free cumulants with alpha weights"),
-        _info("thm2_boolean2mono", 9, _check_thm2_boolean2mono,
-              "univariate monotone cumulants from Boolean cumulants with signed alpha weights"),
-        _info("thm2_class2mono", 7, _check_thm2_class2mono,
-              "univariate monotone cumulants from classical cumulants via noncrossing closures"),
-        _info("thm3_boolean2class_tutte", 7, _check_thm3_boolean2class_tutte,
-              "classical cumulants from Boolean cumulants weighted by anti-interval Tutte values"),
-        _info("thm4_cyclecruns", 7, _check_thm4_cyclecruns,
-              "classical cumulants as signed Boolean sums over cycle runs of full cycles"),
-        _info("cor_runs", 7, _check_cor_runs,
-              "classical cumulants as signed Boolean sums over runs of permutations fixing 1"),
-        _info("moment_cumulant_K", 6, _check_moment_cumulant_K,
-              "defining moment formula of classical cumulants on every partition"),
-        _info("moment_cumulant_R", 7, _check_moment_cumulant_R,
-              "defining moment formula of free cumulants on every noncrossing partition"),
-        _info("moment_cumulant_B", 7, _check_moment_cumulant_B,
-              "defining moment formula of Boolean cumulants on every interval partition"),
-        _info("moment_cumulant_H", 7, _check_moment_cumulant_H,
-              "monotone moment formula, grouped and ordered forms"),
-        _info("mobius_inversions", 6, _check_mobius_inversions,
-              "Moebius-inverted cumulant formulas on all three lattices"),
-        _info("series_B", 10, _check_series_B,
-              "B(z) M(z) = M(z) - 1 on random rational moment sequences"),
-        _info("series_R", 10, _check_series_R,
-              "R(z M(z)) = M(z) - 1 on random rational moment sequences"),
-        _info("swap_identities", 10, _check_swap_identities,
-              "the two reciprocal substitution identities exchanged by the tilde map"),
-        _info("tilde_lemma", 10, _check_tilde_lemma,
-              "tilde swaps free and Boolean cumulants and negates monotone ones"),
-        _info("monotone_flow_integer", 10, _check_monotone_flow_integer,
-              "integer-parameter composition law of the monotone dilation"),
-        _info("lenczewski_sum", 7, _check_lenczewski_sum,
-              "colored free-cumulant sums match monotone dilation moments"),
-        _info("beta_expansion", 6, _check_beta_expansion,
-              "classical cumulants as beta-weighted monotone cumulants"),
-        _info("thm5_reducible", 6, _check_thm5_reducible,
-              "beta vanishes on reducible partitions (both routes)"),
-        _info("thm5_nonesting", 6, _check_thm5_nonesting,
-              "beta equals the signed Tutte coefficient on nesting-free partitions"),
-        _info("thm5_depth2", 7, _check_thm5_depth2,
-              "beta is (-1)^(k-1)/k on irreducible noncrossing partitions of depth <= 2"),
-        _info("cor9_factorial", 7, _check_cor9_factorial,
-              "anti-interval Tutte values over irreducible partitions sum to (n-1)!"),
-        _info("prop10_eulerian", 9, _check_prop10_eulerian,
-              "constant Boolean cumulants give Eulerian classical cumulants"),
-        _info("determinant_formulas", 9, _check_determinant_formulas,
-              "Hessenberg determinant formulas match the Moebius route"),
-        _info("logbessel_carlitz", 7, _check_logbessel_carlitz,
-              "nested-pairing beta values follow the log-Bessel series and its recursion"),
+        FamilySum("free2boolean", 8, B, R, "irreducible-noncrossing", lambda pi: 1, False,
+                  "Boolean cumulants as sums of free cumulants over irreducible noncrossing partitions"),
+        FamilySum("class2free", 7, R, K, "connected", lambda pi: 1, False,
+                  "free cumulants as sums of classical cumulants over connected partitions"),
+        FamilySum("class2boolean", 7, B, K, "irreducible", lambda pi: 1, False,
+                  "Boolean cumulants as sums of classical cumulants over irreducible partitions"),
+        FamilySum("boolean2free", 8, R, B, "irreducible-noncrossing", _sign, False,
+                  "free cumulants as signed sums of Boolean cumulants"),
+        FamilySum("free2class_tutte", 7, K, R, "connected",
+                  lambda pi: _sign(pi) * tutte_eval(crossing_graph(pi), 1, 0), False,
+                  "classical cumulants from free cumulants weighted by crossing-graph Tutte values"),
+        FamilySum("thm1_mono2boolean", 9, B, H, "irreducible-noncrossing",
+                  lambda pi: Fraction(1, partition_tree_factorial(pi)), False,
+                  "Boolean cumulants from monotone cumulants with nesting-forest weights",
+                  ordered_max_n=6),
+        FamilySum("thm1_mono2free", 9, R, H, "irreducible-noncrossing",
+                  lambda pi: Fraction(_sign(pi), partition_tree_factorial(pi)), False,
+                  "free cumulants from monotone cumulants with signed nesting-forest weights",
+                  ordered_max_n=6),
+        FamilySum("thm2_free2mono", 9, H, R, "irreducible-noncrossing",
+                  lambda pi: alpha(pi), True,
+                  "univariate monotone cumulants from free cumulants with alpha weights"),
+        FamilySum("thm2_boolean2mono", 9, H, B, "irreducible-noncrossing",
+                  lambda pi: _sign(pi) * alpha(pi), True,
+                  "univariate monotone cumulants from Boolean cumulants with signed alpha weights"),
+        FamilySum("thm2_class2mono", 7, H, K, "irreducible",
+                  lambda pi: alpha(pi.noncrossing_closure()), True,
+                  "univariate monotone cumulants from classical cumulants via noncrossing closures"),
+        FamilySum("thm3_boolean2class_tutte", 7, K, B, "irreducible",
+                  lambda pi: _sign(pi) * tutte_eval(anti_interval_graph(pi), 1, 0), False,
+                  "classical cumulants from Boolean cumulants weighted by anti-interval Tutte values"),
+        IdentityInfo("thm4_cyclecruns", 7, _check_thm4_cyclecruns,
+                     "classical cumulants as signed Boolean sums over cycle runs of full cycles"),
+        IdentityInfo("cor_runs", 7, _check_cor_runs,
+                     "classical cumulants as signed Boolean sums over runs of permutations fixing 1"),
+        IdentityInfo("moment_cumulant_K", 6, _check_moment_cumulant_K,
+                     "defining moment formula of classical cumulants on every partition"),
+        IdentityInfo("moment_cumulant_R", 7, _check_moment_cumulant_R,
+                     "defining moment formula of free cumulants on every noncrossing partition"),
+        IdentityInfo("moment_cumulant_B", 7, _check_moment_cumulant_B,
+                     "defining moment formula of Boolean cumulants on every interval partition"),
+        FamilySum("moment_cumulant_H", 7, None, H, "noncrossing",
+                  lambda pi: Fraction(1, partition_tree_factorial(pi)), False,
+                  "monotone moment formula, grouped and ordered forms", ordered_max_n=7),
+        IdentityInfo("mobius_inversions", 6, _check_mobius_inversions,
+                     "Moebius-inverted cumulant formulas on all three lattices"),
+        IdentityInfo("series_B", 10, _check_series_B,
+                     "B(z) M(z) = M(z) - 1 on random rational moment sequences"),
+        IdentityInfo("series_R", 10, _check_series_R,
+                     "R(z M(z)) = M(z) - 1 on random rational moment sequences"),
+        IdentityInfo("swap_identities", 10, _check_swap_identities,
+                     "the two reciprocal substitution identities exchanged by the tilde map"),
+        IdentityInfo("tilde_lemma", 10, _check_tilde_lemma,
+                     "tilde swaps free and Boolean cumulants and negates monotone ones"),
+        IdentityInfo("monotone_flow_integer", 10, _check_monotone_flow_integer,
+                     "integer-parameter composition law of the monotone dilation"),
+        IdentityInfo("lenczewski_sum", 7, _check_lenczewski_sum,
+                     "colored free-cumulant sums match monotone dilation moments"),
+        FamilySum("beta_expansion", 6, K, H, "all", lambda pi: beta_formula(pi), False,
+                  "classical cumulants as beta-weighted monotone cumulants"),
+        IdentityInfo("thm5_reducible", 6, _check_thm5_reducible,
+                     "beta vanishes on reducible partitions (both routes)"),
+        IdentityInfo("thm5_nonesting", 6, _check_thm5_nonesting,
+                     "beta equals the signed Tutte coefficient on nesting-free partitions"),
+        IdentityInfo("thm5_depth2", 7, _check_thm5_depth2,
+                     "beta is (-1)^(k-1)/k on irreducible noncrossing partitions of depth <= 2"),
+        IdentityInfo("cor9_factorial", 7, _check_cor9_factorial,
+                     "anti-interval Tutte values over irreducible partitions sum to (n-1)!"),
+        IdentityInfo("prop10_eulerian", 9, _check_prop10_eulerian,
+                     "constant Boolean cumulants give Eulerian classical cumulants"),
+        IdentityInfo("determinant_formulas", 9, _check_determinant_formulas,
+                     "Hessenberg determinant formulas match the Moebius route"),
+        IdentityInfo("logbessel_carlitz", 7, logbessel_beta_check,
+                     "nested-pairing beta values follow the log-Bessel series and its recursion"),
     ]
 }
 
@@ -765,47 +714,29 @@ def run_catalog(n_max: int, names=None, strict_limits: bool = False) -> list[Rep
 def experimental_thm2_multivariate(n: int) -> Report:
     """Check the multivariate analogue of the alpha expansions.
 
-    This analogue is not asserted anywhere in the package: the checker
-    reports whether it holds for the given n and is excluded from the
-    catalog and from `run_catalog`.
+    Runs the three thm2 rows without identifying the variables.  This
+    analogue is not asserted anywhere in the package: the checker reports
+    whether it holds for the given n and is excluded from the catalog and
+    from `run_catalog`.
     """
-    if not 1 <= n <= 7:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > 7:
         raise ResourceLimitError("experimental checker limited to n <= 7")
-    lhs = cumulant_poly(H, n)
-    failures = []
-    rhs_free = linear_combination(
-        n,
-        (
-            (alpha(pi), partitioned_cumulant(R, pi))
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-    if rhs_free != lhs:
-        failures.append("free form")
-    rhs_bool = linear_combination(
-        n,
-        (
-            ((-1) ** (pi.num_blocks - 1) * alpha(pi), partitioned_cumulant(B, pi))
-            for pi in partitions_of(n, "irreducible-noncrossing")
-        ),
-    )
-    if rhs_bool != lhs:
-        failures.append("Boolean form")
-    rhs_class = linear_combination(
-        n,
-        (
-            (alpha(pi.noncrossing_closure()), partitioned_cumulant(K, pi))
-            for pi in partitions_of(n, "irreducible")
-        ),
-    )
-    if rhs_class != lhs:
-        failures.append("classical form")
+    forms = {
+        "thm2_free2mono": "free form",
+        "thm2_boolean2mono": "Boolean form",
+        "thm2_class2mono": "classical form",
+    }
+    reports = [replace(IDENTITY_CATALOG[name], univariate=False).check(n) for name in forms]
+    failures = [form for form, rep in zip(forms.values(), reports) if not rep.holds]
+    terms = reports[0].lhs_terms
     return Report(
         "thm2_multivariate_experimental",
         n,
         not failures,
-        lhs.num_terms(),
-        lhs.num_terms(),
+        terms,
+        terms,
         "; ".join(failures) or None,
         {"experimental": True},
     )

@@ -7,7 +7,7 @@ tests/test_acceptance.py -s` to see the per-criterion lines.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from cumulantcalc.algebra import Polynomial, TruncatedSeries, bernoulli_number
 from cumulantcalc.cumulants import (
@@ -17,7 +17,6 @@ from cumulantcalc.cumulants import (
     boolean_poisson_kappa,
     cumulants_from_moments,
     determinant_cumulants,
-    logbessel_beta_check,
     nested_pair_partition,
     tilde_transform,
 )
@@ -30,7 +29,12 @@ from cumulantcalc.graphs import (
     crossing_graph,
     tutte_eval,
 )
-from cumulantcalc.identities import IDENTITY_CATALOG, run_catalog, verify_identity
+from cumulantcalc.identities import (
+    IDENTITY_CATALOG,
+    logbessel_beta_check,
+    run_catalog,
+    verify_identity,
+)
 from cumulantcalc.partitions import (
     SetPartition,
     catalan_number,
@@ -181,8 +185,14 @@ def test_criterion_07_beta():
                     (-1) ** (pi.num_blocks - 1), pi.num_blocks
                 ), pi
     rep = logbessel_beta_check(5)
-    assert rep["holds"] and rep["carlitz"]
-    assert rep["sequence"] == ["1", "-1", "4", "-33", "456"]
+    assert rep.holds
+    assert rep.detail["sequence"] == ["1", "-1", "4", "-33", "456"]
+    # the Carlitz convolution recursion on the unsigned sequence
+    a = [(-1) ** k * int(v) for k, v in enumerate(rep.detail["sequence"])]
+    for m in range(1, len(a)):
+        assert a[m] == sum(
+            comb(m, k) * comb(m, k - 1) * a[k - 1] * a[m - k] for k in range(1, m + 1)
+        ), m
     assert [
         factorial(k) * beta_formula(nested_pair_partition(k)) for k in range(1, 6)
     ] == [1, -1, 4, -33, 456]

@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -100,7 +101,8 @@ def test_verify_beyond_limit(capsys):
 
 
 def test_verify_nothing_to_check_is_usage_error(capsys):
-    for args in (("verify", "free2boolean", "0"), ("verify", "--all", "0")):
+    for args in (("verify", "free2boolean", "0"), ("verify", "--all", "0"),
+                 ("experimental-thm2", "0")):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == "" and err.startswith("error:"), args
 
@@ -112,12 +114,31 @@ def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error:") and "CUMULANTCALC_JOBS" in err
 
 
+def test_bad_format_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CUMULANTCALC_FORMAT", "xml")
+    code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "CUMULANTCALC_FORMAT" in err
+    monkeypatch.setenv("CUMULANTCALC_FORMAT", "text")
+    code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "2")
+    assert code == 0 and out == "ok cor9_factorial n=1 sum=1\nok cor9_factorial n=2 sum=1\n"
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "--all", "2")
     assert code == 0
     reports = json.loads(out)
     assert all(r["holds"] for r in reports)
     assert len(reports) == 2 * 32
+
+
+def test_verify_all_6_golden_digest(capsys):
+    # pins the whole catalog's JSON output: any drift in a row changes it
+    code, out, _ = run_cli(capsys, "verify", "--all", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5a013672aa5bb074a6ccbda63f4a900574adc18a636d9c6a1681f326c62667c3"
+    )
 
 
 def test_verify_json_determinism(capsys):
@@ -198,9 +219,27 @@ def test_table_unknown(capsys):
 def test_table_cache_dir(tmp_path, capsys):
     code, out1, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
     assert code == 0
-    assert (tmp_path / "table-beta-3.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["table-v1-beta-3.json"]
     code, out2, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
     assert code == 0 and out1 == out2
+
+
+def test_table_cache_hit_checks_limits(tmp_path, capsys, monkeypatch):
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")[0] == 0
+    monkeypatch.setenv("CUMULANTCALC_MAX_BETA_BLOCKS", "1")
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
+def test_table_cache_corrupt_file_is_a_miss(tmp_path, capsys):
+    _, expected, _ = run_cli(capsys, "table", "beta", "3")
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")[0] == 0
+    [cache_file] = tmp_path.iterdir()
+    cache_file.write_text("{bad")
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
+    assert code == 0 and out == expected
+    assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
+    assert len(json.loads(cache_file.read_text())["rows"]) == 5
 
 
 def test_graph_command(capsys):

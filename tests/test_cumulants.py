@@ -11,7 +11,6 @@ from cumulantcalc.cumulants import (
     CumulantKind,
     _profiles,
     beta,
-    beta_expansion_check,
     beta_formula,
     beta_recursive,
     boolean_poisson_kappa,
@@ -21,8 +20,6 @@ from cumulantcalc.cumulants import (
     cumulants_from_moments,
     determinant_cumulants,
     determinant_moments,
-    lenczewski_sum_check,
-    logbessel_beta_check,
     moments_from_cumulants,
     monotone_dilate,
     nested_pair_partition,
@@ -30,8 +27,10 @@ from cumulantcalc.cumulants import (
     tilde_transform,
 )
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
+from cumulantcalc.identities import lenczewski_sum_check, logbessel_beta_check, verify_identity
 from cumulantcalc.limits import ResourceLimitError
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
+from cumulantcalc.permutations import eulerian_polynomial
 from oracles import (
     cumulants_per_partition,
     fd_cumulant,
@@ -189,9 +188,9 @@ def test_monotone_dilate():
 def test_lenczewski_examples():
     # N = 1 reduces to the plain free moment-cumulant formula
     for n in range(1, 6):
-        assert lenczewski_sum_check(n, 1)["holds"]
-    assert lenczewski_sum_check(2, 4)["holds"]
-    assert lenczewski_sum_check(4, 3)["holds"]
+        assert lenczewski_sum_check(n, 1).holds
+    assert lenczewski_sum_check(2, 4).holds
+    assert lenczewski_sum_check(4, 3).holds
     with pytest.raises(ValueError):
         lenczewski_sum_check(8, 1)
     with pytest.raises(ValueError):
@@ -202,7 +201,7 @@ def test_lenczewski_n2_coefficients():
     # m_2(X(N)) = N m_2 + N(N-1) m_1^2 against the colored sum by hand
     for colors in range(1, 6):
         rep = lenczewski_sum_check(2, colors)
-        assert rep["holds"]
+        assert rep.holds and rep.detail == {"colors": colors}
 
 
 def test_boolean_poisson_kappa():
@@ -211,8 +210,8 @@ def test_boolean_poisson_kappa():
     assert boolean_poisson_kappa(2) == x  # E_1 has no descent term
     assert boolean_poisson_kappa(3) == x * Polynomial([1, -1], "x")
     assert boolean_poisson_kappa(4).evaluate(1) == -2
-    for n in range(1, 9):
-        boolean_poisson_kappa(n)  # asserts internally against Eulerian form
+    for n in range(1, 10):
+        assert boolean_poisson_kappa(n) == x * eulerian_polynomial(n - 1).scale_argument(-1)
 
 
 def test_determinant_cumulants():
@@ -275,22 +274,22 @@ def test_beta_table():
 
 
 def test_beta_expansion():
-    rep = beta_expansion_check(2)
-    assert rep["holds"]
+    rep = verify_identity("beta_expansion", 2)
+    assert rep.holds
     assert beta(SetPartition.one_block(2)) == 1
     assert beta(SetPartition.singletons(2)) == 0
     for n in range(1, 5):
-        assert beta_expansion_check(n)["holds"]
+        assert verify_identity("beta_expansion", n).holds
     # coefficient of the nested pairing in the n = 4 expansion
     assert beta(P("1,4|2,3")) == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        beta_expansion_check(7)
+    with pytest.raises(ResourceLimitError):
+        verify_identity("beta_expansion", 7)
 
 
 def test_logbessel_carlitz():
     rep = logbessel_beta_check(5)
-    assert rep["holds"]
-    assert rep["sequence"] == ["1", "-1", "4", "-33", "456"]
+    assert rep.holds
+    assert rep.detail["sequence"] == ["1", "-1", "4", "-33", "456"]
     assert 2 * beta(nested_pair_partition(2)) == -1
     # plugging the recursion at the fourth term by hand:
     # a_4 = C(3,1)C(3,0) a_1 a_3 + C(3,2)C(3,1) a_2 a_2 + C(3,3)C(3,2) a_3 a_1

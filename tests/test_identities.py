@@ -88,6 +88,16 @@ def test_experimental_checker_reports_without_asserting():
         experimental_thm2_multivariate(8)
 
 
+def test_prop10_checker_reports_a_mismatch(monkeypatch):
+    from cumulantcalc import identities as ids
+    from cumulantcalc.algebra import Polynomial
+
+    monkeypatch.setattr(ids, "boolean_poisson_kappa", lambda n: Polynomial([0, 2]))
+    rep = verify_identity("prop10_eulerian", 3)
+    assert not rep.holds and rep.witness
+    assert rep.detail == {"kappa": Polynomial([0, 2]).to_json()}
+
+
 def test_deterministic_reports():
     a = verify_identity("series_B", 6)
     b = verify_identity("series_B", 6)
