@@ -240,9 +240,9 @@ _TABLE_LIMITS = {
 }
 
 
-def _table_rows(what: str, n: int):
+def _table_rows(what: str, n: int, limit: int | None):
     if what == "beta":
-        table = build_beta_table(n)
+        table = build_beta_table(n, limit=limit)
         header = ["partition", "digraph_key", "beta"]
         rows = [
             (pi.to_text(), _digraph_key_str(key), rational_to_str(value))
@@ -252,19 +252,19 @@ def _table_rows(what: str, n: int):
         header = ["partition", "alpha"]
         rows = [
             (pi.to_text(), rational_to_str(alpha(pi)))
-            for pi in partitions_of(n, "noncrossing")
+            for pi in partitions_of(n, "noncrossing", limit)
         ]
     elif what == "tutte":
         header = ["partition", "blocks", "tutte_anti_interval_10"]
         rows = [
             (pi.to_text(), str(pi.num_blocks),
              rational_to_str(tutte_eval(anti_interval_graph(pi), 1, 0)))
-            for pi in partitions_of(n, "irreducible")
+            for pi in partitions_of(n, "irreducible", limit)
         ]
     elif what == "mobius":
         header = ["partition", "mu_p_top", "mu_nc_top", "mu_i_top"]
         rows = []
-        for pi in partitions_of(n, "all"):
+        for pi in partitions_of(n, "all", limit):
             nc = str(mobius_to_top(pi, "NC")) if pi.is_noncrossing() else ""
             iv = str(mobius_to_top(pi, "I")) if pi.is_interval() else ""
             rows.append((pi.to_text(), str(mobius_to_top(pi, "P")), nc, iv))
@@ -273,15 +273,12 @@ def _table_rows(what: str, n: int):
     return header, rows
 
 
-def _cached_table_rows(cache_dir: Path, what: str, n: int):
+def _cached_table_rows(cache_dir: Path, what: str, n: int, limit: int | None):
     """`_table_rows` through a JSON file in `cache_dir`.
 
-    A hit is served only within the limits the table's builder checks.  A
-    file that does not parse counts as a miss; it is rewritten through a
+    A file that does not parse counts as a miss; it is rewritten through a
     temporary file and `os.replace`, so readers never see a partial file.
     """
-    for key in _TABLE_LIMITS[what]:
-        check_limit(key, n)
     cache_dir.mkdir(parents=True, exist_ok=True)
     # v1: the version of the payload format; bump it when the shape changes
     path = cache_dir / f"table-v1-{what}-{n}.json"
@@ -290,7 +287,7 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int):
         return payload["header"], [tuple(r) for r in payload["rows"]]
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         pass
-    header, rows = _table_rows(what, n)
+    header, rows = _table_rows(what, n, limit)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(_json_dumps({"header": header, "rows": [list(r) for r in rows]}))
     os.replace(tmp, path)
@@ -302,10 +299,14 @@ def _cmd_table(args, cfg: Config) -> int:
     if what not in _TABLE_LIMITS:
         print(f"error: unknown table {what!r}", file=sys.stderr)
         return EXIT_USAGE
+    # checked before the cache is read, so a hit is served only within the
+    # limits the table's builder checks
+    for key in _TABLE_LIMITS[what]:
+        check_limit(key, args.n, cfg.limit)
     if cfg.cache_dir is None:
-        header, rows = _table_rows(what, args.n)
+        header, rows = _table_rows(what, args.n, cfg.limit)
     else:
-        header, rows = _cached_table_rows(cfg.cache_dir, what, args.n)
+        header, rows = _cached_table_rows(cfg.cache_dir, what, args.n, cfg.limit)
     if cfg.output_format == "json":
         print(_json_dumps([dict(zip(header, r)) for r in rows]))
     else:

@@ -26,7 +26,11 @@ implemented: the closed sum
                mu_P(sigma, top) / prod_W tau(pi|_W)!
 
 and the recursion obtained by peeling the top of the lattice.  Both are
-memoized on the anti-interval digraph, which determines beta.
+memoized on the anti-interval digraph, which determines beta.  The closed
+sum reads the crossing and nesting relations of the blocks off the
+digraph as bitmasks and never rebuilds a restricted partition; the
+recursion restricts pi block set by block set and stays the independent
+check.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import (
     MomentPolynomial,
@@ -117,15 +121,33 @@ def _kind_weight(kind: CumulantKind, pi: SetPartition) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
-    """The n-th cumulant of (X_1, ..., X_n) as a moment polynomial."""
+def _check_cumulant_limits(kind: CumulantKind, n: int) -> None:
+    """Raise unless a cumulant polynomial of order n is within its limits."""
     if n < 1:
         raise ValueError("n must be positive")
-    if kind is CumulantKind.CLASSICAL:
-        check_limit("cumulant-classical", n)
-    else:
-        check_limit("cumulant-other", n)
+    key = "cumulant-classical" if kind is CumulantKind.CLASSICAL else "cumulant-other"
+    check_limit(key, n)
+    check_limit(_LATTICE_OF_KIND[kind], n)
+
+
+def cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
+    """The n-th cumulant of (X_1, ..., X_n) as a moment polynomial.
+
+    The limits are checked on every call, hit or miss, so a limit lowered
+    after the first call is never bypassed by the cache.
+    """
+    _check_cumulant_limits(kind, n)
+    return _cumulant_poly(kind, n)
+
+
+def partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomial:
+    """Product over the blocks V of pi of the |V|-th cumulant on X_V."""
+    _check_cumulant_limits(kind, max(pi.block_sizes()))
+    return _partitioned_cumulant(kind, pi)
+
+
+@lru_cache(maxsize=None)
+def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
     if kind is CumulantKind.MONOTONE:
         # Triangular solve against the tau-weighted noncrossing sum.
         pairs = (
@@ -143,13 +165,18 @@ def cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
 
 
 @lru_cache(maxsize=None)
-def partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomial:
-    """Product over the blocks V of pi of the |V|-th cumulant on X_V."""
+def _partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomial:
     out = MomentPolynomial.one(pi.n)
     for block in pi.blocks:
         mapping = {j + 1: v for j, v in enumerate(block)}
         out = out * cumulant_poly(kind, len(block)).relabel(mapping)
     return out
+
+
+cumulant_poly.cache_info = _cumulant_poly.cache_info
+cumulant_poly.cache_clear = _cumulant_poly.cache_clear
+partitioned_cumulant.cache_info = _partitioned_cumulant.cache_info
+partitioned_cumulant.cache_clear = _partitioned_cumulant.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +452,83 @@ def _coarsening_blocks(pi: SetPartition):
         ]
 
 
+def _beta_closed_sum(k: int, crossing, nesting) -> Fraction:
+    """The closed sum for beta, from the anti-interval digraph of pi.
+
+    The k blocks of pi are numbered 0..k-1; `crossing` holds the crossing
+    pairs (i, j) and `nesting` the pairs (i, j) with block j nested inside
+    block i.  Both become bitmasks per block: cross[i] and inside[i].  For
+    a set G of blocks, the restriction of pi to their union is noncrossing
+    iff cross[i] & G == 0 for every i in G, and then its tree factorial is
+    the product over i in G of 1 + |inside[i] & G|.
+
+    With h(G) = [noncrossing] / tau(G)!, the closed sum is the sum over the
+    partitions sigma of the block set of mu_P(sigma, top) * prod_W h(W):
+    the classical cumulant of the "moments" h.  It is summed by the
+    moment-cumulant recursion on the class that holds block 0,
+
+        c(M) = h(M) - sum over C with 0 in C, C a proper subset of M,
+                      of c(C) * h(M minus C),
+
+    over the 2^(k-1) sets M that hold block 0 (3^(k-1) terms in all).  In
+    the integers H(M) = |M|! h(M) (tau(G) divides |G|!) and
+    K(M) = |M|! c(M) the recursion reads
+    K(M) = H(M) - sum of binom(|M|, |C|) K(C) H(M minus C), and
+    beta = K(all blocks) / k!.
+    """
+    cross = [0] * k
+    inside = [0] * k
+    for i, j in crossing:
+        cross[i] |= 1 << j
+        cross[j] |= 1 << i
+    for i, j in nesting:
+        inside[i] |= 1 << j
+    size = 1 << k
+    fact = [factorial(m) for m in range(k + 1)]
+    # H[M] = |M|! / tau(M)! if the restriction to M is noncrossing, else 0
+    H = [0] * size
+    H[0] = 1
+    for M in range(1, size):
+        low = M & -M
+        rest = M ^ low
+        if not H[rest] or cross[low.bit_length() - 1] & rest:
+            continue
+        tau = 1
+        bits = M
+        while bits:
+            b = bits & -bits
+            tau *= 1 + (inside[b.bit_length() - 1] & M).bit_count()
+            bits ^= b
+        H[M] = fact[M.bit_count()] // tau
+    binom = [[comb(m, c) for c in range(m + 1)] for m in range(k + 1)]
+    K = [0] * size
+    for M in range(1, size, 2):  # the sets that hold block 0
+        total = H[M]
+        rest = M ^ 1
+        row = binom[M.bit_count()]
+        sub = rest
+        while sub:  # C = {0} + every proper subset of rest
+            sub = (sub - 1) & rest
+            kc = K[sub | 1]
+            hr = H[rest ^ sub]
+            if kc and hr:
+                total -= row[sub.bit_count() + 1] * kc * hr
+        K[M] = total
+    return Fraction(K[size - 1], fact[k])
+
+
+def _beta_of_digraph(key: tuple) -> Fraction:
+    hit = _BETA_FORMULA_MEMO.get(key)
+    if hit is None:
+        k, crossing, nesting, _ = key
+        hit = _BETA_FORMULA_MEMO[key] = _beta_closed_sum(k, crossing, nesting)
+    return hit
+
+
 def beta_formula(pi: SetPartition) -> Fraction:
     """Closed sum for beta over coarsenings with noncrossing restrictions."""
     check_limit("beta-blocks", pi.num_blocks)
-    key = digraph_key(anti_interval_digraph(pi))
-    hit = _BETA_FORMULA_MEMO.get(key)
-    if hit is not None:
-        return hit
-    total = Fraction(0)
-    for parts in _coarsening_blocks(pi):
-        restrictions = [pi.restrict(w) for w in parts]
-        if all(r.is_noncrossing() for r in restrictions):
-            tau = 1
-            for r in restrictions:
-                tau *= partition_tree_factorial(r)
-            s = len(parts)
-            total += Fraction((-1) ** (s - 1) * factorial(s - 1), tau)
-    _BETA_FORMULA_MEMO[key] = total
-    return total
+    return _beta_of_digraph(digraph_key(anti_interval_digraph(pi)))
 
 
 def beta_recursive(pi: SetPartition) -> Fraction:
@@ -493,11 +579,15 @@ class BetaTable:
         return self.by_key()[digraph_key(anti_interval_digraph(pi))]
 
 
-def build_beta_table(n: int, check_routes: bool = False) -> BetaTable:
+def build_beta_table(n: int, check_routes: bool = False,
+                     limit: int | None = None) -> BetaTable:
+    """beta of every partition of [n]; `limit` overrides the "all" and
+    "beta-blocks" limits."""
+    check_limit("beta-blocks", n, limit)  # no partition of [n] has more blocks
     rows = []
-    for pi in partitions_of(n, "all"):
+    for pi in partitions_of(n, "all", limit):
         key = digraph_key(anti_interval_digraph(pi))
-        value = beta_formula(pi)
+        value = _beta_of_digraph(key)
         if check_routes and beta_recursive(pi) != value:
             raise AssertionError(f"beta route mismatch at {pi}")
         rows.append((pi, key, value))

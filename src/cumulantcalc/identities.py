@@ -28,6 +28,7 @@ from a seeded generator, so every run is deterministic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -174,7 +175,8 @@ class FamilySum:
     when it runs.  With `univariate`, both sides are compared after all
     variables are identified.  For n <= `ordered_max_n` (monotone rhs) the
     sum is checked again in ordered-monotone form: over every monotone
-    order of every pi, each order carrying weight(pi) * tau(pi)! / |pi|!.
+    order of every pi, each order carrying weight(pi) * tau(pi)! / |pi|!
+    (the orders of one pi are counted and summed as one term).
     """
 
     name: str
@@ -203,10 +205,11 @@ class FamilySum:
                 / factorial(pi.num_blocks)
                 for pi in members
             }
+            orders = Counter(op.base for op in enumerate_monotone(n))
             ordered = self._sum(n, (
-                (per_order[op.base], op.base)
-                for op in enumerate_monotone(n)
-                if op.base in per_order
+                (per_order[pi] * count, pi)
+                for pi, count in orders.items()
+                if pi in per_order
             ))
             if ordered != lhs:
                 rep.holds = False

@@ -28,7 +28,7 @@ DEFAULT_LIMITS = {
     "connected-noncrossing": 12,
     "monotone": 8,
     "graph-vertices": 8,
-    "beta-blocks": 9,
+    "beta-blocks": 10,
     "cumulant-classical": 8,
     "cumulant-other": 9,
 }
@@ -38,11 +38,15 @@ class ResourceLimitError(RuntimeError):
     """Raised when a requested enumeration exceeds its configured limit."""
 
 
+#: the environment variable of each key, looked up on every check
+_ENV_NAMES = {key: ENV_PREFIX + key.upper().replace("-", "_") for key in DEFAULT_LIMITS}
+
+
 def limit_for(key: str, override: int | None = None) -> int:
     """Resolve the limit for `key` (see DEFAULT_LIMITS for valid keys)."""
     if override is not None:
         return int(override)
-    env = os.environ.get(ENV_PREFIX + key.upper().replace("-", "_"))
+    env = os.environ.get(_ENV_NAMES[key])
     if env is not None:
         return int(env)
     return DEFAULT_LIMITS[key]
@@ -54,6 +58,6 @@ def check_limit(key: str, n: int, override: int | None = None) -> None:
     if n > bound:
         raise ResourceLimitError(
             f"n={n} exceeds the configured limit {bound} for {key!r}; "
-            f"raise it via {ENV_PREFIX}{key.upper().replace('-', '_')} "
+            f"raise it via {_ENV_NAMES[key]} "
             f"or an explicit limit argument"
         )

@@ -19,6 +19,10 @@ Partition classes
 Closures are computed by merging offending block pairs to a fixpoint, which
 yields the *smallest* dominating partition of the respective class (any
 dominating noncrossing/interval partition must merge those pairs too).
+The class predicates skip the pairwise block tests and read the RGS once,
+left to right: `is_noncrossing` and `is_connected` with a stack of open
+blocks (or of groups of crossing blocks), `is_irreducible` with the last
+position reached so far; `restrict` relabels the RGS.
 
 Text form: blocks joined by "|", elements by ",", e.g. "1,3|2|4,5".
 """
@@ -26,6 +30,7 @@ Text form: blocks joined by "|", elements by ",", e.g. "1,3|2|4,5".
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -60,15 +65,18 @@ def catalan_number(n: int) -> int:
 
 
 def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True if the pair partition {a, b} has a crossing (an abab pattern)."""
-    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
-    switches = 0
-    last = None
-    for _, who in merged:
-        if who != last:
-            switches += 1
-            last = who
-    return switches >= 4  # abab needs four runs of membership
+    """True if the pair partition {a, b} has a crossing (an abab pattern).
+
+    {a, b} is noncrossing iff all of b lies in one gap of the sorted block
+    a, the gap before a[0] and the gap after a[-1] counting as one: the gap
+    of x is bisect_right(a, x) modulo len(a).
+    """
+    k = len(a)
+    gap = bisect_right(a, b[0]) % k
+    for x in b:
+        if bisect_right(a, x) % k != gap:
+            return True
+    return False
 
 
 def block_nests_inside(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
@@ -102,13 +110,22 @@ class SetPartition:
         rgs = tuple(rgs)
         if not rgs:
             raise ValueError("partitions of the empty set are not used here")
-        mx = -1
+        fresh = 0  # the index the next new block gets
         for a in rgs:
-            if a < 0 or a > mx + 1:
+            if a == fresh:
+                fresh += 1
+            elif not 0 <= a < fresh:
                 raise ValueError(f"not a restricted growth string: {rgs}")
-            mx = max(mx, a)
         object.__setattr__(self, "_rgs", rgs)
         object.__setattr__(self, "_blocks", None)
+
+    @classmethod
+    def _unchecked(cls, rgs: tuple[int, ...]) -> "SetPartition":
+        """A partition from a tuple known to be a restricted growth string."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_rgs", rgs)
+        object.__setattr__(self, "_blocks", None)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("SetPartition is immutable")
@@ -147,17 +164,27 @@ class SetPartition:
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
-        blocks = [
+        return cls._from_listed_blocks([
             [int(x) for x in part.split(",") if x.strip()]
             for part in text.split("|")
-        ]
-        n = max(max(b) for b in blocks if b)
-        return cls.from_blocks(n, blocks)
+        ])
 
     @classmethod
     def from_json(cls, data) -> "SetPartition":
-        blocks = [list(map(int, b)) for b in data]
-        n = max(max(b) for b in blocks)
+        if not isinstance(data, list) or not all(
+            isinstance(b, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in b)
+            for b in data
+        ):
+            raise ValueError("a partition in JSON is a list of lists of integers")
+        return cls._from_listed_blocks(data)
+
+    @classmethod
+    def _from_listed_blocks(cls, blocks) -> "SetPartition":
+        """from_blocks on [n], n the largest element listed."""
+        n = max((x for b in blocks for x in b), default=None)
+        if n is None:
+            raise ValueError("empty partition")
         return cls.from_blocks(n, blocks)
 
     # -- structure ----------------------------------------------------------
@@ -178,7 +205,7 @@ class SetPartition:
             out = [[] for _ in range(k)]
             for i, a in enumerate(self._rgs, start=1):
                 out[a].append(i)
-            cached = tuple(tuple(b) for b in out)
+            cached = tuple(map(tuple, out))
             object.__setattr__(self, "_blocks", cached)
         return cached
 
@@ -193,7 +220,10 @@ class SetPartition:
         return self._rgs[i - 1] == self._rgs[j - 1]
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        sizes = [0] * (max(self._rgs) + 1)
+        for a in self._rgs:
+            sizes[a] += 1
+        return tuple(sizes)
 
     def __eq__(self, other):
         return isinstance(other, SetPartition) and self._rgs == other._rgs
@@ -205,7 +235,7 @@ class SetPartition:
         return self.to_text()
 
     def to_text(self) -> str:
-        return "|".join(",".join(map(str, b)) for b in self.blocks)
+        return "|".join([",".join(map(str, b)) for b in self.blocks])
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -213,45 +243,69 @@ class SetPartition:
     # -- class predicates ----------------------------------------------------
 
     def is_noncrossing(self) -> bool:
-        bs = self.blocks
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                if blocks_cross(bs[i], bs[j]):
-                    return False
+        # One scan with a stack of the open blocks: a block may come back
+        # only when it is on top, else the open block above it crosses it.
+        left = list(self.block_sizes())
+        stack = []
+        fresh = 0  # the index the next new block gets
+        for a in self._rgs:
+            if a == fresh:
+                fresh += 1
+                stack.append(a)
+            elif stack[-1] != a:
+                return False
+            left[a] -= 1
+            if not left[a]:
+                stack.pop()
         return True
 
     def is_interval(self) -> bool:
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
 
     def is_irreducible(self) -> bool:
-        # Irreducible iff every cut point c in 1..n-1 is spanned by some hull.
-        n = self.n
-        if n == 1:
-            return True
-        covered = [False] * n  # cut c lives between c and c+1
-        for b in self.blocks:
-            for c in range(b[0], b[-1]):
-                covered[c] = True
-        return all(covered[1:n])
+        # Irreducible iff every cut between i and i+1 (i < n) is spanned
+        # by some hull, i.e. a block met by 1..i reaches past i.
+        rgs = self._rgs
+        last = {a: i for i, a in enumerate(rgs)}  # last position per block
+        reach = 0  # the last position of the blocks met so far
+        for i in range(len(rgs) - 1):
+            end = last[rgs[i]]
+            if end > reach:
+                reach = end
+            if reach == i:
+                return False
+        return True
 
     def is_connected(self) -> bool:
-        bs = self.blocks
-        k = len(bs)
-        if k == 1:
-            return True
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(k):
-            for j in range(i + 1, k):
-                if blocks_cross(bs[i], bs[j]):
-                    parent[find(i)] = find(j)
-        return len({find(i) for i in range(k)}) == 1
+        # One scan with a stack of open groups, each a set of blocks joined
+        # by crossings.  A block that comes back below the top group is
+        # crossed by every group above it, so they merge into its group.  A
+        # group whose last element is read is a block of the noncrossing
+        # closure, so the partition is connected iff no group closes before
+        # the last element.
+        rgs = self._rgs
+        left = list(self.block_sizes())  # elements of each block not read yet
+        if 1 in left and len(rgs) > 1:
+            return False  # a singleton crosses nothing
+        first = []  # position of the first element of each block seen
+        starts = []  # position of the first element of each open group
+        unread = []  # elements of each open group not read yet
+        last = self.n - 1
+        for i, a in enumerate(rgs):
+            if a == len(first):
+                first.append(i)
+                starts.append(i)
+                unread.append(left[a])
+            else:
+                # the group of a is the topmost one that started by first[a]
+                while starts[-1] > first[a]:
+                    starts.pop()
+                    merged = unread.pop()
+                    unread[-1] += merged
+            unread[-1] -= 1
+            if not unread[-1] and i < last:
+                return False
+        return True
 
     def classify(self) -> PartitionFlags:
         return PartitionFlags(
@@ -306,13 +360,14 @@ class SetPartition:
         s = sorted(set(subset))
         if not s:
             raise ValueError("cannot restrict to the empty set")
-        pos = {x: i + 1 for i, x in enumerate(s)}
-        blocks = []
-        for b in self.blocks:
-            inter = [pos[x] for x in b if x in pos]
-            if inter:
-                blocks.append(inter)
-        return SetPartition.from_blocks(len(s), blocks)
+        if s[0] < 1 or s[-1] > self.n:
+            raise ValueError(f"cannot restrict to {s}: not a subset of [{self.n}]")
+        # renumber the blocks met by the subset in first-use order
+        rgs = self._rgs
+        label: dict[int, int] = {}
+        return SetPartition._unchecked(
+            tuple([label.setdefault(rgs[x - 1], len(label)) for x in s])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -496,38 +551,62 @@ _POST_FILTER = {
 
 def _rgs_partitions(n, prune=None):
     """All partitions of [n] in lexicographic RGS order, with optional
-    prefix pruning (prune(blocks, target_index, element) -> bool keeps)."""
+    prefix pruning (prune(blocks, target_index, element) -> bool keeps).
+
+    A depth-first walk over positions with an explicit stack of choices,
+    so each partition is yielded from this frame and built without the
+    RGS check; the last position yields its choices in a direct loop.
+    """
     rgs = [0] * n
     blocks = [[1]]
-
-    def rec(i):
-        if i == n:
-            yield SetPartition(rgs)
-            return
+    last = n - 1
+    if not last:
+        yield SetPartition._unchecked((0,))
+        return
+    chosen = [-1] * n  # block index placed at each position, -1 if none
+    i = 1
+    while i:
         x = i + 1
-        for v in range(len(blocks) + 1):
-            if prune is not None and not prune(blocks, v, x):
-                continue
-            rgs[i] = v
-            if v == len(blocks):
-                blocks.append([x])
-            else:
-                blocks[v].append(x)
-            yield from rec(i + 1)
-            if v == len(blocks) - 1 and len(blocks[v]) == 1:
+        if i == last:
+            for v in range(len(blocks) + 1):
+                if prune is None or prune(blocks, v, x):
+                    rgs[i] = v
+                    yield SetPartition._unchecked(tuple(rgs))
+            i -= 1
+            continue
+        v = chosen[i]
+        if v >= 0:  # take back the element placed here last time
+            if len(blocks[v]) == 1:
                 blocks.pop()
             else:
                 blocks[v].pop()
-
-    yield from rec(1)
+        v += 1
+        k = len(blocks)
+        if prune is not None:
+            while v <= k and not prune(blocks, v, x):
+                v += 1
+        if v > k:
+            chosen[i] = -1
+            i -= 1
+            continue
+        chosen[i] = v
+        rgs[i] = v
+        if v == k:
+            blocks.append([x])
+        else:
+            blocks[v].append(x)
+        i += 1
 
 
 def _prune_noncrossing(blocks, v, x):
+    # The prefix is noncrossing and x exceeds every placed element, so x
+    # joining block v crosses exactly the blocks with elements on both
+    # sides of the current last element of v (block v itself ends there).
     if v == len(blocks):
         return True
-    cand = tuple(blocks[v]) + (x,)
-    for w, other in enumerate(blocks):
-        if w != v and blocks_cross(cand, tuple(other)):
+    last = blocks[v][-1]
+    for b in blocks:
+        if b[0] < last < b[-1]:
             return False
     return True
 
@@ -558,10 +637,25 @@ def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL,
             yield p
 
 
+def partitions_of(n: int, cls_value: str = "all",
+                  limit: int | None = None) -> tuple[SetPartition, ...]:
+    """Cached tuple of all partitions of [n] in a class (internal reuse).
+
+    The limit is checked on every call, hit or miss, so a limit lowered
+    after the first call is never bypassed by the cache.
+    """
+    cls = PartitionClass(cls_value)
+    check_limit(cls.value, n, limit)
+    return _partitions_of(n, cls)
+
+
 @lru_cache(maxsize=64)
-def partitions_of(n: int, cls_value: str = "all") -> tuple[SetPartition, ...]:
-    """Cached tuple of all partitions of [n] in a class (internal reuse)."""
-    return tuple(enumerate_partitions(n, PartitionClass(cls_value)))
+def _partitions_of(n: int, cls: PartitionClass) -> tuple[SetPartition, ...]:
+    return tuple(enumerate_partitions(n, cls, limit=n))  # checked by the caller
+
+
+partitions_of.cache_info = _partitions_of.cache_info
+partitions_of.cache_clear = _partitions_of.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +703,6 @@ class OrderedPartition:
 
     def __repr__(self):
         return self.to_text()
-
-
-def _nesting_children(blocks) -> list[list[int]]:
-    """children[j] = block indices that must come after block j (inner)."""
-    k = len(blocks)
-    after = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j and block_nests_inside(blocks[i], blocks[j]):
-                after[j].append(i)
-    return after
 
 
 def enumerate_monotone(n: int, limit: int | None = None):

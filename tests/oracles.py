@@ -53,6 +53,57 @@ def closure_brute(pi: SetPartition, predicate) -> SetPartition:
     return best
 
 
+# --- block relations by sorting, union-find and from_blocks -----------------
+
+
+def blocks_cross_by_runs(a, b) -> bool:
+    """abab test: merge the two blocks, count the runs of membership."""
+    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
+    switches = 0
+    last = None
+    for _, who in merged:
+        if who != last:
+            switches += 1
+            last = who
+    return switches >= 4  # abab needs four runs of membership
+
+
+def _crossing_pairs(pi: SetPartition):
+    bs = pi.blocks
+    return [
+        (i, j)
+        for i in range(len(bs))
+        for j in range(i + 1, len(bs))
+        if blocks_cross_by_runs(bs[i], bs[j])
+    ]
+
+
+def noncrossing_by_pairs(pi: SetPartition) -> bool:
+    return not _crossing_pairs(pi)
+
+
+def connected_by_union_find(pi: SetPartition) -> bool:
+    """The crossing graph on the blocks is connected (union-find)."""
+    parent = list(range(pi.num_blocks))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in _crossing_pairs(pi):
+        parent[find(i)] = find(j)
+    return len({find(i) for i in range(pi.num_blocks)}) == 1
+
+
+def restrict_by_blocks(pi: SetPartition, subset) -> SetPartition:
+    """Intersect the blocks with `subset`, relabel, rebuild by from_blocks."""
+    s = sorted(set(subset))
+    pos = {x: i + 1 for i, x in enumerate(s)}
+    blocks = [[pos[x] for x in b if x in pos] for b in pi.blocks]
+    return SetPartition.from_blocks(len(s), [b for b in blocks if b])
+
+
 # --- Moebius by the defining recursion ------------------------------------
 
 

@@ -231,6 +231,33 @@ def test_table_cache_hit_checks_limits(tmp_path, capsys, monkeypatch):
     assert code == 3 and out == "" and err.startswith("error:")
 
 
+def test_table_limit_flag_reaches_the_builder(tmp_path, capsys):
+    assert run_cli(capsys, "table", "beta", "4")[0] == 0
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "4")[0] == 0
+    for cache in ((), ("--cache-dir", str(tmp_path))):  # uncached, then a hit
+        code, out, err = run_cli(capsys, "--limit", "2", *cache, "table", "beta", "4")
+        assert code == 3 and out == "" and err.startswith("error:"), cache
+
+
+def test_table_limit_flag_beats_the_environment(tmp_path, capsys, monkeypatch):
+    _, expected, _ = run_cli(capsys, "table", "beta", "3")
+    monkeypatch.setenv("CUMULANTCALC_MAX_BETA_BLOCKS", "1")
+    assert run_cli(capsys, "table", "beta", "3")[0] == 3
+    # uncached, then a cache miss, then a hit
+    for cache in ((), ("--cache-dir", str(tmp_path)), ("--cache-dir", str(tmp_path))):
+        code, out, _ = run_cli(capsys, "--limit", "12", *cache, "table", "beta", "3")
+        assert code == 0 and out == expected, cache
+
+
+def test_table_beta_7_golden_digest(capsys):
+    # pins the CSV output of the bitmask beta kernel
+    code, out, _ = run_cli(capsys, "table", "beta", "7")
+    assert code == 0 and len(out.splitlines()) == 878
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8769f5b85ff4f08f314e315b73f3327ab6d29ac7889039980a73b832d6ca9946"
+    )
+
+
 def test_table_cache_corrupt_file_is_a_miss(tmp_path, capsys):
     _, expected, _ = run_cli(capsys, "table", "beta", "3")
     assert run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")[0] == 0
@@ -250,6 +277,14 @@ def test_graph_command(capsys):
     # JSON partition input is accepted too
     code, out, _ = run_cli(capsys, "graph", "[[1,3],[2,4]]")
     assert code == 0 and out.strip() == "n=2;u:0-1"
+
+
+def test_graph_bad_partition_is_usage_error(capsys):
+    for text in ("", "[]"):
+        code, out, err = run_cli(capsys, "graph", text)
+        assert code == 2 and out == "" and err == "error: empty partition\n", text
+    code, out, err = run_cli(capsys, "graph", '["12"]')  # a string is not a block
+    assert code == 2 and out == "" and "list of lists of integers" in err
 
 
 def test_experimental_command(capsys):

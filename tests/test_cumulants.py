@@ -243,7 +243,7 @@ def test_beta_values():
 
 
 def test_beta_routes_agree():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for pi in partitions_of(n, "all"):
             assert beta_formula(pi) == beta_recursive(pi), pi
 
@@ -260,8 +260,23 @@ def test_beta_depends_only_on_digraph():
 
 
 def test_beta_block_limit():
+    assert beta_formula(SetPartition.singletons(10)) == 0
     with pytest.raises(ResourceLimitError):
-        beta_formula(SetPartition.singletons(10))
+        beta_formula(SetPartition.singletons(11))
+    with pytest.raises(ResourceLimitError):
+        build_beta_table(11)
+    with pytest.raises(ResourceLimitError):
+        build_beta_table(3, limit=2)
+
+
+def test_beta_many_blocks_against_recursion():
+    # partitions with 7-8 blocks, beyond test_beta_routes_agree
+    for text in ("1,16|2,15|3,14|4,13|5,12|6,11|7,10|8,9",
+                 "1,5|2,8|3|4,6|7,10|9,12|11|13",
+                 "1,9|2,3|4,6|5,7|8,10|11|12,14|13",
+                 "1,3|2,5|4,7|6,9|8,11|10,13|12,14"):
+        pi = P(text)
+        assert beta_formula(pi) == beta_recursive(pi), pi
 
 
 def test_beta_table():
@@ -317,6 +332,22 @@ def test_profiles_limit_checked_on_every_call(monkeypatch):
     with pytest.raises(ResourceLimitError):
         moments_from_cumulants(K, [1] * 6)
     assert cumulants_from_moments(K, [1] * 5) == [1, 0, 0, 0, 0]
+
+
+def test_cumulant_poly_limits_checked_on_every_call(monkeypatch):
+    pi = P("1,2,3,4,5|6")
+    cumulant_poly(R, 5)  # fills the caches
+    partitioned_cumulant(R, pi)
+    for env in ("CUMULANTCALC_MAX_CUMULANT_OTHER", "CUMULANTCALC_MAX_NONCROSSING"):
+        monkeypatch.setenv(env, "4")
+        with pytest.raises(ResourceLimitError):
+            cumulant_poly(R, 5)
+        with pytest.raises(ResourceLimitError):
+            partitioned_cumulant(R, pi)
+        assert cumulant_poly(R, 4).sorted_terms() == sorted(fd_cumulant(R, 4).items())
+        monkeypatch.delenv(env)
+    expected = sorted(fd_partitioned_cumulant(R, pi).items())
+    assert partitioned_cumulant(R, pi).sorted_terms() == expected
 
 
 def test_type_weights_closed_counts():

@@ -1,6 +1,6 @@
 """Partitions: classes, closures, components, lattice, Moebius, enumeration."""
 
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from cumulantcalc.limits import ResourceLimitError
 from cumulantcalc.partitions import (
     OrderedPartition,
+    blocks_cross,
     PartitionClass,
     SetPartition,
     catalan_number,
@@ -23,7 +24,16 @@ from cumulantcalc.partitions import (
     triangle_geq,
 )
 
-from oracles import bell_number, catalan_direct, closure_brute, mobius_brute
+from oracles import (
+    bell_number,
+    blocks_cross_by_runs,
+    catalan_direct,
+    closure_brute,
+    connected_by_union_find,
+    mobius_brute,
+    noncrossing_by_pairs,
+    restrict_by_blocks,
+)
 
 P = SetPartition.from_text
 
@@ -42,8 +52,51 @@ def test_invalid_partitions_rejected():
         SetPartition.from_blocks(3, [[1, 2]])
     with pytest.raises(ValueError):
         SetPartition.from_blocks(3, [[1, 2], [2, 3]])
-    with pytest.raises(ValueError):
-        SetPartition((1, 0))
+    for rgs in ((1, 0), (0, 2), (0, -1), (0, 1, 3)):
+        with pytest.raises(ValueError):
+            SetPartition(rgs)
+
+
+def test_empty_partition_text_and_json_rejected():
+    for text in ("", " ", "|"):
+        with pytest.raises(ValueError, match="^empty partition$"):
+            SetPartition.from_text(text)
+    for data in ([], [[]]):
+        with pytest.raises(ValueError, match="^empty partition$"):
+            SetPartition.from_json(data)
+    with pytest.raises(ValueError, match="empty block"):
+        SetPartition.from_json([[1], []])
+    for data in ([1, 2], ["12"], [[1.0]], [[True]], "1"):
+        with pytest.raises(ValueError, match="list of lists"):
+            SetPartition.from_json(data)
+
+
+def test_blocks_cross_matches_run_count_oracle():
+    # every ordered pair (a, b) of disjoint nonempty blocks of [9]
+    pairs = 0
+    for owner in product((0, 1, 2), repeat=9):
+        a = tuple(x for x, o in enumerate(owner, start=1) if o == 1)
+        b = tuple(x for x, o in enumerate(owner, start=1) if o == 2)
+        if a and b:
+            assert blocks_cross(a, b) == blocks_cross_by_runs(a, b), (a, b)
+            pairs += 1
+    assert pairs == 3**9 - 2 * 2**9 + 1
+
+
+def test_class_predicates_match_oracles():
+    # every partition of n <= 9: the one-pass scans against pairwise tests
+    for n in range(1, 10):
+        for pi in enumerate_partitions(n):
+            assert pi.is_noncrossing() == noncrossing_by_pairs(pi), pi
+            connected = pi.is_connected()
+            assert connected == (pi.noncrossing_closure().num_blocks == 1), pi
+            assert connected == connected_by_union_find(pi), pi
+            assert pi.is_irreducible() == (pi.interval_closure().num_blocks == 1), pi
+            assert pi.block_sizes() == tuple(map(len, pi.blocks))
+    for n in range(1, 7):
+        for pi in enumerate_partitions(n):
+            closure = closure_brute(pi, lambda s: s.is_noncrossing())
+            assert pi.is_connected() == (closure.num_blocks == 1), pi
 
 
 def test_counting_against_independent_formulas():
@@ -68,6 +121,17 @@ def test_enumeration_is_rgs_filter_order():
         assert list(enumerate_partitions(n, "noncrossing")) == filtered
         filtered = [p for p in enumerate_partitions(n) if p.is_interval()]
         assert list(enumerate_partitions(n, "interval")) == filtered
+
+
+def test_partitions_of_limit_checked_on_every_call(monkeypatch):
+    assert len(partitions_of(5, "all")) == 52  # fills the cache
+    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "4")
+    with pytest.raises(ResourceLimitError):
+        partitions_of(5, "all")
+    with pytest.raises(ResourceLimitError):
+        partitions_of(5)
+    assert len(partitions_of(5, "all", limit=5)) == 52  # an explicit limit wins
+    assert len(partitions_of(4)) == 15
 
 
 def test_enumeration_limit_errors():
@@ -204,6 +268,18 @@ def test_restrict():
     assert big.restrict({2, 6, 3, 5}) == P("1,4|2,3")
     with pytest.raises(ValueError):
         pi.restrict(())
+    for outside in ({0, 1}, {4, 5}):
+        with pytest.raises(ValueError):
+            pi.restrict(outside)
+
+
+def test_restrict_matches_from_blocks_route():
+    # every partition of n <= 6 and every nonempty subset of [n]
+    for n in range(1, 7):
+        for pi in enumerate_partitions(n):
+            for mask in range(1, 2**n):
+                subset = [x for x in range(1, n + 1) if mask >> (x - 1) & 1]
+                assert pi.restrict(subset) == restrict_by_blocks(pi, subset), (pi, subset)
 
 
 def test_monotone_enumeration_counts():
