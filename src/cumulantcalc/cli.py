@@ -1,7 +1,8 @@
 """Command-line front end: enumeration, verification, tables, conversion.
 
 Exit codes: 0 success, 1 identity failure, 2 usage error, 3 resource
-limit exceeded.  Data goes to stdout, diagnostics to stderr; identical
+limit exceeded, 141 stdout closed early (128 + SIGPIPE, as when piped
+into `head`).  Data goes to stdout, diagnostics to stderr; identical
 invocations produce byte-identical output (reports carry no timestamps
 and all randomized checks are seeded).
 
@@ -27,12 +28,11 @@ from .cumulants import build_beta_table, convert_sequence
 from .forests import alpha
 from .graphs import anti_interval_digraph, anti_interval_graph, digraph_key, tutte_eval
 from .identities import (
-    IDENTITY_CATALOG,
+    catalog_jobs,
     experimental_thm2_multivariate,
-    identity_names,
     verify_identity,
 )
-from .limits import ResourceLimitError, check_limit
+from .limits import ResourceLimitError, check_limit, override
 from .partitions import (
     PartitionClass,
     SetPartition,
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 #: the output formats of --format and CUMULANTCALC_FORMAT
@@ -71,12 +72,6 @@ class Config:
     jobs: int = 1
     cache_dir: Path | None = None
     verbose: int = 0
-
-    def class_limits(self) -> dict[str, int]:
-        """Effective per-class enumeration limits (flag > env > default)."""
-        from .limits import DEFAULT_LIMITS, limit_for
-
-        return {key: limit_for(key, self.limit) for key in DEFAULT_LIMITS}
 
     @classmethod
     def from_args(cls, args) -> "Config":
@@ -120,7 +115,7 @@ _CLASS_NAMES = {c.value: c for c in PartitionClass}
 def _cmd_enumerate(args, cfg: Config) -> int:
     name = args.partition_class.lower()
     if name == "monotone":
-        items = enumerate_monotone(args.n, limit=cfg.limit)
+        items = enumerate_monotone(args.n)
         for op in items:
             if cfg.output_format == "json":
                 print(_json_dumps({"blocks_in_order": [list(b) for b in op.blocks_in_order]}))
@@ -136,7 +131,7 @@ def _cmd_enumerate(args, cfg: Config) -> int:
     if cfg.output_format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["partition", "noncrossing", "interval", "irreducible", "connected"])
-    for pi in enumerate_partitions(args.n, _CLASS_NAMES[name], limit=cfg.limit):
+    for pi in enumerate_partitions(args.n, _CLASS_NAMES[name]):
         if cfg.output_format == "json":
             flags = pi.classify()
             print(_json_dumps({
@@ -161,7 +156,9 @@ def _cmd_enumerate(args, cfg: Config) -> int:
 
 
 def _verify_worker(job):
-    return verify_identity(*job)
+    name, n, limit = job
+    with override(limit):  # the override travels with the job to a worker
+        return verify_identity(name, n)
 
 
 def _check_positive(n: int) -> None:
@@ -171,26 +168,9 @@ def _check_positive(n: int) -> None:
 
 def _cmd_verify(args, cfg: Config) -> int:
     _check_positive(args.n_max)
-    if args.identity == "--all" or args.all:
-        names = identity_names()
-    else:
-        name = args.identity
-        if name not in IDENTITY_CATALOG:
-            print(f"error: unknown identity {name!r}", file=sys.stderr)
-            print("known identities: " + ", ".join(identity_names()), file=sys.stderr)
-            return EXIT_USAGE
-        names = [name]
-    jobs = []
-    for name in names:
-        top = min(args.n_max, IDENTITY_CATALOG[name].max_n) if args.all else args.n_max
-        if not args.all and args.n_max > IDENTITY_CATALOG[name].max_n:
-            print(
-                f"error: identity {name} is limited to n <= "
-                f"{IDENTITY_CATALOG[name].max_n}",
-                file=sys.stderr,
-            )
-            return EXIT_RESOURCE
-        jobs.extend((name, n) for n in range(1, top + 1))
+    names = None if args.all else [args.identity]
+    jobs = [(name, n, cfg.limit)
+            for name, n in catalog_jobs(args.n_max, names, strict=not args.all)]
     if cfg.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             reports = list(pool.map(_verify_worker, jobs))
@@ -240,9 +220,9 @@ _TABLE_LIMITS = {
 }
 
 
-def _table_rows(what: str, n: int, limit: int | None):
+def _table_rows(what: str, n: int):
     if what == "beta":
-        table = build_beta_table(n, limit=limit)
+        table = build_beta_table(n)
         header = ["partition", "digraph_key", "beta"]
         rows = [
             (pi.to_text(), _digraph_key_str(key), rational_to_str(value))
@@ -252,19 +232,19 @@ def _table_rows(what: str, n: int, limit: int | None):
         header = ["partition", "alpha"]
         rows = [
             (pi.to_text(), rational_to_str(alpha(pi)))
-            for pi in partitions_of(n, "noncrossing", limit)
+            for pi in partitions_of(n, "noncrossing")
         ]
     elif what == "tutte":
         header = ["partition", "blocks", "tutte_anti_interval_10"]
         rows = [
             (pi.to_text(), str(pi.num_blocks),
              rational_to_str(tutte_eval(anti_interval_graph(pi), 1, 0)))
-            for pi in partitions_of(n, "irreducible", limit)
+            for pi in partitions_of(n, "irreducible")
         ]
     elif what == "mobius":
         header = ["partition", "mu_p_top", "mu_nc_top", "mu_i_top"]
         rows = []
-        for pi in partitions_of(n, "all", limit):
+        for pi in partitions_of(n, "all"):
             nc = str(mobius_to_top(pi, "NC")) if pi.is_noncrossing() else ""
             iv = str(mobius_to_top(pi, "I")) if pi.is_interval() else ""
             rows.append((pi.to_text(), str(mobius_to_top(pi, "P")), nc, iv))
@@ -273,7 +253,7 @@ def _table_rows(what: str, n: int, limit: int | None):
     return header, rows
 
 
-def _cached_table_rows(cache_dir: Path, what: str, n: int, limit: int | None):
+def _cached_table_rows(cache_dir: Path, what: str, n: int):
     """`_table_rows` through a JSON file in `cache_dir`.
 
     A file that does not parse counts as a miss; it is rewritten through a
@@ -287,7 +267,7 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int, limit: int | None):
         return payload["header"], [tuple(r) for r in payload["rows"]]
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         pass
-    header, rows = _table_rows(what, n, limit)
+    header, rows = _table_rows(what, n)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(_json_dumps({"header": header, "rows": [list(r) for r in rows]}))
     os.replace(tmp, path)
@@ -302,11 +282,11 @@ def _cmd_table(args, cfg: Config) -> int:
     # checked before the cache is read, so a hit is served only within the
     # limits the table's builder checks
     for key in _TABLE_LIMITS[what]:
-        check_limit(key, args.n, cfg.limit)
+        check_limit(key, args.n)
     if cfg.cache_dir is None:
-        header, rows = _table_rows(what, args.n, cfg.limit)
+        header, rows = _table_rows(what, args.n)
     else:
-        header, rows = _cached_table_rows(cfg.cache_dir, what, args.n, cfg.limit)
+        header, rows = _cached_table_rows(cfg.cache_dir, what, args.n)
     if cfg.output_format == "json":
         print(_json_dumps([dict(zip(header, r)) for r in rows]))
     else:
@@ -390,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="output format (default depends on the subcommand)")
     parser.add_argument("--limit", type=int, default=None,
-                        help="override the enumeration size limit")
+                        help="override every enumeration size limit, for any "
+                             "command (catalog caps are not settable)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="parallel workers for verification sweeps")
     parser.add_argument("--cache-dir", default=None,
@@ -409,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", nargs="?", default=None)
     p.add_argument("n_max", type=int)
     p.add_argument("--all", action="store_true",
-                   help="run the whole catalog, clamping each identity to its limit")
+                   help="run the whole catalog, clamping each identity to its max n")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("experimental-thm2", help="experimental multivariate checker")
@@ -437,18 +418,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.all and args.identity is None:
-        print("error: verify needs an identity name or --all", file=sys.stderr)
+    if args.command == "verify" and args.all == (args.identity is not None):
+        print("error: verify needs exactly one of an identity name and --all", file=sys.stderr)
         return EXIT_USAGE
     try:
         cfg = Config.from_args(args)
-        return args.func(args, cfg)
+        with override(cfg.limit):
+            code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away: silence the flush at exit (recipe from the
+        # Python docs, "Note on SIGPIPE") and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

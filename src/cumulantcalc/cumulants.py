@@ -82,19 +82,6 @@ class CumulantKind(enum.Enum):
     BOOLEAN = "boolean"
     MONOTONE = "monotone"
 
-    @classmethod
-    def parse(cls, text: str) -> "CumulantKind":
-        aliases = {
-            "k": cls.CLASSICAL,
-            "r": cls.FREE,
-            "b": cls.BOOLEAN,
-            "h": cls.MONOTONE,
-        }
-        t = text.strip().lower()
-        if t in aliases:
-            return aliases[t]
-        return cls(t)
-
 
 _LATTICE_OF_KIND = {
     CumulantKind.CLASSICAL: "all",
@@ -328,8 +315,8 @@ def boolean_poisson_kappa(n: int) -> Polynomial:
     checks that the result is x * E_{n-1}(-x) with E the Eulerian
     polynomial.
     """
-    if not 1 <= n <= 9:
-        raise ValueError("n must be in 1..9")
+    if n < 1:
+        raise ValueError("n must be positive")
     x = Polynomial.monomial(1, 1, "x")
     moments = moments_from_cumulants(CumulantKind.BOOLEAN, [x] * n)
     kappa = cumulants_from_moments(CumulantKind.CLASSICAL, moments)[n - 1]
@@ -370,8 +357,6 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
     """
     moments = [Fraction(v) for v in moments]
     n = len(moments)
-    if n > 9:
-        raise ValueError("determinant route limited to n <= 9")
 
     def m(i):
         return moments[i - 1]
@@ -407,8 +392,6 @@ def determinant_moments(kind: str, cumulants) -> list[Fraction]:
     """Inverse determinants: moments from classical or Boolean cumulants."""
     cumulants = [Fraction(v) for v in cumulants]
     n = len(cumulants)
-    if n > 9:
-        raise ValueError("determinant route limited to n <= 9")
 
     def c(i):
         return cumulants[i - 1]
@@ -579,18 +562,13 @@ class BetaTable:
         return self.by_key()[digraph_key(anti_interval_digraph(pi))]
 
 
-def build_beta_table(n: int, check_routes: bool = False,
-                     limit: int | None = None) -> BetaTable:
-    """beta of every partition of [n]; `limit` overrides the "all" and
-    "beta-blocks" limits."""
-    check_limit("beta-blocks", n, limit)  # no partition of [n] has more blocks
+def build_beta_table(n: int) -> BetaTable:
+    """beta of every partition of [n]."""
+    check_limit("beta-blocks", n)  # no partition of [n] has more blocks
     rows = []
-    for pi in partitions_of(n, "all", limit):
+    for pi in partitions_of(n, "all"):
         key = digraph_key(anti_interval_digraph(pi))
-        value = _beta_of_digraph(key)
-        if check_routes and beta_recursive(pi) != value:
-            raise AssertionError(f"beta route mismatch at {pi}")
-        rows.append((pi, key, value))
+        rows.append((pi, key, _beta_of_digraph(key)))
     return BetaTable(n, tuple(rows))
 
 

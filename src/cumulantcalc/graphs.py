@@ -30,9 +30,9 @@ from .limits import check_limit
 from .partitions import (
     PartitionClass,
     SetPartition,
+    _enumerate_unchecked,
     block_nests_inside,
     blocks_cross,
-    enumerate_partitions,
     hulls_intersect,
 )
 
@@ -397,7 +397,7 @@ def partition_sum_identity_check(g: MixedGraph, q) -> Fraction:
     check_limit("graph-vertices", g.n)
     edges = list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
     total = Fraction(0)
-    for pi in enumerate_partitions(g.n, PartitionClass.ALL, limit=g.n):
+    for pi in _enumerate_unchecked(g.n, PartitionClass.ALL):  # bounded by graph-vertices
         rgs = pi.rgs  # vertex v of the graph is element v+1 of [n]
         internal = sum(1 for u, v in edges if rgs[u] == rgs[v])
         if q == 0:

@@ -83,6 +83,7 @@ __all__ = [
     "identity_names",
     "identity_limit",
     "verify_identity",
+    "catalog_jobs",
     "run_catalog",
     "experimental_thm2_multivariate",
     "lenczewski_sum_check",
@@ -421,8 +422,8 @@ def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
 def lenczewski_sum_check(n: int, colors: int) -> Report:
     """Check sum over NC(n) of P_pi(N) r_pi against the moment of the
     N-fold monotone dilation, as exact univariate moment polynomials."""
-    if not 1 <= n <= 7:
-        raise ValueError("n must be in 1..7")
+    if n < 1:
+        raise ValueError("n must be positive")
     if not 1 <= colors <= 5:
         raise ValueError("colors must be in 1..5")
     members = partitions_of(n, "noncrossing")
@@ -543,8 +544,8 @@ def logbessel_beta_check(max_n: int) -> Report:
     the classical convolution recursion
     a_{m+1} = sum_k C(m,k) C(m,k-1) a_k a_{m+1-k}.
     """
-    if not 1 <= max_n <= 7:
-        raise ValueError("max_n must be in 1..7")
+    if max_n < 1:
+        raise ValueError("max_n must be positive")
     f = TruncatedSeries(
         [0] + [Fraction(1, factorial(k) ** 2) for k in range(1, max_n + 1)]
     )
@@ -678,35 +679,39 @@ def identity_limit(name: str) -> int:
     return IDENTITY_CATALOG[name].max_n
 
 
-def verify_identity(name: str, n: int) -> Report:
-    """Run one identity at one n; exact comparison, never tolerant."""
+def _catalog_row(name: str, n: int = 1):
+    """The catalog row of `name`, after checking 1 <= n <= its max_n."""
     info = IDENTITY_CATALOG.get(name)
     if info is None:
-        raise ValueError(f"unknown identity {name!r}")
+        known = ", ".join(IDENTITY_CATALOG)
+        raise ValueError(f"unknown identity {name!r}; known identities: {known}")
     if n < 1:
         raise ValueError("n must be positive")
     if n > info.max_n:
         raise ResourceLimitError(
             f"identity {name} is limited to n <= {info.max_n} (asked for {n})"
         )
-    return info.check(n)
+    return info
+
+
+def verify_identity(name: str, n: int) -> Report:
+    """Run one identity at one n; exact comparison, never tolerant."""
+    return _catalog_row(name, n).check(n)
+
+
+def catalog_jobs(n_max: int, names=None, strict: bool = False) -> list[tuple[str, int]]:
+    """The (identity, n) pairs for n = 1 .. n_max, identity by identity, each
+    clamped to its max_n; with strict=True a larger n_max raises up front."""
+    jobs = []
+    for name in names or identity_names():
+        top = min(n_max, _catalog_row(name, n_max if strict else 1).max_n)
+        jobs.extend((name, n) for n in range(1, top + 1))
+    return jobs
 
 
 def run_catalog(n_max: int, names=None, strict_limits: bool = False) -> list[Report]:
-    """Verify each identity for n = 1 .. min(n_max, its limit).
-
-    With strict_limits=True a request beyond an identity's limit raises
-    instead of being clamped.
-    """
-    out = []
-    for name in names or identity_names():
-        info = IDENTITY_CATALOG.get(name)
-        if info is None:
-            raise ValueError(f"unknown identity {name!r}")
-        top = n_max if strict_limits else min(n_max, info.max_n)
-        for n in range(1, top + 1):
-            out.append(verify_identity(name, n))
-    return out
+    """Verify the `catalog_jobs` pairs in order (clamped unless strict_limits)."""
+    return [verify_identity(*job) for job in catalog_jobs(n_max, names, strict_limits)]
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +729,14 @@ def experimental_thm2_multivariate(n: int) -> Report:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > 7:
-        raise ResourceLimitError("experimental checker limited to n <= 7")
     forms = {
         "thm2_free2mono": "free form",
         "thm2_boolean2mono": "Boolean form",
         "thm2_class2mono": "classical form",
     }
+    top = min(IDENTITY_CATALOG[name].max_n for name in forms)
+    if n > top:
+        raise ResourceLimitError(f"experimental checker limited to n <= {top}")
     reports = [replace(IDENTITY_CATALOG[name], univariate=False).check(n) for name in forms]
     failures = [form for form, rep in zip(forms.values(), reports) if not rep.holds]
     terms = reports[0].lhs_terms

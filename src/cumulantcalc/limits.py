@@ -3,17 +3,22 @@
 Every exhaustive enumeration in this package is guarded by a size limit so
 that a typo on the command line cannot start a week-long computation.  The
 defaults are chosen so that every exhaustive check finishes in minutes on a
-laptop.  Each limit can be overridden, in order of precedence:
+laptop.  A key's limit is, in order of precedence:
 
-1. an explicit ``limit=`` argument (the CLI forwards ``--limit``),
+1. n, for every key, inside an ``override(n)`` block (the CLI runs each
+   command inside one built from ``--limit``: it applies to every command),
 2. an environment variable ``CUMULANTCALC_MAX_<KEY>`` (dashes become
    underscores, e.g. ``CUMULANTCALC_MAX_NONCROSSING=14``),
 3. the built-in default below.
+
+The identity catalog's per-row ``max_n`` caps are not settable.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 ENV_PREFIX = "CUMULANTCALC_MAX_"
 
@@ -41,23 +46,39 @@ class ResourceLimitError(RuntimeError):
 #: the environment variable of each key, looked up on every check
 _ENV_NAMES = {key: ENV_PREFIX + key.upper().replace("-", "_") for key in DEFAULT_LIMITS}
 
+#: the limit of every key inside the innermost `override` block, else None;
+#: a context variable, so a block in one thread does not leak into another
+_OVERRIDE: ContextVar[int | None] = ContextVar("limit_override", default=None)
 
-def limit_for(key: str, override: int | None = None) -> int:
+
+@contextmanager
+def override(n: int | None):
+    """Within the block every key's limit is n; None changes nothing."""
+    token = _OVERRIDE.set(_OVERRIDE.get() if n is None else n)
+    try:
+        yield
+    finally:
+        _OVERRIDE.reset(token)
+
+
+def limit_for(key: str) -> int:
     """Resolve the limit for `key` (see DEFAULT_LIMITS for valid keys)."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(_ENV_NAMES[key])
-    if env is not None:
-        return int(env)
-    return DEFAULT_LIMITS[key]
+    forced = _OVERRIDE.get()
+    if forced is not None:
+        return forced
+    name = _ENV_NAMES[key]
+    raw = os.environ.get(name, DEFAULT_LIMITS[key])
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def check_limit(key: str, n: int, override: int | None = None) -> None:
+def check_limit(key: str, n: int) -> None:
     """Raise ResourceLimitError when n exceeds the configured limit."""
-    bound = limit_for(key, override)
+    bound = limit_for(key)
     if n > bound:
         raise ResourceLimitError(
             f"n={n} exceeds the configured limit {bound} for {key!r}; "
-            f"raise it via {_ENV_NAMES[key]} "
-            f"or an explicit limit argument"
+            f"raise it via {_ENV_NAMES[key]} or --limit"
         )

@@ -617,14 +617,8 @@ def _prune_interval(blocks, v, x):
     return v == len(blocks) or (blocks[v][-1] == x - 1)
 
 
-def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL,
-                         limit: int | None = None):
-    """Stream the members of the class, each exactly once, in RGS order."""
-    if isinstance(cls, str):
-        cls = PartitionClass(cls)
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_limit(cls.value, n, limit)
+def _enumerate_unchecked(n: int, cls: PartitionClass):
+    """The members of the class in RGS order, with no limit check."""
     if cls in _PRUNE_NONCROSSING:
         prune = _prune_noncrossing
     elif cls is PartitionClass.INTERVAL:
@@ -637,21 +631,29 @@ def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL,
             yield p
 
 
-def partitions_of(n: int, cls_value: str = "all",
-                  limit: int | None = None) -> tuple[SetPartition, ...]:
+def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL):
+    """Stream the members of the class, each exactly once, in RGS order."""
+    cls = PartitionClass(cls)
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_limit(cls.value, n)
+    yield from _enumerate_unchecked(n, cls)
+
+
+def partitions_of(n: int, cls_value: str = "all") -> tuple[SetPartition, ...]:
     """Cached tuple of all partitions of [n] in a class (internal reuse).
 
     The limit is checked on every call, hit or miss, so a limit lowered
     after the first call is never bypassed by the cache.
     """
     cls = PartitionClass(cls_value)
-    check_limit(cls.value, n, limit)
+    check_limit(cls.value, n)
     return _partitions_of(n, cls)
 
 
 @lru_cache(maxsize=64)
 def _partitions_of(n: int, cls: PartitionClass) -> tuple[SetPartition, ...]:
-    return tuple(enumerate_partitions(n, cls, limit=n))  # checked by the caller
+    return tuple(_enumerate_unchecked(n, cls))  # checked by the caller
 
 
 partitions_of.cache_info = _partitions_of.cache_info
@@ -705,7 +707,7 @@ class OrderedPartition:
         return self.to_text()
 
 
-def enumerate_monotone(n: int, limit: int | None = None):
+def enumerate_monotone(n: int):
     """Stream every monotone partition of [n] exactly once.
 
     For each noncrossing base (RGS order), the orders are the linear
@@ -714,8 +716,8 @@ def enumerate_monotone(n: int, limit: int | None = None):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    check_limit("monotone", n, limit)
-    for base in enumerate_partitions(n, PartitionClass.NONCROSSING, limit=max(n, 12)):
+    check_limit("monotone", n)
+    for base in _enumerate_unchecked(n, PartitionClass.NONCROSSING):
         blocks = base.blocks
         k = len(blocks)
         preds = [0] * k  # number of outer blocks not yet placed

@@ -4,8 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from cumulantcalc import limits
 from cumulantcalc.cli import main
+from cumulantcalc.partitions import partitions_of
 from cumulantcalc.permutations import eulerian
 
 
@@ -102,7 +108,8 @@ def test_verify_beyond_limit(capsys):
 
 def test_verify_nothing_to_check_is_usage_error(capsys):
     for args in (("verify", "free2boolean", "0"), ("verify", "--all", "0"),
-                 ("experimental-thm2", "0")):
+                 ("experimental-thm2", "0"), ("verify", "2"),
+                 ("--format", "text", "verify", "--all", "cor9_factorial", "2")):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == "" and err.startswith("error:"), args
 
@@ -112,6 +119,30 @@ def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "CUMULANTCALC_JOBS" in err
+
+
+def test_bad_limit_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "abc")
+    code, out, err = run_cli(capsys, "table", "mobius", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "CUMULANTCALC_MAX_ALL" in err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cumulantcalc.cli", "enumerate", "11", "noncrossing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10,11\n"
+    proc.stdout.close()  # as `| head -1` does; 58786 lines overflow the pipe
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    assert code == 141
+    assert "Traceback" not in err and "Exception" not in err
 
 
 def test_bad_format_env_is_usage_error(capsys, monkeypatch):
@@ -294,15 +325,51 @@ def test_experimental_command(capsys):
     assert all(r["detail"]["experimental"] for r in reports)
 
 
-def test_config_class_limits(monkeypatch):
-    from cumulantcalc.cli import Config
-
-    cfg = Config()
-    lims = cfg.class_limits()
-    assert lims["all"] == 10 and lims["noncrossing"] == 12 and lims["monotone"] == 8
-    assert Config(limit=14).class_limits()["all"] == 14
+def test_limit_precedence(monkeypatch):
+    # override > CUMULANTCALC_MAX_* > DEFAULT_LIMITS
+    assert limits.limit_for("all") == 10 and limits.limit_for("monotone") == 8
     monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "13")
-    assert Config().class_limits()["all"] == 13
+    assert limits.limit_for("all") == 13 and limits.limit_for("monotone") == 8
+    with limits.override(14):
+        assert limits.limit_for("all") == 14 and limits.limit_for("monotone") == 14
+        with limits.override(None):  # None leaves the override in place
+            assert limits.limit_for("all") == 14
+    assert limits.limit_for("all") == 13
+
+
+def test_limit_flag_reaches_verify(capsys):
+    for jobs in ((), ("--jobs", "2")):
+        code, out, err = run_cli(capsys, "--limit", "3", *jobs, "verify", "free2boolean", "5")
+        assert code == 3 and out == "" and err.startswith("error:"), jobs
+        assert "--limit" in err
+
+
+def test_limit_flag_reaches_experimental(capsys):
+    code, out, err = run_cli(capsys, "--limit", "2", "experimental-thm2", "3")
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
+def test_limit_flag_reaches_convert(capsys, monkeypatch):
+    ones = json.dumps(["1"] * 13)
+    code, out, err = run_cli(capsys, "convert", "moments", "free", ones)
+    assert code == 3 and out == ""
+    assert "raise it via CUMULANTCALC_MAX_NONCROSSING or --limit" in err
+    code, flagged, _ = run_cli(capsys, "--limit", "13", "convert", "moments", "free", ones)
+    assert code == 0
+    monkeypatch.setenv("CUMULANTCALC_MAX_NONCROSSING", "13")
+    code, from_env, _ = run_cli(capsys, "convert", "moments", "free", ones)
+    assert code == 0 and flagged == from_env
+    assert json.loads(flagged) == ["1"] + ["0"] * 12
+    partitions_of.cache_clear()  # frees the 742,900 cached members of NC(13)
+
+
+def test_limit_flag_is_scoped_to_one_call(capsys):
+    # the tests and the benchmark call main in-process, one call after another
+    assert run_cli(capsys, "--limit", "11", "enumerate", "11", "interval")[0] == 0
+    assert run_cli(capsys, "enumerate", "11", "all")[0] == 3
+    assert run_cli(capsys, "--limit", "2", "table", "beta", "3")[0] == 3
+    assert run_cli(capsys, "table", "beta", "3")[0] == 0
+    assert limits.limit_for("all") == limits.DEFAULT_LIMITS["all"]
 
 
 def test_table_determinism(capsys):

@@ -28,7 +28,7 @@ from cumulantcalc.cumulants import (
 )
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
 from cumulantcalc.identities import lenczewski_sum_check, logbessel_beta_check, verify_identity
-from cumulantcalc.limits import ResourceLimitError
+from cumulantcalc.limits import ResourceLimitError, override
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
 from cumulantcalc.permutations import eulerian_polynomial
 from oracles import (
@@ -191,8 +191,9 @@ def test_lenczewski_examples():
         assert lenczewski_sum_check(n, 1).holds
     assert lenczewski_sum_check(2, 4).holds
     assert lenczewski_sum_check(4, 3).holds
-    with pytest.raises(ValueError):
-        lenczewski_sum_check(8, 1)
+    # bounded by the cumulant polynomials it multiplies
+    with pytest.raises(ResourceLimitError, match="cumulant-other"):
+        lenczewski_sum_check(10, 1)
     with pytest.raises(ValueError):
         lenczewski_sum_check(3, 6)
 
@@ -210,8 +211,11 @@ def test_boolean_poisson_kappa():
     assert boolean_poisson_kappa(2) == x  # E_1 has no descent term
     assert boolean_poisson_kappa(3) == x * Polynomial([1, -1], "x")
     assert boolean_poisson_kappa(4).evaluate(1) == -2
-    for n in range(1, 10):
+    for n in range(1, 11):
         assert boolean_poisson_kappa(n) == x * eulerian_polynomial(n - 1).scale_argument(-1)
+    # bounded by the classical conversion's lattice
+    with pytest.raises(ResourceLimitError, match="'all'"):
+        boolean_poisson_kappa(11)
 
 
 def test_determinant_cumulants():
@@ -228,6 +232,9 @@ def test_determinant_cumulants():
         # inverse determinants give the moments back
         assert determinant_moments("classical", cumulants_from_moments(K, m)) == m
         assert determinant_moments("boolean", cumulants_from_moments(B, m)) == m
+    m = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(10)]  # no cap at 9
+    assert determinant_cumulants("classical", m) == cumulants_from_moments(K, m)
+    assert determinant_moments("boolean", cumulants_from_moments(B, m)) == m
     with pytest.raises(ValueError):
         determinant_cumulants("fancy", m)
 
@@ -265,8 +272,8 @@ def test_beta_block_limit():
         beta_formula(SetPartition.singletons(11))
     with pytest.raises(ResourceLimitError):
         build_beta_table(11)
-    with pytest.raises(ResourceLimitError):
-        build_beta_table(3, limit=2)
+    with override(2), pytest.raises(ResourceLimitError):
+        build_beta_table(3)
 
 
 def test_beta_many_blocks_against_recursion():
@@ -280,8 +287,10 @@ def test_beta_many_blocks_against_recursion():
 
 
 def test_beta_table():
-    table = build_beta_table(4, check_routes=True)
+    table = build_beta_table(4)
     assert table.n == 4
+    for pi, _, value in table.rows:
+        assert beta_recursive(pi) == value, pi
     assert table.value(P("1,4|2,3")) == Fraction(-1, 2)
     assert table.value(SetPartition.one_block(4)) == 1
     reducibles = [pi for pi, _, v in table.rows if not pi.is_irreducible()]
@@ -309,8 +318,9 @@ def test_logbessel_carlitz():
     # plugging the recursion at the fourth term by hand:
     # a_4 = C(3,1)C(3,0) a_1 a_3 + C(3,2)C(3,1) a_2 a_2 + C(3,3)C(3,2) a_3 a_1
     assert 3 * 1 * 4 + 3 * 3 * 1 + 1 * 3 * 4 == 33
-    with pytest.raises(ValueError):
-        logbessel_beta_check(8)
+    # bounded by the block count of the nested pairings
+    with pytest.raises(ResourceLimitError, match="beta-blocks"):
+        logbessel_beta_check(11)
 
 
 def test_moment_formula_brute_force_cross_check():
