@@ -86,6 +86,7 @@ from .partitions import (
     lattice_join,
     lattice_leq,
     lattice_meet,
+    lower_interval,
     mobius,
     triangle_geq,
 )

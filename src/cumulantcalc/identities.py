@@ -32,7 +32,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from .algebra import (
@@ -44,6 +44,7 @@ from .algebra import (
 )
 from .cumulants import (
     CumulantKind,
+    _check_cumulant_limits,
     beta_formula,
     beta_recursive,
     boolean_poisson_kappa,
@@ -63,8 +64,7 @@ from .limits import ResourceLimitError
 from .partitions import (
     SetPartition,
     enumerate_monotone,
-    lattice_leq,
-    mobius,
+    lower_interval,
     partitions_of,
 )
 from .permutations import (
@@ -276,58 +276,30 @@ def _check_cor_runs(n):
 # ---------------------------------------------------------------------------
 
 
-def _check_moment_cumulant(name, n, kind, cls_value):
-    members = partitions_of(n, cls_value)
-    failures = []
-    for pi in members:
-        lhs = moment_monomial(pi)
-        rhs = linear_combination(
-            n,
-            (
-                (1, partitioned_cumulant(kind, sig))
-                for sig in members
-                if lattice_leq(sig, pi)
-            ),
-        )
-        if lhs != rhs:
-            failures.append(f"pi={pi}")
-    return _quantified(name, n, failures, len(members))
+#: cumulant family -> (partition class, lattice) of its moment formula
+_LATTICE_OF = {K: ("all", "P"), R: ("noncrossing", "NC"), B: ("interval", "I")}
 
 
-def _check_moment_cumulant_K(n):
-    return _check_moment_cumulant("moment_cumulant_K", n, K, "all")
-
-
-def _check_moment_cumulant_R(n):
-    return _check_moment_cumulant("moment_cumulant_R", n, R, "noncrossing")
-
-
-def _check_moment_cumulant_B(n):
-    return _check_moment_cumulant("moment_cumulant_B", n, B, "interval")
-
-
-def _check_mobius_inversions(n):
+def _check_lattice_formula(name, kinds, inverted, n):
+    """On every pi of each kind's lattice, a sum over sigma in [0, pi]:
+    m_pi = sum kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma."""
     failures = []
     checked = 0
-    for kind, cls_value, lattice in (
-        (K, "all", "P"),
-        (R, "noncrossing", "NC"),
-        (B, "interval", "I"),
-    ):
+    for kind in kinds:
+        cls_value, lattice = _LATTICE_OF[kind]
         members = partitions_of(n, cls_value)
+        checked += len(members)
         for pi in members:
-            rhs = linear_combination(
-                n,
-                (
-                    (mobius(sig, pi, lattice), moment_monomial(sig))
-                    for sig in members
-                    if lattice_leq(sig, pi)
-                ),
-            )
-            checked += 1
-            if partitioned_cumulant(kind, pi) != rhs:
-                failures.append(f"{lattice}:{pi}")
-    return _quantified("mobius_inversions", n, failures, checked)
+            interval = lower_interval(pi, lattice)
+            if inverted:
+                rhs = linear_combination(n, ((mu, moment_monomial(s)) for s, mu in interval))
+                holds = partitioned_cumulant(kind, pi) == rhs
+            else:
+                rhs = linear_combination(n, ((1, partitioned_cumulant(kind, s)) for s, _ in interval))
+                holds = moment_monomial(pi) == rhs
+            if not holds:
+                failures.append(f"{lattice}:{pi}" if inverted else f"pi={pi}")
+    return _quantified(name, n, failures, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +377,23 @@ def _check_monotone_flow_integer(n):
     return _quantified("monotone_flow_integer", n, failures, len(seqs) * 25)
 
 
+def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
+    """Product of the univariate cumulants of the given block sizes.
+
+    The limits are checked on every call, hit or miss, as in
+    `partitioned_cumulant`, so the cache never serves past a lowered limit.
+    """
+    _check_cumulant_limits(kind, max(sizes))
+    return _univariate_product(kind, sizes)
+
+
 @lru_cache(maxsize=None)
 def _univariate_cumulant(kind: CumulantKind, k: int) -> MomentPolynomial:
     return cumulant_poly(kind, k).univariate()
 
 
 @lru_cache(maxsize=None)
-def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
-    """Product of the univariate cumulants of the given block sizes."""
+def _univariate_product(kind: CumulantKind, sizes) -> MomentPolynomial:
     out = MomentPolynomial.one(max(sizes))
     for s in sizes:
         out = out * _univariate_cumulant(kind, s)
@@ -628,16 +609,20 @@ IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
                      "classical cumulants as signed Boolean sums over cycle runs of full cycles"),
         IdentityInfo("cor_runs", 7, _check_cor_runs,
                      "classical cumulants as signed Boolean sums over runs of permutations fixing 1"),
-        IdentityInfo("moment_cumulant_K", 6, _check_moment_cumulant_K,
+        IdentityInfo("moment_cumulant_K", 8,
+                     partial(_check_lattice_formula, "moment_cumulant_K", [K], False),
                      "defining moment formula of classical cumulants on every partition"),
-        IdentityInfo("moment_cumulant_R", 7, _check_moment_cumulant_R,
+        IdentityInfo("moment_cumulant_R", 8,
+                     partial(_check_lattice_formula, "moment_cumulant_R", [R], False),
                      "defining moment formula of free cumulants on every noncrossing partition"),
-        IdentityInfo("moment_cumulant_B", 7, _check_moment_cumulant_B,
+        IdentityInfo("moment_cumulant_B", 9,
+                     partial(_check_lattice_formula, "moment_cumulant_B", [B], False),
                      "defining moment formula of Boolean cumulants on every interval partition"),
         FamilySum("moment_cumulant_H", 7, None, H, "noncrossing",
                   lambda pi: Fraction(1, partition_tree_factorial(pi)), False,
                   "monotone moment formula, grouped and ordered forms", ordered_max_n=7),
-        IdentityInfo("mobius_inversions", 6, _check_mobius_inversions,
+        IdentityInfo("mobius_inversions", 7,
+                     partial(_check_lattice_formula, "mobius_inversions", [K, R, B], True),
                      "Moebius-inverted cumulant formulas on all three lattices"),
         IdentityInfo("series_B", 10, _check_series_B,
                      "B(z) M(z) = M(z) - 1 on random rational moment sequences"),

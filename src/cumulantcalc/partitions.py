@@ -24,6 +24,27 @@ left to right: `is_noncrossing` and `is_connected` with a stack of open
 blocks (or of groups of crossing blocks), `is_irreducible` with the last
 position reached so far; `restrict` relabels the RGS.
 
+Refinement lattice
+------------------
+sigma <= pi when every block of sigma lies inside a block of pi.  The
+lower interval [0, pi] is the product over the blocks W of pi of the
+lattices on W, in P(n), NC(n) and I(n) alike: a refinement of a
+noncrossing (interval) pi is noncrossing (interval) exactly when each of
+its restrictions to a block of pi is.  So `lower_interval` walks [0, pi]
+block by block, one member of `partitions_of(|W|)` per block relabelled
+onto W, and carries mu(sigma, pi) = prod_W mu(sigma|_W, 1_W) as a product
+of to-the-top values; no pair of lattice members is compared.
+`lattice_leq` and the per-pair `mobius` stay as the direct definitions.
+
+Kreweras complement
+-------------------
+For noncrossing pi, K(pi) has the cycles of the permutation P_pi^-1 gamma
+as blocks, where P_pi runs through each block of pi in increasing cyclic
+order and gamma = (1 2 ... n): i -> prev_pi(i + 1 mod n).  One pass over
+the RGS gives prev_pi, one walk along the cycles labels them, so K is
+O(n).  mu(pi, 1) in NC(n) is the product of signed Catalan numbers over
+the blocks of K(pi).
+
 Text form: blocks joined by "|", elements by ",", e.g. "1,3|2|4,5".
 """
 
@@ -33,6 +54,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
 
 from .limits import check_limit
@@ -49,6 +71,7 @@ __all__ = [
     "lattice_meet",
     "triangle_geq",
     "kreweras_complement",
+    "lower_interval",
     "mobius",
     "mobius_to_top",
     "catalan_number",
@@ -436,36 +459,37 @@ def kreweras_complement(pi: SetPartition) -> SetPartition:
     """Kreweras complement of a noncrossing partition.
 
     Interleave 1,1',2,2',...,n,n'; the complement is the coarsest partition
-    on the primed copies whose union with pi stays noncrossing.  Two primes
-    i' < j' end up together exactly when no block of pi separates them,
-    i.e. every block meets {i+1,...,j} in either nothing or all of itself.
+    on the primed copies whose union with pi stays noncrossing.  Its blocks
+    are the cycles of the permutation P_pi^-1 gamma, i -> prev(i + 1 mod n),
+    where prev is the cyclic predecessor within a block of pi and gamma the
+    long cycle (Nica-Speicher, Lecture 18): one pass over the RGS finds
+    prev, one walk along the cycles labels them in first-use order.
     """
     if not pi.is_noncrossing():
         raise ValueError("Kreweras complement needs a noncrossing partition")
-    n = pi.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    blocks = pi.blocks
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ok = True
-            for b in blocks:
-                inside = sum(1 for x in b if i < x <= j)
-                if inside not in (0, len(b)):
-                    ok = False
-                    break
-            if ok:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return SetPartition.from_blocks(n, groups.values())
+    rgs = pi.rgs
+    n = len(rgs)
+    prev = [0] * n  # 0-based cyclic predecessor of each position in its block
+    first = {}
+    last = {}
+    for i, a in enumerate(rgs):
+        if a in last:
+            prev[i] = last[a]
+        else:
+            first[a] = i
+        last[a] = i
+    for a, i in first.items():
+        prev[i] = last[a]
+    out = [-1] * n
+    fresh = 0  # the label the next cycle gets
+    for start in range(n):
+        if out[start] < 0:
+            i = start
+            while out[i] < 0:
+                out[i] = fresh
+                i = prev[(i + 1) % n]
+            fresh += 1
+    return SetPartition._unchecked(tuple(out))
 
 
 def _mu_full_p(k: int) -> int:
@@ -515,6 +539,62 @@ def mobius(pi: SetPartition, sigma: SetPartition, lattice: str) -> int:
     for w in sigma.blocks:
         out *= mobius_to_top(pi.restrict(w), lat)
     return out
+
+
+#: the class enumerated for each lattice of the Moebius functions
+_LATTICE_CLASS = {"P": "all", "NC": "noncrossing", "I": "interval"}
+
+
+def lower_interval(pi: SetPartition, lattice: str):
+    """Yield (sigma, mu(sigma, pi)) for every sigma <= pi in the lattice.
+
+    [0, pi] is the product over the blocks W of pi of the lattices on W, so
+    sigma runs over the products of one member of `partitions_of(|W|)` per
+    block, relabelled onto W, and mu is the product of their to-the-top
+    values.  For NC and I this is exact because a refinement of pi is
+    noncrossing (interval) iff each of its restrictions to a block is.
+    Order: the last block of pi varies fastest.
+    """
+    lat = lattice.upper()
+    if lat not in _LATTICE_CLASS:
+        raise ValueError(f"unknown lattice {lattice!r}")
+    if lat == "NC" and not pi.is_noncrossing():
+        raise ValueError(f"{pi} is not a noncrossing partition")
+    if lat == "I" and not pi.is_interval():
+        raise ValueError(f"{pi} is not an interval partition")
+    n = pi.n
+    blocks = pi.blocks
+    factors = [_block_lattice(len(w), lat) for w in blocks]
+    positions = [[x - 1 for x in w] for w in blocks]
+    # sigma's block with local label a in pi's j-th block gets the raw
+    # label j*n + a; renumbering raw labels in first-use order gives the RGS
+    raw = [0] * n
+    for combo in product(*factors):
+        mu = 1
+        for off, pos, (local, m) in zip(range(0, n * len(blocks), n), positions, combo):
+            for x, a in zip(pos, local):
+                raw[x] = off + a
+            mu *= m
+        label = {}
+        yield (
+            SetPartition._unchecked(tuple([label.setdefault(a, len(label)) for a in raw])),
+            mu,
+        )
+
+
+def _block_lattice(k: int, lat: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(RGS, mu(sigma, 1)) for every sigma of the lattice on k elements.
+
+    The limit is checked on every call, hit or miss, as in `partitions_of`.
+    """
+    check_limit(_LATTICE_CLASS[lat], k)
+    return _block_lattice_cached(k, lat)
+
+
+@lru_cache(maxsize=64)
+def _block_lattice_cached(k: int, lat: str):
+    cls = PartitionClass(_LATTICE_CLASS[lat])
+    return tuple((s.rgs, mobius_to_top(s, lat)) for s in _partitions_of(k, cls))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,42 @@ def mobius_brute(members, pi: SetPartition, sigma: SetPartition) -> int:
     return mu[sigma]
 
 
+def kreweras_by_separation(pi: SetPartition) -> SetPartition:
+    """Kreweras complement by its defining separation test.
+
+    Interleave 1,1',2,2',...,n,n'; the complement is the coarsest partition
+    on the primed copies whose union with pi stays noncrossing.  Two primes
+    i' < j' end up together exactly when no block of pi separates them,
+    i.e. every block meets {i+1,...,j} in either nothing or all of itself.
+    For each i the blocks met only in part by {i+1,...,j} are counted as j
+    grows; the pairs with none are merged by union-find.
+    """
+    n = pi.n
+    rgs = pi.rgs
+    sizes = [len(b) for b in pi.blocks]
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(1, n + 1):
+        met = [0] * len(sizes)  # elements of each block in {i+1,...,j}
+        partial = 0  # blocks met in part
+        for j in range(i + 1, n + 1):
+            a = rgs[j - 1]
+            met[a] += 1
+            partial += (met[a] == 1) - (met[a] == sizes[a])
+            if not partial:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(1, n + 1):
+        groups.setdefault(find(i), []).append(i)
+    return SetPartition.from_blocks(n, groups.values())
+
+
 # --- moment-cumulant sums, one term per set partition -----------------------
 
 

@@ -98,6 +98,9 @@ def test_verify_unknown_identity(capsys):
 def test_verify_beyond_limit(capsys):
     code, _, err = run_cli(capsys, "verify", "moment_cumulant_K", "9")
     assert code == 3
+    for name, n in (("moment_cumulant_R", "9"), ("moment_cumulant_B", "10"),
+                    ("mobius_inversions", "8")):
+        assert run_cli(capsys, "verify", name, n)[0] == 3
     for name in ("series_B", "series_R", "swap_identities", "tilde_lemma",
                  "monotone_flow_integer"):
         assert run_cli(capsys, "verify", name, "11")[0] == 3

@@ -8,6 +8,7 @@ from cumulantcalc.identities import (
     experimental_thm2_multivariate,
     identity_limit,
     identity_names,
+    lenczewski_sum_check,
     run_catalog,
     verify_identity,
 )
@@ -38,7 +39,7 @@ def test_unknown_identity_and_bad_n():
     with pytest.raises(ValueError):
         verify_identity("free2boolean", 0)
     with pytest.raises(ResourceLimitError):
-        verify_identity("moment_cumulant_K", 7)
+        verify_identity("moment_cumulant_K", 9)
 
 
 def test_report_serialization():
@@ -59,10 +60,11 @@ def test_full_catalog_small_n():
 
 
 def test_run_catalog_clamps_limits():
-    reports = run_catalog(9, names=["moment_cumulant_K"])
-    assert max(r.n for r in reports) == 6
+    # through a row that is cheap at its max_n (0.2 s at n = 9)
+    reports = run_catalog(10, names=["moment_cumulant_B"])
+    assert max(r.n for r in reports) == 9
     with pytest.raises(ResourceLimitError):
-        run_catalog(9, names=["moment_cumulant_K"], strict_limits=True)
+        run_catalog(10, names=["moment_cumulant_B"], strict_limits=True)
     with pytest.raises(ValueError):
         run_catalog(3, names=["nope"])
 
@@ -102,3 +104,11 @@ def test_deterministic_reports():
     a = verify_identity("series_B", 6)
     b = verify_identity("series_B", 6)
     assert a == b
+
+
+def test_univariate_caches_check_a_lowered_limit(monkeypatch):
+    # the univariate cumulant products are cached; a hit must still check
+    assert lenczewski_sum_check(5, 1).holds
+    monkeypatch.setenv("CUMULANTCALC_MAX_CUMULANT_OTHER", "3")
+    with pytest.raises(ResourceLimitError):
+        lenczewski_sum_check(5, 1)

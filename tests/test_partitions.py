@@ -18,6 +18,7 @@ from cumulantcalc.partitions import (
     lattice_join,
     lattice_leq,
     lattice_meet,
+    lower_interval,
     mobius,
     mobius_to_top,
     partitions_of,
@@ -30,6 +31,7 @@ from oracles import (
     catalan_direct,
     closure_brute,
     connected_by_union_find,
+    kreweras_by_separation,
     mobius_brute,
     noncrossing_by_pairs,
     restrict_by_blocks,
@@ -327,6 +329,46 @@ def test_kreweras_complement_classical_facts():
                     assert lattice_leq(
                         kreweras_complement(sigma), kreweras_complement(pi)
                     )
+
+
+def test_kreweras_complement_matches_separation_oracle():
+    for n in range(1, 11):
+        for pi in partitions_of(n, "noncrossing"):
+            assert kreweras_complement(pi) == kreweras_by_separation(pi), pi
+
+
+def test_lower_interval_matches_refinement_scan():
+    # the product walk against the members^2 lattice_leq scan, with the
+    # carried mu against the per-pair mobius()
+    for n in range(1, 8):
+        for cls, lattice in (("all", "P"), ("noncrossing", "NC"), ("interval", "I")):
+            members = partitions_of(n, cls)
+            for pi in members:
+                walk = list(lower_interval(pi, lattice))
+                below = {sigma for sigma in members if lattice_leq(sigma, pi)}
+                assert len(walk) == len(below) and {s for s, _ in walk} == below
+                for sigma, mu in walk:
+                    assert SetPartition(sigma.rgs) == sigma  # a valid RGS
+                    assert mu == mobius(sigma, pi, lattice), (lattice, sigma, pi)
+
+
+def test_lower_interval_examples_and_rejections():
+    pi = P("1,3|2")
+    assert dict(lower_interval(pi, "P")) == {pi: 1, SetPartition.singletons(3): -1}
+    assert dict(lower_interval(P("1,2,3"), "I")) == {
+        P("1,2,3"): 1, P("1|2,3"): -1, P("1,2|3"): -1, P("1|2|3"): 1,
+    }
+    with pytest.raises(ValueError):
+        next(lower_interval(P("1,3|2,4"), "NC"))
+    with pytest.raises(ValueError):
+        next(lower_interval(pi, "I"))
+    with pytest.raises(ValueError):
+        next(lower_interval(pi, "Q"))
+    # the per-size tables are cached; a hit still checks the limit
+    top = SetPartition.one_block(5)
+    assert len(list(lower_interval(top, "P"))) == bell_number(5)
+    with override(4), pytest.raises(ResourceLimitError):
+        next(lower_interval(top, "P"))
 
 
 def test_kreweras_complement_examples():

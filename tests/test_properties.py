@@ -7,7 +7,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cumulantcalc.cumulants import beta_formula, beta_recursive  # noqa: E402
-from cumulantcalc.partitions import SetPartition, blocks_cross  # noqa: E402
+from cumulantcalc.partitions import (  # noqa: E402
+    SetPartition,
+    blocks_cross,
+    kreweras_complement,
+)
 
 from oracles import blocks_cross_by_runs, restrict_by_blocks  # noqa: E402
 
@@ -25,6 +29,23 @@ def partitions(draw, max_n=14):
         a = draw(st.integers(0, fresh))
         fresh += a == fresh
         rgs.append(a)
+    return SetPartition(rgs)
+
+
+@st.composite
+def noncrossing_partitions(draw, max_n=14):
+    """A noncrossing partition: each element opens a block or joins an open
+    one, which closes every block opened after it."""
+    n = draw(st.integers(1, max_n))
+    rgs = []
+    stack = []  # the open blocks, innermost last
+    for _ in range(n):
+        k = draw(st.integers(0, len(stack)))
+        if k == len(stack):
+            stack.append(len(set(rgs)))
+        else:
+            del stack[k + 1:]
+        rgs.append(stack[-1])
     return SetPartition(rgs)
 
 
@@ -57,3 +78,13 @@ def test_text_and_json_round_trips(pi):
 @given(partitions(max_n=8))
 def test_beta_routes_agree_on_random_partitions(pi):
     assert beta_formula(pi) == beta_recursive(pi)
+
+
+@SEEDED
+@given(noncrossing_partitions())
+def test_kreweras_square_is_a_rotation(pi):
+    # K(K(pi)) is pi moved by i -> i - 1 (mod n)
+    n = pi.n
+    rotated = SetPartition.from_blocks(n, [[(x - 2) % n + 1 for x in b] for b in pi.blocks])
+    assert pi.is_noncrossing()
+    assert kreweras_complement(kreweras_complement(pi)) == rotated
