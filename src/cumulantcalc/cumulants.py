@@ -97,10 +97,10 @@ _MOBIUS_LATTICE_OF_KIND = {
 }
 
 
-def _kind_weight(kind: CumulantKind, pi: SetPartition) -> Fraction:
+def _kind_weight(kind: CumulantKind, pi: SetPartition) -> int | Fraction:
     if kind is CumulantKind.MONOTONE:
         return Fraction(1, partition_tree_factorial(pi))
-    return Fraction(1)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def _profiles(kind: CumulantKind, n: int):
 
 @lru_cache(maxsize=None)
 def _type_weights(kind: CumulantKind, n: int):
-    weights: dict[tuple[int, ...], Fraction] = {}
+    weights: dict[tuple[int, ...], int | Fraction] = {}
     for pi in partitions_of(n, _LATTICE_OF_KIND[kind]):
         sizes = tuple(sorted(pi.block_sizes()))
         weights[sizes] = weights.get(sizes, 0) + _kind_weight(kind, pi)
@@ -202,8 +202,8 @@ def moments_from_cumulants(kind: CumulantKind, values) -> list:
         total = 0
         for sizes, weight in _profiles(kind, n):
             term = weight
-            for s in sizes:
-                term = term * values[s - 1]
+            for s in sizes:  # value first: Fraction * int count is the fast operator
+                term = values[s - 1] * term
             total = total + term
         out.append(total)
     return out
@@ -220,7 +220,7 @@ def cumulants_from_moments(kind: CumulantKind, moments) -> list:
                 continue  # the top partition carries the unknown
             term = weight
             for s in sizes:
-                term = term * out[s - 1]
+                term = out[s - 1] * term
             acc = acc - term
         out.append(acc)
     return out
@@ -285,21 +285,11 @@ def tilde_transform(moments) -> list:
 def monotone_dilate(cumulants, t) -> list:
     """Moments after scaling every monotone cumulant by t.
 
-    m_n(t) = sum over NC(n) of t^|pi| / tau(pi)! * prod h_{|V|}; t = 1 is
-    the plain moment-cumulant formula and t = -1 gives the tilde companion.
+    m_n(t) = sum over NC(n) of t^|pi| / tau(pi)! * prod h_{|V|}, the plain
+    moment-cumulant formula for the cumulants t * h, since each block
+    carries one factor t; t = -1 gives the tilde companion.
     """
-    cumulants = list(cumulants)
-    t = Fraction(t)
-    out = []
-    for n in range(1, len(cumulants) + 1):
-        total = 0
-        for sizes, weight in _profiles(CumulantKind.MONOTONE, n):
-            term = weight * t ** len(sizes)
-            for s in sizes:
-                term = term * cumulants[s - 1]
-            total = total + term
-        out.append(total)
-    return out
+    return moments_from_cumulants(CumulantKind.MONOTONE, [t * x for x in cumulants])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ Most conversion formulas share one shape,
 where rhs_pi is a partitioned cumulant and the weight w(pi) is 1, a sign,
 1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is a
 `FamilySum` row of the catalog, and `FamilySum.check` is their one
-checker.  The identities of other shapes (permutation sums, lattice-wide
-moment formulas, series, properties of beta) are `IdentityInfo` entries
-with a checker function each.
+checker.  The univariate rows (the alpha expansions of thm2) and the
+Lenczewski sum are summed by block-size type: each type is one product
+of the univariate cumulants that `cumulants_from_moments` gives for the
+moment symbols m_{1..k}.  The identities of other shapes (permutation
+sums, lattice-wide moment formulas, series, properties of beta) are
+`IdentityInfo` entries with a checker function each.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -32,8 +35,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import comb, factorial
+from functools import partial
+from math import comb, factorial, prod
 
 from .algebra import (
     MomentPolynomial,
@@ -174,8 +177,9 @@ class FamilySum:
     before rhs_pi is fetched, and a zero weight skips it.  Rows give the
     weight as a lambda, so the library functions it calls are looked up
     when it runs.  With `univariate`, both sides are compared after all
-    variables are identified.  For n <= `ordered_max_n` (monotone rhs) the
-    sum is checked again in ordered-monotone form: over every monotone
+    variables are identified, and each side is summed by block-size type
+    (`_type_sum`).  For n <= `ordered_max_n` (monotone rhs) the sum is
+    checked again in ordered-monotone form: over every monotone
     order of every pi, each order carrying weight(pi) * tau(pi)! / |pi|!
     (the orders of one pi are counted and summed as one term).
     """
@@ -193,10 +197,10 @@ class FamilySum:
     def check(self, n: int) -> Report:
         if self.lhs is None:
             lhs = moment_monomial(SetPartition.one_block(n))
+        elif self.univariate:
+            lhs = _type_sum(n, self.lhs, [(1, SetPartition.one_block(n))])
         else:
             lhs = cumulant_poly(self.lhs, n)
-        if self.univariate:
-            lhs = lhs.univariate()
         members = partitions_of(n, self.cls)
         rhs = self._sum(n, ((self.weight(pi), pi) for pi in members))
         rep = _compare(self.name, n, lhs, rhs)
@@ -220,10 +224,31 @@ class FamilySum:
 
     def _sum(self, n: int, weighted) -> MomentPolynomial:
         """Sum of w * rhs_pi over (w, pi) pairs, skipping zero weights."""
-        pairs = ((w, partitioned_cumulant(self.rhs, pi)) for w, pi in weighted if w)
         if self.univariate:
-            pairs = ((w, p.univariate()) for w, p in pairs)
+            return _type_sum(n, self.rhs, weighted)
+        pairs = ((w, partitioned_cumulant(self.rhs, pi)) for w, pi in weighted if w)
         return linear_combination(n, pairs)
+
+
+def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
+    """Sum of w * kind_pi over (w, pi) pairs, all variables identified.
+
+    Univariate, kind_pi is the product of u_|V| over the blocks V of pi,
+    so the weights are summed by block-size type, and u_1..u_n are the
+    cumulants of the moment symbols m_{1..k}, from `cumulants_from_moments`.
+    """
+    _check_cumulant_limits(kind, n)
+    by_type: dict[tuple[int, ...], int | Fraction] = {}
+    for w, pi in weighted:
+        sizes = tuple(sorted(pi.block_sizes()))
+        by_type[sizes] = by_type.get(sizes, 0) + w
+    u = cumulants_from_moments(
+        kind, [MomentPolynomial.symbol(k, range(1, k + 1)) for k in range(1, n + 1)]
+    )
+    return linear_combination(n, (
+        (w, prod((u[s - 1] for s in sizes), start=MomentPolynomial.one(n)))
+        for sizes, w in by_type.items() if w
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +402,6 @@ def _check_monotone_flow_integer(n):
     return _quantified("monotone_flow_integer", n, failures, len(seqs) * 25)
 
 
-def _univariate_partitioned(kind: CumulantKind, sizes) -> MomentPolynomial:
-    """Product of the univariate cumulants of the given block sizes.
-
-    The limits are checked on every call, hit or miss, as in
-    `partitioned_cumulant`, so the cache never serves past a lowered limit.
-    """
-    _check_cumulant_limits(kind, max(sizes))
-    return _univariate_product(kind, sizes)
-
-
-@lru_cache(maxsize=None)
-def _univariate_cumulant(kind: CumulantKind, k: int) -> MomentPolynomial:
-    return cumulant_poly(kind, k).univariate()
-
-
-@lru_cache(maxsize=None)
-def _univariate_product(kind: CumulantKind, sizes) -> MomentPolynomial:
-    out = MomentPolynomial.one(max(sizes))
-    for s in sizes:
-        out = out * _univariate_cumulant(kind, s)
-    return out
-
-
 def lenczewski_sum_check(n: int, colors: int) -> Report:
     """Check sum over NC(n) of P_pi(N) r_pi against the moment of the
     N-fold monotone dilation, as exact univariate moment polynomials."""
@@ -408,22 +410,13 @@ def lenczewski_sum_check(n: int, colors: int) -> Report:
     if not 1 <= colors <= 5:
         raise ValueError("colors must be in 1..5")
     members = partitions_of(n, "noncrossing")
-    lhs = linear_combination(
-        n,
-        (
-            (labelling_polynomial_of(pi).evaluate(colors),
-             _univariate_partitioned(R, pi.block_sizes()))
-            for pi in members
-        ),
-    )
-    rhs = linear_combination(
-        n,
-        (
-            (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi),
-             _univariate_partitioned(H, pi.block_sizes()))
-            for pi in members
-        ),
-    )
+    lhs = _type_sum(n, R, (
+        (labelling_polynomial_of(pi).evaluate(colors), pi) for pi in members
+    ))
+    rhs = _type_sum(n, H, (
+        (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
+        for pi in members
+    ))
     return _compare("lenczewski_sum", n, lhs, rhs, {"colors": colors})
 
 

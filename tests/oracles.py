@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from cumulantcalc.algebra import TruncatedSeries
-from cumulantcalc.cumulants import CumulantKind
+from cumulantcalc.algebra import TruncatedSeries, linear_combination
+from cumulantcalc.cumulants import CumulantKind, partitioned_cumulant
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.partitions import (
     SetPartition,
@@ -209,6 +209,14 @@ def cumulants_per_partition(kind, moments) -> list:
                 acc -= w * _block_product(sizes, out)
         out.append(acc)
     return out
+
+
+def univariate_sum_per_partition(n: int, kind, weighted):
+    """Sum of w * kind_pi over (w, pi) pairs, one multivariate partitioned
+    cumulant per set partition, with the variables identified afterwards."""
+    return linear_combination(
+        n, ((w, partitioned_cumulant(kind, pi).univariate()) for w, pi in weighted if w)
+    )
 
 
 # --- moment polynomials as Fraction dicts ------------------------------------

@@ -175,6 +175,20 @@ def test_verify_all_6_golden_digest(capsys):
     )
 
 
+def test_verify_univariate_rows_golden_digests(capsys):
+    # pins the univariate rows beyond the n <= 6 of `verify --all 6`
+    golden = {
+        ("thm2_free2mono", "9"): "f4726347dfe58e04b8db9c3fdeec3f2acf2a94575623bc54c57684ba117b19ef",
+        ("thm2_boolean2mono", "9"): "b2fc17df5ed66ddb15592bd38d4086d642b9cb4246d943d212480c19c3dfccc2",
+        ("thm2_class2mono", "7"): "da6b1f9c44e1f2742c1b10a6ab3e4d83148070c8ed8bada20ef13ff270a7d8f0",
+        ("lenczewski_sum", "7"): "fc6e707a826ec62b06fb5036448275a7f41736245c9ce5892e4f994ba81d5c97",
+    }
+    for (name, n), digest in golden.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 def test_verify_json_determinism(capsys):
     _, out1, _ = run_cli(capsys, "--format", "json", "verify", "series_R", "5")
     _, out2, _ = run_cli(capsys, "--format", "json", "verify", "series_R", "5")

@@ -131,6 +131,16 @@ def test_sequences_match_polynomials():
             assert cumulant_poly(kind, n).univariate().evaluate(val) == seq[n - 1]
 
 
+def test_univariate_cumulants_of_moment_symbols():
+    # cumulants_from_moments on the symbols m_{1..k} is the identified
+    # multivariate cumulant polynomial
+    symbols = [sym(k, range(1, k + 1)) for k in range(1, 8)]
+    for kind in CumulantKind:
+        got = cumulants_from_moments(kind, symbols)
+        for k in range(1, 8):
+            assert got[k - 1] == cumulant_poly(kind, k).univariate(), (kind, k)
+
+
 def test_convert_sequence_examples():
     vals = [Fraction(1), Fraction(2), Fraction(7)]
     assert convert_sequence("classical", "classical", vals) == vals
@@ -155,8 +165,10 @@ def test_conversion_round_trips():
         n = rng.randint(1, 9)
         m = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
         for kind in ("classical", "free", "boolean", "monotone"):
-            back = convert_sequence(kind, "moments", convert_sequence("moments", kind, m))
+            there = convert_sequence("moments", kind, m)
+            back = convert_sequence(kind, "moments", there)
             assert back == m
+            assert all(type(v) is Fraction for v in there + back)
 
 
 def test_tilde_transform():
@@ -385,6 +397,8 @@ def test_type_weights_closed_counts():
                 else:
                     continue
                 assert weight == expect, (kind, n, sizes)
+                if kind is not H:
+                    assert type(weight) is int
         # every integer partition of n is the type of some noncrossing partition
         nc_types = {sizes for sizes, _ in _profiles(R, n)}
         assert nc_types == {sizes for sizes, _ in _profiles(H, n)}

@@ -1,10 +1,15 @@
 """The identity catalog: entry point behavior plus a small-n sweep."""
 
+from fractions import Fraction
+
 import pytest
 
+from cumulantcalc.cumulants import CumulantKind
+from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
 from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
+    _type_sum,
     experimental_thm2_multivariate,
     identity_limit,
     identity_names,
@@ -13,6 +18,8 @@ from cumulantcalc.identities import (
     verify_identity,
 )
 from cumulantcalc.limits import ResourceLimitError
+from cumulantcalc.partitions import partitions_of
+from oracles import univariate_sum_per_partition
 
 
 def test_catalog_is_complete():
@@ -107,8 +114,48 @@ def test_deterministic_reports():
 
 
 def test_univariate_caches_check_a_lowered_limit(monkeypatch):
-    # the univariate cumulant products are cached; a hit must still check
+    # the type weights behind the univariate sums are cached; a warm call
+    # must still check the cumulant limits
     assert lenczewski_sum_check(5, 1).holds
     monkeypatch.setenv("CUMULANTCALC_MAX_CUMULANT_OTHER", "3")
     with pytest.raises(ResourceLimitError):
         lenczewski_sum_check(5, 1)
+
+
+@pytest.mark.parametrize("name, env, low", [
+    ("thm2_free2mono", "CUMULANTCALC_MAX_CUMULANT_OTHER", 3),
+    ("thm2_class2mono", "CUMULANTCALC_MAX_CUMULANT_CLASSICAL", 4),
+])
+def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, env, low):
+    # warm, the rows still check the cumulant limit, and it binds at n itself
+    key = env.removeprefix("CUMULANTCALC_MAX_").lower().replace("_", "-")
+    assert verify_identity(name, 5).holds
+    monkeypatch.setenv(env, "5")
+    assert verify_identity(name, 5).holds
+    for bound in (4, low):
+        monkeypatch.setenv(env, str(bound))
+        with pytest.raises(ResourceLimitError, match=key):
+            verify_identity(name, 5)
+
+
+def test_type_sum_matches_per_partition_oracle():
+    for name in ("thm2_free2mono", "thm2_boolean2mono", "thm2_class2mono"):
+        row = IDENTITY_CATALOG[name]
+        for n in range(1, 8):
+            weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
+            expected = univariate_sum_per_partition(n, row.rhs, weighted)
+            assert _type_sum(n, row.rhs, weighted) == expected, (name, n)
+    # both sides of the Lenczewski sum
+    for n in range(1, 7):
+        members = partitions_of(n, "noncrossing")
+        for colors in range(1, 6):
+            sides = [
+                (CumulantKind.FREE,
+                 [(labelling_polynomial_of(pi).evaluate(colors), pi) for pi in members]),
+                (CumulantKind.MONOTONE,
+                 [(Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
+                  for pi in members]),
+            ]
+            for kind, weighted in sides:
+                expected = univariate_sum_per_partition(n, kind, weighted)
+                assert _type_sum(n, kind, weighted) == expected, (kind, n, colors)
