@@ -16,6 +16,20 @@ Bernoulli convention
 evaluated at 1, so ``bernoulli_number(1) == +1/2``.  The polynomials B_n(x)
 are the coefficients of z*exp(x*z)/(exp(z) - 1) = sum B_n(x) z^n / n!.
 
+Truncated series
+----------------
+A series of order N keeps the integer numerators of its coefficients of
+z^0 .. z^N over one positive denominator, reduced so that the denominator
+shares no factor with all the numerators (the zero series has denominator
+1); equality is therefore canonical and decided on the integers.  Every
+operation works on the numerators and reduces once at the end: a product
+is one integer convolution over the product of the denominators, a sum
+works over their lcm, composition is Horner's rule with the inner
+denominator's powers, and the reciprocal of a with a_0 != 0 is the
+integer recursion P_k = -sum_{j=1..k} a_j P_(k-j) a_0^(j-1) over
+a_0^(N+1).  At the boundary (construction, ``coeffs``, ``coefficient``
+and the text form) coefficients are Fractions.
+
 Moment polynomials
 ------------------
 A moment symbol m_S is indexed by a nonempty subset S of [n] and stands for
@@ -232,28 +246,60 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class TruncatedSeries:
-    """Formal power series over Fraction truncated at a fixed order.
+def _convolve(a, b, order: int) -> list[int]:
+    """The coefficients z^0 .. z^order of the product of two integer sequences."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for k, y in enumerate(b[: order + 1 - i], i):
+                out[k] += x * y
+    return out
 
-    A series of order N stores the coefficients of z^0 .. z^N; all
-    operations discard higher terms.  Mixing two orders takes the minimum
-    and marks the result with ``order_mixed = True`` (metadata only: it
-    never affects equality).
+
+class TruncatedSeries:
+    """Formal power series over the rationals truncated at a fixed order.
+
+    A series of order N holds the coefficients of z^0 .. z^N as integer
+    numerators ``nums`` over one denominator ``den`` > 0, in lowest terms
+    (see "Truncated series" in the module docstring); ``coeffs`` and
+    ``coefficient`` give them as Fractions.  All operations discard higher
+    terms.  Mixing two orders takes the minimum and marks the result with
+    ``order_mixed = True`` (metadata only: it never affects equality).
     """
 
-    __slots__ = ("order", "coeffs", "order_mixed")
+    __slots__ = ("order", "nums", "den", "order_mixed")
 
     def __init__(self, coeffs, order: int | None = None, order_mixed: bool = False):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1 if cs else 0
         if order < 0:
             raise ValueError("series order must be nonnegative")
         cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = tuple(cs)
+        # the lcm of reduced denominators leaves no factor common to all numerators
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums += [0] * (order + 1 - len(nums))
+        self.nums = tuple(nums)
+        self.den = den
         self.order = order
         self.order_mixed = order_mixed
+
+    @classmethod
+    def _wrap(cls, order: int, nums, den: int, mixed: bool) -> "TruncatedSeries":
+        """Wrap order + 1 integer numerators over den != 0, reduced to lowest terms."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+        out = cls.__new__(cls)
+        out.order = order
+        out.nums = tuple(nums)
+        out.den = den
+        out.order_mixed = mixed
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -275,11 +321,19 @@ class TruncatedSeries:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
+
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k <= self.order else Fraction(0)
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs[: order + 1], order, self.order_mixed)
+        if order < 0:
+            raise ValueError("series order must be nonnegative")
+        nums = self.nums[: order + 1] + (0,) * (order - self.order)
+        return TruncatedSeries._wrap(order, nums, self.den, self.order_mixed)
 
     def _align(self, other: "TruncatedSeries"):
         order = min(self.order, other.order)
@@ -289,35 +343,42 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.nums))
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _shift(self, c, sign: int) -> "TruncatedSeries":
+        """self + sign * c for a rational constant c."""
+        c = Fraction(c)
+        d = lcm(self.den, c.denominator)
+        f = d // self.den
+        nums = [a * f for a in self.nums]
+        nums[0] += sign * c.numerator * (d // c.denominator)
+        return TruncatedSeries._wrap(self.order, nums, d, self.order_mixed)
+
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            cs = list(self.coeffs)
-            cs[0] += Fraction(other)
-            return TruncatedSeries(cs, self.order, self.order_mixed)
+            return self._shift(other, 1)
         order, mixed = self._align(other)
-        return TruncatedSeries(
-            [self.coefficient(k) + other.coefficient(k) for k in range(order + 1)],
-            order,
-            mixed,
-        )
+        d = lcm(self.den, other.den)
+        f, g = d // self.den, d // other.den
+        nums = [a * f + b * g for a, b in zip(self.nums[: order + 1], other.nums)]
+        return TruncatedSeries._wrap(order, nums, d, mixed)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order, self.order_mixed)
+        return TruncatedSeries._wrap(
+            self.order, [-a for a in self.nums], self.den, self.order_mixed
+        )
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            cs = list(self.coeffs)
-            cs[0] -= Fraction(other)
-            return TruncatedSeries(cs, self.order, self.order_mixed)
+            return self._shift(other, -1)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -326,62 +387,72 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             c = Fraction(other)
-            return TruncatedSeries(
-                [c * a for a in self.coeffs], self.order, self.order_mixed
+            return TruncatedSeries._wrap(
+                self.order, [c.numerator * a for a in self.nums],
+                self.den * c.denominator, self.order_mixed,
             )
         order, mixed = self._align(other)
-        out = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            a = self.coefficient(i)
-            if a:
-                for j in range(order + 1 - i):
-                    b = other.coefficient(j)
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(out, order, mixed)
+        nums = _convolve(self.nums, other.nums, order)
+        return TruncatedSeries._wrap(order, nums, self.den * other.den, mixed)
 
     __rmul__ = __mul__
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Return self(inner); `inner` must have zero constant term."""
-        if inner.coefficient(0) != 0:
+        """Return self(inner); `inner` must have zero constant term.
+
+        Horner's rule on numerators: with self = P/p and inner = Q/q,
+        A_N = P_N and A_k = A_{k+1} Q + P_k q^(N-k) give
+        self(inner) = A_0 / (p q^N).
+        """
+        if inner.nums[0]:
             raise ValueError("series composition needs zero constant term inside")
         order, mixed = self._align(inner)
-        acc = TruncatedSeries.zero(order)
-        for c in reversed(self.coeffs[: order + 1]):
-            acc = acc * inner.truncate(order) + c
-        acc.order_mixed = acc.order_mixed or mixed
-        return acc
+        q, inner_nums = inner.den, inner.nums
+        acc = [0] * (order + 1)
+        power = 1  # q^(N-k)
+        for a in reversed(self.nums[: order + 1]):
+            acc = _convolve(acc, inner_nums, order)
+            acc[0] += a * power
+            power *= q
+        return TruncatedSeries._wrap(order, acc, self.den * q**order, mixed)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
-        c0 = self.coefficient(0)
-        if c0 == 0:
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        For numerators a over d, 1/a = sum_k P_k z^k / a_0^(k+1) with
+        P_0 = 1 and P_k = -sum_{j=1..k} a_j P_{k-j} a_0^(j-1), all integers;
+        so the inverse is d P_k a_0^(N-k) over a_0^(N+1).
+        """
+        a = self.nums
+        if not a[0]:
             raise ValueError("series reciprocal needs a nonzero constant term")
-        inv0 = Fraction(1) / c0
-        out = [inv0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += self.coefficient(j) * out[k - j]
-            out[k] = -inv0 * s
-        return TruncatedSeries(out, self.order, self.order_mixed)
+        order = self.order
+        powers = [1]  # a_0^i for i = 0..N
+        for _ in range(order):
+            powers.append(powers[-1] * a[0])
+        p = [1] + [0] * order
+        for k in range(1, order + 1):
+            p[k] = -sum(a[j] * p[k - j] * powers[j - 1] for j in range(1, k + 1))
+        nums = [self.den * p[k] * powers[order - k] for k in range(order + 1)]
+        return TruncatedSeries._wrap(order, nums, powers[order] * a[0], self.order_mixed)
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term 1 (zero constant term out).
 
-        Uses the termwise recurrence derived from f = exp(l), f' = l' f:
-        l_k = f_k - (1/k) * sum_{j<k} j * l_j * f_{k-j}.
+        The integral of f'/f: l_k = [z^(k-1)](f' * (1/f)) / k, over the
+        common denominator lcm(1..N) of the 1/k.
         """
-        if self.coefficient(0) != 1:
+        if self.nums[0] != self.den:
             raise ValueError("series log needs constant term 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for k in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, k):
-                s += j * out[j] * self.coefficient(k - j)
-            out[k] = self.coefficient(k) - s / k
-        return TruncatedSeries(out, self.order, self.order_mixed)
+        order = self.order
+        inverse = self.reciprocal()
+        derivative = [k * a for k, a in enumerate(self.nums)][1:]
+        quotient = _convolve(derivative, inverse.nums, order - 1)
+        scale = lcm(*range(1, order + 1))
+        nums = [0] + [quotient[k - 1] * (scale // k) for k in range(1, order + 1)]
+        return TruncatedSeries._wrap(
+            order, nums, self.den * inverse.den * scale, self.order_mixed
+        )
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term.

@@ -21,6 +21,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .algebra import rational_from_str, rational_to_str
@@ -361,7 +362,10 @@ def _cmd_graph(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call: it reads no environment, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cumulantcalc",
         description="Exact cumulant combinatorics: enumeration, identity "

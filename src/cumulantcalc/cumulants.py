@@ -13,10 +13,12 @@ Cumulant families (multivariate, as polynomials in moment symbols):
 
 Univariate sequences use moments as the universal pivot basis: every
 family has a defining moment-cumulant sum over its lattice, evaluated or
-triangularly inverted with exact rationals.  The sums are grouped by
-block-size type (an integer partition of n), one term per type with the
-summed weight of its lattice members, instead of one term per set
-partition.
+triangularly inverted exactly.  The sums are grouped by block-size type
+(an integer partition of n), one term per type with the summed weight of
+its lattice members, instead of one term per set partition.  Rational
+sequences are summed in integers: the k-th value is scaled by D^k, D the
+lcm of the denominators, and the k-th result divided by D^k at the end
+(`_scaled`).
 
 The beta coefficients express classical cumulants in the monotone family:
 K_n = sum over P(n) of beta(pi) H_pi.  Two independent routes are
@@ -39,7 +41,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import (
     MomentPolynomial,
@@ -172,14 +174,16 @@ partitioned_cumulant.cache_clear = _partitioned_cumulant.cache_clear
 
 
 def _profiles(kind: CumulantKind, n: int):
-    """(sorted block sizes, summed weight) for every block-size type.
+    """The block-size types of the kind's lattice at n, with their weights.
 
     The terms of a univariate moment-cumulant sum depend on a partition
     only through its block sizes, so the sum over the kind's lattice is
-    grouped by type: the weight of a type is the number of partitions of
-    that type (K, R, B), or the sum of 1/tau(pi)! over them (H).  The
-    limit is checked on every call, so a lowered limit is never bypassed
-    by the cache.
+    grouped by type (the sorted block sizes): the weight of a type is the
+    number of partitions of that type (K, R, B), or the sum of 1/tau(pi)!
+    over them (H).  Returns (L, ((sizes, L * weight), ...)): integer
+    numerators over the common denominator L of the weights, which is 1
+    except for H.  The limit is checked on every call, so a lowered limit
+    is never bypassed by the cache.
     """
     check_limit(_LATTICE_OF_KIND[kind], n)
     return _type_weights(kind, n)
@@ -191,39 +195,90 @@ def _type_weights(kind: CumulantKind, n: int):
     for pi in partitions_of(n, _LATTICE_OF_KIND[kind]):
         sizes = tuple(sorted(pi.block_sizes()))
         weights[sizes] = weights.get(sizes, 0) + _kind_weight(kind, pi)
-    return tuple(weights.items())
+    den = lcm(*(w.denominator for w in weights.values()))
+    return den, tuple(
+        (sizes, w.numerator * (den // w.denominator)) for sizes, w in weights.items()
+    )
 
 
-def moments_from_cumulants(kind: CumulantKind, values) -> list:
-    """m_n = sum over the lattice of weight * prod of cumulants per block."""
-    values = list(values)
+def _scaled(values):
+    """Rational values, with a Fraction among them, scaled to integers.
+
+    With D the lcm of the denominators, x_k = v_k D^k is an integer.  Give
+    v_k the weight k: the term of type lambda in the moment-cumulant sum at
+    n has weight lambda_1 + ... + lambda_k = n, so on the x_k every term at
+    n, and the sum, is D^n times its value, and the inversion solves for
+    D^n times the n-th cumulant.  The sums therefore run on the x_k in
+    integers, and `_unscaled` divides result n by D^n.  Returns
+    (D, [x_1, x_2, ...]), or (None, values) for input that is left as it
+    is: ints, and symbolic values (moment polynomials, polynomials).
+    """
+    if all(type(v) is int for v in values) or not all(
+        isinstance(v, (int, Fraction)) for v in values
+    ):
+        return None, values
+    d = lcm(*(v.denominator for v in values))
+    scaled = []
+    power = 1
+    for v in values:
+        power *= d
+        scaled.append(v.numerator * (power // v.denominator))
+    return d, scaled
+
+
+def _unscaled(d: int | None, values) -> list:
+    """Term k of a sequence scaled by `_scaled` divided by D^k."""
+    if d is None:
+        return values
     out = []
-    for n in range(1, len(values) + 1):
-        total = 0
-        for sizes, weight in _profiles(kind, n):
-            term = weight
-            for s in sizes:  # value first: Fraction * int count is the fast operator
-                term = values[s - 1] * term
-            total = total + term
-        out.append(total)
+    power = 1
+    for v in values:
+        power *= d
+        out.append(Fraction(v, power))
     return out
 
 
+def moments_from_cumulants(kind: CumulantKind, values) -> list:
+    """m_n = sum over the lattice of weight * prod of cumulants per block.
+
+    Rational input with a Fraction among it runs on the integers v_k D^k
+    (`_scaled`) and gives Fractions; int input gives ints for K, R and B,
+    and symbolic input is summed as it is.
+    """
+    d, values = _scaled(list(values))
+    out = []
+    for n in range(1, len(values) + 1):
+        den, weights = _profiles(kind, n)
+        total = 0
+        for sizes, weight in weights:
+            term = weight
+            for s in sizes:
+                term = values[s - 1] * term
+            total = total + term
+        out.append(total if den == 1 else total * Fraction(1, den))
+    return _unscaled(d, out)
+
+
 def cumulants_from_moments(kind: CumulantKind, moments) -> list:
-    """Triangular inversion of the defining moment-cumulant sum."""
-    moments = list(moments)
+    """Triangular inversion of the defining moment-cumulant sum.
+
+    Input is scaled as in `moments_from_cumulants`: on the integers
+    m_k D^k the unknown solved for at n is D^n times the n-th cumulant.
+    """
+    d, moments = _scaled(list(moments))
     out: list = []
     for n in range(1, len(moments) + 1):
-        acc = moments[n - 1]
-        for sizes, weight in _profiles(kind, n):
+        den, weights = _profiles(kind, n)
+        acc = moments[n - 1] if den == 1 else moments[n - 1] * den
+        for sizes, weight in weights:
             if len(sizes) == 1:
-                continue  # the top partition carries the unknown
+                continue  # the top partition carries the unknown, weight 1
             term = weight
             for s in sizes:
                 term = out[s - 1] * term
             acc = acc - term
-        out.append(acc)
-    return out
+        out.append(acc if den == 1 else acc * Fraction(1, den))
+    return _unscaled(d, out)
 
 
 _SEQUENCE_KINDS = {
@@ -316,25 +371,55 @@ def boolean_poisson_kappa(n: int) -> Polynomial:
 
 
 def _det(matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with row pivoting."""
-    m = [row[:] for row in matrix]
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers by the lcm d_i of its denominators, so
+    det = det(scaled) / prod d_i.  On the integer matrix, step k replaces
+    every entry (i, j) with i, j > k by (a_ij a_kk - a_ik a_kj) / p, p the
+    pivot of step k - 1 (1 at the first step); the division is exact, and
+    the last pivot is the determinant.  A zero pivot is swapped with a row
+    below, which flips the sign; a column with no nonzero pivot gives 0.
+    """
+    m = []
+    scale = 1
+    for row in matrix:
+        d = lcm(*(v.denominator for v in row))
+        scale *= d
+        m.append([v.numerator * (d // v.denominator) for v in row])
     size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= f * m[col][c]
-    return det
+    sign = 1
+    previous = 1
+    for k in range(size):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * p - a * top[j]) // previous
+        previous = p
+    return Fraction(sign * previous, scale)
+
+
+def _leading_minors(n: int, superdiagonal, entry) -> list[Fraction]:
+    """The leading principal minors of order 1..n of a lower Hessenberg matrix.
+
+    The matrix has entry(i, j) on and below the diagonal, superdiagonal(i)
+    at (i, i + 1) and zeros above (1-based); the entries do not depend on
+    the order, so the matrix is built once and each minor is the `_det` of
+    its leading block.
+    """
+    matrix = [
+        [entry(i, j) if j <= i else superdiagonal(i) if j == i + 1 else 0
+         for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    return [_det([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
 
 
 def determinant_cumulants(kind: str, moments) -> list[Fraction]:
@@ -346,32 +431,24 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
     m entries.  Must agree with the Moebius route.
     """
     moments = [Fraction(v) for v in moments]
-    n = len(moments)
 
     def m(i):
         return moments[i - 1]
 
+    if kind == "classical":
+        def entry(i, j):
+            if j == 1:
+                return m(i) / factorial(i - 1)
+            return m(i - j + 1) / factorial(i - j + 1)
+    elif kind == "boolean":
+        def entry(i, j):
+            return m(i - j + 1)
+    else:
+        raise ValueError(f"unknown determinant kind {kind!r}")
+    minors = _leading_minors(len(moments), lambda i: 1, entry)
     out = []
-    for k in range(1, n + 1):
-        rows = []
-        for i in range(1, k + 1):
-            row = []
-            for j in range(1, k + 1):
-                if j == i + 1:
-                    row.append(Fraction(1))
-                elif j > i + 1:
-                    row.append(Fraction(0))
-                elif kind == "classical":
-                    if j == 1:
-                        row.append(m(i) / factorial(i - 1))
-                    else:
-                        row.append(m(i - j + 1) / factorial(i - j + 1))
-                elif kind == "boolean":
-                    row.append(m(i - j + 1))
-                else:
-                    raise ValueError(f"unknown determinant kind {kind!r}")
-            rows.append(row)
-        value = (-1) ** (k - 1) * _det(rows)
+    for k, det in enumerate(minors, start=1):
+        value = (-1) ** (k - 1) * det
         if kind == "classical":
             value *= factorial(k - 1)
         out.append(value)
@@ -381,30 +458,17 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
 def determinant_moments(kind: str, cumulants) -> list[Fraction]:
     """Inverse determinants: moments from classical or Boolean cumulants."""
     cumulants = [Fraction(v) for v in cumulants]
-    n = len(cumulants)
 
     def c(i):
         return cumulants[i - 1]
 
-    out = []
-    for k in range(1, n + 1):
-        rows = []
-        for i in range(1, k + 1):
-            row = []
-            for j in range(1, k + 1):
-                if j == i + 1:
-                    row.append(Fraction(-i if kind == "classical" else -1))
-                elif j > i + 1:
-                    row.append(Fraction(0))
-                elif kind == "classical":
-                    row.append(c(i - j + 1) / factorial(i - j))
-                elif kind == "boolean":
-                    row.append(c(i - j + 1))
-                else:
-                    raise ValueError(f"unknown determinant kind {kind!r}")
-            rows.append(row)
-        out.append(_det(rows))
-    return out
+    if kind == "classical":
+        return _leading_minors(
+            len(cumulants), lambda i: -i, lambda i, j: c(i - j + 1) / factorial(i - j)
+        )
+    if kind == "boolean":
+        return _leading_minors(len(cumulants), lambda i: -1, lambda i, j: c(i - j + 1))
+    raise ValueError(f"unknown determinant kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here recomputes a quantity by a route different from the one
 the library takes: exhaustive search instead of closed forms, direct
 summation instead of recurrences, termwise series instead of Newton
-iteration, Fraction-dict moment polynomials instead of the integer kernel.
+iteration, Fraction-dict moment polynomials and Fraction-coefficient series
+instead of the integer kernels, Gaussian elimination instead of Bareiss.
 Oracles intentionally stay naive and slow.
 """
 
@@ -349,6 +350,74 @@ def tutte_random_order(edges, x, y, rng) -> Fraction:
 
 
 # --- series oracles --------------------------------------------------------
+#
+# The Fraction-coefficient routes the integer series kernel replaced.  A
+# series is its coefficient list c_0 .. c_N (order N = len - 1); binary
+# operations truncate to the smaller order.
+
+
+def fs_add(a, b) -> list:
+    return [Fraction(x) + y for x, y in zip(a, b)]
+
+
+def fs_mul(a, b) -> list:
+    order = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += Fraction(a[i]) * b[j]
+    return out
+
+
+def fs_compose(f, g) -> list:
+    """f(g) by Horner's rule; g must have zero constant term."""
+    assert g[0] == 0
+    order = min(len(f), len(g)) - 1
+    acc = [Fraction(0)] * (order + 1)
+    for c in reversed(f[: order + 1]):
+        acc = fs_mul(acc, g[: order + 1])
+        acc[0] += c
+    return acc
+
+
+def fs_reciprocal(f) -> list:
+    """b_0 = 1/f_0, b_k = -(1/f_0) sum_{j=1..k} f_j b_{k-j}."""
+    inv0 = 1 / Fraction(f[0])
+    out = [inv0]
+    for k in range(1, len(f)):
+        out.append(-inv0 * sum((f[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)))
+    return out
+
+
+def fs_log(f) -> list:
+    """f = exp(l), f' = l' f: l_k = f_k - (1/k) sum_{j<k} j l_j f_{k-j}."""
+    assert f[0] == 1
+    out = [Fraction(0)] * len(f)
+    for k in range(1, len(f)):
+        s = sum((j * out[j] * f[k - j] for j in range(1, k)), Fraction(0))
+        out[k] = f[k] - s / k
+    return out
+
+
+def det_by_elimination(matrix) -> Fraction:
+    """Gaussian elimination over Fractions with row pivoting."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, size):
+            f = m[r][col] / m[col][col]
+            for c in range(col, size):
+                m[r][c] -= f * m[col][c]
+    return det
+
 
 
 def exp_termwise(g: TruncatedSeries) -> TruncatedSeries:

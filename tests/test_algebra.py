@@ -21,7 +21,17 @@ from cumulantcalc.algebra import (
 )
 from cumulantcalc.partitions import SetPartition
 
-from oracles import exp_termwise, fd_add, fd_from_sorted_terms, fd_mul
+from oracles import (
+    exp_termwise,
+    fd_add,
+    fd_from_sorted_terms,
+    fd_mul,
+    fs_add,
+    fs_compose,
+    fs_log,
+    fs_mul,
+    fs_reciprocal,
+)
 
 
 def test_rational_strings():
@@ -152,6 +162,59 @@ def test_exp_log_roundtrip_and_termwise_oracle():
         )
         assert g.exp() == exp_termwise(g)
         assert g.exp().log() == g
+
+
+def _random_coeffs(rng, order, zero_weight=3):
+    """order + 1 rationals, some of them zero, some negative."""
+    return [
+        Fraction(0) if rng.randrange(zero_weight) == 0
+        else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for _ in range(order + 1)
+    ]
+
+
+def _assert_kernel_matches(got: TruncatedSeries, expected, mixed: bool):
+    # lowest terms: equal to the series built from the oracle's Fractions,
+    # with no factor shared by the denominator and every numerator
+    order = len(expected) - 1
+    assert got == TruncatedSeries(expected, order)
+    assert got.coeffs == tuple(expected)
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    assert got.order_mixed is mixed
+
+
+def test_series_kernel_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    zero = TruncatedSeries.zero
+    for _ in range(300):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        a = TruncatedSeries(_random_coeffs(rng, m), m)
+        if rng.randrange(10) == 0:
+            a = zero(m)
+        b = TruncatedSeries(_random_coeffs(rng, n), n)
+        ac, bc = list(a.coeffs), list(b.coeffs)
+        mixed = m != n
+        _assert_kernel_matches(a + b, fs_add(ac, bc), mixed)
+        _assert_kernel_matches(a - b, fs_add(ac, [-c for c in bc]), mixed)
+        _assert_kernel_matches(a * b, fs_mul(ac, bc), mixed)
+        _assert_kernel_matches(a * zero(m), [Fraction(0)] * (m + 1), False)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        _assert_kernel_matches(a * c, [c * x for x in ac], False)
+        _assert_kernel_matches(c + a, [ac[0] + c] + ac[1:], False)
+        _assert_kernel_matches(c - a, [c - ac[0]] + [-x for x in ac[1:]], False)
+        inner = TruncatedSeries([0] + bc[1:], n)
+        _assert_kernel_matches(a.compose(inner), fs_compose(ac, [Fraction(0)] + bc[1:]), mixed)
+        if ac[0]:
+            _assert_kernel_matches(a.reciprocal(), fs_reciprocal(ac), False)
+        unit = TruncatedSeries([1] + ac[1:], m)
+        _assert_kernel_matches(unit.log(), fs_log([Fraction(1)] + ac[1:]), False)
+    # mixing orders marks the result, and the mark travels on
+    a = TruncatedSeries([1, Fraction(-1, 2), 3], 2)
+    mixed = a * TruncatedSeries([1, 1], 1)
+    assert mixed.order_mixed and mixed.order == 1
+    assert (mixed + TruncatedSeries([1, 1], 1)).order_mixed
+    assert mixed.reciprocal().order_mixed and mixed.log().order_mixed
+    assert (-mixed).order_mixed and mixed.truncate(3).order_mixed
 
 
 def test_series_order_mixing_flag():

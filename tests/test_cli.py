@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cumulantcalc import limits
-from cumulantcalc.cli import main
+from cumulantcalc.cli import build_parser, main
 from cumulantcalc.partitions import partitions_of
 from cumulantcalc.permutations import eulerian
 
@@ -189,6 +191,41 @@ def test_verify_univariate_rows_golden_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+def test_verify_series_rows_golden_digests(capsys):
+    # pins the rows of the integer series, conversion and determinant kernels
+    golden = {
+        "series_B": "83ec528c27fcfe1d3946300274c7660e3015e363ac03826afa2aecb218ad771f",
+        "series_R": "42b1407b5d1c356731e94a1723947dcca81984dce0b176afceb5be96f2fe4ff3",
+        "swap_identities": "0c2bfb8443bbc7bfee520fa02e5a3be041d0b0c810b187fef15e5fc1da631f57",
+        "tilde_lemma": "ee177e3b88a66da745a9909990d67b7cce0023197191406879f235b708486e67",
+        "monotone_flow_integer":
+            "5203f872e97137d4dbbe981ff260ad3ae3fbaade111e369bdec3ff8b1c72ef51",
+        "determinant_formulas":
+            "6244666c0200871ee836d5a313e082912ff45d8d1267651c6609818f7cc12de0",
+    }
+    for name, digest in golden.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", name, "8")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_convert_chain_golden_digest(capsys):
+    # five conversions, each fed the previous output, back to the start
+    values = '["1","-1/2","2/3","0","5/7","-3","1/9","4"]'
+    start = values
+    outs = []
+    for src, dst in (("moments", "classical"), ("classical", "free"), ("free", "boolean"),
+                     ("boolean", "monotone"), ("monotone", "moments")):
+        code, out, _ = run_cli(capsys, "convert", src, dst, values)
+        assert code == 0
+        outs.append(out)
+        values = out.strip()
+    assert values == start
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "1e10e4c2ca5fc46e31222d87391266ccb13784904ae0b521a3ae8e6fc183f3b9"
+    )
+
+
 def test_verify_json_determinism(capsys):
     _, out1, _ = run_cli(capsys, "--format", "json", "verify", "series_R", "5")
     _, out2, _ = run_cli(capsys, "--format", "json", "verify", "series_R", "5")
@@ -208,6 +245,27 @@ def test_convert(capsys):
     assert code == 0 and out.strip() == '["1","2","4","8"]'
     code, out, _ = run_cli(capsys, "convert", "classical", "classical", '["1","1/2"]')
     assert code == 0 and out.strip() == '["1","1/2"]'
+
+
+def test_main_calls_share_the_parser_and_stay_independent(capsys, monkeypatch):
+    # the parser is built once per process; back-to-back calls behave as
+    # two cold calls would
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "moments"])  # argparse usage error: missing arguments
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "convert", "moments", "free", '["1","1","1"]')
+    assert (code, out, err) == (0, '["1","0","0"]\n', "")
+    monkeypatch.setenv("CUMULANTCALC_FORMAT", "json")
+    code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "1")
+    assert code == 0 and json.loads(out)[0]["identity"] == "cor9_factorial"
+    monkeypatch.setenv("CUMULANTCALC_FORMAT", "text")
+    code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "1")
+    assert (code, out) == (0, "ok cor9_factorial n=1 sum=1\n")
+    monkeypatch.delenv("CUMULANTCALC_FORMAT")
+    code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "1")
+    assert code == 0 and json.loads(out)[0]["holds"]
 
 
 def test_convert_errors(capsys):

@@ -9,6 +9,7 @@ import pytest
 from cumulantcalc.algebra import MomentPolynomial, Polynomial
 from cumulantcalc.cumulants import (
     CumulantKind,
+    _det,
     _profiles,
     beta,
     beta_formula,
@@ -33,6 +34,7 @@ from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions
 from cumulantcalc.permutations import eulerian_polynomial
 from oracles import (
     cumulants_per_partition,
+    det_by_elimination,
     fd_cumulant,
     fd_partitioned_cumulant,
     moments_per_partition,
@@ -251,6 +253,27 @@ def test_determinant_cumulants():
         determinant_cumulants("fancy", m)
 
 
+def test_det_matches_gaussian_elimination():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        size = rng.randint(0, 7)
+        m = [
+            [0 if rng.randrange(3) == 0 else Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+             for _ in range(size)]
+            for _ in range(size)
+        ]
+        if size >= 2 and rng.randrange(3) == 0:  # singular: a row repeated up to a factor
+            i, j = rng.sample(range(size), 2)
+            m[j] = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * v for v in m[i]]
+        if size and rng.randrange(3) == 0:  # a zero pivot to swap past
+            m[0][0] = 0
+        assert _det(m) == det_by_elimination(m), m
+    assert _det([]) == 1
+    assert _det([[0, 1], [1, 0]]) == -1  # the first pivot is zero
+    assert _det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
+    assert _det([[1, 2], [2, 4]]) == 0
+
+
 def test_beta_values():
     assert beta(SetPartition.one_block(5)) == 1
     assert beta(P("1,2|3,4")) == 0
@@ -380,9 +403,12 @@ def test_type_weights_closed_counts():
             monotone_types[key] = monotone_types.get(key, 0) + 1
     for n in range(1, 10):
         for kind in CumulantKind:
-            profiles = _profiles(kind, n)
+            den, profiles = _profiles(kind, n)
             assert len({sizes for sizes, _ in profiles}) == len(profiles)
-            for sizes, weight in profiles:
+            if kind is not H:
+                assert den == 1
+            for sizes, numerator in profiles:
+                weight = Fraction(numerator, den)
                 assert list(sizes) == sorted(sizes)
                 k = len(sizes)
                 mults = prod(factorial(sizes.count(s)) for s in set(sizes))
@@ -397,9 +423,8 @@ def test_type_weights_closed_counts():
                 else:
                     continue
                 assert weight == expect, (kind, n, sizes)
-                if kind is not H:
-                    assert type(weight) is int
+                assert type(numerator) is int
         # every integer partition of n is the type of some noncrossing partition
-        nc_types = {sizes for sizes, _ in _profiles(R, n)}
-        assert nc_types == {sizes for sizes, _ in _profiles(H, n)}
-        assert nc_types == {sizes for sizes, _ in _profiles(K, n)}
+        nc_types = {sizes for sizes, _ in _profiles(R, n)[1]}
+        assert nc_types == {sizes for sizes, _ in _profiles(H, n)[1]}
+        assert nc_types == {sizes for sizes, _ in _profiles(K, n)[1]}

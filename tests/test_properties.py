@@ -1,4 +1,4 @@
-"""Property tests on random set partitions (Hypothesis, derandomized)."""
+"""Property tests on random set partitions and rational sequences (Hypothesis, derandomized)."""
 
 import pytest
 
@@ -6,14 +6,26 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cumulantcalc.cumulants import beta_formula, beta_recursive  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from cumulantcalc.cumulants import (  # noqa: E402
+    CumulantKind,
+    beta_formula,
+    beta_recursive,
+    convert_sequence,
+)
 from cumulantcalc.partitions import (  # noqa: E402
     SetPartition,
     blocks_cross,
     kreweras_complement,
 )
 
-from oracles import blocks_cross_by_runs, restrict_by_blocks  # noqa: E402
+from oracles import (  # noqa: E402
+    blocks_cross_by_runs,
+    cumulants_per_partition,
+    moments_per_partition,
+    restrict_by_blocks,
+)
 
 #: every run draws the same examples and writes no example database
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -88,3 +100,37 @@ def test_kreweras_square_is_a_rotation(pi):
     rotated = SetPartition.from_blocks(n, [[(x - 2) % n + 1 for x in b] for b in pi.blocks])
     assert pi.is_noncrossing()
     assert kreweras_complement(kreweras_complement(pi)) == rotated
+
+
+_KINDS = ("moments", "classical", "free", "boolean", "monotone")
+_ORACLE_KIND = {k.value: k for k in CumulantKind}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=8))
+def test_convert_sequence_round_trips_and_matches_oracle(values):
+    small = len(values) <= 7  # the per-partition oracle enumerates P(n)
+    for src in _KINDS:
+        moments = values
+        if small and src != "moments":
+            moments = moments_per_partition(_ORACLE_KIND[src], values)
+        for dst in _KINDS:
+            if src == dst:
+                continue
+            out = convert_sequence(src, dst, values)
+            assert all(type(v) is Fraction for v in out)
+            assert convert_sequence(dst, src, out) == values
+            if small:
+                expected = moments if dst == "moments" else cumulants_per_partition(
+                    _ORACLE_KIND[dst], moments)
+                assert out == expected, (src, dst)
+
+
+@SEEDED
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=8))
+def test_convert_sequence_keeps_ints(values):
+    for src in _KINDS[:4]:
+        for dst in _KINDS[:4]:
+            out = convert_sequence(src, dst, values)
+            assert all(type(v) is int for v in out), (src, dst)
+            assert out == [Fraction(v) for v in convert_sequence(src, dst, list(map(Fraction, values)))]
