@@ -25,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .algebra import rational_from_str, rational_to_str
-from .cumulants import build_beta_table, convert_sequence
+from .cumulants import _SEQUENCE_KINDS, build_beta_table, convert_sequence
 from .forests import alpha
 from .graphs import anti_interval_digraph, anti_interval_graph, digraph_key, tutte_eval
 from .identities import (
@@ -260,7 +260,6 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int):
     A file that does not parse counts as a miss; it is rewritten through a
     temporary file and `os.replace`, so readers never see a partial file.
     """
-    cache_dir.mkdir(parents=True, exist_ok=True)
     # v1: the version of the payload format; bump it when the shape changes
     path = cache_dir / f"table-v1-{what}-{n}.json"
     try:
@@ -269,6 +268,7 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int):
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         pass
     header, rows = _table_rows(what, n)
+    cache_dir.mkdir(parents=True, exist_ok=True)  # only once there is a table
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(_json_dumps({"header": header, "rows": [list(r) for r in rows]}))
     os.replace(tmp, path)
@@ -303,7 +303,7 @@ def _cmd_table(args, cfg: Config) -> int:
 # convert
 # ---------------------------------------------------------------------------
 
-_SEQ_KINDS = ("moments", "classical", "free", "boolean", "monotone")
+_SEQ_KINDS = tuple(_SEQUENCE_KINDS)
 
 
 def _cmd_convert(args, cfg: Config) -> int:

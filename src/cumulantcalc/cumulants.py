@@ -53,7 +53,7 @@ from .algebra import (
 from .forests import partition_tree_factorial
 from .graphs import anti_interval_digraph, digraph_key
 from .limits import check_limit
-from .partitions import SetPartition, mobius_to_top, partitions_of
+from .partitions import SetPartition, _LATTICE_CLASS, mobius_to_top, partitions_of
 
 __all__ = [
     "CumulantKind",
@@ -85,17 +85,17 @@ class CumulantKind(enum.Enum):
     MONOTONE = "monotone"
 
 
-_LATTICE_OF_KIND = {
-    CumulantKind.CLASSICAL: "all",
-    CumulantKind.FREE: "noncrossing",
-    CumulantKind.BOOLEAN: "interval",
-    CumulantKind.MONOTONE: "noncrossing",
-}
-
+#: the lattice of each kind's Moebius inversion
 _MOBIUS_LATTICE_OF_KIND = {
     CumulantKind.CLASSICAL: "P",
     CumulantKind.FREE: "NC",
     CumulantKind.BOOLEAN: "I",
+}
+
+#: the partition class each kind's sums run over (monotone: NC, tau-weighted)
+_LATTICE_OF_KIND = {
+    **{kind: _LATTICE_CLASS[lat] for kind, lat in _MOBIUS_LATTICE_OF_KIND.items()},
+    CumulantKind.MONOTONE: _LATTICE_CLASS["NC"],
 }
 
 

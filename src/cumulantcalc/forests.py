@@ -1,8 +1,10 @@
 """Nesting forests of noncrossing partitions and their invariants.
 
 The nesting forest of a noncrossing partition has one vertex per block;
-the parent of a block is its nearest enclosing block, so each irreducible
-component contributes one tree rooted at its outer block.  Child order
+the parent of a block is its nearest enclosing block, read off the nested
+pairs of `SetPartition.block_pairs` (the enclosing block with the largest
+minimum), so each irreducible component contributes one tree rooted at its
+outer block.  Child order
 follows left-to-right block order, which keeps drawings reproducible but
 never affects any number computed here.
 
@@ -26,7 +28,7 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import Polynomial, faulhaber_polynomial
-from .partitions import SetPartition, block_nests_inside
+from .partitions import SetPartition
 
 __all__ = [
     "RootedTree",
@@ -72,16 +74,10 @@ def nesting_forest(pi: SetPartition) -> RootedForest:
     """Nesting forest of a noncrossing partition (one tree per component)."""
     if not pi.is_noncrossing():
         raise ValueError(f"{pi} is crossing; nesting forests need noncrossing input")
-    bs = pi.blocks
-    k = len(bs)
+    k = pi.num_blocks
     parent = [None] * k
-    for i in range(k):
-        best = None
-        for j in range(k):
-            if i != j and block_nests_inside(bs[i], bs[j]):
-                if best is None or bs[j][0] > bs[best][0]:
-                    best = j  # nearest enclosure has the largest minimum
-        parent[i] = best
+    for i, j in pi.block_pairs()[1]:
+        parent[j] = i  # pairs come in order of i: the last is the nearest
     children = [[] for _ in range(k)]
     roots = []
     for i in range(k):
@@ -91,9 +87,9 @@ def nesting_forest(pi: SetPartition) -> RootedForest:
             children[parent[i]].append(i)
 
     def build(i: int) -> RootedTree:
-        return RootedTree(i, tuple(build(c) for c in sorted(children[i])))
+        return RootedTree(i, tuple(build(c) for c in children[i]))
 
-    return RootedForest(tuple(build(r) for r in sorted(roots)), bs)
+    return RootedForest(tuple(build(r) for r in roots), pi.blocks)
 
 
 def _tree_factorial(t: RootedTree) -> int:

@@ -1,6 +1,8 @@
 """Graphs attached to set partitions, Tutte evaluation, heaps and pyramids.
 
-Three graphs on the blocks of a partition (canonical block order):
+Three graphs on the blocks of a partition (canonical block order), all
+read off `SetPartition.block_pairs`, which lists the hull-meeting block
+pairs split into crossing and nested ones:
 
 * crossing graph: an edge joins two blocks iff they cross;
 * anti-interval graph: an edge iff the convex hulls of the blocks meet
@@ -27,14 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from .limits import check_limit
-from .partitions import (
-    PartitionClass,
-    SetPartition,
-    _enumerate_unchecked,
-    block_nests_inside,
-    blocks_cross,
-    hulls_intersect,
-)
+from .partitions import PartitionClass, SetPartition, _enumerate_unchecked
 
 __all__ = [
     "MixedGraph",
@@ -114,44 +109,19 @@ class MixedGraph:
 
 def crossing_graph(pi: SetPartition) -> MixedGraph:
     """Simple graph on blocks; edges join crossing pairs."""
-    bs = pi.blocks
-    und = [
-        (i, j)
-        for i in range(len(bs))
-        for j in range(i + 1, len(bs))
-        if blocks_cross(bs[i], bs[j])
-    ]
-    return MixedGraph(len(bs), tuple(und))
+    return MixedGraph(pi.num_blocks, tuple(pi.block_pairs()[0]))
 
 
 def anti_interval_graph(pi: SetPartition) -> MixedGraph:
     """Simple graph on blocks; edges join pairs with intersecting hulls."""
-    bs = pi.blocks
-    und = [
-        (i, j)
-        for i in range(len(bs))
-        for j in range(i + 1, len(bs))
-        if hulls_intersect(bs[i], bs[j])
-    ]
-    return MixedGraph(len(bs), tuple(und))
+    crossing, nesting = pi.block_pairs()
+    return MixedGraph(pi.num_blocks, tuple(crossing + nesting))
 
 
 def anti_interval_digraph(pi: SetPartition) -> MixedGraph:
     """Anti-interval graph with nesting edges directed outer -> inner."""
-    bs = pi.blocks
-    und = []
-    dirs = []
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
-            if not hulls_intersect(bs[i], bs[j]):
-                continue
-            if blocks_cross(bs[i], bs[j]):
-                und.append((i, j))
-            elif block_nests_inside(bs[j], bs[i]):
-                dirs.append((i, j))
-            else:
-                dirs.append((j, i))
-    return MixedGraph(len(bs), tuple(und), tuple(dirs))
+    crossing, nesting = pi.block_pairs()
+    return MixedGraph(pi.num_blocks, tuple(crossing), tuple(nesting))
 
 
 def digraph_key(g: MixedGraph) -> tuple:
@@ -394,6 +364,8 @@ def partition_sum_identity_check(g: MixedGraph, q) -> Fraction:
     q = Fraction(q)
     if q == 1:
         raise ValueError("q = 1 is excluded")
+    if g.n < 1:
+        raise ValueError("the graph needs at least one vertex")
     check_limit("graph-vertices", g.n)
     edges = list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
     total = Fraction(0)

@@ -47,6 +47,7 @@ from .algebra import (
 )
 from .cumulants import (
     CumulantKind,
+    _MOBIUS_LATTICE_OF_KIND,
     _check_cumulant_limits,
     beta_formula,
     beta_recursive,
@@ -66,6 +67,7 @@ from .graphs import anti_interval_digraph, anti_interval_graph, crossing_graph, 
 from .limits import ResourceLimitError
 from .partitions import (
     SetPartition,
+    _LATTICE_CLASS,
     enumerate_monotone,
     lower_interval,
     partitions_of,
@@ -301,18 +303,14 @@ def _check_cor_runs(n):
 # ---------------------------------------------------------------------------
 
 
-#: cumulant family -> (partition class, lattice) of its moment formula
-_LATTICE_OF = {K: ("all", "P"), R: ("noncrossing", "NC"), B: ("interval", "I")}
-
-
 def _check_lattice_formula(name, kinds, inverted, n):
     """On every pi of each kind's lattice, a sum over sigma in [0, pi]:
     m_pi = sum kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma."""
     failures = []
     checked = 0
     for kind in kinds:
-        cls_value, lattice = _LATTICE_OF[kind]
-        members = partitions_of(n, cls_value)
+        lattice = _MOBIUS_LATTICE_OF_KIND[kind]
+        members = partitions_of(n, _LATTICE_CLASS[lattice])
         checked += len(members)
         for pi in members:
             interval = lower_interval(pi, lattice)

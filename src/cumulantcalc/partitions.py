@@ -16,13 +16,24 @@ Partition classes
 * irreducible: the interval closure is the one-block partition; for a
                noncrossing partition this is equivalent to 1 ~ n.
 
-Closures are computed by merging offending block pairs to a fixpoint, which
-yields the *smallest* dominating partition of the respective class (any
-dominating noncrossing/interval partition must merge those pairs too).
 The class predicates skip the pairwise block tests and read the RGS once,
 left to right: `is_noncrossing` and `is_connected` with a stack of open
 blocks (or of groups of crossing blocks), `is_irreducible` with the last
 position reached so far; `restrict` relabels the RGS.
+
+Block relations
+---------------
+`block_pairs` is the one pairwise block scan: it lists the pairs of blocks
+whose hulls meet, split into crossing pairs and nested pairs.  Blocks are
+ordered by their minima, so the hulls of blocks i < j meet iff block j
+starts before block i ends, and a meeting pair that does not cross has
+block j nested inside block i.  The graphs, nesting forests and monotone
+orders read their relations from it.  The closures are its components:
+the noncrossing (interval) closure merges the connected components of the
+crossing (hull-meeting) pairs.  That is the *smallest* dominating
+partition of the class: any dominating noncrossing/interval partition
+must merge those pairs too, and the unions of the components are
+noncrossing (intervals).
 
 Refinement lattice
 ------------------
@@ -100,15 +111,6 @@ def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         if bisect_right(a, x) % k != gap:
             return True
     return False
-
-
-def block_nests_inside(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
-    """True if every element of `inner` lies strictly between two of `outer`."""
-    return outer[0] < inner[0] and inner[-1] < outer[-1]
-
-
-def hulls_intersect(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return max(a[0], b[0]) <= min(a[-1], b[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +340,54 @@ class SetPartition:
             connected=self.is_connected(),
         )
 
-    # -- closures and components ---------------------------------------------
+    # -- block relations, closures and components -----------------------------
 
-    def _closure(self, must_merge) -> "SetPartition":
-        blocks = [list(b) for b in self.blocks]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    if must_merge(tuple(blocks[i]), tuple(blocks[j])):
-                        blocks[i] = sorted(blocks[i] + blocks[j])
-                        del blocks[j]
-                        changed = True
-                        break
-                if changed:
+    def block_pairs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(crossing, nesting): the pairs (i, j), i < j, of blocks whose
+        hulls meet, split into crossing pairs and pairs with block j nested
+        inside block i (every element of j between two elements of i).
+
+        Blocks are ordered by their minima, so the hulls of i < j meet iff
+        block j starts before block i ends; past the first j that starts
+        after it, no later block meets block i.
+        """
+        bs = self.blocks
+        crossing = []
+        nesting = []
+        for i, a in enumerate(bs):
+            end = a[-1]
+            for j in range(i + 1, len(bs)):
+                b = bs[j]
+                if b[0] > end:
                     break
-        return SetPartition.from_blocks(self.n, blocks)
+                (crossing if blocks_cross(a, b) else nesting).append((i, j))
+        return crossing, nesting
+
+    def _merge_components(self, pairs) -> "SetPartition":
+        """Merge the blocks of each connected component of the graph `pairs`."""
+        root = list(range(self.num_blocks))
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for i, j in pairs:
+            root[find(j)] = find(i)
+        label: dict[int, int] = {}
+        return SetPartition._unchecked(
+            tuple([label.setdefault(find(a), len(label)) for a in self._rgs])
+        )
 
     def noncrossing_closure(self) -> "SetPartition":
         """Smallest noncrossing partition dominating self."""
-        return self._closure(blocks_cross)
+        return self._merge_components(self.block_pairs()[0])
 
     def interval_closure(self) -> "SetPartition":
         """Smallest interval partition dominating self."""
-        return self._closure(hulls_intersect)
+        crossing, nesting = self.block_pairs()
+        return self._merge_components(crossing + nesting)
 
     def components(self, mode: str) -> list[tuple[tuple[int, ...], "SetPartition"]]:
         """Factors induced on the blocks of the relevant closure.
@@ -727,6 +752,8 @@ def partitions_of(n: int, cls_value: str = "all") -> tuple[SetPartition, ...]:
     after the first call is never bypassed by the cache.
     """
     cls = PartitionClass(cls_value)
+    if n < 1:
+        raise ValueError("n must be positive")
     check_limit(cls.value, n)
     return _partitions_of(n, cls)
 
@@ -769,13 +796,7 @@ class OrderedPartition:
         if not self.base.is_noncrossing():
             return False
         pos = {b: i for i, b in enumerate(self.order)}
-        bs = self.base.blocks
-        for i in range(len(bs)):
-            for j in range(len(bs)):
-                if i != j and block_nests_inside(bs[i], bs[j]):
-                    if pos[j] > pos[i]:  # outer j must come first
-                        return False
-        return True
+        return all(pos[i] < pos[j] for i, j in self.base.block_pairs()[1])
 
     def is_irreducible(self) -> bool:
         return self.base.is_irreducible()
@@ -798,15 +819,12 @@ def enumerate_monotone(n: int):
         raise ValueError("n must be positive")
     check_limit("monotone", n)
     for base in _enumerate_unchecked(n, PartitionClass.NONCROSSING):
-        blocks = base.blocks
-        k = len(blocks)
+        k = base.num_blocks
         preds = [0] * k  # number of outer blocks not yet placed
         outer_of = [[] for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if i != j and block_nests_inside(blocks[i], blocks[j]):
-                    preds[i] += 1
-                    outer_of[j].append(i)
+        for i, j in base.block_pairs()[1]:  # block j nested inside block i
+            preds[j] += 1
+            outer_of[i].append(j)
         seq: list[int] = []
         remaining = preds[:]
         used = [False] * k

@@ -28,7 +28,7 @@ from itertools import permutations as _itertools_permutations
 
 from .algebra import Polynomial
 from .graphs import HeapOrder, anti_interval_graph
-from .partitions import SetPartition, hulls_intersect
+from .partitions import SetPartition
 
 __all__ = [
     "Permutation",
@@ -242,13 +242,12 @@ def psi(sigma: Permutation) -> HeapOrder:
     word = sigma.standard_cycles()[0]
     segs = _increasing_segments(list(word))
     base = SetPartition.from_blocks(sigma.n, segs)
-    index_of = {tuple(seg): base.blocks.index(tuple(seg)) for seg in segs}
-    order = [index_of[tuple(seg)] for seg in segs]
-    arcs = []
-    for a in range(len(segs)):
-        for b in range(a + 1, len(segs)):
-            if hulls_intersect(tuple(segs[a]), tuple(segs[b])):
-                arcs.append((order[a], order[b]))
+    position = {seg[0]: a for a, seg in enumerate(segs)}
+    rank = [position[b[0]] for b in base.blocks]  # segment position of each block
+    arcs = [
+        (i, j) if rank[i] < rank[j] else (j, i)
+        for i, j in anti_interval_graph(base).undirected
+    ]
     heap = HeapOrder(base, tuple(sorted(arcs)))
     assert heap.is_pyramid()
     return heap

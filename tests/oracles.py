@@ -83,6 +83,61 @@ def noncrossing_by_pairs(pi: SetPartition) -> bool:
     return not _crossing_pairs(pi)
 
 
+def hulls_intersect(a, b) -> bool:
+    return max(a[0], b[0]) <= min(a[-1], b[-1])
+
+
+def block_nests_inside(inner, outer) -> bool:
+    """True if every element of `inner` lies strictly between two of `outer`."""
+    return outer[0] < inner[0] and inner[-1] < outer[-1]
+
+
+def block_pairs_by_predicates(pi: SetPartition):
+    """(crossing, nesting) of `SetPartition.block_pairs` by the pairwise
+    predicates on every pair of blocks: hull-meeting pairs that do not
+    cross are nested, listed outer block first."""
+    bs = pi.blocks
+    crossing, nesting = [], []
+    for i in range(len(bs)):
+        for j in range(i + 1, len(bs)):
+            if not hulls_intersect(bs[i], bs[j]):
+                continue
+            if blocks_cross_by_runs(bs[i], bs[j]):
+                crossing.append((i, j))
+            elif block_nests_inside(bs[j], bs[i]):
+                nesting.append((i, j))
+            else:
+                nesting.append((j, i))
+    return crossing, nesting
+
+
+def closure_by_fixpoint(pi: SetPartition, must_merge) -> SetPartition:
+    """Merge the first pair of blocks that `must_merge` and rescan, until
+    no pair is left."""
+    blocks = [list(b) for b in pi.blocks]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                if must_merge(tuple(blocks[i]), tuple(blocks[j])):
+                    blocks[i] = sorted(blocks[i] + blocks[j])
+                    del blocks[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return SetPartition.from_blocks(pi.n, blocks)
+
+
+def noncrossing_closure_by_fixpoint(pi: SetPartition) -> SetPartition:
+    return closure_by_fixpoint(pi, blocks_cross_by_runs)
+
+
+def interval_closure_by_fixpoint(pi: SetPartition) -> SetPartition:
+    return closure_by_fixpoint(pi, hulls_intersect)
+
+
 def connected_by_union_find(pi: SetPartition) -> bool:
     """The crossing graph on the blocks is connected (union-find)."""
     parent = list(range(pi.num_blocks))
@@ -497,6 +552,18 @@ def all_planar_forests(total: int):
 # --- monotone orders by brute force -----------------------------------------
 
 
+def monotone_by_predicates(op) -> bool:
+    """Noncrossing base, and every block placed after all blocks it nests in."""
+    bs = op.base.blocks
+    pos = {b: i for i, b in enumerate(op.order)}
+    return noncrossing_by_pairs(op.base) and all(
+        pos[j] < pos[i]
+        for i in range(len(bs))
+        for j in range(len(bs))
+        if i != j and block_nests_inside(bs[i], bs[j])
+    )
+
+
 def monotone_orders_brute(pi: SetPartition) -> int:
     """Count block orders satisfying the outer-before-inner condition."""
     from itertools import permutations
@@ -507,5 +574,25 @@ def monotone_orders_brute(pi: SetPartition) -> int:
     return sum(
         1
         for perm in permutations(range(k))
-        if OrderedPartition(pi, perm).is_monotone()
+        if monotone_by_predicates(OrderedPartition(pi, perm))
     )
+
+
+def nesting_forest_by_enclosure(pi: SetPartition):
+    """The nesting forest with each block's parent found by a search over
+    all blocks: the enclosing block with the largest minimum."""
+    from cumulantcalc.forests import RootedForest, RootedTree
+
+    bs = pi.blocks
+    k = len(bs)
+    parent = [None] * k
+    for i in range(k):
+        for j in range(k):
+            if i != j and block_nests_inside(bs[i], bs[j]):
+                if parent[i] is None or bs[j][0] > bs[parent[i]][0]:
+                    parent[i] = j
+
+    def build(i):
+        return RootedTree(i, tuple(build(c) for c in range(k) if parent[c] == i))
+
+    return RootedForest(tuple(build(r) for r in range(k) if parent[r] is None), bs)

@@ -322,6 +322,16 @@ def test_table_unknown(capsys):
     assert code == 2
 
 
+def test_table_n_below_one_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    for what in ("beta", "alpha", "tutte", "mobius"):
+        for n in ("0", "-1"):
+            code, out, err = run_cli(capsys, "--cache-dir", str(cache), "table", what, n)
+            assert code == 2 and out == "", (what, n)
+            assert err == "error: n must be positive\n", (what, n)
+    assert not cache.exists()  # no cache file, nor its directory, written
+
+
 def test_table_cache_dir(tmp_path, capsys):
     code, out1, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
     assert code == 0
@@ -362,6 +372,20 @@ def test_table_beta_7_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8769f5b85ff4f08f314e315b73f3327ab6d29ac7889039980a73b832d6ca9946"
     )
+    # and the outputs read off the block relations: the anti-interval
+    # graphs, the nesting forests and the monotone orders
+    golden = {
+        ("table", "tutte", "8"):
+            "17ded538995e0cd97e0d3e27eea0fbbbb358dbd97e8ad100274bed0846e04f49",
+        ("table", "alpha", "8"):
+            "cf0c6e55897a21ff9b36cbf5441f30fbf4c7ff905de065fd23cd71e8cabae08f",
+        ("--format", "json", "enumerate", "7", "monotone"):
+            "b5c3c7abe4bbb9f392e228695a7eb58f57cae56d9718bb172a789d5132067097",
+    }
+    for args, digest in golden.items():
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_table_cache_corrupt_file_is_a_miss(tmp_path, capsys):

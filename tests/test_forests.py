@@ -20,7 +20,12 @@ from cumulantcalc.forests import (
 )
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, enumerate_partitions
 
-from oracles import all_planar_forests, monotone_orders_brute, nondecreasing_labellings_brute
+from oracles import (
+    all_planar_forests,
+    monotone_orders_brute,
+    nesting_forest_by_enclosure,
+    nondecreasing_labellings_brute,
+)
 
 P = SetPartition.from_text
 
@@ -34,6 +39,12 @@ def path_tree(n):
 
 def star_tree(leaves):
     return RootedTree(0, tuple(RootedTree(i) for i in range(1, leaves + 1)))
+
+
+def test_nesting_forest_matches_enclosure_search():
+    for n in range(1, 10):
+        for pi in enumerate_partitions(n, "noncrossing"):
+            assert nesting_forest(pi) == nesting_forest_by_enclosure(pi), pi
 
 
 def test_nesting_forest_shapes():

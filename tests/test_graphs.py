@@ -216,6 +216,8 @@ def test_partition_sum_identity():
     assert partition_sum_identity_check(MixedGraph(2), Fraction(0)) == 0
     with pytest.raises(ValueError):
         partition_sum_identity_check(k2, Fraction(1))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        partition_sum_identity_check(MixedGraph(0), 2)
 
 
 def test_partition_sum_matches_tutte_on_all_small_graphs():

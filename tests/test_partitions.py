@@ -27,13 +27,17 @@ from cumulantcalc.partitions import (
 
 from oracles import (
     bell_number,
+    block_pairs_by_predicates,
     blocks_cross_by_runs,
     catalan_direct,
     closure_brute,
     connected_by_union_find,
+    interval_closure_by_fixpoint,
     kreweras_by_separation,
     mobius_brute,
+    monotone_by_predicates,
     noncrossing_by_pairs,
+    noncrossing_closure_by_fixpoint,
     restrict_by_blocks,
 )
 
@@ -86,14 +90,19 @@ def test_blocks_cross_matches_run_count_oracle():
 
 
 def test_class_predicates_match_oracles():
-    # every partition of n <= 9: the one-pass scans against pairwise tests
+    # every partition of n <= 9: the one-pass scans and the closures against
+    # pairwise tests
     for n in range(1, 10):
         for pi in enumerate_partitions(n):
             assert pi.is_noncrossing() == noncrossing_by_pairs(pi), pi
             connected = pi.is_connected()
-            assert connected == (pi.noncrossing_closure().num_blocks == 1), pi
+            nc_closure = pi.noncrossing_closure()
+            assert nc_closure == noncrossing_closure_by_fixpoint(pi), pi
+            assert connected == (nc_closure.num_blocks == 1), pi
             assert connected == connected_by_union_find(pi), pi
-            assert pi.is_irreducible() == (pi.interval_closure().num_blocks == 1), pi
+            interval_closure = pi.interval_closure()
+            assert interval_closure == interval_closure_by_fixpoint(pi), pi
+            assert pi.is_irreducible() == (interval_closure.num_blocks == 1), pi
             assert pi.block_sizes() == tuple(map(len, pi.blocks))
     for n in range(1, 7):
         for pi in enumerate_partitions(n):
@@ -137,6 +146,13 @@ def test_partitions_of_limit_checked_on_every_call(monkeypatch):
     assert len(partitions_of(4)) == 15
 
 
+def test_partitions_of_rejects_n_below_one():
+    for n in (0, -1):
+        for cls in PartitionClass:
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                partitions_of(n, cls.value)
+
+
 def test_enumeration_limit_errors():
     with pytest.raises(ResourceLimitError):
         list(enumerate_partitions(11))
@@ -177,6 +193,14 @@ def test_irreducibility_preserved_by_noncrossing_closure():
     for n in range(1, 8):
         for pi in enumerate_partitions(n):
             assert pi.is_irreducible() == pi.noncrossing_closure().is_irreducible()
+
+
+def test_block_pairs_match_pairwise_predicates():
+    for n in range(1, 9):
+        for pi in enumerate_partitions(n):
+            assert pi.block_pairs() == block_pairs_by_predicates(pi), pi
+    crossing, nesting = P("1,3,5|2,4|6,8|7").block_pairs()
+    assert crossing == [(0, 1)] and nesting == [(2, 3)]
 
 
 def test_closure_examples():
@@ -303,6 +327,7 @@ def test_monotone_enumeration_matches_brute_force():
         for base in enumerate_partitions(n):
             for perm in permutations(range(base.num_blocks)):
                 op = OrderedPartition(base, perm)
+                assert op.is_monotone() == monotone_by_predicates(op), op
                 if op.is_monotone():
                     brute.add((base, perm))
         assert got == brute

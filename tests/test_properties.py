@@ -18,6 +18,8 @@ from cumulantcalc.partitions import (  # noqa: E402
     SetPartition,
     blocks_cross,
     kreweras_complement,
+    lattice_leq,
+    lattice_meet,
 )
 
 from oracles import (  # noqa: E402
@@ -32,9 +34,9 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=3
 
 
 @st.composite
-def partitions(draw, max_n=14):
+def partitions(draw, max_n=14, min_n=1):
     """A set partition drawn as a restricted growth string."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     rgs = []
     fresh = 0
     for _ in range(n):
@@ -69,6 +71,22 @@ def test_blocks_cross_is_symmetric(pi):
         for b in bs:
             if a != b:
                 assert blocks_cross(a, b) == blocks_cross(b, a) == blocks_cross_by_runs(a, b)
+
+
+@SEEDED
+@given(st.data())
+def test_closures_are_idempotent_and_monotone(data):
+    pi = data.draw(partitions())
+    rho = data.draw(partitions(max_n=pi.n, min_n=pi.n))
+    sigma = lattice_meet(pi, rho)  # sigma <= pi
+    for closure, in_class in (
+        (SetPartition.noncrossing_closure, SetPartition.is_noncrossing),
+        (SetPartition.interval_closure, SetPartition.is_interval),
+    ):
+        c = closure(pi)
+        assert closure(c) == c
+        assert lattice_leq(pi, c) and in_class(c)
+        assert lattice_leq(closure(sigma), c)
 
 
 @SEEDED
