@@ -68,7 +68,6 @@ from .graphs import (
 from .identities import (
     IDENTITY_CATALOG,
     Report,
-    experimental_thm2_multivariate,
     identity_names,
     lenczewski_sum_check,
     logbessel_beta_check,

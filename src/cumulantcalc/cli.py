@@ -28,12 +28,8 @@ from .algebra import rational_from_str, rational_to_str
 from .cumulants import _SEQUENCE_KINDS, build_beta_table, convert_sequence
 from .forests import alpha
 from .graphs import anti_interval_digraph, anti_interval_graph, digraph_key, tutte_eval
-from .identities import (
-    catalog_jobs,
-    experimental_thm2_multivariate,
-    verify_identity,
-)
-from .limits import ResourceLimitError, check_limit, override
+from .identities import catalog_jobs, verify_identity
+from .limits import ResourceLimitError, check_limit, override, positive_int
 from .partitions import (
     PartitionClass,
     SetPartition,
@@ -57,7 +53,6 @@ _FORMATS = ("text", "json", "csv")
 _FORMAT_DEFAULTS = {
     "enumerate": "text",
     "verify": "json",
-    "experimental-thm2": "json",
     "table": "csv",
     "convert": "json",
     "graph": "text",
@@ -77,15 +72,12 @@ class Config:
     @classmethod
     def from_args(cls, args) -> "Config":
         cache = args.cache_dir or os.environ.get("CUMULANTCALC_CACHE_DIR")
-        jobs = args.jobs
-        if jobs is None:
-            raw = os.environ.get("CUMULANTCALC_JOBS", "1")
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"CUMULANTCALC_JOBS must be an integer, got {raw!r}"
-                ) from None
+        if args.jobs is None:
+            jobs = positive_int("CUMULANTCALC_JOBS", os.environ.get("CUMULANTCALC_JOBS", "1"))
+        else:
+            jobs = positive_int("--jobs", args.jobs)
+        if args.limit is not None:
+            positive_int("--limit", args.limit)
         fmt = args.format or os.environ.get("CUMULANTCALC_FORMAT")
         if fmt is None:
             fmt = _FORMAT_DEFAULTS[args.command]
@@ -96,7 +88,7 @@ class Config:
         return cls(
             output_format=fmt,
             limit=args.limit,
-            jobs=max(1, jobs),
+            jobs=jobs,
             cache_dir=Path(cache) if cache else None,
             verbose=args.verbose,
         )
@@ -188,13 +180,6 @@ def _cmd_verify(args, cfg: Config) -> int:
     else:
         print(_json_dumps([r.to_dict() for r in reports]))
     return EXIT_OK if all_hold else EXIT_IDENTITY_FAILURE
-
-
-def _cmd_experimental(args, cfg: Config) -> int:
-    _check_positive(args.n_max)
-    reports = [experimental_thm2_multivariate(n).to_dict() for n in range(1, args.n_max + 1)]
-    print(_json_dumps(reports))
-    return EXIT_OK  # experimental: informative only, never a failure code
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +304,8 @@ def _cmd_convert(args, cfg: Config) -> int:
         print(f"error: values must be a JSON array of rationals "
               f"(parse error at position {exc.pos})", file=sys.stderr)
         return EXIT_USAGE
-    if not isinstance(raw, list):
-        print("error: values must be a JSON array", file=sys.stderr)
+    if not isinstance(raw, list) or not raw:
+        print("error: values must be a non-empty JSON array", file=sys.stderr)
         return EXIT_USAGE
     try:
         values = [rational_from_str(str(v)) for v in raw]
@@ -396,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="run the whole catalog, clamping each identity to its max n")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("experimental-thm2", help="experimental multivariate checker")
-    p.add_argument("n_max", type=int)
-    p.set_defaults(func=_cmd_experimental)
 
     p = sub.add_parser("table", help="emit beta/alpha/tutte/mobius tables")
     p.add_argument("what")

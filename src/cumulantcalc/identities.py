@@ -15,10 +15,11 @@ Most conversion formulas share one shape,
 where rhs_pi is a partitioned cumulant and the weight w(pi) is 1, a sign,
 1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is a
 `FamilySum` row of the catalog, and `FamilySum.check` is their one
-checker.  The univariate rows (the alpha expansions of thm2) and the
-Lenczewski sum are summed by block-size type: each type is one product
-of the univariate cumulants that `cumulants_from_moments` gives for the
-moment symbols m_{1..k}.  The identities of other shapes (permutation
+checker.  The alpha expansions of thm2 are rows twice, univariate and
+multivariate (`thm2_*_mv`).  The univariate rows and the Lenczewski sum
+are summed by block-size type: each type is one product of the
+univariate cumulants that `cumulants_from_moments` gives for the moment
+symbols m_{1..k}.  The identities of other shapes (permutation
 sums, lattice-wide moment formulas, series, properties of beta) are
 `IdentityInfo` entries with a checker function each.
 
@@ -90,7 +91,6 @@ __all__ = [
     "verify_identity",
     "catalog_jobs",
     "run_catalog",
-    "experimental_thm2_multivariate",
     "lenczewski_sum_check",
     "logbessel_beta_check",
 ]
@@ -552,6 +552,28 @@ def logbessel_beta_check(max_n: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
+#: Theorem 2, monotone cumulants as alpha-weighted sums: the univariate rows
+_THM2 = [
+    FamilySum("thm2_free2mono", 9, H, R, "irreducible-noncrossing",
+              lambda pi: alpha(pi), True,
+              "univariate monotone cumulants from free cumulants with alpha weights"),
+    FamilySum("thm2_boolean2mono", 9, H, B, "irreducible-noncrossing",
+              lambda pi: _sign(pi) * alpha(pi), True,
+              "univariate monotone cumulants from Boolean cumulants with signed alpha weights"),
+    FamilySum("thm2_class2mono", 8, H, K, "irreducible",
+              lambda pi: alpha(pi.noncrossing_closure()), True,
+              "univariate monotone cumulants from classical cumulants via noncrossing closures"),
+]
+
+#: and the same sums without identifying the variables, each derived from
+#: its univariate row (classical stops at 8, the `cumulant-classical` limit)
+_THM2_MULTIVARIATE = [
+    replace(row, name=f"{row.name}_mv", max_n=max_n, univariate=False,
+            summary=row.summary.replace("univariate", "multivariate", 1))
+    for row, max_n in zip(_THM2, (9, 9, 8))
+]
+
+
 @dataclass(frozen=True)
 class IdentityInfo:
     """Catalog entry of an identity checked by its own function."""
@@ -584,15 +606,8 @@ IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
                   lambda pi: Fraction(_sign(pi), partition_tree_factorial(pi)), False,
                   "free cumulants from monotone cumulants with signed nesting-forest weights",
                   ordered_max_n=6),
-        FamilySum("thm2_free2mono", 9, H, R, "irreducible-noncrossing",
-                  lambda pi: alpha(pi), True,
-                  "univariate monotone cumulants from free cumulants with alpha weights"),
-        FamilySum("thm2_boolean2mono", 9, H, B, "irreducible-noncrossing",
-                  lambda pi: _sign(pi) * alpha(pi), True,
-                  "univariate monotone cumulants from Boolean cumulants with signed alpha weights"),
-        FamilySum("thm2_class2mono", 7, H, K, "irreducible",
-                  lambda pi: alpha(pi.noncrossing_closure()), True,
-                  "univariate monotone cumulants from classical cumulants via noncrossing closures"),
+        *_THM2,
+        *_THM2_MULTIVARIATE,
         FamilySum("thm3_boolean2class_tutte", 7, K, B, "irreducible",
                   lambda pi: _sign(pi) * tutte_eval(anti_interval_graph(pi), 1, 0), False,
                   "classical cumulants from Boolean cumulants weighted by anti-interval Tutte values"),
@@ -688,40 +703,3 @@ def catalog_jobs(n_max: int, names=None, strict: bool = False) -> list[tuple[str
 def run_catalog(n_max: int, names=None, strict_limits: bool = False) -> list[Report]:
     """Verify the `catalog_jobs` pairs in order (clamped unless strict_limits)."""
     return [verify_identity(*job) for job in catalog_jobs(n_max, names, strict_limits)]
-
-
-# ---------------------------------------------------------------------------
-# Experimental: multivariate version of the alpha expansions
-# ---------------------------------------------------------------------------
-
-
-def experimental_thm2_multivariate(n: int) -> Report:
-    """Check the multivariate analogue of the alpha expansions.
-
-    Runs the three thm2 rows without identifying the variables.  This
-    analogue is not asserted anywhere in the package: the checker reports
-    whether it holds for the given n and is excluded from the catalog and
-    from `run_catalog`.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    forms = {
-        "thm2_free2mono": "free form",
-        "thm2_boolean2mono": "Boolean form",
-        "thm2_class2mono": "classical form",
-    }
-    top = min(IDENTITY_CATALOG[name].max_n for name in forms)
-    if n > top:
-        raise ResourceLimitError(f"experimental checker limited to n <= {top}")
-    reports = [replace(IDENTITY_CATALOG[name], univariate=False).check(n) for name in forms]
-    failures = [form for form, rep in zip(forms.values(), reports) if not rep.holds]
-    terms = reports[0].lhs_terms
-    return Report(
-        "thm2_multivariate_experimental",
-        n,
-        not failures,
-        terms,
-        terms,
-        "; ".join(failures) or None,
-        {"experimental": True},
-    )

@@ -67,11 +67,18 @@ def limit_for(key: str) -> int:
     if forced is not None:
         return forced
     name = _ENV_NAMES[key]
-    raw = os.environ.get(name, DEFAULT_LIMITS[key])
+    return positive_int(name, os.environ.get(name, DEFAULT_LIMITS[key]))
+
+
+def positive_int(name: str, raw) -> int:
+    """`raw` as an integer >= 1, else a ValueError naming its source `name`."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def check_limit(key: str, n: int) -> None:

@@ -13,6 +13,7 @@ import pytest
 
 from cumulantcalc import limits
 from cumulantcalc.cli import build_parser, main
+from cumulantcalc.identities import identity_limit, identity_names
 from cumulantcalc.partitions import partitions_of
 from cumulantcalc.permutations import eulerian
 
@@ -98,22 +99,16 @@ def test_verify_unknown_identity(capsys):
 
 
 def test_verify_beyond_limit(capsys):
-    code, _, err = run_cli(capsys, "verify", "moment_cumulant_K", "9")
-    assert code == 3
-    for name, n in (("moment_cumulant_R", "9"), ("moment_cumulant_B", "10"),
-                    ("mobius_inversions", "8")):
-        assert run_cli(capsys, "verify", name, n)[0] == 3
-    for name in ("series_B", "series_R", "swap_identities", "tilde_lemma",
-                 "monotone_flow_integer"):
-        assert run_cli(capsys, "verify", name, "11")[0] == 3
-    for name in ("thm1_mono2boolean", "thm1_mono2free", "thm2_free2mono",
-                 "thm2_boolean2mono"):
-        assert run_cli(capsys, "verify", name, "10")[0] == 3
+    # every row refuses one n above its max_n up front, before any check runs
+    for name in identity_names():
+        n = str(identity_limit(name) + 1)
+        code, out, err = run_cli(capsys, "verify", name, n)
+        assert code == 3 and out == "" and err.startswith("error:"), name
 
 
 def test_verify_nothing_to_check_is_usage_error(capsys):
     for args in (("verify", "free2boolean", "0"), ("verify", "--all", "0"),
-                 ("experimental-thm2", "0"), ("verify", "2"),
+                 ("verify", "2"),
                  ("--format", "text", "verify", "--all", "cor9_factorial", "2")):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == "" and err.startswith("error:"), args
@@ -165,7 +160,7 @@ def test_verify_all_small(capsys):
     assert code == 0
     reports = json.loads(out)
     assert all(r["holds"] for r in reports)
-    assert len(reports) == 2 * 32
+    assert len(reports) == 2 * 35
 
 
 def test_verify_all_6_golden_digest(capsys):
@@ -173,6 +168,13 @@ def test_verify_all_6_golden_digest(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "6")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
+        "84aa155fdcff009d9e68629a1d1765f591001033e516cd105c653f309c67f0e0"
+    )
+    # without the multivariate thm2 rows, the output of the catalog before
+    # they were added
+    older = [r for r in json.loads(out) if not r["identity"].endswith("_mv")]
+    older_out = json.dumps(older, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(older_out.encode()).hexdigest() == (
         "5a013672aa5bb074a6ccbda63f4a900574adc18a636d9c6a1681f326c62667c3"
     )
 
@@ -183,11 +185,25 @@ def test_verify_univariate_rows_golden_digests(capsys):
         ("thm2_free2mono", "9"): "f4726347dfe58e04b8db9c3fdeec3f2acf2a94575623bc54c57684ba117b19ef",
         ("thm2_boolean2mono", "9"): "b2fc17df5ed66ddb15592bd38d4086d642b9cb4246d943d212480c19c3dfccc2",
         ("thm2_class2mono", "7"): "da6b1f9c44e1f2742c1b10a6ab3e4d83148070c8ed8bada20ef13ff270a7d8f0",
+        ("thm2_class2mono", "8"): "c578beb8d01676ab415356dca3cc21e5879d59e8b1540398c99f31dfc8e3a87f",
         ("lenczewski_sum", "7"): "fc6e707a826ec62b06fb5036448275a7f41736245c9ce5892e4f994ba81d5c97",
     }
     for (name, n), digest in golden.items():
         code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_verify_multivariate_thm2_rows_golden_digests(capsys):
+    # pins the thm2 sums without identified variables; every report holds
+    golden = {
+        "thm2_free2mono_mv": "5b4013d4fc2621635d58deb27535a6bd830c14beda3d5825003e124d02a5091e",
+        "thm2_boolean2mono_mv": "7500a57e941a506355507c617be1d602d993373e13a911cacd185834485114b9",
+        "thm2_class2mono_mv": "c88d6b7f9dcb445df8f6d420918581807444587a8be3da8531654a0bdb0907af",
+    }
+    for name, digest in golden.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", name, "8")
+        assert code == 0 and all(r["holds"] for r in json.loads(out)), name
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
@@ -275,6 +291,12 @@ def test_convert_errors(capsys):
     assert code == 2 and "bad rational" in err
     code, _, err = run_cli(capsys, "convert", "moments", "free", "not json")
     assert code == 2 and "position" in err
+
+
+def test_convert_empty_array_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "convert", "moments", "free", "[]")
+    assert code == 2 and out == ""
+    assert err == "error: values must be a non-empty JSON array\n"
 
 
 def test_table_beta(capsys):
@@ -417,13 +439,6 @@ def test_graph_bad_partition_is_usage_error(capsys):
     assert code == 2 and out == "" and "list of lists of integers" in err
 
 
-def test_experimental_command(capsys):
-    code, out, _ = run_cli(capsys, "experimental-thm2", "3")
-    reports = json.loads(out)
-    assert code == 0 and len(reports) == 3
-    assert all(r["detail"]["experimental"] for r in reports)
-
-
 def test_limit_precedence(monkeypatch):
     # override > CUMULANTCALC_MAX_* > DEFAULT_LIMITS
     assert limits.limit_for("all") == 10 and limits.limit_for("monotone") == 8
@@ -443,9 +458,33 @@ def test_limit_flag_reaches_verify(capsys):
         assert "--limit" in err
 
 
-def test_limit_flag_reaches_experimental(capsys):
-    code, out, err = run_cli(capsys, "--limit", "2", "experimental-thm2", "3")
-    assert code == 3 and out == "" and err.startswith("error:")
+def test_limit_flag_reaches_multivariate_thm2_rows(capsys):
+    for name in ("thm2_free2mono_mv", "thm2_boolean2mono_mv", "thm2_class2mono_mv"):
+        for jobs in ((), ("--jobs", "2")):
+            code, out, err = run_cli(capsys, "--limit", "2", *jobs, "verify", name, "3")
+            assert code == 3 and out == "" and err.startswith("error:"), (name, jobs)
+
+
+def test_limit_below_one_is_usage_error(capsys, monkeypatch):
+    for bound in ("0", "-1"):
+        code, out, err = run_cli(capsys, "--limit", bound, "enumerate", "3", "all")
+        assert code == 2 and out == "", bound
+        assert err == f"error: --limit must be a positive integer, got {bound}\n"
+        monkeypatch.setenv("CUMULANTCALC_MAX_ALL", bound)
+        code, out, err = run_cli(capsys, "enumerate", "3", "all")
+        assert code == 2 and out == "" and "CUMULANTCALC_MAX_ALL" in err, bound
+        with pytest.raises(ValueError, match="CUMULANTCALC_MAX_ALL"):
+            limits.limit_for("all")
+
+
+def test_jobs_below_one_is_usage_error(capsys, monkeypatch):
+    for jobs in ("0", "-5"):
+        code, out, err = run_cli(capsys, "--jobs", jobs, "verify", "cor9_factorial", "2")
+        assert code == 2 and out == "", jobs
+        assert err == f"error: --jobs must be a positive integer, got {jobs}\n"
+    monkeypatch.setenv("CUMULANTCALC_JOBS", "0")
+    code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
+    assert code == 2 and out == "" and "CUMULANTCALC_JOBS" in err
 
 
 def test_limit_flag_reaches_convert(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
     _type_sum,
-    experimental_thm2_multivariate,
     identity_limit,
     identity_names,
     lenczewski_sum_check,
@@ -27,6 +26,7 @@ def test_catalog_is_complete():
         "free2boolean", "class2free", "class2boolean", "boolean2free",
         "free2class_tutte", "thm1_mono2boolean", "thm1_mono2free",
         "thm2_free2mono", "thm2_boolean2mono", "thm2_class2mono",
+        "thm2_free2mono_mv", "thm2_boolean2mono_mv", "thm2_class2mono_mv",
         "thm3_boolean2class_tutte", "thm4_cyclecruns", "cor_runs",
         "moment_cumulant_K", "moment_cumulant_R", "moment_cumulant_B",
         "moment_cumulant_H", "mobius_inversions", "series_B", "series_R",
@@ -38,6 +38,13 @@ def test_catalog_is_complete():
     assert set(identity_names()) == expected
     for name in expected:
         assert identity_limit(name) >= 5
+
+
+def test_multivariate_thm2_rows_are_their_univariate_rows_unidentified():
+    for name in ("thm2_free2mono", "thm2_boolean2mono", "thm2_class2mono"):
+        row, mv = IDENTITY_CATALOG[name], IDENTITY_CATALOG[f"{name}_mv"]
+        assert row.univariate and not mv.univariate
+        assert (mv.lhs, mv.rhs, mv.cls, mv.weight) == (row.lhs, row.rhs, row.cls, row.weight)
 
 
 def test_unknown_identity_and_bad_n():
@@ -84,17 +91,6 @@ def test_catalog_examples_from_the_identity_descriptions():
     assert rep.holds and rep.detail["sum"] == "24"
     rep = verify_identity("logbessel_carlitz", 5)
     assert rep.detail["sequence"] == ["1", "-1", "4", "-33", "456"]
-
-
-def test_experimental_checker_reports_without_asserting():
-    for n in range(1, 5):
-        rep = experimental_thm2_multivariate(n)
-        assert rep.identity == "thm2_multivariate_experimental"
-        assert isinstance(rep.holds, bool)
-        assert rep.detail == {"experimental": True}
-    assert "thm2_multivariate_experimental" not in identity_names()
-    with pytest.raises(ResourceLimitError):
-        experimental_thm2_multivariate(8)
 
 
 def test_prop10_checker_reports_a_mismatch(monkeypatch):
