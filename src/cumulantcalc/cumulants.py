@@ -12,13 +12,13 @@ Cumulant families (multivariate, as polynomials in moment symbols):
   1/|pi|! (each noncrossing pi admits |pi|!/tau(pi)! monotone orders).
 
 Univariate sequences use moments as the universal pivot basis: every
-family has a defining moment-cumulant sum over its lattice, evaluated or
-triangularly inverted exactly.  The sums are grouped by block-size type
-(an integer partition of n), one term per type with the summed weight of
-its lattice members, instead of one term per set partition.  Rational
-sequences are summed in integers: the k-th value is scaled by D^k, D the
-lcm of the denominators, and the k-th result divided by D^k at the end
-(`_scaled`).
+family's moment-cumulant sum over its lattice has a short recursion in
+m_0 = 1, m_1, ... (binomial for classical, first block for Boolean,
+R-transform for free, the monotone flow of Hasebe and Saigo for monotone),
+run forwards or triangularly inverted exactly (`_recursion`), with no
+lattice enumerated.  Rational sequences are recursed in integers: the k-th
+value is scaled by Q^k, Q the lcm of the denominators (times N! for
+monotone), and the k-th result divided by Q^k at the end (`_scaled`).
 
 The beta coefficients express classical cumulants in the monotone family:
 K_n = sum over P(n) of beta(pi) H_pi.  Two independent routes are
@@ -99,12 +99,6 @@ _LATTICE_OF_KIND = {
 }
 
 
-def _kind_weight(kind: CumulantKind, pi: SetPartition) -> int | Fraction:
-    if kind is CumulantKind.MONOTONE:
-        return Fraction(1, partition_tree_factorial(pi))
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Multivariate cumulant polynomials
 # ---------------------------------------------------------------------------
@@ -141,7 +135,7 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
         # Triangular solve against the tau-weighted noncrossing sum.
         pairs = (
             (1, moment_monomial(pi)) if pi.num_blocks == 1
-            else (-_kind_weight(kind, pi), partitioned_cumulant(kind, pi))
+            else (-Fraction(1, partition_tree_factorial(pi)), partitioned_cumulant(kind, pi))
             for pi in partitions_of(n, "noncrossing")
         )
     else:
@@ -173,112 +167,115 @@ partitioned_cumulant.cache_clear = _partitioned_cumulant.cache_clear
 # ---------------------------------------------------------------------------
 
 
-def _profiles(kind: CumulantKind, n: int):
-    """The block-size types of the kind's lattice at n, with their weights.
+def _scaled(values, factor: int | None = None):
+    """Rational values scaled to integers.
 
-    The terms of a univariate moment-cumulant sum depend on a partition
-    only through its block sizes, so the sum over the kind's lattice is
-    grouped by type (the sorted block sizes): the weight of a type is the
-    number of partitions of that type (K, R, B), or the sum of 1/tau(pi)!
-    over them (H).  Returns (L, ((sizes, L * weight), ...)): integer
-    numerators over the common denominator L of the weights, which is 1
-    except for H.  The limit is checked on every call, so a lowered limit
-    is never bypassed by the cache.
+    With Q = D * factor, D the lcm of the denominators, x_k = v_k Q^k is an
+    integer.  Give v_k the weight k: every term at step n of the recursions
+    of `_recursion` has weight n, so on the x_k it is Q^n times its value,
+    and the inversion solves for Q^n times the n-th cumulant.  The
+    recursions therefore run on the x_k in integers, and `_unscaled`
+    divides result n by Q^n.  Returns (Q, [x_1, x_2, ...]), or
+    (None, values) for input that is left as it is: symbolic values
+    (moment polynomials, polynomials), and ints when no factor is given.
     """
-    check_limit(_LATTICE_OF_KIND[kind], n)
-    return _type_weights(kind, n)
-
-
-@lru_cache(maxsize=None)
-def _type_weights(kind: CumulantKind, n: int):
-    weights: dict[tuple[int, ...], int | Fraction] = {}
-    for pi in partitions_of(n, _LATTICE_OF_KIND[kind]):
-        sizes = tuple(sorted(pi.block_sizes()))
-        weights[sizes] = weights.get(sizes, 0) + _kind_weight(kind, pi)
-    den = lcm(*(w.denominator for w in weights.values()))
-    return den, tuple(
-        (sizes, w.numerator * (den // w.denominator)) for sizes, w in weights.items()
-    )
-
-
-def _scaled(values):
-    """Rational values, with a Fraction among them, scaled to integers.
-
-    With D the lcm of the denominators, x_k = v_k D^k is an integer.  Give
-    v_k the weight k: the term of type lambda in the moment-cumulant sum at
-    n has weight lambda_1 + ... + lambda_k = n, so on the x_k every term at
-    n, and the sum, is D^n times its value, and the inversion solves for
-    D^n times the n-th cumulant.  The sums therefore run on the x_k in
-    integers, and `_unscaled` divides result n by D^n.  Returns
-    (D, [x_1, x_2, ...]), or (None, values) for input that is left as it
-    is: ints, and symbolic values (moment polynomials, polynomials).
-    """
-    if all(type(v) is int for v in values) or not all(
-        isinstance(v, (int, Fraction)) for v in values
+    if not all(isinstance(v, (int, Fraction)) for v in values) or (
+        factor is None and all(type(v) is int for v in values)
     ):
         return None, values
-    d = lcm(*(v.denominator for v in values))
-    scaled = []
-    power = 1
-    for v in values:
-        power *= d
-        scaled.append(v.numerator * (power // v.denominator))
-    return d, scaled
+    q = (factor or 1) * lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q**k // v.denominator) for k, v in enumerate(values, 1)]
 
 
-def _unscaled(d: int | None, values) -> list:
-    """Term k of a sequence scaled by `_scaled` divided by D^k."""
-    if d is None:
-        return values
-    out = []
-    power = 1
-    for v in values:
-        power *= d
-        out.append(Fraction(v, power))
-    return out
+def _unscaled(q: int | None, values) -> list:
+    """Term k of a sequence scaled by `_scaled` divided by Q^k."""
+    return values if q is None else [Fraction(v, q**k) for k, v in enumerate(values, 1)]
+
+
+def _recursion(kind: CumulantKind, values, forward: bool) -> list:
+    """The kind's moment-cumulant relation, solved one n at a time.
+
+    With m_0 = 1, step n computes rest_n, the terms of m_n other than u_n,
+    from u_{<n} and m_{<n}, and then sets m_n = u_n + rest_n (`forward`,
+    values are cumulants) or u_n = m_n - rest_n (values are moments):
+
+    * classical: rest_n = sum_{k<n} C(n-1, k-1) u_k m_{n-k};
+    * Boolean:   rest_n = sum_{k<n} u_k m_{n-k};
+    * free:      rest_n = sum_{s<n} u_s P_s[n-s], P_s[j] = [z^j] M(z)^s with
+      M(z) = 1 + sum m_k z^k (the R-transform), one entry per row per step;
+    * monotone:  the flow of Hasebe and Saigo, "The monotone cumulants"
+      (2011): the moments m_n(t) of the cumulants t * u solve
+      dm_n/dt = sum_k (n-k+1) u_k m_{n-k}(t).  E_n[j] = j! [t^j] m_n(t)
+      has E_n[1] = u_n and E_n[j+1] = sum_k (n-k+1) u_k E_{n-k}[j], and
+      m_n = m_n(1), so rest_n = (sum_{j>=2} E_n[j] n!/j!) / n!.
+
+    Rational input runs on the integers of `_scaled`, with Q = D for K, R
+    and B, so int input gives ints.  For H, Q = D * N!, N the length, which
+    makes every E_n[j] and rest_n an integer and the division by n! exact.
+    Let g_k be the monotone cumulants of the integers v_k D^k; by induction
+    on k, g_k (N!)^(k-1) is an integer: g_k is v_k D^k minus the sum over
+    the pi in NC(k) with b >= 2 blocks of g_pi / tau(pi)!, and tau(pi)!
+    divides b!, which divides N!, so each term is an integer over
+    (N!)^(k-b+1), k - b + 1 <= k - 1.  So the scaled cumulants g_k (N!)^k
+    are integers, and so are the scaled moments of integer scaled
+    cumulants, each term an integer times (N!)^n / tau(pi)!.  Symbolic
+    input runs unscaled, with one scalar 1/n! per step for H.
+    """
+    values = list(values)
+    size = len(values)
+    check_limit(_LATTICE_OF_KIND[kind], size)
+    if not size:
+        return []
+    monotone = kind is CumulantKind.MONOTONE
+    q, values = _scaled(values, factorial(size) if monotone else None)
+    zero = values[0] * 0
+    fact = [factorial(i) for i in range(size + 1)]
+    m = [1]  # m_0
+    u = [None]  # u_0 is never read
+    powers = [None, m]  # free: powers[s][j] = [z^j] M(z)^s, and M^1 is m
+    flow = [None]  # monotone: flow[n][j] = E_n[j] for j >= 1
+    for n in range(1, size + 1):
+        if kind is CumulantKind.CLASSICAL:
+            rest = sum((comb(n - 1, k - 1) * u[k] * m[n - k] for k in range(1, n)), zero)
+        elif kind is CumulantKind.BOOLEAN:
+            rest = sum((u[k] * m[n - k] for k in range(1, n)), zero)
+        elif kind is CumulantKind.FREE:
+            for s in range(2, n):
+                row, j = powers[s - 1], n - s
+                powers[s].append(sum((row[i] * m[j - i] for i in range(j + 1)), zero))
+            powers.append([1])
+            rest = sum((u[s] * powers[s][n - s] for s in range(1, n)), zero)
+        else:
+            w = [None] + [(n - k + 1) * u[k] for k in range(1, n)]
+            flow_n = [None, None] + [
+                sum((w[k] * flow[n - k][j] for k in range(1, n - j + 1)), zero)
+                for j in range(1, n)
+            ]
+            rest = sum((flow_n[j] * (fact[n] // fact[j]) for j in range(2, n + 1)), zero)
+            rest = rest // fact[n] if q else rest * Fraction(1, fact[n])
+        if forward:
+            u.append(values[n - 1])
+            m.append(values[n - 1] + rest)
+        else:
+            m.append(values[n - 1])
+            u.append(values[n - 1] - rest)
+        if monotone:
+            flow_n[1] = u[n]
+            flow.append(flow_n)
+    return _unscaled(q, (m if forward else u)[1:])
 
 
 def moments_from_cumulants(kind: CumulantKind, values) -> list:
-    """m_n = sum over the lattice of weight * prod of cumulants per block.
-
-    Rational input with a Fraction among it runs on the integers v_k D^k
-    (`_scaled`) and gives Fractions; int input gives ints for K, R and B,
-    and symbolic input is summed as it is.
+    """m_n = sum over the lattice of weight * prod of cumulants per block,
+    by the kind's recursion (`_recursion`): Fractions for rational input
+    with a Fraction among it, and for H; ints for int input to K, R and B.
     """
-    d, values = _scaled(list(values))
-    out = []
-    for n in range(1, len(values) + 1):
-        den, weights = _profiles(kind, n)
-        total = 0
-        for sizes, weight in weights:
-            term = weight
-            for s in sizes:
-                term = values[s - 1] * term
-            total = total + term
-        out.append(total if den == 1 else total * Fraction(1, den))
-    return _unscaled(d, out)
+    return _recursion(kind, values, forward=True)
 
 
 def cumulants_from_moments(kind: CumulantKind, moments) -> list:
-    """Triangular inversion of the defining moment-cumulant sum.
-
-    Input is scaled as in `moments_from_cumulants`: on the integers
-    m_k D^k the unknown solved for at n is D^n times the n-th cumulant.
-    """
-    d, moments = _scaled(list(moments))
-    out: list = []
-    for n in range(1, len(moments) + 1):
-        den, weights = _profiles(kind, n)
-        acc = moments[n - 1] if den == 1 else moments[n - 1] * den
-        for sizes, weight in weights:
-            if len(sizes) == 1:
-                continue  # the top partition carries the unknown, weight 1
-            term = weight
-            for s in sizes:
-                term = out[s - 1] * term
-            acc = acc - term
-        out.append(acc if den == 1 else acc * Fraction(1, den))
-    return _unscaled(d, out)
+    """The inverse of `moments_from_cumulants`, by the same recursion."""
+    return _recursion(kind, moments, forward=False)
 
 
 _SEQUENCE_KINDS = {

@@ -14,7 +14,6 @@ import pytest
 from cumulantcalc import limits
 from cumulantcalc.cli import build_parser, main
 from cumulantcalc.identities import identity_limit, identity_names
-from cumulantcalc.partitions import partitions_of
 from cumulantcalc.permutations import eulerian
 
 
@@ -498,7 +497,6 @@ def test_limit_flag_reaches_convert(capsys, monkeypatch):
     code, from_env, _ = run_cli(capsys, "convert", "moments", "free", ones)
     assert code == 0 and flagged == from_env
     assert json.loads(flagged) == ["1"] + ["0"] * 12
-    partitions_of.cache_clear()  # frees the 742,900 cached members of NC(13)
 
 
 def test_limit_flag_is_scoped_to_one_call(capsys):

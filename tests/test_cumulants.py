@@ -1,16 +1,17 @@
 """Cumulant polynomials, conversions, transforms, beta coefficients."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
+from cumulantcalc import cumulants
 from cumulantcalc.algebra import MomentPolynomial, Polynomial
 from cumulantcalc.cumulants import (
     CumulantKind,
     _det,
-    _profiles,
     beta,
     beta_formula,
     beta_recursive,
@@ -29,6 +30,7 @@ from cumulantcalc.cumulants import (
 )
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
 from cumulantcalc.identities import lenczewski_sum_check, logbessel_beta_check, verify_identity
+from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.limits import ResourceLimitError, override
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
 from cumulantcalc.permutations import eulerian_polynomial
@@ -360,23 +362,56 @@ def test_logbessel_carlitz():
 
 def test_moment_formula_brute_force_cross_check():
     # the defining sums, one term per set partition, against the library's
-    # sums grouped by block-size type, in both directions
+    # recursions, in both directions
     rng = random.Random(41)
     for kind in CumulantKind:
         for _ in range(3):
             c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
             assert moments_from_cumulants(kind, c) == moments_per_partition(kind, c)
             assert cumulants_from_moments(kind, c) == cumulants_per_partition(kind, c)
+        # n = 9, int and Fraction input; `convert` prints what these types give
+        ints = [rng.randint(-4, 4) for _ in range(9)]
+        fractions = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(9)]
+        for c, out_type in ((ints, Fraction if kind is H else int), (fractions, Fraction)):
+            moments = moments_from_cumulants(kind, c)
+            inverted = cumulants_from_moments(kind, c)
+            assert moments == moments_per_partition(kind, c)
+            assert inverted == cumulants_per_partition(kind, c)
+            assert all(type(v) is out_type for v in moments + inverted), kind
 
 
-def test_profiles_limit_checked_on_every_call(monkeypatch):
-    cumulants_from_moments(K, [1] * 6)  # fills the cache
-    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "5")
+def test_conversions_enumerate_nothing(monkeypatch):
+    rng = random.Random(12)
+    values = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(12)]
+    expected = {
+        kind: (moments_per_partition(kind, values[:9]), cumulants_per_partition(kind, values[:9]))
+        for kind in CumulantKind
+    }
+
+    def enumerates(*args):
+        raise AssertionError("the univariate conversions enumerate nothing")
+
+    monkeypatch.setattr(cumulants, "partitions_of", enumerates)
+    monkeypatch.setattr(cumulants, "partition_tree_factorial", enumerates)
+    with override(12):
+        for kind in CumulantKind:
+            moments = moments_from_cumulants(kind, values)
+            inverted = cumulants_from_moments(kind, values)
+            assert cumulants_from_moments(kind, moments) == values
+            assert moments_from_cumulants(kind, inverted) == values
+            # triangular: the first 9 terms depend on the first 9 inputs only
+            assert (moments[:9], inverted[:9]) == expected[kind], kind
+
+
+@pytest.mark.parametrize("kind, key", [(K, "ALL"), (R, "NONCROSSING"), (B, "INTERVAL"), (H, "NONCROSSING")])
+def test_conversion_limit_checked_on_every_call(monkeypatch, kind, key):
+    cumulants_from_moments(kind, [1] * 6)
+    monkeypatch.setenv(f"CUMULANTCALC_MAX_{key}", "5")
     with pytest.raises(ResourceLimitError):
-        cumulants_from_moments(K, [1] * 6)
+        cumulants_from_moments(kind, [1] * 6)
     with pytest.raises(ResourceLimitError):
-        moments_from_cumulants(K, [1] * 6)
-    assert cumulants_from_moments(K, [1] * 5) == [1, 0, 0, 0, 0]
+        moments_from_cumulants(kind, [1] * 6)
+    assert cumulants_from_moments(kind, [1] * 5) == [1, 0, 0, 0, 0]
 
 
 def test_cumulant_poly_limits_checked_on_every_call(monkeypatch):
@@ -396,20 +431,22 @@ def test_cumulant_poly_limits_checked_on_every_call(monkeypatch):
 
 
 def test_type_weights_closed_counts():
+    # the block-size types of each lattice, with the number of members of
+    # each type (K, R, B) or the sum of 1/tau(pi)! over them (H)
     monotone_types = {}
     for n in range(1, 8):
         for op in enumerate_monotone(n):
             key = tuple(sorted(op.base.block_sizes()))
             monotone_types[key] = monotone_types.get(key, 0) + 1
+    lattice = {K: "all", R: "noncrossing", B: "interval", H: "noncrossing"}
     for n in range(1, 10):
+        types = {}
         for kind in CumulantKind:
-            den, profiles = _profiles(kind, n)
-            assert len({sizes for sizes, _ in profiles}) == len(profiles)
-            if kind is not H:
-                assert den == 1
-            for sizes, numerator in profiles:
-                weight = Fraction(numerator, den)
-                assert list(sizes) == sorted(sizes)
+            weights = types[kind] = Counter()
+            for pi in partitions_of(n, lattice[kind]):
+                sizes = tuple(sorted(pi.block_sizes()))
+                weights[sizes] += Fraction(1, partition_tree_factorial(pi)) if kind is H else 1
+            for sizes, weight in weights.items():
                 k = len(sizes)
                 mults = prod(factorial(sizes.count(s)) for s in set(sizes))
                 if kind is K:
@@ -423,8 +460,5 @@ def test_type_weights_closed_counts():
                 else:
                     continue
                 assert weight == expect, (kind, n, sizes)
-                assert type(numerator) is int
         # every integer partition of n is the type of some noncrossing partition
-        nc_types = {sizes for sizes, _ in _profiles(R, n)[1]}
-        assert nc_types == {sizes for sizes, _ in _profiles(H, n)[1]}
-        assert nc_types == {sizes for sizes, _ in _profiles(K, n)[1]}
+        assert types[R].keys() == types[H].keys() == types[K].keys()
