@@ -263,13 +263,12 @@ class TruncatedSeries:
     numerators ``nums`` over one denominator ``den`` > 0, in lowest terms
     (see "Truncated series" in the module docstring); ``coeffs`` and
     ``coefficient`` give them as Fractions.  All operations discard higher
-    terms.  Mixing two orders takes the minimum and marks the result with
-    ``order_mixed = True`` (metadata only: it never affects equality).
+    terms.  Mixing two orders takes the minimum.
     """
 
-    __slots__ = ("order", "nums", "den", "order_mixed")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, coeffs, order: int | None = None, order_mixed: bool = False):
+    def __init__(self, coeffs, order: int | None = None):
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1 if cs else 0
@@ -283,10 +282,9 @@ class TruncatedSeries:
         self.nums = tuple(nums)
         self.den = den
         self.order = order
-        self.order_mixed = order_mixed
 
     @classmethod
-    def _wrap(cls, order: int, nums, den: int, mixed: bool) -> "TruncatedSeries":
+    def _wrap(cls, order: int, nums, den: int) -> "TruncatedSeries":
         """Wrap order + 1 integer numerators over den != 0, reduced to lowest terms."""
         g = gcd(den, *nums)
         if den < 0:
@@ -298,7 +296,6 @@ class TruncatedSeries:
         out.order = order
         out.nums = tuple(nums)
         out.den = den
-        out.order_mixed = mixed
         return out
 
     # -- constructors -------------------------------------------------------
@@ -333,12 +330,7 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("series order must be nonnegative")
         nums = self.nums[: order + 1] + (0,) * (order - self.order)
-        return TruncatedSeries._wrap(order, nums, self.den, self.order_mixed)
-
-    def _align(self, other: "TruncatedSeries"):
-        order = min(self.order, other.order)
-        mixed = self.order_mixed or other.order_mixed or self.order != other.order
-        return order, mixed
+        return TruncatedSeries._wrap(order, nums, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -358,23 +350,21 @@ class TruncatedSeries:
         f = d // self.den
         nums = [a * f for a in self.nums]
         nums[0] += sign * c.numerator * (d // c.denominator)
-        return TruncatedSeries._wrap(self.order, nums, d, self.order_mixed)
+        return TruncatedSeries._wrap(self.order, nums, d)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self._shift(other, 1)
-        order, mixed = self._align(other)
+        order = min(self.order, other.order)
         d = lcm(self.den, other.den)
         f, g = d // self.den, d // other.den
         nums = [a * f + b * g for a, b in zip(self.nums[: order + 1], other.nums)]
-        return TruncatedSeries._wrap(order, nums, d, mixed)
+        return TruncatedSeries._wrap(order, nums, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._wrap(
-            self.order, [-a for a in self.nums], self.den, self.order_mixed
-        )
+        return TruncatedSeries._wrap(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -388,12 +378,11 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             c = Fraction(other)
             return TruncatedSeries._wrap(
-                self.order, [c.numerator * a for a in self.nums],
-                self.den * c.denominator, self.order_mixed,
+                self.order, [c.numerator * a for a in self.nums], self.den * c.denominator
             )
-        order, mixed = self._align(other)
+        order = min(self.order, other.order)
         nums = _convolve(self.nums, other.nums, order)
-        return TruncatedSeries._wrap(order, nums, self.den * other.den, mixed)
+        return TruncatedSeries._wrap(order, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -406,7 +395,7 @@ class TruncatedSeries:
         """
         if inner.nums[0]:
             raise ValueError("series composition needs zero constant term inside")
-        order, mixed = self._align(inner)
+        order = min(self.order, inner.order)
         q, inner_nums = inner.den, inner.nums
         acc = [0] * (order + 1)
         power = 1  # q^(N-k)
@@ -414,7 +403,7 @@ class TruncatedSeries:
             acc = _convolve(acc, inner_nums, order)
             acc[0] += a * power
             power *= q
-        return TruncatedSeries._wrap(order, acc, self.den * q**order, mixed)
+        return TruncatedSeries._wrap(order, acc, self.den * q**order)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero.
@@ -434,7 +423,7 @@ class TruncatedSeries:
         for k in range(1, order + 1):
             p[k] = -sum(a[j] * p[k - j] * powers[j - 1] for j in range(1, k + 1))
         nums = [self.den * p[k] * powers[order - k] for k in range(order + 1)]
-        return TruncatedSeries._wrap(order, nums, powers[order] * a[0], self.order_mixed)
+        return TruncatedSeries._wrap(order, nums, powers[order] * a[0])
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term 1 (zero constant term out).
@@ -450,9 +439,7 @@ class TruncatedSeries:
         quotient = _convolve(derivative, inverse.nums, order - 1)
         scale = lcm(*range(1, order + 1))
         nums = [0] + [quotient[k - 1] * (scale // k) for k in range(1, order + 1)]
-        return TruncatedSeries._wrap(
-            order, nums, self.den * inverse.den * scale, self.order_mixed
-        )
+        return TruncatedSeries._wrap(order, nums, self.den * inverse.den * scale)
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term.
@@ -467,7 +454,6 @@ class TruncatedSeries:
         while correct < self.order:
             correct = min(2 * correct + 1, self.order)
             h = h * (TruncatedSeries.one(self.order) + self - h.log())
-        h.order_mixed = self.order_mixed
         return h
 
     # -- text ---------------------------------------------------------------

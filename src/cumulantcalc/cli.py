@@ -201,7 +201,7 @@ def _digraph_key_str(key) -> str:
 _TABLE_LIMITS = {
     "beta": ("all", "beta-blocks"),
     "alpha": ("noncrossing",),
-    "tutte": ("irreducible",),
+    "tutte": ("all",),
     "mobius": ("all",),
 }
 

@@ -105,7 +105,11 @@ _LATTICE_OF_KIND = {
 
 
 def _check_cumulant_limits(kind: CumulantKind, n: int) -> None:
-    """Raise unless a cumulant polynomial of order n is within its limits."""
+    """Raise unless a cumulant polynomial of order n is within its limits.
+
+    The caches below never check: a caller that reads `_partitioned_cumulant`
+    checks once, at an n no smaller than any block it reads.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     key = "cumulant-classical" if kind is CumulantKind.CLASSICAL else "cumulant-other"
@@ -124,7 +128,8 @@ def cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
 
 
 def partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomial:
-    """Product over the blocks V of pi of the |V|-th cumulant on X_V."""
+    """Product over the blocks V of pi of the |V|-th cumulant on X_V,
+    checked like `cumulant_poly` at the largest block."""
     _check_cumulant_limits(kind, max(pi.block_sizes()))
     return _partitioned_cumulant(kind, pi)
 
@@ -135,7 +140,7 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
         # Triangular solve against the tau-weighted noncrossing sum.
         pairs = (
             (1, moment_monomial(pi)) if pi.num_blocks == 1
-            else (-Fraction(1, partition_tree_factorial(pi)), partitioned_cumulant(kind, pi))
+            else (-Fraction(1, partition_tree_factorial(pi)), _partitioned_cumulant(kind, pi))
             for pi in partitions_of(n, "noncrossing")
         )
     else:
@@ -152,7 +157,7 @@ def _partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynom
     out = MomentPolynomial.one(pi.n)
     for block in pi.blocks:
         mapping = {j + 1: v for j, v in enumerate(block)}
-        out = out * cumulant_poly(kind, len(block)).relabel(mapping)
+        out = out * _cumulant_poly(kind, len(block)).relabel(mapping)
     return out
 
 

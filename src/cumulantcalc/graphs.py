@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .limits import check_limit
-from .partitions import PartitionClass, SetPartition, _enumerate_unchecked
+from .partitions import SetPartition, enumerate_partitions
 
 __all__ = [
     "MixedGraph",
@@ -366,10 +365,9 @@ def partition_sum_identity_check(g: MixedGraph, q) -> Fraction:
         raise ValueError("q = 1 is excluded")
     if g.n < 1:
         raise ValueError("the graph needs at least one vertex")
-    check_limit("graph-vertices", g.n)
     edges = list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
     total = Fraction(0)
-    for pi in _enumerate_unchecked(g.n, PartitionClass.ALL):  # bounded by graph-vertices
+    for pi in enumerate_partitions(g.n):  # bounded by the key 'all'
         rgs = pi.rgs  # vertex v of the graph is element v+1 of [n]
         internal = sum(1 for u, v in edges if rgs[u] == rgs[v])
         if q == 0:

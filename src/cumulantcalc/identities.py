@@ -21,7 +21,9 @@ are summed by block-size type: each type is one product of the
 univariate cumulants that `cumulants_from_moments` gives for the moment
 symbols m_{1..k}.  The identities of other shapes (permutation
 sums, lattice-wide moment formulas, series, properties of beta) are
-`IdentityInfo` entries with a checker function each.
+`IdentityInfo` entries with a checker function each.  A checker that sums
+partitioned cumulants checks their limits once, at n, where it chooses
+the partitions, and then reads the unchecked cache.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -50,6 +52,7 @@ from .cumulants import (
     CumulantKind,
     _MOBIUS_LATTICE_OF_KIND,
     _check_cumulant_limits,
+    _partitioned_cumulant,
     beta_formula,
     beta_recursive,
     boolean_poisson_kappa,
@@ -59,12 +62,11 @@ from .cumulants import (
     moment_series,
     monotone_dilate,
     nested_pair_partition,
-    partitioned_cumulant,
     sequence_series,
     tilde_transform,
 )
 from .forests import alpha, depth, labelling_polynomial_of, partition_tree_factorial
-from .graphs import anti_interval_digraph, anti_interval_graph, crossing_graph, tutte_eval
+from .graphs import anti_interval_graph, crossing_graph, tutte_eval
 from .limits import ResourceLimitError
 from .partitions import (
     SetPartition,
@@ -225,10 +227,12 @@ class FamilySum:
         return rep
 
     def _sum(self, n: int, weighted) -> MomentPolynomial:
-        """Sum of w * rhs_pi over (w, pi) pairs, skipping zero weights."""
+        """Sum of w * rhs_pi over (w, pi) pairs of [n], skipping zero
+        weights; the rhs limits are checked once, at n."""
         if self.univariate:
             return _type_sum(n, self.rhs, weighted)
-        pairs = ((w, partitioned_cumulant(self.rhs, pi)) for w, pi in weighted if w)
+        _check_cumulant_limits(self.rhs, n)
+        pairs = ((w, _partitioned_cumulant(self.rhs, pi)) for w, pi in weighted if w)
         return linear_combination(n, pairs)
 
 
@@ -259,10 +263,11 @@ def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
 
 
 def _check_thm4_cyclecruns(n):
+    _check_cumulant_limits(B, n)
     rhs = linear_combination(
         n,
         (
-            (_sign(cycle_runs(s)), partitioned_cumulant(B, cycle_runs(s)))
+            (_sign(cycle_runs(s)), _partitioned_cumulant(B, cycle_runs(s)))
             for s in cyclic_permutations(n)
         ),
     )
@@ -274,7 +279,7 @@ def _check_thm4_cyclecruns(n):
             n,
             (
                 ((-1) ** (cycle_runs(s).num_blocks - cycles(s).num_blocks),
-                 partitioned_cumulant(B, cycle_runs(s)))
+                 _partitioned_cumulant(B, cycle_runs(s)))
                 for s in all_permutations(n)
             ),
         )
@@ -287,12 +292,14 @@ def _check_thm4_cyclecruns(n):
 
 
 def _check_cor_runs(n):
+    _check_cumulant_limits(B, n)
+
     def contributions():
         for s in all_permutations(n):
             if s(1) != 1:
                 continue
             part, d = runs(s)
-            yield ((-1) ** d, partitioned_cumulant(B, part))
+            yield ((-1) ** d, _partitioned_cumulant(B, part))
 
     rhs = linear_combination(n, contributions())
     return _compare("cor_runs", n, cumulant_poly(K, n), rhs)
@@ -311,14 +318,15 @@ def _check_lattice_formula(name, kinds, inverted, n):
     for kind in kinds:
         lattice = _MOBIUS_LATTICE_OF_KIND[kind]
         members = partitions_of(n, _LATTICE_CLASS[lattice])
+        _check_cumulant_limits(kind, n)
         checked += len(members)
         for pi in members:
             interval = lower_interval(pi, lattice)
             if inverted:
                 rhs = linear_combination(n, ((mu, moment_monomial(s)) for s, mu in interval))
-                holds = partitioned_cumulant(kind, pi) == rhs
+                holds = _partitioned_cumulant(kind, pi) == rhs
             else:
-                rhs = linear_combination(n, ((1, partitioned_cumulant(kind, s)) for s, _ in interval))
+                rhs = linear_combination(n, ((1, _partitioned_cumulant(kind, s)) for s, _ in interval))
                 holds = moment_monomial(pi) == rhs
             if not holds:
                 failures.append(f"{lattice}:{pi}" if inverted else f"pi={pi}")
@@ -447,7 +455,7 @@ def _check_thm5_nonesting(n):
     failures = []
     checked = 0
     for pi in partitions_of(n, "irreducible"):
-        if anti_interval_digraph(pi).directed:
+        if pi.block_pairs()[1]:
             continue  # has a nesting
         checked += 1
         expected = _sign(pi) * tutte_eval(crossing_graph(pi), 1, 0)

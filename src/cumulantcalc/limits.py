@@ -3,7 +3,13 @@
 Every exhaustive enumeration in this package is guarded by a size limit so
 that a typo on the command line cannot start a week-long computation.  The
 defaults are chosen so that every exhaustive check finishes in minutes on a
-laptop.  A key's limit is, in order of precedence:
+laptop.  A partition class is bounded by the key of the walk that
+enumerates it (``all``, ``noncrossing`` or ``interval``; see
+`partitions.enumerate_partitions`), a cumulant polynomial also by its
+``cumulant-*`` key.  Every public entry point checks its keys on every
+call, hit or miss; the identity catalog checks the keys of the cumulants
+it sums once per (identity, n), where it chooses the work, and then reads
+their cache unchecked.  A key's limit is, in order of precedence:
 
 1. n, for every key, inside an ``override(n)`` block (the CLI runs each
    command inside one built from ``--limit``: it applies to every command),
@@ -27,12 +33,7 @@ DEFAULT_LIMITS = {
     "all": 10,
     "noncrossing": 12,
     "interval": 16,
-    "irreducible": 10,
-    "connected": 10,
-    "irreducible-noncrossing": 12,
-    "connected-noncrossing": 12,
     "monotone": 8,
-    "graph-vertices": 8,
     "beta-blocks": 10,
     "cumulant-classical": 8,
     "cumulant-other": 9,

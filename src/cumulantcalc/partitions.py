@@ -21,6 +21,11 @@ left to right: `is_noncrossing` and `is_connected` with a stack of open
 blocks (or of groups of crossing blocks), `is_irreducible` with the last
 position reached so far; `restrict` relabels the RGS.
 
+Each class is enumerated by one of three walks over RGS prefixes, all of
+P(n), NC(n) (pruned at a crossing) or I(n) (pruned at a gap), filtered by
+the class's predicate (`_CLASS_WALK`).  A class costs what its walk costs,
+so the walk's name is also the limit key the class is checked against.
+
 Block relations
 ---------------
 `block_pairs` is the one pairwise block scan: it lists the pairs of blocks
@@ -439,24 +444,13 @@ def lattice_leq(pi: SetPartition, sigma: SetPartition) -> bool:
 
 
 def lattice_join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
+    """The blocks of pi merged along every block b of sigma: the pi-block of
+    each element of b joins the pi-block of b[0]."""
     _require_same_n(pi, sigma)
-    n = pi.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in (pi, sigma):
-        for b in p.blocks:
-            for x in b[1:]:
-                parent[find(x)] = find(b[0])
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return SetPartition.from_blocks(n, groups.values())
+    rgs = pi.rgs
+    return pi._merge_components(
+        (rgs[b[0] - 1], rgs[x - 1]) for b in sigma.blocks for x in b[1:]
+    )
 
 
 def lattice_meet(pi: SetPartition, sigma: SetPartition) -> SetPartition:
@@ -578,7 +572,8 @@ def lower_interval(pi: SetPartition, lattice: str):
     block, relabelled onto W, and mu is the product of their to-the-top
     values.  For NC and I this is exact because a refinement of pi is
     noncrossing (interval) iff each of its restrictions to a block is.
-    Order: the last block of pi varies fastest.
+    Order: the last block of pi varies fastest.  The lattice's limit is
+    checked on every call, hit or miss, at the largest block.
     """
     lat = lattice.upper()
     if lat not in _LATTICE_CLASS:
@@ -589,7 +584,8 @@ def lower_interval(pi: SetPartition, lattice: str):
         raise ValueError(f"{pi} is not an interval partition")
     n = pi.n
     blocks = pi.blocks
-    factors = [_block_lattice(len(w), lat) for w in blocks]
+    check_limit(_LATTICE_CLASS[lat], max(pi.block_sizes()))
+    factors = [_block_lattice_cached(len(w), lat) for w in blocks]
     positions = [[x - 1 for x in w] for w in blocks]
     # sigma's block with local label a in pi's j-th block gets the raw
     # label j*n + a; renumbering raw labels in first-use order gives the RGS
@@ -607,17 +603,9 @@ def lower_interval(pi: SetPartition, lattice: str):
         )
 
 
-def _block_lattice(k: int, lat: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(RGS, mu(sigma, 1)) for every sigma of the lattice on k elements.
-
-    The limit is checked on every call, hit or miss, as in `partitions_of`.
-    """
-    check_limit(_LATTICE_CLASS[lat], k)
-    return _block_lattice_cached(k, lat)
-
-
 @lru_cache(maxsize=64)
-def _block_lattice_cached(k: int, lat: str):
+def _block_lattice_cached(k: int, lat: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(RGS, mu(sigma, 1)) for every sigma of the lattice on k elements."""
     cls = PartitionClass(_LATTICE_CLASS[lat])
     return tuple((s.rgs, mobius_to_top(s, lat)) for s in _partitions_of(k, cls))
 
@@ -635,23 +623,6 @@ class PartitionClass(enum.Enum):
     CONNECTED = "connected"
     IRREDUCIBLE_NONCROSSING = "irreducible-noncrossing"
     CONNECTED_NONCROSSING = "connected-noncrossing"
-
-
-_PRUNE_NONCROSSING = {
-    PartitionClass.NONCROSSING,
-    PartitionClass.IRREDUCIBLE_NONCROSSING,
-    PartitionClass.CONNECTED_NONCROSSING,
-}
-
-_POST_FILTER = {
-    PartitionClass.ALL: lambda p: True,
-    PartitionClass.NONCROSSING: lambda p: True,  # enforced by pruning
-    PartitionClass.INTERVAL: lambda p: True,  # enforced by pruning
-    PartitionClass.IRREDUCIBLE: lambda p: p.is_irreducible(),
-    PartitionClass.CONNECTED: lambda p: p.is_connected(),
-    PartitionClass.IRREDUCIBLE_NONCROSSING: lambda p: p.is_irreducible(),
-    PartitionClass.CONNECTED_NONCROSSING: lambda p: p.is_connected(),
-}
 
 
 def _rgs_partitions(n, prune=None):
@@ -722,39 +693,50 @@ def _prune_interval(blocks, v, x):
     return v == len(blocks) or (blocks[v][-1] == x - 1)
 
 
+#: class -> (walk, filter): the walk is the pruned RGS walk that runs and
+#: the limit key checked, the filter keeps the class's members (None: all)
+_CLASS_WALK = {
+    PartitionClass.ALL: ("all", None),
+    PartitionClass.NONCROSSING: ("noncrossing", None),
+    PartitionClass.INTERVAL: ("interval", None),
+    PartitionClass.IRREDUCIBLE: ("all", SetPartition.is_irreducible),
+    PartitionClass.CONNECTED: ("all", SetPartition.is_connected),
+    PartitionClass.IRREDUCIBLE_NONCROSSING: ("noncrossing", SetPartition.is_irreducible),
+    PartitionClass.CONNECTED_NONCROSSING: ("noncrossing", SetPartition.is_connected),
+}
+
+_WALK_PRUNE = {"all": None, "noncrossing": _prune_noncrossing, "interval": _prune_interval}
+
+
 def _enumerate_unchecked(n: int, cls: PartitionClass):
     """The members of the class in RGS order, with no limit check."""
-    if cls in _PRUNE_NONCROSSING:
-        prune = _prune_noncrossing
-    elif cls is PartitionClass.INTERVAL:
-        prune = _prune_interval
-    else:
-        prune = None
-    keep = _POST_FILTER[cls]
-    for p in _rgs_partitions(n, prune):
-        if keep(p):
-            yield p
+    walk, keep = _CLASS_WALK[cls]
+    members = _rgs_partitions(n, _WALK_PRUNE[walk])
+    return members if keep is None else filter(keep, members)
 
 
 def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL):
-    """Stream the members of the class, each exactly once, in RGS order."""
+    """Stream the members of the class, each exactly once, in RGS order.
+
+    The limit checked is that of the class's walk (`_CLASS_WALK`).
+    """
     cls = PartitionClass(cls)
     if n < 1:
         raise ValueError("n must be positive")
-    check_limit(cls.value, n)
+    check_limit(_CLASS_WALK[cls][0], n)
     yield from _enumerate_unchecked(n, cls)
 
 
 def partitions_of(n: int, cls_value: str = "all") -> tuple[SetPartition, ...]:
     """Cached tuple of all partitions of [n] in a class (internal reuse).
 
-    The limit is checked on every call, hit or miss, so a limit lowered
-    after the first call is never bypassed by the cache.
+    The walk's limit is checked on every call, hit or miss, so a limit
+    lowered after the first call is never bypassed by the cache.
     """
     cls = PartitionClass(cls_value)
     if n < 1:
         raise ValueError("n must be positive")
-    check_limit(cls.value, n)
+    check_limit(_CLASS_WALK[cls][0], n)
     return _partitions_of(n, cls)
 
 

@@ -173,14 +173,13 @@ def _random_coeffs(rng, order, zero_weight=3):
     ]
 
 
-def _assert_kernel_matches(got: TruncatedSeries, expected, mixed: bool):
+def _assert_kernel_matches(got: TruncatedSeries, expected):
     # lowest terms: equal to the series built from the oracle's Fractions,
     # with no factor shared by the denominator and every numerator
     order = len(expected) - 1
     assert got == TruncatedSeries(expected, order)
     assert got.coeffs == tuple(expected)
     assert got.den > 0 and gcd(got.den, *got.nums) == 1
-    assert got.order_mixed is mixed
 
 
 def test_series_kernel_matches_fraction_oracle():
@@ -193,36 +192,27 @@ def test_series_kernel_matches_fraction_oracle():
             a = zero(m)
         b = TruncatedSeries(_random_coeffs(rng, n), n)
         ac, bc = list(a.coeffs), list(b.coeffs)
-        mixed = m != n
-        _assert_kernel_matches(a + b, fs_add(ac, bc), mixed)
-        _assert_kernel_matches(a - b, fs_add(ac, [-c for c in bc]), mixed)
-        _assert_kernel_matches(a * b, fs_mul(ac, bc), mixed)
-        _assert_kernel_matches(a * zero(m), [Fraction(0)] * (m + 1), False)
+        _assert_kernel_matches(a + b, fs_add(ac, bc))
+        _assert_kernel_matches(a - b, fs_add(ac, [-c for c in bc]))
+        _assert_kernel_matches(a * b, fs_mul(ac, bc))
+        _assert_kernel_matches(a * zero(m), [Fraction(0)] * (m + 1))
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        _assert_kernel_matches(a * c, [c * x for x in ac], False)
-        _assert_kernel_matches(c + a, [ac[0] + c] + ac[1:], False)
-        _assert_kernel_matches(c - a, [c - ac[0]] + [-x for x in ac[1:]], False)
+        _assert_kernel_matches(a * c, [c * x for x in ac])
+        _assert_kernel_matches(c + a, [ac[0] + c] + ac[1:])
+        _assert_kernel_matches(c - a, [c - ac[0]] + [-x for x in ac[1:]])
         inner = TruncatedSeries([0] + bc[1:], n)
-        _assert_kernel_matches(a.compose(inner), fs_compose(ac, [Fraction(0)] + bc[1:]), mixed)
+        _assert_kernel_matches(a.compose(inner), fs_compose(ac, [Fraction(0)] + bc[1:]))
         if ac[0]:
-            _assert_kernel_matches(a.reciprocal(), fs_reciprocal(ac), False)
+            _assert_kernel_matches(a.reciprocal(), fs_reciprocal(ac))
         unit = TruncatedSeries([1] + ac[1:], m)
-        _assert_kernel_matches(unit.log(), fs_log([Fraction(1)] + ac[1:]), False)
-    # mixing orders marks the result, and the mark travels on
-    a = TruncatedSeries([1, Fraction(-1, 2), 3], 2)
-    mixed = a * TruncatedSeries([1, 1], 1)
-    assert mixed.order_mixed and mixed.order == 1
-    assert (mixed + TruncatedSeries([1, 1], 1)).order_mixed
-    assert mixed.reciprocal().order_mixed and mixed.log().order_mixed
-    assert (-mixed).order_mixed and mixed.truncate(3).order_mixed
+        _assert_kernel_matches(unit.log(), fs_log([Fraction(1)] + ac[1:]))
 
 
-def test_series_order_mixing_flag():
+def test_series_mixing_orders_takes_the_minimum_order():
     a = TruncatedSeries([1, 2, 3], 2)
     b = TruncatedSeries([1, 1], 1)
     c = a + b
-    assert c.order == 1 and c.order_mixed
-    assert (a + a).order_mixed is False
+    assert c.order == 1
 
 
 def test_series_json():

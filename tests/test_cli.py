@@ -450,6 +450,14 @@ def test_limit_precedence(monkeypatch):
     assert limits.limit_for("all") == 13
 
 
+def test_enumerate_checks_the_walk_of_a_filtered_class(capsys, monkeypatch):
+    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "5")
+    assert run_cli(capsys, "enumerate", "5", "connected")[0] == 0
+    code, out, err = run_cli(capsys, "enumerate", "6", "connected")
+    assert code == 3 and out == ""
+    assert "for 'all'; raise it via CUMULANTCALC_MAX_ALL or --limit" in err
+
+
 def test_limit_flag_reaches_verify(capsys):
     for jobs in ((), ("--jobs", "2")):
         code, out, err = run_cli(capsys, "--limit", "3", *jobs, "verify", "free2boolean", "5")

@@ -1,9 +1,11 @@
 """The identity catalog: entry point behavior plus a small-n sweep."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cumulantcalc import limits
 from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
 from cumulantcalc.identities import (
@@ -18,7 +20,7 @@ from cumulantcalc.identities import (
 )
 from cumulantcalc.limits import ResourceLimitError
 from cumulantcalc.partitions import partitions_of
-from oracles import univariate_sum_per_partition
+from oracles import bell_number, univariate_sum_per_partition
 
 
 def test_catalog_is_complete():
@@ -121,9 +123,16 @@ def test_univariate_caches_check_a_lowered_limit(monkeypatch):
 @pytest.mark.parametrize("name, env, low", [
     ("thm2_free2mono", "CUMULANTCALC_MAX_CUMULANT_OTHER", 3),
     ("thm2_class2mono", "CUMULANTCALC_MAX_CUMULANT_CLASSICAL", 4),
+    # the keys below are checked only for the cumulants summed over
+    ("class2free", "CUMULANTCALC_MAX_CUMULANT_CLASSICAL", 2),
+    ("thm3_boolean2class_tutte", "CUMULANTCALC_MAX_INTERVAL", 2),
+    ("thm4_cyclecruns", "CUMULANTCALC_MAX_CUMULANT_OTHER", 2),
+    ("thm4_cyclecruns", "CUMULANTCALC_MAX_INTERVAL", 2),
+    ("moment_cumulant_R", "CUMULANTCALC_MAX_CUMULANT_OTHER", 2),
 ])
 def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, env, low):
-    # warm, the rows still check the cumulant limit, and it binds at n itself
+    # warm, the rows still check the cumulant and lattice limits, and they
+    # bind at n itself
     key = env.removeprefix("CUMULANTCALC_MAX_").lower().replace("_", "-")
     assert verify_identity(name, 5).holds
     monkeypatch.setenv(env, "5")
@@ -132,6 +141,31 @@ def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, env, low):
         monkeypatch.setenv(env, str(bound))
         with pytest.raises(ResourceLimitError, match=key):
             verify_identity(name, 5)
+
+
+@pytest.mark.parametrize("name, most", [
+    *((name, 8) for name in (
+        "free2boolean", "class2free", "class2boolean", "thm1_mono2free",
+        "moment_cumulant_H", "free2class_tutte", "thm4_cyclecruns", "cor_runs",
+        "thm2_free2mono_mv",
+    )),
+    # lower_interval, public, checks once per pi of P(6)
+    ("moment_cumulant_K", bell_number(6) + 8),
+])
+def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
+    # the limits are checked where the row chooses its work, not again for
+    # every partitioned cumulant it reads
+    assert verify_identity(name, 6).holds
+    keys = []
+    resolve = limits.limit_for
+
+    def counting(key):
+        keys.append(key)
+        return resolve(key)
+
+    monkeypatch.setattr(limits, "limit_for", counting)
+    assert verify_identity(name, 6).holds
+    assert len(keys) <= most, Counter(keys)
 
 
 def test_type_sum_matches_per_partition_oracle():

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from cumulantcalc.limits import ResourceLimitError, override
+from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import (
     OrderedPartition,
     blocks_cross,
@@ -144,6 +144,28 @@ def test_partitions_of_limit_checked_on_every_call(monkeypatch):
     with override(5):  # an override wins
         assert len(partitions_of(5, "all")) == 52
     assert len(partitions_of(4)) == 15
+
+
+@pytest.mark.parametrize("key, classes", [
+    ("ALL", ("all", "irreducible", "connected")),
+    ("NONCROSSING", ("noncrossing", "irreducible-noncrossing", "connected-noncrossing")),
+])
+def test_classes_are_checked_against_their_walk(monkeypatch, key, classes):
+    # a class costs what its walk costs, so the walk's key bounds it
+    monkeypatch.setenv(f"CUMULANTCALC_MAX_{key}", "5")
+    for cls in classes:
+        assert partitions_of(5, cls)
+        with pytest.raises(ResourceLimitError, match=f"CUMULANTCALC_MAX_{key}"):
+            partitions_of(6, cls)
+        with pytest.raises(ResourceLimitError, match=f"CUMULANTCALC_MAX_{key}"):
+            next(enumerate_partitions(6, cls))
+
+
+def test_limit_keys_are_the_walks_and_the_other_tasks():
+    assert set(DEFAULT_LIMITS) == {
+        "all", "noncrossing", "interval", "monotone",
+        "beta-blocks", "cumulant-classical", "cumulant-other",
+    }
 
 
 def test_partitions_of_rejects_n_below_one():
