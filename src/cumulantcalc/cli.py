@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 identity failure, 2 usage error, 3 resource
 limit exceeded, 141 stdout closed early (128 + SIGPIPE, as when piped
 into `head`).  Data goes to stdout, diagnostics to stderr; identical
-invocations produce byte-identical output (reports carry no timestamps
-and all randomized checks are seeded).
+invocations produce byte-identical stdout (reports carry no timestamps
+and all randomized checks are seeded).  With `-v`, `verify` also writes
+one line per (identity, n) to stderr: its wall time and the peak RSS of
+the process that ran it.
 
 Flag / environment precedence: command-line flags win over environment
 variables (CUMULANTCALC_MAX_*, CUMULANTCALC_CACHE_DIR, CUMULANTCALC_JOBS,
@@ -18,8 +20,11 @@ import csv
 import io
 import json
 import os
+import resource
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -148,10 +153,20 @@ def _cmd_enumerate(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes there, KiB here
+
+
 def _verify_worker(job):
+    """(report, wall seconds, peak RSS in MiB), measured by the process
+    that runs the job."""
     name, n, limit = job
+    start = time.perf_counter()
     with override(limit):  # the override travels with the job to a worker
-        return verify_identity(name, n)
+        report = verify_identity(name, n)
+    return report, time.perf_counter() - start, _peak_rss_mb()
 
 
 def _check_positive(n: int) -> None:
@@ -164,11 +179,18 @@ def _cmd_verify(args, cfg: Config) -> int:
     names = None if args.all else [args.identity]
     jobs = [(name, n, cfg.limit)
             for name, n in catalog_jobs(args.n_max, names, strict=not args.all)]
-    if cfg.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(_verify_worker, jobs))
-    else:
-        reports = [_verify_worker(j) for j in jobs]
+    reports = []
+    with ExitStack() as stack:
+        if cfg.jobs > 1 and len(jobs) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+            runs = pool.map(_verify_worker, jobs)
+        else:
+            runs = map(_verify_worker, jobs)
+        for report, wall_s, peak_mb in runs:
+            if cfg.verbose:
+                print(f"verify {report.identity} n={report.n} wall_s={wall_s:.3f} "
+                      f"peak_rss_mb={peak_mb:.1f}", file=sys.stderr)
+            reports.append(report)
     all_hold = all(r.holds for r in reports)
     if cfg.output_format == "text":
         for r in reports:
@@ -365,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel workers for verification sweeps")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for cached coefficient tables")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument("-v", "--verbose", action="count", default=0,
+                        help="verify: one line per (identity, n) on stderr with "
+                             "its wall time and the peak RSS of the process "
+                             "that ran it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream partitions of a class")

@@ -4,11 +4,9 @@ The nesting forest of a noncrossing partition has one vertex per block;
 the parent of a block is its nearest enclosing block, read off the nested
 pairs of `SetPartition.block_pairs` (the enclosing block with the largest
 minimum), so each irreducible component contributes one tree rooted at its
-outer block.  Child order
-follows left-to-right block order, which keeps drawings reproducible but
-never affects any number computed here.
+outer block.
 
-Derived quantities:
+The invariants:
 
 * tree factorial t! (product over vertices of subtree sizes): a forest
   with k vertices admits exactly k!/t! monotone (increasing) labellings;
@@ -16,8 +14,34 @@ Derived quantities:
   forest with labels from [N]: a polynomial of degree <= #vertices with
   zero constant term, assembled from Faulhaber summation polynomials;
 * alpha = P'(0), the linear coefficient; it vanishes whenever the forest
-  has more than one tree;
+  has more than one tree, i.e. whenever 1 and n lie in different blocks,
+  and `alpha` returns 0 there without building the shape;
 * the depth of a noncrossing partition (1 + forest height).
+
+Shapes.  A tree shape is the sorted tuple of the shapes of its children
+(a leaf is `()`), and a forest shape is the sorted tuple of the shapes of
+its trees.  Sorting forgets the block labels and the left-to-right order
+of siblings, and nothing else: t!, the height and the labelling polynomial are
+each defined by recursions over the children that neither read a label
+nor depend on the order of the children (a product, a maximum, and an
+indefinite sum of a product), so each is a function of the shape, and so
+is alpha.
+`_shape(pi)` builds the forest shape of a partition in one reverse pass
+over its nesting pairs: a nested block has a larger index than every
+block enclosing it, so a block's children are complete before the pair
+that attaches it to its parent is reached.
+
+Caches.  `_shape` and `partition_tree_factorial` are keyed by the
+partition; `_tree_poly` and `_tree_stats` (vertex count, t!, height) by
+a tree shape, and `_forest_poly` by a forest shape.  There are at most as
+many shapes as unlabelled rooted trees or forests with n vertices (486
+trees with at most 9), so a sweep over NC(n) does the polynomial work
+once per shape, not once per partition.
+
+`nesting_forest` builds the labelled, planar `RootedForest` (children in
+left-to-right block order) for display and `forest_to_json` only; it is
+not cached, and no invariant builds it.  `tree_factorial` and
+`labelling_polynomial` accept such a forest and read its shape.
 """
 
 from __future__ import annotations
@@ -25,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .algebra import Polynomial, faulhaber_polynomial
 from .partitions import SetPartition
@@ -69,14 +93,19 @@ class RootedForest:
         return max((t.height() for t in self.trees), default=0)
 
 
-@lru_cache(maxsize=None)
+def _nesting_pairs(pi: SetPartition) -> list[tuple[int, int]]:
+    """The nesting pairs of `block_pairs`, after checking pi is noncrossing."""
+    crossing, nesting = pi.block_pairs()
+    if crossing:
+        raise ValueError(f"{pi} is crossing; nesting forests need noncrossing input")
+    return nesting
+
+
 def nesting_forest(pi: SetPartition) -> RootedForest:
     """Nesting forest of a noncrossing partition (one tree per component)."""
-    if not pi.is_noncrossing():
-        raise ValueError(f"{pi} is crossing; nesting forests need noncrossing input")
     k = pi.num_blocks
     parent = [None] * k
-    for i, j in pi.block_pairs()[1]:
+    for i, j in _nesting_pairs(pi):
         parent[j] = i  # pairs come in order of i: the last is the nearest
     children = [[] for _ in range(k)]
     roots = []
@@ -92,32 +121,61 @@ def nesting_forest(pi: SetPartition) -> RootedForest:
     return RootedForest(tuple(build(r) for r in roots), pi.blocks)
 
 
-def _tree_factorial(t: RootedTree) -> int:
-    out = t.size()
-    for c in t.children:
-        out *= _tree_factorial(c)
-    return out
+@lru_cache(maxsize=None)
+def _shape(pi: SetPartition) -> tuple:
+    """The forest shape of a noncrossing partition."""
+    nesting = _nesting_pairs(pi)
+    k = pi.num_blocks
+    children = [[] for _ in range(k)]  # their shapes, sorted when complete
+    root = [True] * k
+    for i, j in reversed(nesting):
+        if root[j]:  # the first pair met for j names its nearest parent
+            root[j] = False
+            children[j].sort()
+            children[i].append(tuple(children[j]))
+    trees = []
+    for kids, is_root in zip(children, root):
+        if is_root:
+            kids.sort()
+            trees.append(tuple(kids))
+    trees.sort()
+    return tuple(trees)
+
+
+def _tree_shape(t: RootedTree) -> tuple:
+    return tuple(sorted(_tree_shape(c) for c in t.children))
+
+
+def _forest_shape(f: RootedForest | RootedTree) -> tuple:
+    trees = (f,) if isinstance(f, RootedTree) else f.trees
+    return tuple(sorted(_tree_shape(t) for t in trees))
+
+
+@lru_cache(maxsize=None)
+def _tree_stats(shape: tuple) -> tuple[int, int, int]:
+    """(vertices, t!, height) of a tree shape."""
+    size, fact, height = 1, 1, -1
+    for c in shape:
+        s, f, h = _tree_stats(c)
+        size += s
+        fact *= f
+        height = max(height, h)
+    return size, size * fact, height + 1
 
 
 def tree_factorial(f: RootedForest | RootedTree) -> int:
     """t! = n * t_1! ... t_r!, multiplied over the trees of a forest."""
-    if isinstance(f, RootedTree):
-        return _tree_factorial(f)
-    out = 1
-    for t in f.trees:
-        out *= _tree_factorial(t)
-    return out
+    return prod(_tree_stats(t)[1] for t in _forest_shape(f))
 
 
 @lru_cache(maxsize=None)
 def partition_tree_factorial(pi: SetPartition) -> int:
-    return tree_factorial(nesting_forest(pi))
+    return prod(_tree_stats(t)[1] for t in _shape(pi))
 
 
 def monotone_labelling_count(pi: SetPartition) -> int:
     """Number of orders making the partition monotone: |pi|! / tau(pi)!."""
-    f = nesting_forest(pi)
-    q, r = divmod(factorial(pi.num_blocks), tree_factorial(f))
+    q, r = divmod(factorial(pi.num_blocks), partition_tree_factorial(pi))
     assert r == 0
     return q
 
@@ -131,49 +189,56 @@ def _indefinite_sum(q: Polynomial) -> Polynomial:
     return out
 
 
-def _tree_poly(t: RootedTree) -> Polynomial:
+@lru_cache(maxsize=None)
+def _tree_poly(shape: tuple) -> Polynomial:
+    """Labelling polynomial of a tree shape.
+
+    Conditioning on the root label k gives
+    P(N) = sum_{k=1..N} prod_i P_{t_i}(N-k+1) for the branches t_i, i.e.
+    the indefinite sum of the product of the branch polynomials.
+    """
     q = Polynomial.constant(1, "N")
-    for c in t.children:
+    for c in shape:
         q = q * _tree_poly(c)
     return _indefinite_sum(q)
 
 
-def labelling_polynomial(f: RootedForest) -> Polynomial:
-    """Polynomial in N counting nondecreasing N-labellings of the forest.
-
-    For a tree with branches t_1..t_m, conditioning on the root label k
-    gives P(N) = sum_{k=1..N} prod_i P_{t_i}(N-k+1), i.e. the indefinite
-    sum of the product of the branch polynomials.  The constant term is
-    always zero and the degree is at most the vertex count.
-    """
+@lru_cache(maxsize=None)
+def _forest_poly(shape: tuple) -> Polynomial:
     out = Polynomial.constant(1, "N")
-    for t in f.trees:
+    for t in shape:
         out = out * _tree_poly(t)
-    if not f.trees:
-        return out
-    assert out.coefficient(0) == 0
     return out
 
 
-@lru_cache(maxsize=None)
+def labelling_polynomial(f: RootedForest) -> Polynomial:
+    """Polynomial in N counting nondecreasing N-labellings of the forest:
+    the product of the polynomials of its trees.  The constant term is
+    zero unless the forest is empty, and the degree is at most the vertex
+    count."""
+    return _forest_poly(_forest_shape(f))
+
+
 def labelling_polynomial_of(pi: SetPartition) -> Polynomial:
-    return labelling_polynomial(nesting_forest(pi))
+    return _forest_poly(_shape(pi))
 
 
 def alpha(pi: SetPartition) -> Fraction:
     """Linear coefficient P'(0) of the labelling polynomial of pi.
 
     Zero whenever the nesting forest is not a single tree, i.e. whenever
-    pi is reducible.
+    pi is reducible: for a noncrossing pi, whenever 1 and n lie in
+    different blocks.
     """
-    if len(nesting_forest(pi).trees) != 1:
+    if pi.block_index_of(pi.n) and pi.is_noncrossing():
         return Fraction(0)
-    return labelling_polynomial_of(pi).coefficient(1)
+    (tree,) = _shape(pi)  # the block of 1 and n encloses every other block
+    return _tree_poly(tree).coefficient(1)
 
 
 def depth(pi: SetPartition) -> int:
     """Maximal number of blocks covering a block (the block included)."""
-    return 1 + nesting_forest(pi).height()
+    return 1 + max((_tree_stats(t)[2] for t in _shape(pi)), default=0)
 
 
 def _tree_json(t: RootedTree, blocks):

@@ -648,7 +648,7 @@ IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
                      "tilde swaps free and Boolean cumulants and negates monotone ones"),
         IdentityInfo("monotone_flow_integer", 10, _check_monotone_flow_integer,
                      "integer-parameter composition law of the monotone dilation"),
-        IdentityInfo("lenczewski_sum", 7, _check_lenczewski_sum,
+        IdentityInfo("lenczewski_sum", 9, _check_lenczewski_sum,
                      "colored free-cumulant sums match monotone dilation moments"),
         FamilySum("beta_expansion", 6, K, H, "all", lambda pi: beta_formula(pi), False,
                   "classical cumulants as beta-weighted monotone cumulants"),

@@ -596,3 +596,53 @@ def nesting_forest_by_enclosure(pi: SetPartition):
         return RootedTree(i, tuple(build(c) for c in range(k) if parent[c] == i))
 
     return RootedForest(tuple(build(r) for r in range(k) if parent[r] is None), bs)
+
+
+# --- nesting-forest invariants by recursion over labelled trees -------------
+
+
+def tree_poly_by_recursion(t):
+    """Labelling polynomial of a `RootedTree`, recursing over the tree
+    itself: the indefinite sum, through Faulhaber polynomials, of the
+    product of the branch polynomials (no memo, no shapes)."""
+    from cumulantcalc.algebra import Polynomial, faulhaber_polynomial
+
+    q = Polynomial.constant(1, "N")
+    for c in t.children:
+        q = q * tree_poly_by_recursion(c)
+    out = Polynomial.zero("N")
+    for d, c in enumerate(q.coeffs):
+        if c:
+            out = out + c * faulhaber_polynomial(d)
+    return out
+
+
+def forest_invariants_by_trees(pi: SetPartition):
+    """(alpha, labelling polynomial, tree factorial, depth) of a
+    noncrossing pi, read off its enclosure-search nesting forest."""
+    from cumulantcalc.algebra import Polynomial
+
+    forest = nesting_forest_by_enclosure(pi)
+    poly = Polynomial.constant(1, "N")
+    tree_fact = 1
+    for t in forest.trees:
+        poly = poly * tree_poly_by_recursion(t)
+        tree_fact *= tree_factorial_by_sizes(t)
+    a = poly.coefficient(1) if len(forest.trees) == 1 else Fraction(0)
+    return a, poly, tree_fact, 1 + forest.height()
+
+
+def tree_factorial_by_sizes(t) -> int:
+    """Product of the subtree sizes over the vertices of a `RootedTree`."""
+    out = t.size()
+    for c in t.children:
+        out *= tree_factorial_by_sizes(c)
+    return out
+
+
+def tree_shapes_by_recursion(t, into: set) -> tuple:
+    """Canonical shape of a `RootedTree` (sorted tuple of the child shapes),
+    adding it and the shape of every subtree to `into`."""
+    shape = tuple(sorted(tree_shapes_by_recursion(c, into) for c in t.children))
+    into.add(shape)
+    return shape

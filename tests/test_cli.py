@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,7 @@ def test_verify_univariate_rows_golden_digests(capsys):
         ("thm2_class2mono", "7"): "da6b1f9c44e1f2742c1b10a6ab3e4d83148070c8ed8bada20ef13ff270a7d8f0",
         ("thm2_class2mono", "8"): "c578beb8d01676ab415356dca3cc21e5879d59e8b1540398c99f31dfc8e3a87f",
         ("lenczewski_sum", "7"): "fc6e707a826ec62b06fb5036448275a7f41736245c9ce5892e4f994ba81d5c97",
+        ("lenczewski_sum", "9"): "9db60c53a1c063d4e761f8ebd433a4ba01976b523db67a23b2dfedc1eec937f6",
     }
     for (name, n), digest in golden.items():
         code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)
@@ -251,6 +253,18 @@ def test_verify_parallel_jobs_match_serial(capsys):
     _, serial, _ = run_cli(capsys, "--format", "json", "verify", "--all", "2")
     _, parallel, _ = run_cli(capsys, "--format", "json", "--jobs", "2", "verify", "--all", "2")
     assert serial == parallel
+
+
+def test_verbose_verify_reports_each_job_on_stderr(capsys):
+    line = re.compile(r"verify (\w+) n=(\d+) wall_s=\d+\.\d{3} peak_rss_mb=\d+\.\d\n")
+    for jobs in ((), ("--jobs", "2")):
+        _, quiet, quiet_err = run_cli(capsys, *jobs, "verify", "--all", "2")
+        code, out, err = run_cli(capsys, "-v", *jobs, "verify", "--all", "2")
+        assert code == 0 and out == quiet and quiet_err == "", jobs
+        reports = [(r["identity"], str(r["n"])) for r in json.loads(out)]
+        lines = err.splitlines(keepends=True)
+        assert len(lines) == len(reports), jobs
+        assert [line.fullmatch(x).groups() for x in lines] == reports, jobs
 
 
 def test_convert(capsys):
@@ -400,6 +414,8 @@ def test_table_beta_7_golden_digest(capsys):
             "17ded538995e0cd97e0d3e27eea0fbbbb358dbd97e8ad100274bed0846e04f49",
         ("table", "alpha", "8"):
             "cf0c6e55897a21ff9b36cbf5441f30fbf4c7ff905de065fd23cd71e8cabae08f",
+        ("table", "alpha", "10"):
+            "b840defdd4e7a55d0e593fe006386fc0b001c1e6dd3325475837d971110578d5",
         ("--format", "json", "enumerate", "7", "monotone"):
             "b5c3c7abe4bbb9f392e228695a7eb58f57cae56d9718bb172a789d5132067097",
     }

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from cumulantcalc import forests
 from cumulantcalc.algebra import Polynomial, bernoulli_number
 from cumulantcalc.forests import (
     RootedForest,
@@ -16,15 +17,18 @@ from cumulantcalc.forests import (
     labelling_polynomial_of,
     monotone_labelling_count,
     nesting_forest,
+    partition_tree_factorial,
     tree_factorial,
 )
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, enumerate_partitions
 
 from oracles import (
     all_planar_forests,
+    forest_invariants_by_trees,
     monotone_orders_brute,
     nesting_forest_by_enclosure,
     nondecreasing_labellings_brute,
+    tree_shapes_by_recursion,
 )
 
 P = SetPartition.from_text
@@ -197,3 +201,54 @@ def test_forest_json():
 
 def test_labelling_polynomial_of_partition():
     assert labelling_polynomial_of(SetPartition.one_block(3)) == Polynomial([0, 1], "N")
+
+
+def _clear_shape_caches():
+    for cache in (forests._shape, forests._tree_poly, forests._forest_poly,
+                  forests._tree_stats, partition_tree_factorial):
+        cache.cache_clear()
+
+
+def test_invariants_match_the_rooted_tree_oracle():
+    _clear_shape_caches()
+    for n in range(1, 10):
+        for pi in enumerate_partitions(n, "noncrossing"):
+            a, poly, tree_fact, d = forest_invariants_by_trees(pi)
+            assert alpha(pi) == a, pi
+            assert labelling_polynomial_of(pi) == poly, pi
+            assert partition_tree_factorial(pi) == tree_fact, pi
+            assert depth(pi) == d, pi
+
+
+def test_alpha_sums_once_per_tree_shape(monkeypatch):
+    calls = []
+    indefinite_sum = forests._indefinite_sum
+    monkeypatch.setattr(forests, "_indefinite_sum",
+                        lambda q: calls.append(q) or indefinite_sum(q))
+    _clear_shape_caches()
+    members = list(enumerate_partitions(9, "noncrossing"))
+    for pi in members:
+        alpha(pi)
+    shapes = set()
+    for pi in members:
+        for t in nesting_forest_by_enclosure(pi).trees:
+            tree_shapes_by_recursion(t, shapes)
+    # 37 of the 486 rooted trees with at most 9 vertices occur
+    assert len(shapes) == 37
+    assert 0 < len(calls) <= len(shapes)
+
+
+def test_invariants_build_no_rooted_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an invariant built a labelled forest")
+
+    monkeypatch.setattr(forests, "RootedTree", refuse)
+    monkeypatch.setattr(forests, "nesting_forest", refuse)
+    _clear_shape_caches()
+    for pi in enumerate_partitions(6, "noncrossing"):
+        alpha(pi)
+        labelling_polynomial_of(pi)
+        partition_tree_factorial(pi)
+        depth(pi)
+        monotone_labelling_count(pi)
+    assert not hasattr(nesting_forest, "cache_info")
