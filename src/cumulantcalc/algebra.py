@@ -197,9 +197,10 @@ class Polynomial:
     # -- calculus -----------------------------------------------------------
 
     def evaluate(self, x) -> Fraction:
+        x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "Polynomial":

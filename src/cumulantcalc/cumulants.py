@@ -477,7 +477,6 @@ def determinant_moments(kind: str, cumulants) -> list[Fraction]:
 # Beta coefficients
 # ---------------------------------------------------------------------------
 
-_BETA_FORMULA_MEMO: dict[tuple, Fraction] = {}
 _BETA_RECURSIVE_MEMO: dict[tuple, Fraction] = {}
 
 
@@ -556,12 +555,10 @@ def _beta_closed_sum(k: int, crossing, nesting) -> Fraction:
     return Fraction(K[size - 1], fact[k])
 
 
+@lru_cache(maxsize=None)
 def _beta_of_digraph(key: tuple) -> Fraction:
-    hit = _BETA_FORMULA_MEMO.get(key)
-    if hit is None:
-        k, crossing, nesting, _ = key
-        hit = _BETA_FORMULA_MEMO[key] = _beta_closed_sum(k, crossing, nesting)
-    return hit
+    k, crossing, nesting, _ = key
+    return _beta_closed_sum(k, crossing, nesting)
 
 
 def beta_formula(pi: SetPartition) -> Fraction:

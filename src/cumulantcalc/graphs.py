@@ -13,12 +13,14 @@ pairs split into crossing and nested ones:
   (e.g. {1,3,5} and {2,4}); crossing takes precedence, which is what makes
   the digraph a complete invariant for the beta coefficients.
 
-The Tutte polynomial is computed by deletion-contraction on multigraphs
-(bridge -> x * contract, loop -> y * delete), memoized on a normalized
-labeled edge list.  T(1,0) of a connected graph counts acyclic orientations
-whose unique source is any fixed vertex; specializing to the two graphs
-above it counts the crossing/interval heaps that are pyramids, i.e. heap
-orders in which the block containing 1 is the only maximal element.
+The Tutte polynomial is one deletion-contraction recursion on multigraphs
+(loop -> y * delete, bridge -> x * contract, else delete + contract) that
+builds coefficient tables, memoized on a normalized labeled edge list;
+`tutte_eval` sums the table at (x, y), memoized per (edge list, x, y).
+T(1,0) of a connected graph counts acyclic orientations whose unique
+source is any fixed vertex; specializing to the two graphs above it
+counts the crossing/interval heaps that are pyramids, i.e. heap orders in
+which the block containing 1 is the only maximal element.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .partitions import SetPartition, enumerate_partitions
@@ -81,24 +84,24 @@ class MixedGraph:
             list(self.undirected) + [(min(i, j), max(i, j)) for i, j in self.directed]
         ))
 
-    def num_edges(self) -> int:
-        return len(self.undirected) + len(self.directed) + len(self.loops)
-
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.all_edges_undirected():
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return self.n == 0 or len(_reached(self.all_edges_undirected(), 0)) == self.n
+
+
+def _reached(edges, start: int) -> set[int]:
+    """The vertices joined to `start` by a path along `edges`."""
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +135,6 @@ def digraph_key(g: MixedGraph) -> tuple:
 # Tutte polynomial by deletion-contraction
 # ---------------------------------------------------------------------------
 
-_TUTTE_EVAL_MEMO: dict[tuple, Fraction] = {}
-_TUTTE_POLY_MEMO: dict[tuple, dict] = {}
-
 
 def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     """Sort and relabel vertices by first appearance (drops isolated ones)."""
@@ -150,96 +150,45 @@ def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-def _is_bridge(edges, e) -> bool:
-    u, v = e
-    if u == v:
-        return False
-    rest = list(edges)
-    rest.remove(e)
-    if e in rest:  # a parallel copy keeps the endpoints connected
-        return False
-    adj: dict[int, list[int]] = {}
-    for a, b in rest:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = {u}
-    stack = [u]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen:
-                if w == v:
-                    return False
-                seen.add(w)
-                stack.append(w)
-    return True
+@lru_cache(maxsize=None)
+def _tutte_table(edges) -> dict[tuple[int, int], int]:
+    """Coefficients {(i, j): c} of T = sum c x^i y^j, pivoting on edges[0].
 
-
-def _contract(edges, e):
-    u, v = e
-    rest = list(edges)
-    rest.remove(e)
-    return _normalize_edges(
-        ((u if a == v else a), (u if b == v else b)) for a, b in rest
-    )
-
-
-def _delete(edges, e):
-    rest = list(edges)
-    rest.remove(e)
-    return _normalize_edges(rest)
-
-
-def _tutte(edges, x: Fraction, y: Fraction) -> Fraction:
+    The tables are shared by every caller and must not be mutated.
+    """
     if not edges:
-        return Fraction(1)
-    key = (edges, x, y)
-    hit = _TUTTE_EVAL_MEMO.get(key)
-    if hit is not None:
-        return hit
-    e = edges[0]
-    if e[0] == e[1]:
-        val = y * _tutte(_delete(edges, e), x, y)
-    elif _is_bridge(edges, e):
-        val = x * _tutte(_contract(edges, e), x, y)
-    else:
-        val = _tutte(_delete(edges, e), x, y) + _tutte(_contract(edges, e), x, y)
-    _TUTTE_EVAL_MEMO[key] = val
-    return val
+        return {(0, 0): 1}
+    (u, v), rest = edges[0], edges[1:]
+    if u == v:  # a loop: y * T(G - e)
+        return {(i, j + 1): c for (i, j), c in _tutte_table(_normalize_edges(rest)).items()}
+    contracted = _tutte_table(_normalize_edges(
+        ((u if a == v else a), (u if b == v else b)) for a, b in rest
+    ))
+    if v not in _reached(rest, u):  # a bridge: x * T(G / e)
+        return {(i + 1, j): c for (i, j), c in contracted.items()}
+    table = dict(_tutte_table(_normalize_edges(rest)))
+    for ij, c in contracted.items():
+        table[ij] = table.get(ij, 0) + c
+    return table
+
+
+def _edges_of(g: MixedGraph) -> tuple[tuple[int, int], ...]:
+    return _normalize_edges(list(g.all_edges_undirected()) + [(v, v) for v in g.loops])
+
+
+@lru_cache(maxsize=None)
+def _tutte_value(edges, x: Fraction, y: Fraction) -> Fraction:
+    return sum((c * x**i * y**j for (i, j), c in _tutte_table(edges).items()), Fraction(0))
 
 
 def tutte_eval(g: MixedGraph, x, y) -> Fraction:
     """T_G(x, y) by deletion-contraction; orientations are ignored."""
-    edges = _normalize_edges(
-        list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
-    )
-    return _tutte(edges, Fraction(x), Fraction(y))
-
-
-def _tutte_poly(edges) -> dict[tuple[int, int], int]:
-    if not edges:
-        return {(0, 0): 1}
-    hit = _TUTTE_POLY_MEMO.get(edges)
-    if hit is not None:
-        return hit
-    e = edges[0]
-    if e[0] == e[1]:
-        val = {(i, j + 1): c for (i, j), c in _tutte_poly(_delete(edges, e)).items()}
-    elif _is_bridge(edges, e):
-        val = {(i + 1, j): c for (i, j), c in _tutte_poly(_contract(edges, e)).items()}
-    else:
-        val = dict(_tutte_poly(_delete(edges, e)))
-        for ij, c in _tutte_poly(_contract(edges, e)).items():
-            val[ij] = val.get(ij, 0) + c
-    _TUTTE_POLY_MEMO[edges] = val
-    return val
+    return _tutte_value(_edges_of(g), Fraction(x), Fraction(y))
 
 
 def tutte_polynomial(g: MixedGraph) -> dict[tuple[int, int], int]:
     """Full coefficient table {(i, j): c} of T_G; meant for small graphs."""
-    edges = _normalize_edges(
-        list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
-    )
-    return dict(_tutte_poly(edges))
+    return dict(_tutte_table(_edges_of(g)))
 
 
 # ---------------------------------------------------------------------------

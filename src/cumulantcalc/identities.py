@@ -21,9 +21,11 @@ are summed by block-size type: each type is one product of the
 univariate cumulants that `cumulants_from_moments` gives for the moment
 symbols m_{1..k}.  The identities of other shapes (permutation
 sums, lattice-wide moment formulas, series, properties of beta) are
-`IdentityInfo` entries with a checker function each.  A checker that sums
-partitioned cumulants checks their limits once, at n, where it chooses
-the partitions, and then reads the unchecked cache.
+`IdentityInfo` entries with a checker function each.  The multivariate
+rows and the permutation sums add up partitioned cumulants in
+`_cumulant_sum`, which checks their limits once, at n, and then reads the
+unchecked cache; the lattice formulas, one sum per pi, check them once
+per kind.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -38,7 +40,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 
 from .algebra import (
@@ -227,13 +229,17 @@ class FamilySum:
         return rep
 
     def _sum(self, n: int, weighted) -> MomentPolynomial:
-        """Sum of w * rhs_pi over (w, pi) pairs of [n], skipping zero
-        weights; the rhs limits are checked once, at n."""
         if self.univariate:
             return _type_sum(n, self.rhs, weighted)
-        _check_cumulant_limits(self.rhs, n)
-        pairs = ((w, _partitioned_cumulant(self.rhs, pi)) for w, pi in weighted if w)
-        return linear_combination(n, pairs)
+        return _cumulant_sum(n, self.rhs, weighted)
+
+
+def _cumulant_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
+    """Sum of w * kind_pi over (w, pi) pairs of [n], skipping zero weights;
+    the limits of `kind` are checked once, at n."""
+    _check_cumulant_limits(kind, n)
+    pairs = ((w, _partitioned_cumulant(kind, pi)) for w, pi in weighted if w)
+    return linear_combination(n, pairs)
 
 
 def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
@@ -263,26 +269,14 @@ def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
 
 
 def _check_thm4_cyclecruns(n):
-    _check_cumulant_limits(B, n)
-    rhs = linear_combination(
-        n,
-        (
-            (_sign(cycle_runs(s)), _partitioned_cumulant(B, cycle_runs(s)))
-            for s in cyclic_permutations(n)
-        ),
-    )
+    parts = map(cycle_runs, cyclic_permutations(n))
+    rhs = _cumulant_sum(n, B, ((_sign(part), part) for part in parts))
     rep = _compare("thm4_cyclecruns", n, cumulant_poly(K, n), rhs)
     if rep.holds and n <= 6:
         # The cancellation underlying the cyclic form: summing over all of
         # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
-        full = linear_combination(
-            n,
-            (
-                ((-1) ** (cycle_runs(s).num_blocks - cycles(s).num_blocks),
-                 _partitioned_cumulant(B, cycle_runs(s)))
-                for s in all_permutations(n)
-            ),
-        )
+        pairs = ((s, cycle_runs(s)) for s in all_permutations(n))
+        full = _cumulant_sum(n, B, ((_sign(part) * _sign(cycles(s)), part) for s, part in pairs))
         target = moment_monomial(SetPartition.one_block(n))
         if full != target:
             rep.holds = False
@@ -292,16 +286,8 @@ def _check_thm4_cyclecruns(n):
 
 
 def _check_cor_runs(n):
-    _check_cumulant_limits(B, n)
-
-    def contributions():
-        for s in all_permutations(n):
-            if s(1) != 1:
-                continue
-            part, d = runs(s)
-            yield ((-1) ** d, _partitioned_cumulant(B, part))
-
-    rhs = linear_combination(n, contributions())
+    parts = (runs(s)[0] for s in all_permutations(n) if s(1) == 1)
+    rhs = _cumulant_sum(n, B, ((_sign(part), part) for part in parts))
     return _compare("cor_runs", n, cumulant_poly(K, n), rhs)
 
 
@@ -416,8 +402,10 @@ def lenczewski_sum_check(n: int, colors: int) -> Report:
     if not 1 <= colors <= 5:
         raise ValueError("colors must be in 1..5")
     members = partitions_of(n, "noncrossing")
+    # P_pi depends only on the forest shape of pi: evaluate each one once
+    evaluate = lru_cache(maxsize=None)(Polynomial.evaluate)
     lhs = _type_sum(n, R, (
-        (labelling_polynomial_of(pi).evaluate(colors), pi) for pi in members
+        (evaluate(labelling_polynomial_of(pi), colors), pi) for pi in members
     ))
     rhs = _type_sum(n, H, (
         (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)

@@ -173,7 +173,7 @@ class SetPartition:
                 if x in seen:
                     raise ValueError(f"element {x} appears twice")
                 seen[x] = min(b)
-        if sorted(seen) != list(range(1, n + 1)):
+        if n < 1 or sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition [{n}]")
         order = {}
         rgs = []
@@ -182,7 +182,7 @@ class SetPartition:
             if m not in order:
                 order[m] = len(order)
             rgs.append(order[m])
-        return cls(rgs)
+        return cls._unchecked(tuple(rgs))
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from cumulantcalc import graphs
 from cumulantcalc.graphs import (
     MixedGraph,
     acyclic_orientations_unique_source,
@@ -104,6 +105,29 @@ def test_tutte_multigraph_cases():
     mixed = MixedGraph(3, ((0, 1),), ((2, 1),))
     plain = MixedGraph(3, ((0, 1), (1, 2)))
     assert tutte_polynomial(mixed) == tutte_polynomial(plain)
+
+
+def test_tutte_eval_sums_the_coefficient_table():
+    # the multigraphs of test_tutte_multigraph_cases, then every crossing
+    # and anti-interval graph of n <= 6
+    cases = [
+        MixedGraph(2, ((0, 1), (0, 1), (0, 1))),
+        MixedGraph(2, ((0, 1),), (), (0,)),
+        MixedGraph(3, ((0, 1),), ((2, 1),)),
+    ]
+    for n in range(1, 7):
+        for pi in partitions_of(n, "all"):
+            cases += [crossing_graph(pi), anti_interval_graph(pi)]
+    points = [(Fraction(x), Fraction(y)) for x, y in
+              ((1, 0), (2, 3), (0, 0), (Fraction(1, 2), Fraction(-3, 4)), (-1, Fraction(1, 3)))]
+    for g in cases:
+        table = tutte_polynomial(g)
+        misses = graphs._tutte_table.cache_info().misses
+        for x, y in points:
+            by_hand = sum(c * x**i * y**j for (i, j), c in table.items())
+            assert tutte_eval(g, x, y) == by_hand, (g, x, y)
+        # every evaluation point reads the one table
+        assert graphs._tutte_table.cache_info().misses == misses, g
 
 
 def test_tutte_edge_order_independence():

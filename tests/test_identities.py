@@ -2,10 +2,11 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from cumulantcalc import limits
+from cumulantcalc import identities, limits
 from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
 from cumulantcalc.identities import (
@@ -166,6 +167,21 @@ def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
     monkeypatch.setattr(limits, "limit_for", counting)
     assert verify_identity(name, 6).holds
     assert len(keys) <= most, Counter(keys)
+
+
+def test_thm4_computes_each_cycle_run_partition_once(monkeypatch):
+    calls = 0
+    real = identities.cycle_runs
+
+    def counting(sigma):
+        nonlocal calls
+        calls += 1
+        return real(sigma)
+
+    monkeypatch.setattr(identities, "cycle_runs", counting)
+    assert verify_identity("thm4_cyclecruns", 6).holds
+    # once per full cycle, then once per permutation for the cancellation
+    assert calls == factorial(5) + factorial(6)
 
 
 def test_type_sum_matches_per_partition_oracle():
