@@ -13,7 +13,6 @@ series equality (see `cumulantcalc.identities`).
 from .algebra import (
     MomentPolynomial,
     Polynomial,
-    Rational,
     TruncatedSeries,
     bernoulli_number,
     bernoulli_polynomial,
@@ -26,7 +25,6 @@ from .algebra import (
 from .cumulants import (
     BetaTable,
     CumulantKind,
-    beta,
     beta_formula,
     beta_recursive,
     boolean_poisson_kappa,
@@ -35,7 +33,6 @@ from .cumulants import (
     cumulant_poly,
     cumulants_from_moments,
     determinant_cumulants,
-    determinant_moments,
     moments_from_cumulants,
     monotone_dilate,
     nested_pair_partition,
@@ -48,9 +45,6 @@ from .forests import (
     alpha,
     depth,
     labelling_polynomial,
-    monotone_labelling_count,
-    nesting_forest,
-    tree_factorial,
 )
 from .graphs import (
     HeapOrder,
@@ -61,9 +55,7 @@ from .graphs import (
     count_pyramids,
     crossing_graph,
     enumerate_pyramids,
-    partition_sum_identity_check,
     tutte_eval,
-    tutte_polynomial,
 )
 from .identities import (
     IDENTITY_CATALOG,
@@ -82,12 +74,9 @@ from .partitions import (
     enumerate_monotone,
     enumerate_partitions,
     kreweras_complement,
-    lattice_join,
     lattice_leq,
-    lattice_meet,
     lower_interval,
     mobius,
-    triangle_geq,
 )
 from .permutations import (
     Permutation,

@@ -55,10 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "rational_to_str",
     "rational_from_str",
     "Polynomial",

@@ -68,10 +68,8 @@ __all__ = [
     "monotone_dilate",
     "boolean_poisson_kappa",
     "determinant_cumulants",
-    "determinant_moments",
     "beta_recursive",
     "beta_formula",
-    "beta",
     "BetaTable",
     "build_beta_table",
     "nested_pair_partition",
@@ -408,16 +406,16 @@ def _det(matrix) -> Fraction:
     return Fraction(sign * previous, scale)
 
 
-def _leading_minors(n: int, superdiagonal, entry) -> list[Fraction]:
+def _leading_minors(n: int, entry) -> list[Fraction]:
     """The leading principal minors of order 1..n of a lower Hessenberg matrix.
 
-    The matrix has entry(i, j) on and below the diagonal, superdiagonal(i)
-    at (i, i + 1) and zeros above (1-based); the entries do not depend on
-    the order, so the matrix is built once and each minor is the `_det` of
-    its leading block.
+    The matrix has entry(i, j) on and below the diagonal, ones at (i, i + 1)
+    and zeros above (1-based); the entries do not depend on the order, so
+    the matrix is built once and each minor is the `_det` of its leading
+    block.
     """
     matrix = [
-        [entry(i, j) if j <= i else superdiagonal(i) if j == i + 1 else 0
+        [entry(i, j) if j <= i else 1 if j == i + 1 else 0
          for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
@@ -447,7 +445,7 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
             return m(i - j + 1)
     else:
         raise ValueError(f"unknown determinant kind {kind!r}")
-    minors = _leading_minors(len(moments), lambda i: 1, entry)
+    minors = _leading_minors(len(moments), entry)
     out = []
     for k, det in enumerate(minors, start=1):
         value = (-1) ** (k - 1) * det
@@ -455,22 +453,6 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
             value *= factorial(k - 1)
         out.append(value)
     return out
-
-
-def determinant_moments(kind: str, cumulants) -> list[Fraction]:
-    """Inverse determinants: moments from classical or Boolean cumulants."""
-    cumulants = [Fraction(v) for v in cumulants]
-
-    def c(i):
-        return cumulants[i - 1]
-
-    if kind == "classical":
-        return _leading_minors(
-            len(cumulants), lambda i: -i, lambda i, j: c(i - j + 1) / factorial(i - j)
-        )
-    if kind == "boolean":
-        return _leading_minors(len(cumulants), lambda i: -1, lambda i, j: c(i - j + 1))
-    raise ValueError(f"unknown determinant kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +544,8 @@ def _beta_of_digraph(key: tuple) -> Fraction:
 
 
 def beta_formula(pi: SetPartition) -> Fraction:
-    """Closed sum for beta over coarsenings with noncrossing restrictions."""
+    """The coefficient of H_pi in the classical cumulant K_n, by the closed
+    sum over coarsenings with noncrossing restrictions."""
     check_limit("beta-blocks", pi.num_blocks)
     return _beta_of_digraph(digraph_key(anti_interval_digraph(pi)))
 
@@ -596,23 +579,12 @@ def beta_recursive(pi: SetPartition) -> Fraction:
     return value
 
 
-def beta(pi: SetPartition) -> Fraction:
-    """The coefficient of H_pi in the classical cumulant K_n."""
-    return beta_formula(pi)
-
-
 @dataclass(frozen=True)
 class BetaTable:
-    """beta values for all partitions of [n], keyed by digraph."""
+    """beta of every partition of [n], as (partition, digraph key, beta) rows."""
 
     n: int
     rows: tuple[tuple[SetPartition, tuple, Fraction], ...]
-
-    def by_key(self) -> dict[tuple, Fraction]:
-        return {key: value for _, key, value in self.rows}
-
-    def value(self, pi: SetPartition) -> Fraction:
-        return self.by_key()[digraph_key(anti_interval_digraph(pi))]
 
 
 def build_beta_table(n: int) -> BetaTable:

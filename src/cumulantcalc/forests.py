@@ -38,10 +38,9 @@ many shapes as unlabelled rooted trees or forests with n vertices (486
 trees with at most 9), so a sweep over NC(n) does the polynomial work
 once per shape, not once per partition.
 
-`nesting_forest` builds the labelled, planar `RootedForest` (children in
-left-to-right block order) for display and `forest_to_json` only; it is
-not cached, and no invariant builds it.  `tree_factorial` and
-`labelling_polynomial` accept such a forest and read its shape.
+No invariant of a partition builds a labelled forest.
+`labelling_polynomial` takes a planar `RootedForest` of `RootedTree`s,
+for forests given as such, and reads its shape.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import prod
 
 from .algebra import Polynomial, faulhaber_polynomial
 from .partitions import SetPartition
@@ -57,13 +56,9 @@ from .partitions import SetPartition
 __all__ = [
     "RootedTree",
     "RootedForest",
-    "nesting_forest",
-    "tree_factorial",
-    "monotone_labelling_count",
     "labelling_polynomial",
     "alpha",
     "depth",
-    "forest_to_json",
 ]
 
 
@@ -81,10 +76,9 @@ class RootedTree:
 
 @dataclass(frozen=True)
 class RootedForest:
-    """Planar rooted forest; labels index blocks of the source partition."""
+    """Planar rooted forest."""
 
     trees: tuple[RootedTree, ...]
-    blocks: tuple[tuple[int, ...], ...] = ()
 
     def size(self) -> int:
         return sum(t.size() for t in self.trees)
@@ -99,26 +93,6 @@ def _nesting_pairs(pi: SetPartition) -> list[tuple[int, int]]:
     if crossing:
         raise ValueError(f"{pi} is crossing; nesting forests need noncrossing input")
     return nesting
-
-
-def nesting_forest(pi: SetPartition) -> RootedForest:
-    """Nesting forest of a noncrossing partition (one tree per component)."""
-    k = pi.num_blocks
-    parent = [None] * k
-    for i, j in _nesting_pairs(pi):
-        parent[j] = i  # pairs come in order of i: the last is the nearest
-    children = [[] for _ in range(k)]
-    roots = []
-    for i in range(k):
-        if parent[i] is None:
-            roots.append(i)
-        else:
-            children[parent[i]].append(i)
-
-    def build(i: int) -> RootedTree:
-        return RootedTree(i, tuple(build(c) for c in children[i]))
-
-    return RootedForest(tuple(build(r) for r in roots), pi.blocks)
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +120,8 @@ def _tree_shape(t: RootedTree) -> tuple:
     return tuple(sorted(_tree_shape(c) for c in t.children))
 
 
-def _forest_shape(f: RootedForest | RootedTree) -> tuple:
-    trees = (f,) if isinstance(f, RootedTree) else f.trees
-    return tuple(sorted(_tree_shape(t) for t in trees))
+def _forest_shape(f: RootedForest) -> tuple:
+    return tuple(sorted(_tree_shape(t) for t in f.trees))
 
 
 @lru_cache(maxsize=None)
@@ -163,21 +136,9 @@ def _tree_stats(shape: tuple) -> tuple[int, int, int]:
     return size, size * fact, height + 1
 
 
-def tree_factorial(f: RootedForest | RootedTree) -> int:
-    """t! = n * t_1! ... t_r!, multiplied over the trees of a forest."""
-    return prod(_tree_stats(t)[1] for t in _forest_shape(f))
-
-
 @lru_cache(maxsize=None)
 def partition_tree_factorial(pi: SetPartition) -> int:
     return prod(_tree_stats(t)[1] for t in _shape(pi))
-
-
-def monotone_labelling_count(pi: SetPartition) -> int:
-    """Number of orders making the partition monotone: |pi|! / tau(pi)!."""
-    q, r = divmod(factorial(pi.num_blocks), partition_tree_factorial(pi))
-    assert r == 0
-    return q
 
 
 def _indefinite_sum(q: Polynomial) -> Polynomial:
@@ -239,13 +200,3 @@ def alpha(pi: SetPartition) -> Fraction:
 def depth(pi: SetPartition) -> int:
     """Maximal number of blocks covering a block (the block included)."""
     return 1 + max((_tree_stats(t)[2] for t in _shape(pi)), default=0)
-
-
-def _tree_json(t: RootedTree, blocks):
-    label = list(blocks[t.label]) if blocks else t.label
-    return [label, [_tree_json(c, blocks) for c in t.children]]
-
-
-def forest_to_json(f: RootedForest):
-    """Nested arrays [block, [subtrees...]] per tree."""
-    return [_tree_json(t, f.blocks) for t in f.trees]

@@ -29,9 +29,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .partitions import SetPartition, enumerate_partitions
+from .partitions import SetPartition
 
 __all__ = [
     "MixedGraph",
@@ -41,13 +40,10 @@ __all__ = [
     "anti_interval_digraph",
     "digraph_key",
     "tutte_eval",
-    "tutte_polynomial",
     "acyclic_orientations_unique_source",
     "enumerate_pyramids",
     "count_pyramids",
-    "partition_sum_identity_check",
     "graph_to_json",
-    "graph_to_dot",
 ]
 
 
@@ -186,11 +182,6 @@ def tutte_eval(g: MixedGraph, x, y) -> Fraction:
     return _tutte_value(_edges_of(g), Fraction(x), Fraction(y))
 
 
-def tutte_polynomial(g: MixedGraph) -> dict[tuple[int, int], int]:
-    """Full coefficient table {(i, j): c} of T_G; meant for small graphs."""
-    return dict(_tutte_table(_edges_of(g)))
-
-
 # ---------------------------------------------------------------------------
 # Acyclic orientations, heaps, pyramids
 # ---------------------------------------------------------------------------
@@ -298,37 +289,6 @@ def count_pyramids(pi: SetPartition, mode: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The partition sum behind the Tutte specializations
-# ---------------------------------------------------------------------------
-
-
-def partition_sum_identity_check(g: MixedGraph, q) -> Fraction:
-    """(q-1)^(1-|V|) * sum over vertex partitions of q^(internal edges) * mu.
-
-    Here mu(pi, 1) = (-1)^(|pi|-1) (|pi|-1)! on the full partition lattice
-    of the vertex set, with the convention q^0 = 1 even for q = 0.  The
-    value equals T_G(1, q) for connected G and 0 otherwise.
-    """
-    q = Fraction(q)
-    if q == 1:
-        raise ValueError("q = 1 is excluded")
-    if g.n < 1:
-        raise ValueError("the graph needs at least one vertex")
-    edges = list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
-    total = Fraction(0)
-    for pi in enumerate_partitions(g.n):  # bounded by the key 'all'
-        rgs = pi.rgs  # vertex v of the graph is element v+1 of [n]
-        internal = sum(1 for u, v in edges if rgs[u] == rgs[v])
-        if q == 0:
-            power = Fraction(1) if internal == 0 else Fraction(0)
-        else:
-            power = q**internal
-        k = pi.num_blocks
-        total += power * ((-1) ** (k - 1) * factorial(k - 1))
-    return total * (q - 1) ** (1 - g.n)
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -340,17 +300,3 @@ def graph_to_json(g: MixedGraph) -> dict:
         "directed": [list(e) for e in g.directed],
         "loops": list(g.loops),
     }
-
-
-def graph_to_dot(g: MixedGraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for u, v in g.undirected:
-        lines.append(f"  {u} -> {v} [dir=none];")
-    for u, v in g.directed:
-        lines.append(f"  {u} -> {v};")
-    for v in g.loops:
-        lines.append(f"  {v} -> {v} [dir=none];")
-    lines.append("}")
-    return "\n".join(lines)

@@ -91,7 +91,6 @@ __all__ = [
     "Report",
     "IDENTITY_CATALOG",
     "identity_names",
-    "identity_limit",
     "verify_identity",
     "catalog_jobs",
     "run_catalog",
@@ -660,10 +659,6 @@ IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
 
 def identity_names() -> list[str]:
     return list(IDENTITY_CATALOG)
-
-
-def identity_limit(name: str) -> int:
-    return IDENTITY_CATALOG[name].max_n
 
 
 def _catalog_row(name: str, n: int = 1):

@@ -83,9 +83,6 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_monotone",
     "lattice_leq",
-    "lattice_join",
-    "lattice_meet",
-    "triangle_geq",
     "kreweras_complement",
     "lower_interval",
     "mobius",
@@ -246,9 +243,6 @@ class SetPartition:
     def block_index_of(self, i: int) -> int:
         return self._rgs[i - 1]
 
-    def same_block(self, i: int, j: int) -> bool:
-        return self._rgs[i - 1] == self._rgs[j - 1]
-
     def block_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (max(self._rgs) + 1)
         for a in self._rgs:
@@ -345,7 +339,7 @@ class SetPartition:
             connected=self.is_connected(),
         )
 
-    # -- block relations, closures and components -----------------------------
+    # -- block relations and closures ----------------------------------------
 
     def block_pairs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(crossing, nesting): the pairs (i, j), i < j, of blocks whose
@@ -394,20 +388,6 @@ class SetPartition:
         crossing, nesting = self.block_pairs()
         return self._merge_components(crossing + nesting)
 
-    def components(self, mode: str) -> list[tuple[tuple[int, ...], "SetPartition"]]:
-        """Factors induced on the blocks of the relevant closure.
-
-        mode "irreducible" uses the interval closure, mode "connected" the
-        noncrossing closure.  Returns (support, relabeled factor) pairs.
-        """
-        if mode == "irreducible":
-            closure = self.interval_closure()
-        elif mode == "connected":
-            closure = self.noncrossing_closure()
-        else:
-            raise ValueError(f"unknown component mode {mode!r}")
-        return [(s, self.restrict(s)) for s in closure.blocks]
-
     def restrict(self, subset) -> "SetPartition":
         """Intersect blocks with `subset` and relabel to [|subset|]."""
         s = sorted(set(subset))
@@ -441,32 +421,6 @@ def lattice_leq(pi: SetPartition, sigma: SetPartition) -> bool:
         if owner.setdefault(a, s) != s:
             return False
     return True
-
-
-def lattice_join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
-    """The blocks of pi merged along every block b of sigma: the pi-block of
-    each element of b joins the pi-block of b[0]."""
-    _require_same_n(pi, sigma)
-    rgs = pi.rgs
-    return pi._merge_components(
-        (rgs[b[0] - 1], rgs[x - 1]) for b in sigma.blocks for x in b[1:]
-    )
-
-
-def lattice_meet(pi: SetPartition, sigma: SetPartition) -> SetPartition:
-    _require_same_n(pi, sigma)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(1, pi.n + 1):
-        groups.setdefault((pi.block_index_of(i), sigma.block_index_of(i)), []).append(i)
-    return SetPartition.from_blocks(pi.n, groups.values())
-
-
-def triangle_geq(sigma: SetPartition, pi: SetPartition) -> bool:
-    """sigma >= pi with pi restricted to every sigma-block noncrossing."""
-    _require_same_n(pi, sigma)
-    if not lattice_leq(pi, sigma):
-        return False
-    return all(pi.restrict(w).is_noncrossing() for w in sigma.blocks)
 
 
 # ---------------------------------------------------------------------------

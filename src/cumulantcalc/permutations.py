@@ -162,9 +162,6 @@ class Permutation:
         w = self.concatenated_cycle_word()
         return all(a < b for a, b in zip(w, w[1:]))
 
-    def descent_count(self) -> int:
-        return sum(1 for a, b in zip(self.word, self.word[1:]) if a > b)
-
 
 def all_permutations(n: int):
     for w in _itertools_permutations(range(1, n + 1)):

@@ -160,6 +160,34 @@ def restrict_by_blocks(pi: SetPartition, subset) -> SetPartition:
     return SetPartition.from_blocks(len(s), [b for b in blocks if b])
 
 
+# --- lattice operations ----------------------------------------------------
+
+
+def lattice_join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
+    """The finest partition above pi and sigma: merge two blocks while some
+    block of sigma meets both."""
+    return closure_by_fixpoint(
+        pi, lambda a, b: any(sigma.block_index_of(x) == sigma.block_index_of(y)
+                             for x in a for y in b)
+    )
+
+
+def lattice_meet(pi: SetPartition, sigma: SetPartition) -> SetPartition:
+    """The coarsest partition below pi and sigma: group the elements by
+    their (pi-block, sigma-block) pair."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i in range(1, pi.n + 1):
+        groups.setdefault((pi.block_index_of(i), sigma.block_index_of(i)), []).append(i)
+    return SetPartition.from_blocks(pi.n, groups.values())
+
+
+def triangle_geq(sigma: SetPartition, pi: SetPartition) -> bool:
+    """sigma >= pi with pi restricted to every sigma-block noncrossing."""
+    return lattice_leq(pi, sigma) and all(
+        pi.restrict(w).is_noncrossing() for w in sigma.blocks
+    )
+
+
 # --- Moebius by the defining recursion ------------------------------------
 
 
@@ -404,6 +432,39 @@ def tutte_random_order(edges, x, y, rng) -> Fraction:
     )
 
 
+def tutte_polynomial(g) -> dict[tuple[int, int], int]:
+    """A copy of the library's coefficient table {(i, j): c} of T_G."""
+    from cumulantcalc import graphs
+
+    return dict(graphs._tutte_table(graphs._edges_of(g)))
+
+
+def partition_sum_identity_check(g, q) -> Fraction:
+    """(q-1)^(1-|V|) * sum over vertex partitions of q^(internal edges) * mu.
+
+    Here mu(pi, 1) = (-1)^(|pi|-1) (|pi|-1)! on the full partition lattice
+    of the vertex set, with the convention q^0 = 1 even for q = 0.  The
+    value equals T_G(1, q) for connected G and 0 otherwise.
+    """
+    q = Fraction(q)
+    if q == 1:
+        raise ValueError("q = 1 is excluded")
+    if g.n < 1:
+        raise ValueError("the graph needs at least one vertex")
+    edges = list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
+    total = Fraction(0)
+    for pi in enumerate_partitions(g.n):
+        rgs = pi.rgs  # vertex v of the graph is element v+1 of [n]
+        internal = sum(1 for u, v in edges if rgs[u] == rgs[v])
+        if q == 0:
+            power = Fraction(1) if internal == 0 else Fraction(0)
+        else:
+            power = q**internal
+        k = pi.num_blocks
+        total += power * ((-1) ** (k - 1) * factorial(k - 1))
+    return total * (q - 1) ** (1 - g.n)
+
+
 # --- series oracles --------------------------------------------------------
 #
 # The Fraction-coefficient routes the integer series kernel replaced.  A
@@ -473,6 +534,27 @@ def det_by_elimination(matrix) -> Fraction:
                 m[r][c] -= f * m[col][c]
     return det
 
+
+def determinant_moments(kind: str, cumulants) -> list[Fraction]:
+    """Moments from classical or Boolean cumulants: the leading principal
+    minors of a lower Hessenberg matrix, each by Gaussian elimination.
+
+    On and below the diagonal (1-based) the entry is c_{i-j+1}/(i-j)!
+    (classical) or c_{i-j+1} (Boolean); the superdiagonal holds -i
+    (classical) or -1 (Boolean), and zeros lie above it.
+    """
+    if kind not in ("classical", "boolean"):
+        raise ValueError(f"unknown determinant kind {kind!r}")
+    classical = kind == "classical"
+    c = [Fraction(v) for v in cumulants]
+    n = len(c)
+    matrix = [
+        [(c[i - j] / factorial(i - j) if classical else c[i - j]) if j <= i
+         else (-i if classical else -1) if j == i + 1 else 0
+         for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    return [det_by_elimination([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
 
 
 def exp_termwise(g: TruncatedSeries) -> TruncatedSeries:
@@ -595,7 +677,7 @@ def nesting_forest_by_enclosure(pi: SetPartition):
     def build(i):
         return RootedTree(i, tuple(build(c) for c in range(k) if parent[c] == i))
 
-    return RootedForest(tuple(build(r) for r in range(k) if parent[r] is None), bs)
+    return RootedForest(tuple(build(r) for r in range(k) if parent[r] is None))
 
 
 # --- nesting-forest invariants by recursion over labelled trees -------------

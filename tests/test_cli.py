@@ -14,7 +14,7 @@ import pytest
 
 from cumulantcalc import limits
 from cumulantcalc.cli import build_parser, main
-from cumulantcalc.identities import identity_limit, identity_names
+from cumulantcalc.identities import IDENTITY_CATALOG, identity_names
 from cumulantcalc.permutations import eulerian
 
 
@@ -101,7 +101,7 @@ def test_verify_unknown_identity(capsys):
 def test_verify_beyond_limit(capsys):
     # every row refuses one n above its max_n up front, before any check runs
     for name in identity_names():
-        n = str(identity_limit(name) + 1)
+        n = str(IDENTITY_CATALOG[name].max_n + 1)
         code, out, err = run_cli(capsys, "verify", name, n)
         assert code == 3 and out == "" and err.startswith("error:"), name
 

@@ -1,7 +1,7 @@
 """Nesting forests, tree factorials, labelling polynomials, alpha, depth."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -12,13 +12,9 @@ from cumulantcalc.forests import (
     RootedTree,
     alpha,
     depth,
-    forest_to_json,
     labelling_polynomial,
     labelling_polynomial_of,
-    monotone_labelling_count,
-    nesting_forest,
     partition_tree_factorial,
-    tree_factorial,
 )
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, enumerate_partitions
 
@@ -28,6 +24,7 @@ from oracles import (
     monotone_orders_brute,
     nesting_forest_by_enclosure,
     nondecreasing_labellings_brute,
+    tree_factorial_by_sizes,
     tree_shapes_by_recursion,
 )
 
@@ -45,20 +42,11 @@ def star_tree(leaves):
     return RootedTree(0, tuple(RootedTree(i) for i in range(1, leaves + 1)))
 
 
-def test_nesting_forest_matches_enclosure_search():
-    for n in range(1, 10):
-        for pi in enumerate_partitions(n, "noncrossing"):
-            assert nesting_forest(pi) == nesting_forest_by_enclosure(pi), pi
-
-
-def test_nesting_forest_shapes():
-    f = nesting_forest(SetPartition.one_block(4))
-    assert len(f.trees) == 1 and f.trees[0].size() == 1
-    f = nesting_forest(P("1,4|2,3"))
-    assert len(f.trees) == 1
-    assert f.trees[0].label == 0 and f.trees[0].children[0].label == 1
-    with pytest.raises(ValueError):
-        nesting_forest(P("1,3|2,4"))
+def monotone_labelling_count(pi):
+    """Number of orders making the partition monotone: |pi|! / tau(pi)!."""
+    q, r = divmod(factorial(pi.num_blocks), partition_tree_factorial(pi))
+    assert r == 0
+    return q
 
 
 def test_nesting_forest_eighteen_point_example():
@@ -67,7 +55,11 @@ def test_nesting_forest_eighteen_point_example():
         [[1, 2, 10], [3, 6], [4, 5], [7], [8, 9],
          [11, 14, 18], [12, 13], [15, 17], [16]],
     )
-    f = nesting_forest(pi)
+    # two trees: {1,2,10} over {3,6} (over {4,5}), {7} and {8,9}, and
+    # {11,14,18} over {12,13} and {15,17} (over {16}); t! = (5 * 2) * (4 * 2)
+    assert forests._shape(pi) == (((), (), ((),)), ((), ((),)))
+    assert partition_tree_factorial(pi) == 80
+    f = nesting_forest_by_enclosure(pi)
     assert sorted(t.size() for t in f.trees) == [4, 5]
     big = next(t for t in f.trees if t.size() == 5)
     # root {1,2,10} with children {3,6}, {7}, {8,9}; {4,5} hangs under {3,6}
@@ -76,15 +68,6 @@ def test_nesting_forest_eighteen_point_example():
     assert child_blocks == {(3, 6), (7,), (8, 9)}
     inner = next(c for c in big.children if pi.blocks[c.label] == (3, 6))
     assert [pi.blocks[g.label] for g in inner.children] == [(4, 5)]
-
-
-def test_tree_factorial():
-    assert tree_factorial(RootedTree(0)) == 1
-    assert tree_factorial(path_tree(3)) == 6
-    assert tree_factorial(star_tree(2)) == 3
-    # forest multiplies over trees
-    f = RootedForest((path_tree(3), star_tree(2)))
-    assert tree_factorial(f) == 18
 
 
 def test_monotone_labelling_count_examples():
@@ -167,11 +150,11 @@ def test_alpha_vanishes_on_reducible():
 def test_weight_multiplicative_over_components():
     for n in range(1, 8):
         for pi in enumerate_partitions(n, "noncrossing"):
-            w = Fraction(1, tree_factorial(nesting_forest(pi)))
-            prod = Fraction(1)
-            for _, factor in pi.components("irreducible"):
-                prod *= Fraction(1, tree_factorial(nesting_forest(factor)))
-            assert w == prod
+            w = Fraction(1, partition_tree_factorial(pi))
+            product = Fraction(1)
+            for support in pi.interval_closure().blocks:
+                product *= Fraction(1, partition_tree_factorial(pi.restrict(support)))
+            assert w == product
 
 
 def test_child_order_never_affects_numbers():
@@ -182,7 +165,8 @@ def test_child_order_never_affects_numbers():
     for size in range(1, 6):
         for forest in all_planar_forests(size):
             m = RootedForest(tuple(mirror(t) for t in forest.trees))
-            assert tree_factorial(forest) == tree_factorial(m)
+            assert (prod(map(tree_factorial_by_sizes, forest.trees))
+                    == prod(map(tree_factorial_by_sizes, m.trees)))
             assert labelling_polynomial(forest) == labelling_polynomial(m)
 
 
@@ -192,11 +176,6 @@ def test_depth():
     assert depth(P("1,6|2,5|3,4")) == 3
     with pytest.raises(ValueError):
         depth(P("1,3|2,4"))
-
-
-def test_forest_json():
-    f = nesting_forest(P("1,4|2,3"))
-    assert forest_to_json(f) == [[[1, 4], [[[2, 3], []]]]]
 
 
 def test_labelling_polynomial_of_partition():
@@ -243,7 +222,6 @@ def test_invariants_build_no_rooted_tree(monkeypatch):
         raise AssertionError("an invariant built a labelled forest")
 
     monkeypatch.setattr(forests, "RootedTree", refuse)
-    monkeypatch.setattr(forests, "nesting_forest", refuse)
     _clear_shape_caches()
     for pi in enumerate_partitions(6, "noncrossing"):
         alpha(pi)
@@ -251,4 +229,3 @@ def test_invariants_build_no_rooted_tree(monkeypatch):
         partition_tree_factorial(pi)
         depth(pi)
         monotone_labelling_count(pi)
-    assert not hasattr(nesting_forest, "cache_info")

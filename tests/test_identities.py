@@ -13,7 +13,6 @@ from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
     _type_sum,
-    identity_limit,
     identity_names,
     lenczewski_sum_check,
     run_catalog,
@@ -40,7 +39,7 @@ def test_catalog_is_complete():
     }
     assert set(identity_names()) == expected
     for name in expected:
-        assert identity_limit(name) >= 5
+        assert IDENTITY_CATALOG[name].max_n >= 5
 
 
 def test_multivariate_thm2_rows_are_their_univariate_rows_unidentified():

