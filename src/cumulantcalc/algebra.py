@@ -200,11 +200,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:], self.var
-        )
-
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute `inner` for the indeterminate (Horner)."""
         acc = Polynomial.zero(inner.var)
@@ -324,12 +319,6 @@ class TruncatedSeries:
     def coefficient(self, k: int) -> Fraction:
         return Fraction(self.nums[k], self.den) if 0 <= k <= self.order else Fraction(0)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        nums = self.nums[: order + 1] + (0,) * (order - self.order)
-        return TruncatedSeries._wrap(order, nums, self.den)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -438,21 +427,6 @@ class TruncatedSeries:
         scale = lcm(*range(1, order + 1))
         nums = [0] + [quotient[k - 1] * (scale // k) for k in range(1, order + 1)]
         return TruncatedSeries._wrap(order, nums, self.den * inverse.den * scale)
-
-    def exp(self) -> "TruncatedSeries":
-        """Exponential of a series with zero constant term.
-
-        Implemented as the functional inverse of `log` by Newton iteration
-        h <- h*(1 + self - log h), doubling the correct order each step.
-        """
-        if self.coefficient(0) != 0:
-            raise ValueError("series exp needs zero constant term")
-        h = TruncatedSeries.one(self.order)
-        correct = 0
-        while correct < self.order:
-            correct = min(2 * correct + 1, self.order)
-            h = h * (TruncatedSeries.one(self.order) + self - h.log())
-        return h
 
     # -- text ---------------------------------------------------------------
 

@@ -8,9 +8,10 @@ and all randomized checks are seeded).  With `-v`, `verify` also writes
 one line per (identity, n) to stderr: its wall time and the peak RSS of
 the process that ran it.
 
-Flag / environment precedence: command-line flags win over environment
-variables (CUMULANTCALC_MAX_*, CUMULANTCALC_CACHE_DIR, CUMULANTCALC_JOBS,
-CUMULANTCALC_FORMAT), which win over built-in defaults.
+Every setting is a flag (--format, --limit, --jobs, --cache-dir, -v); the
+CLI reads no environment variables.  Without a flag a setting takes its
+built-in default: the format of the subcommand, the limits of
+`limits.DEFAULT_LIMITS`, one job and no table cache.
 """
 
 from __future__ import annotations
@@ -25,16 +26,21 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from .algebra import rational_from_str, rational_to_str
 from .cumulants import _SEQUENCE_KINDS, build_beta_table, convert_sequence
 from .forests import alpha
-from .graphs import anti_interval_digraph, anti_interval_graph, digraph_key, tutte_eval
+from .graphs import (
+    anti_interval_digraph,
+    anti_interval_graph,
+    digraph_key,
+    graph_to_json,
+    tutte_eval,
+)
 from .identities import catalog_jobs, verify_identity
-from .limits import ResourceLimitError, check_limit, override, positive_int
+from .limits import ResourceLimitError, check_limit, override
 from .partitions import (
     PartitionClass,
     SetPartition,
@@ -51,10 +57,10 @@ EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141
 
 
-#: the output formats of --format and CUMULANTCALC_FORMAT
+#: the output formats of --format
 _FORMATS = ("text", "json", "csv")
 
-#: default output format per subcommand (overridden by --format / env)
+#: default output format per subcommand (overridden by --format)
 _FORMAT_DEFAULTS = {
     "enumerate": "text",
     "verify": "json",
@@ -64,39 +70,10 @@ _FORMAT_DEFAULTS = {
 }
 
 
-@dataclass
-class Config:
-    """Runtime configuration resolved from flags and environment."""
-
-    output_format: str = "text"
-    limit: int | None = None
-    jobs: int = 1
-    cache_dir: Path | None = None
-    verbose: int = 0
-
-    @classmethod
-    def from_args(cls, args) -> "Config":
-        cache = args.cache_dir or os.environ.get("CUMULANTCALC_CACHE_DIR")
-        if args.jobs is None:
-            jobs = positive_int("CUMULANTCALC_JOBS", os.environ.get("CUMULANTCALC_JOBS", "1"))
-        else:
-            jobs = positive_int("--jobs", args.jobs)
-        if args.limit is not None:
-            positive_int("--limit", args.limit)
-        fmt = args.format or os.environ.get("CUMULANTCALC_FORMAT")
-        if fmt is None:
-            fmt = _FORMAT_DEFAULTS[args.command]
-        elif fmt not in _FORMATS:
-            raise ValueError(
-                f"CUMULANTCALC_FORMAT must be one of {', '.join(_FORMATS)}, got {fmt!r}"
-            )
-        return cls(
-            output_format=fmt,
-            limit=args.limit,
-            jobs=jobs,
-            cache_dir=Path(cache) if cache else None,
-            verbose=args.verbose,
-        )
+def _check_positive_flag(name: str, value: int) -> None:
+    """Raise a ValueError naming the flag `name` when `value` is below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def _json_dumps(obj) -> str:
@@ -110,12 +87,12 @@ def _json_dumps(obj) -> str:
 _CLASS_NAMES = {c.value: c for c in PartitionClass}
 
 
-def _cmd_enumerate(args, cfg: Config) -> int:
+def _cmd_enumerate(args) -> int:
     name = args.partition_class.lower()
     if name == "monotone":
         items = enumerate_monotone(args.n)
         for op in items:
-            if cfg.output_format == "json":
+            if args.format == "json":
                 print(_json_dumps({"blocks_in_order": [list(b) for b in op.blocks_in_order]}))
             else:
                 print(op.to_text())
@@ -126,11 +103,11 @@ def _cmd_enumerate(args, cfg: Config) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     writer = None
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["partition", "noncrossing", "interval", "irreducible", "connected"])
     for pi in enumerate_partitions(args.n, _CLASS_NAMES[name]):
-        if cfg.output_format == "json":
+        if args.format == "json":
             flags = pi.classify()
             print(_json_dumps({
                 "partition": pi.to_json(),
@@ -139,7 +116,7 @@ def _cmd_enumerate(args, cfg: Config) -> int:
                 "irreducible": flags.irreducible,
                 "connected": flags.connected,
             }))
-        elif cfg.output_format == "csv":
+        elif args.format == "csv":
             flags = pi.classify()
             writer.writerow([pi.to_text(), flags.noncrossing, flags.interval,
                              flags.irreducible, flags.connected])
@@ -174,25 +151,25 @@ def _check_positive(n: int) -> None:
         raise ValueError(f"n must be positive (got {n})")
 
 
-def _cmd_verify(args, cfg: Config) -> int:
+def _cmd_verify(args) -> int:
     _check_positive(args.n_max)
     names = None if args.all else [args.identity]
-    jobs = [(name, n, cfg.limit)
+    jobs = [(name, n, args.limit)
             for name, n in catalog_jobs(args.n_max, names, strict=not args.all)]
     reports = []
     with ExitStack() as stack:
-        if cfg.jobs > 1 and len(jobs) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+        if args.jobs > 1 and len(jobs) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
             runs = pool.map(_verify_worker, jobs)
         else:
             runs = map(_verify_worker, jobs)
         for report, wall_s, peak_mb in runs:
-            if cfg.verbose:
+            if args.verbose:
                 print(f"verify {report.identity} n={report.n} wall_s={wall_s:.3f} "
                       f"peak_rss_mb={peak_mb:.1f}", file=sys.stderr)
             reports.append(report)
     all_hold = all(r.holds for r in reports)
-    if cfg.output_format == "text":
+    if args.format == "text":
         for r in reports:
             status = "ok" if r.holds else "FAIL"
             extra = ""
@@ -282,7 +259,7 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int):
     return header, rows
 
 
-def _cmd_table(args, cfg: Config) -> int:
+def _cmd_table(args) -> int:
     what = args.what.lower()
     if what not in _TABLE_LIMITS:
         print(f"error: unknown table {what!r}", file=sys.stderr)
@@ -291,11 +268,11 @@ def _cmd_table(args, cfg: Config) -> int:
     # limits the table's builder checks
     for key in _TABLE_LIMITS[what]:
         check_limit(key, args.n)
-    if cfg.cache_dir is None:
-        header, rows = _table_rows(what, args.n)
+    if args.cache_dir:
+        header, rows = _cached_table_rows(Path(args.cache_dir), what, args.n)
     else:
-        header, rows = _cached_table_rows(cfg.cache_dir, what, args.n)
-    if cfg.output_format == "json":
+        header, rows = _table_rows(what, args.n)
+    if args.format == "json":
         print(_json_dumps([dict(zip(header, r)) for r in rows]))
     else:
         out = io.StringIO()
@@ -313,7 +290,7 @@ def _cmd_table(args, cfg: Config) -> int:
 _SEQ_KINDS = tuple(_SEQUENCE_KINDS)
 
 
-def _cmd_convert(args, cfg: Config) -> int:
+def _cmd_convert(args) -> int:
     src, dst = args.src.lower(), args.dst.lower()
     for kind in (src, dst):
         if kind not in _SEQ_KINDS:
@@ -352,14 +329,12 @@ def _parse_partition(text: str) -> SetPartition:
     return SetPartition.from_text(text)
 
 
-def _cmd_graph(args, cfg: Config) -> int:
+def _cmd_graph(args) -> int:
     pi = _parse_partition(args.partition)
     g = anti_interval_digraph(pi)
-    if cfg.output_format == "text":
+    if args.format == "text":
         print(_digraph_key_str(digraph_key(g)))
     else:
-        from .graphs import graph_to_json
-
         print(_json_dumps(graph_to_json(g)))
     return EXIT_OK
 
@@ -383,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--limit", type=int, default=None,
                         help="override every enumeration size limit, for any "
                              "command (catalog caps are not settable)")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for verification sweeps")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for cached coefficient tables")
@@ -432,9 +407,12 @@ def main(argv=None) -> int:
         print("error: verify needs exactly one of an identity name and --all", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = Config.from_args(args)
-        with override(cfg.limit):
-            code = args.func(args, cfg)
+        _check_positive_flag("--jobs", args.jobs)
+        if args.limit is not None:
+            _check_positive_flag("--limit", args.limit)
+        args.format = args.format or _FORMAT_DEFAULTS[args.command]
+        with override(args.limit):
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
     except ResourceLimitError as exc:

@@ -67,24 +67,12 @@ class RootedTree:
     label: int
     children: tuple["RootedTree", ...] = ()
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
-    def height(self) -> int:
-        return 0 if not self.children else 1 + max(c.height() for c in self.children)
-
 
 @dataclass(frozen=True)
 class RootedForest:
     """Planar rooted forest."""
 
     trees: tuple[RootedTree, ...]
-
-    def size(self) -> int:
-        return sum(t.size() for t in self.trees)
-
-    def height(self) -> int:
-        return max((t.height() for t in self.trees), default=0)
 
 
 def _nesting_pairs(pi: SetPartition) -> list[tuple[int, int]]:

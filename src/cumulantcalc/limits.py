@@ -9,24 +9,19 @@ enumerates it (``all``, ``noncrossing`` or ``interval``; see
 ``cumulant-*`` key.  Every public entry point checks its keys on every
 call, hit or miss; the identity catalog checks the keys of the cumulants
 it sums once per (identity, n), where it chooses the work, and then reads
-their cache unchecked.  A key's limit is, in order of precedence:
-
-1. n, for every key, inside an ``override(n)`` block (the CLI runs each
-   command inside one built from ``--limit``: it applies to every command),
-2. an environment variable ``CUMULANTCALC_MAX_<KEY>`` (dashes become
-   underscores, e.g. ``CUMULANTCALC_MAX_NONCROSSING=14``),
-3. the built-in default below.
+their cache unchecked.  A key's limit is n, for every key, inside an
+``override(n)`` block (the CLI runs each command inside one built from
+``--limit``: it applies to every command), else its entry in
+`DEFAULT_LIMITS`.  Nothing else sets a limit: the package reads no
+environment variables.
 
 The identity catalog's per-row ``max_n`` caps are not settable.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-
-ENV_PREFIX = "CUMULANTCALC_MAX_"
 
 #: Default maximum n (or block count, for the beta keys) per guarded task.
 DEFAULT_LIMITS = {
@@ -43,9 +38,6 @@ DEFAULT_LIMITS = {
 class ResourceLimitError(RuntimeError):
     """Raised when a requested enumeration exceeds its configured limit."""
 
-
-#: the environment variable of each key, looked up on every check
-_ENV_NAMES = {key: ENV_PREFIX + key.upper().replace("-", "_") for key in DEFAULT_LIMITS}
 
 #: the limit of every key inside the innermost `override` block, else None;
 #: a context variable, so a block in one thread does not leak into another
@@ -65,21 +57,7 @@ def override(n: int | None):
 def limit_for(key: str) -> int:
     """Resolve the limit for `key` (see DEFAULT_LIMITS for valid keys)."""
     forced = _OVERRIDE.get()
-    if forced is not None:
-        return forced
-    name = _ENV_NAMES[key]
-    return positive_int(name, os.environ.get(name, DEFAULT_LIMITS[key]))
-
-
-def positive_int(name: str, raw) -> int:
-    """`raw` as an integer >= 1, else a ValueError naming its source `name`."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return value
+    return DEFAULT_LIMITS[key] if forced is None else forced
 
 
 def check_limit(key: str, n: int) -> None:
@@ -88,5 +66,5 @@ def check_limit(key: str, n: int) -> None:
     if n > bound:
         raise ResourceLimitError(
             f"n={n} exceeds the configured limit {bound} for {key!r}; "
-            f"raise it via {_ENV_NAMES[key]} or --limit"
+            "raise it with --limit"
         )

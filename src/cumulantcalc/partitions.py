@@ -383,11 +383,6 @@ class SetPartition:
         """Smallest noncrossing partition dominating self."""
         return self._merge_components(self.block_pairs()[0])
 
-    def interval_closure(self) -> "SetPartition":
-        """Smallest interval partition dominating self."""
-        crossing, nesting = self.block_pairs()
-        return self._merge_components(crossing + nesting)
-
     def restrict(self, subset) -> "SetPartition":
         """Intersect blocks with `subset` and relabel to [|subset|]."""
         s = sorted(set(subset))
@@ -726,13 +721,6 @@ class OrderedPartition:
     @property
     def blocks_in_order(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.base.blocks[i] for i in self.order)
-
-    def is_monotone(self) -> bool:
-        """Noncrossing base with every outer block before its inner blocks."""
-        if not self.base.is_noncrossing():
-            return False
-        pos = {b: i for i, b in enumerate(self.order)}
-        return all(pos[i] < pos[j] for i, j in self.base.block_pairs()[1])
 
     def is_irreducible(self) -> bool:
         return self.base.is_irreducible()

@@ -78,27 +78,6 @@ class Permutation:
                 word[a - 1] = b
         return cls(word)
 
-    @classmethod
-    def from_cycle_string(cls, text: str, n: int | None = None) -> "Permutation":
-        """Parse cycle notation like "(1,3)(2,5,7)"; fixed points optional."""
-        text = text.strip()
-        cycles_list = []
-        for chunk in text.replace(")(", ")|(").split("|"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError(f"malformed cycle {chunk!r}")
-            body = chunk[1:-1].strip()
-            if body:
-                cycles_list.append([int(x) for x in body.split(",")])
-        top = max((max(c) for c in cycles_list if c), default=0)
-        if n is None:
-            n = top
-        elif top > n:
-            raise ValueError(f"cycle element {top} exceeds n={n}")
-        return cls.from_cycles(n, cycles_list)
-
     # -- structure ----------------------------------------------------------
 
     @property

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from cumulantcalc.algebra import TruncatedSeries, linear_combination
+from cumulantcalc.algebra import Polynomial, TruncatedSeries, linear_combination
 from cumulantcalc.cumulants import CumulantKind, partitioned_cumulant
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.partitions import (
@@ -557,6 +557,11 @@ def determinant_moments(kind: str, cumulants) -> list[Fraction]:
     return [det_by_elimination([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
 
 
+def polynomial_derivative(p: Polynomial) -> Polynomial:
+    """d/dx of a `Polynomial`, term by term."""
+    return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:], p.var)
+
+
 def exp_termwise(g: TruncatedSeries) -> TruncatedSeries:
     """exp by the plain sum of g^k / k!."""
     assert g.coefficient(0) == 0
@@ -711,12 +716,22 @@ def forest_invariants_by_trees(pi: SetPartition):
         poly = poly * tree_poly_by_recursion(t)
         tree_fact *= tree_factorial_by_sizes(t)
     a = poly.coefficient(1) if len(forest.trees) == 1 else Fraction(0)
-    return a, poly, tree_fact, 1 + forest.height()
+    return a, poly, tree_fact, 1 + max(map(tree_height, forest.trees), default=0)
+
+
+def tree_size(t) -> int:
+    """Number of vertices of a `RootedTree`."""
+    return 1 + sum(map(tree_size, t.children))
+
+
+def tree_height(t) -> int:
+    """Edges on the longest root-to-leaf path of a `RootedTree`."""
+    return 1 + max(map(tree_height, t.children), default=-1)
 
 
 def tree_factorial_by_sizes(t) -> int:
     """Product of the subtree sizes over the vertices of a `RootedTree`."""
-    out = t.size()
+    out = tree_size(t)
     for c in t.children:
         out *= tree_factorial_by_sizes(c)
     return out

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -114,20 +115,6 @@ def test_verify_nothing_to_check_is_usage_error(capsys):
         assert code == 2 and out == "" and err.startswith("error:"), args
 
 
-def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CUMULANTCALC_JOBS", "abc")
-    code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "CUMULANTCALC_JOBS" in err
-
-
-def test_bad_limit_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "abc")
-    code, out, err = run_cli(capsys, "table", "mobius", "3")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "CUMULANTCALC_MAX_ALL" in err
-
-
 def test_closed_stdout_exits_141_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.Popen(
@@ -145,14 +132,29 @@ def test_closed_stdout_exits_141_without_traceback():
     assert "Traceback" not in err and "Exception" not in err
 
 
-def test_bad_format_env_is_usage_error(capsys, monkeypatch):
+def test_the_package_reads_no_environment(capsys, monkeypatch):
+    # every setting is a flag: variables named like the old settings change nothing
+    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "1")
+    code, out, _ = run_cli(capsys, "enumerate", "5", "all")
+    assert code == 0 and len(out.splitlines()) == 52
     monkeypatch.setenv("CUMULANTCALC_FORMAT", "xml")
-    code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "CUMULANTCALC_FORMAT" in err
-    monkeypatch.setenv("CUMULANTCALC_FORMAT", "text")
     code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "2")
-    assert code == 0 and out == "ok cor9_factorial n=1 sum=1\nok cor9_factorial n=2 sum=1\n"
+    assert code == 0 and [r["detail"]["sum"] for r in json.loads(out)] == ["1", "1"]
+    src = Path(__file__).parents[1] / "src" / "cumulantcalc"
+    for path in sorted(src.glob("*.py")):
+        with path.open("rb") as source:
+            names = {tok.string for tok in tokenize.tokenize(source.readline)
+                     if tok.type == tokenize.NAME}
+        assert not names & {"environ", "getenv"}, path.name
+
+
+def test_bad_format_flag_is_usage_error(capsys):
+    # argparse `choices` is the one check on the format
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "xml", "verify", "cor9_factorial", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--format: invalid choice: 'xml'" in err
 
 
 def test_verify_all_small(capsys):
@@ -276,7 +278,7 @@ def test_convert(capsys):
     assert code == 0 and out.strip() == '["1","1/2"]'
 
 
-def test_main_calls_share_the_parser_and_stay_independent(capsys, monkeypatch):
+def test_main_calls_share_the_parser_and_stay_independent(capsys):
     # the parser is built once per process; back-to-back calls behave as
     # two cold calls would
     assert build_parser() is build_parser()
@@ -286,13 +288,10 @@ def test_main_calls_share_the_parser_and_stay_independent(capsys, monkeypatch):
     assert "usage:" in capsys.readouterr().err
     code, out, err = run_cli(capsys, "convert", "moments", "free", '["1","1","1"]')
     assert (code, out, err) == (0, '["1","0","0"]\n', "")
-    monkeypatch.setenv("CUMULANTCALC_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "1")
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "cor9_factorial", "1")
     assert code == 0 and json.loads(out)[0]["identity"] == "cor9_factorial"
-    monkeypatch.setenv("CUMULANTCALC_FORMAT", "text")
-    code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "1")
+    code, out, _ = run_cli(capsys, "--format", "text", "verify", "cor9_factorial", "1")
     assert (code, out) == (0, "ok cor9_factorial n=1 sum=1\n")
-    monkeypatch.delenv("CUMULANTCALC_FORMAT")
     code, out, _ = run_cli(capsys, "verify", "cor9_factorial", "1")
     assert code == 0 and json.loads(out)[0]["holds"]
 
@@ -377,7 +376,7 @@ def test_table_cache_dir(tmp_path, capsys):
 
 def test_table_cache_hit_checks_limits(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")[0] == 0
-    monkeypatch.setenv("CUMULANTCALC_MAX_BETA_BLOCKS", "1")
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "beta-blocks", 1)
     code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
     assert code == 3 and out == "" and err.startswith("error:")
 
@@ -390,9 +389,9 @@ def test_table_limit_flag_reaches_the_builder(tmp_path, capsys):
         assert code == 3 and out == "" and err.startswith("error:"), cache
 
 
-def test_table_limit_flag_beats_the_environment(tmp_path, capsys, monkeypatch):
+def test_table_limit_flag_beats_a_lowered_limit(tmp_path, capsys, monkeypatch):
     _, expected, _ = run_cli(capsys, "table", "beta", "3")
-    monkeypatch.setenv("CUMULANTCALC_MAX_BETA_BLOCKS", "1")
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "beta-blocks", 1)
     assert run_cli(capsys, "table", "beta", "3")[0] == 3
     # uncached, then a cache miss, then a hit
     for cache in ((), ("--cache-dir", str(tmp_path)), ("--cache-dir", str(tmp_path))):
@@ -455,9 +454,9 @@ def test_graph_bad_partition_is_usage_error(capsys):
 
 
 def test_limit_precedence(monkeypatch):
-    # override > CUMULANTCALC_MAX_* > DEFAULT_LIMITS
+    # override > DEFAULT_LIMITS, read on every call
     assert limits.limit_for("all") == 10 and limits.limit_for("monotone") == 8
-    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "13")
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "all", 13)
     assert limits.limit_for("all") == 13 and limits.limit_for("monotone") == 8
     with limits.override(14):
         assert limits.limit_for("all") == 14 and limits.limit_for("monotone") == 14
@@ -467,11 +466,11 @@ def test_limit_precedence(monkeypatch):
 
 
 def test_enumerate_checks_the_walk_of_a_filtered_class(capsys, monkeypatch):
-    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "5")
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "all", 5)
     assert run_cli(capsys, "enumerate", "5", "connected")[0] == 0
     code, out, err = run_cli(capsys, "enumerate", "6", "connected")
     assert code == 3 and out == ""
-    assert "for 'all'; raise it via CUMULANTCALC_MAX_ALL or --limit" in err
+    assert "for 'all'; raise it with --limit" in err
 
 
 def test_limit_flag_reaches_verify(capsys):
@@ -488,38 +487,30 @@ def test_limit_flag_reaches_multivariate_thm2_rows(capsys):
             assert code == 3 and out == "" and err.startswith("error:"), (name, jobs)
 
 
-def test_limit_below_one_is_usage_error(capsys, monkeypatch):
+def test_limit_below_one_is_usage_error(capsys):
     for bound in ("0", "-1"):
         code, out, err = run_cli(capsys, "--limit", bound, "enumerate", "3", "all")
         assert code == 2 and out == "", bound
         assert err == f"error: --limit must be a positive integer, got {bound}\n"
-        monkeypatch.setenv("CUMULANTCALC_MAX_ALL", bound)
-        code, out, err = run_cli(capsys, "enumerate", "3", "all")
-        assert code == 2 and out == "" and "CUMULANTCALC_MAX_ALL" in err, bound
-        with pytest.raises(ValueError, match="CUMULANTCALC_MAX_ALL"):
-            limits.limit_for("all")
 
 
-def test_jobs_below_one_is_usage_error(capsys, monkeypatch):
+def test_jobs_below_one_is_usage_error(capsys):
     for jobs in ("0", "-5"):
         code, out, err = run_cli(capsys, "--jobs", jobs, "verify", "cor9_factorial", "2")
         assert code == 2 and out == "", jobs
         assert err == f"error: --jobs must be a positive integer, got {jobs}\n"
-    monkeypatch.setenv("CUMULANTCALC_JOBS", "0")
-    code, out, err = run_cli(capsys, "verify", "cor9_factorial", "2")
-    assert code == 2 and out == "" and "CUMULANTCALC_JOBS" in err
 
 
 def test_limit_flag_reaches_convert(capsys, monkeypatch):
     ones = json.dumps(["1"] * 13)
     code, out, err = run_cli(capsys, "convert", "moments", "free", ones)
     assert code == 3 and out == ""
-    assert "raise it via CUMULANTCALC_MAX_NONCROSSING or --limit" in err
+    assert "for 'noncrossing'; raise it with --limit" in err
     code, flagged, _ = run_cli(capsys, "--limit", "13", "convert", "moments", "free", ones)
     assert code == 0
-    monkeypatch.setenv("CUMULANTCALC_MAX_NONCROSSING", "13")
-    code, from_env, _ = run_cli(capsys, "convert", "moments", "free", ones)
-    assert code == 0 and flagged == from_env
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "noncrossing", 13)
+    code, raised, _ = run_cli(capsys, "convert", "moments", "free", ones)
+    assert code == 0 and flagged == raised
     assert json.loads(flagged) == ["1"] + ["0"] * 12
 
 

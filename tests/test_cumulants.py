@@ -29,7 +29,7 @@ from cumulantcalc.cumulants import (
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
 from cumulantcalc.identities import lenczewski_sum_check, logbessel_beta_check, verify_identity
 from cumulantcalc.forests import partition_tree_factorial
-from cumulantcalc.limits import ResourceLimitError, override
+from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
 from cumulantcalc.permutations import eulerian_polynomial
 from oracles import (
@@ -406,7 +406,7 @@ def test_conversions_enumerate_nothing(monkeypatch):
 @pytest.mark.parametrize("kind, key", [(K, "ALL"), (R, "NONCROSSING"), (B, "INTERVAL"), (H, "NONCROSSING")])
 def test_conversion_limit_checked_on_every_call(monkeypatch, kind, key):
     cumulants_from_moments(kind, [1] * 6)
-    monkeypatch.setenv(f"CUMULANTCALC_MAX_{key}", "5")
+    monkeypatch.setitem(DEFAULT_LIMITS, key.lower(), 5)
     with pytest.raises(ResourceLimitError):
         cumulants_from_moments(kind, [1] * 6)
     with pytest.raises(ResourceLimitError):
@@ -418,14 +418,14 @@ def test_cumulant_poly_limits_checked_on_every_call(monkeypatch):
     pi = P("1,2,3,4,5|6")
     cumulant_poly(R, 5)  # fills the caches
     partitioned_cumulant(R, pi)
-    for env in ("CUMULANTCALC_MAX_CUMULANT_OTHER", "CUMULANTCALC_MAX_NONCROSSING"):
-        monkeypatch.setenv(env, "4")
-        with pytest.raises(ResourceLimitError):
-            cumulant_poly(R, 5)
-        with pytest.raises(ResourceLimitError):
-            partitioned_cumulant(R, pi)
-        assert cumulant_poly(R, 4).sorted_terms() == sorted(fd_cumulant(R, 4).items())
-        monkeypatch.delenv(env)
+    for key in ("cumulant-other", "noncrossing"):
+        with monkeypatch.context() as patch:
+            patch.setitem(DEFAULT_LIMITS, key, 4)
+            with pytest.raises(ResourceLimitError):
+                cumulant_poly(R, 5)
+            with pytest.raises(ResourceLimitError):
+                partitioned_cumulant(R, pi)
+            assert cumulant_poly(R, 4).sorted_terms() == sorted(fd_cumulant(R, 4).items())
     expected = sorted(fd_partitioned_cumulant(R, pi).items())
     assert partitioned_cumulant(R, pi).sorted_terms() == expected
 

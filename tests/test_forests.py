@@ -21,11 +21,13 @@ from cumulantcalc.partitions import SetPartition, enumerate_monotone, enumerate_
 from oracles import (
     all_planar_forests,
     forest_invariants_by_trees,
+    interval_closure_by_fixpoint,
     monotone_orders_brute,
     nesting_forest_by_enclosure,
     nondecreasing_labellings_brute,
     tree_factorial_by_sizes,
     tree_shapes_by_recursion,
+    tree_size,
 )
 
 P = SetPartition.from_text
@@ -60,8 +62,8 @@ def test_nesting_forest_eighteen_point_example():
     assert forests._shape(pi) == (((), (), ((),)), ((), ((),)))
     assert partition_tree_factorial(pi) == 80
     f = nesting_forest_by_enclosure(pi)
-    assert sorted(t.size() for t in f.trees) == [4, 5]
-    big = next(t for t in f.trees if t.size() == 5)
+    assert sorted(map(tree_size, f.trees)) == [4, 5]
+    big = next(t for t in f.trees if tree_size(t) == 5)
     # root {1,2,10} with children {3,6}, {7}, {8,9}; {4,5} hangs under {3,6}
     assert pi.blocks[big.label] == (1, 2, 10)
     child_blocks = {pi.blocks[c.label] for c in big.children}
@@ -152,7 +154,7 @@ def test_weight_multiplicative_over_components():
         for pi in enumerate_partitions(n, "noncrossing"):
             w = Fraction(1, partition_tree_factorial(pi))
             product = Fraction(1)
-            for support in pi.interval_closure().blocks:
+            for support in interval_closure_by_fixpoint(pi).blocks:
                 product *= Fraction(1, partition_tree_factorial(pi.restrict(support)))
             assert w == product
 

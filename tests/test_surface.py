@@ -2,8 +2,12 @@
 
 A name in a module's `__all__` stays only if some top-level statement of
 `src/` other than its own definition reads it, or `test_acceptance.py`
-imports it.  Second names and helpers that only their own tests call
-belong in `tests/oracles.py`.
+imports it.  A public method, property or classmethod of a class in
+`src/` stays only if `src/` reads its name as an attribute outside every
+function of that name (its own body and same-named members of other
+classes do not count), or `test_acceptance.py` does; inside a class,
+`self.name` and `cls.name` count only for that class.  Second names and
+helpers that only their own tests call belong in `tests/oracles.py`.
 """
 
 import ast
@@ -14,6 +18,10 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 #: the bijective layer waits for its catalog rows (ROADMAP item 3)
 ALLOWED_UNUSED = {"phi"}
+
+#: `perfbench/tracer.py` looks this method up with `vars(cls)["univariate"]`
+#: to time it, so `run.py --trace 1` raises KeyError without it
+ALLOWED_UNUSED_MEMBERS = {"MomentPolynomial.univariate"}
 
 
 def _defines(node, name: str) -> bool:
@@ -70,3 +78,47 @@ def test_every_export_has_a_reader():
             ):
                 unread.append(f"{module}.{name}")
     assert not unread, f"exports with no reader: {unread}"
+
+
+def _attribute_reads(tree) -> list[tuple[str | None, str, frozenset]]:
+    """(owner, attribute, enclosing function names) of each attribute load
+    in `tree`; the owner is the enclosing class of a `self.x` or `cls.x`
+    load, else None (any class)."""
+    out = []
+
+    def visit(node, cls, funcs):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs = funcs | {node.name}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owned = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            out.append((cls if owned else None, node.attr, funcs))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, funcs)
+
+    visit(tree, None, frozenset())
+    return out
+
+
+def test_every_public_member_has_a_reader():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    reads = [read for tree in trees for read in _attribute_reads(tree)]
+    accepted = {attr for _, attr, _ in _attribute_reads(ast.parse(ACCEPTANCE.read_text()))}
+    unread = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                name = f"{cls.name}.{member.name}"
+                if member.name in accepted or name in ALLOWED_UNUSED_MEMBERS:
+                    continue
+                if not any(
+                    attr == member.name and owner in (None, cls.name) and member.name not in funcs
+                    for owner, attr, funcs in reads
+                ):
+                    unread.append(name)
+    assert not unread, f"public members with no reader: {unread}"
