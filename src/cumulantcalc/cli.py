@@ -89,13 +89,20 @@ _CLASS_NAMES = {c.value: c for c in PartitionClass}
 
 def _cmd_enumerate(args) -> int:
     name = args.partition_class.lower()
+    write = sys.stdout.write
     if name == "monotone":
         items = enumerate_monotone(args.n)
-        for op in items:
-            if args.format == "json":
+        if args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(["partition"])
+            for op in items:
+                writer.writerow([op.to_text()])
+        elif args.format == "json":
+            for op in items:
                 print(_json_dumps({"blocks_in_order": [list(b) for b in op.blocks_in_order]}))
-            else:
-                print(op.to_text())
+        else:
+            for op in items:
+                write(op.to_text() + "\n")
         return EXIT_OK
     if name not in _CLASS_NAMES:
         valid = ", ".join(sorted(_CLASS_NAMES) + ["monotone"])
@@ -121,7 +128,7 @@ def _cmd_enumerate(args) -> int:
             writer.writerow([pi.to_text(), flags.noncrossing, flags.interval,
                              flags.irreducible, flags.connected])
         else:
-            print(pi.to_text())
+            write(pi.to_text() + "\n")
     return EXIT_OK
 
 

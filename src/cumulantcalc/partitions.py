@@ -25,6 +25,10 @@ Each class is enumerated by one of three walks over RGS prefixes, all of
 P(n), NC(n) (pruned at a crossing) or I(n) (pruned at a gap), filtered by
 the class's predicate (`_CLASS_WALK`).  A class costs what its walk costs,
 so the walk's name is also the limit key the class is checked against.
+The walks yield bare RGS tuples and the filters are the module-level
+predicates over a tuple that `is_irreducible` and `is_connected` also
+call, so a `SetPartition` is built only for each member of the class, never
+for a string the filter drops.
 
 Block relations
 ---------------
@@ -62,6 +66,8 @@ O(n).  mu(pi, 1) in NC(n) is the product of signed Catalan numbers over
 the blocks of K(pi).
 
 Text form: blocks joined by "|", elements by ",", e.g. "1,3|2|4,5".
+`to_text` writes it straight from the RGS, one pass over the decimal labels
+of 1..n, without building the blocks.
 """
 
 from __future__ import annotations
@@ -143,15 +149,20 @@ class SetPartition:
                 fresh += 1
             elif not 0 <= a < fresh:
                 raise ValueError(f"not a restricted growth string: {rgs}")
-        object.__setattr__(self, "_rgs", rgs)
-        object.__setattr__(self, "_blocks", None)
+        _set_rgs(self, rgs)
+        _set_blocks(self, None)
 
     @classmethod
     def _unchecked(cls, rgs: tuple[int, ...]) -> "SetPartition":
-        """A partition from a tuple known to be a restricted growth string."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_rgs", rgs)
-        object.__setattr__(self, "_blocks", None)
+        """A partition from a tuple known to be a restricted growth string.
+
+        The slots are set through their descriptors (`_set_rgs`,
+        `_set_blocks`), a direct store where `object.__setattr__` would
+        look each name up first.
+        """
+        self = _new_object(cls)
+        _set_rgs(self, rgs)
+        _set_blocks(self, None)
         return self
 
     def __setattr__(self, *_):
@@ -233,7 +244,7 @@ class SetPartition:
             for i, a in enumerate(self._rgs, start=1):
                 out[a].append(i)
             cached = tuple(map(tuple, out))
-            object.__setattr__(self, "_blocks", cached)
+            _set_blocks(self, cached)
         return cached
 
     @property
@@ -259,7 +270,7 @@ class SetPartition:
         return self.to_text()
 
     def to_text(self) -> str:
-        return "|".join([",".join(map(str, b)) for b in self.blocks])
+        return "|".join(_block_texts(self._rgs))
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -287,49 +298,10 @@ class SetPartition:
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
 
     def is_irreducible(self) -> bool:
-        # Irreducible iff every cut between i and i+1 (i < n) is spanned
-        # by some hull, i.e. a block met by 1..i reaches past i.
-        rgs = self._rgs
-        last = {a: i for i, a in enumerate(rgs)}  # last position per block
-        reach = 0  # the last position of the blocks met so far
-        for i in range(len(rgs) - 1):
-            end = last[rgs[i]]
-            if end > reach:
-                reach = end
-            if reach == i:
-                return False
-        return True
+        return _rgs_irreducible(self._rgs)
 
     def is_connected(self) -> bool:
-        # One scan with a stack of open groups, each a set of blocks joined
-        # by crossings.  A block that comes back below the top group is
-        # crossed by every group above it, so they merge into its group.  A
-        # group whose last element is read is a block of the noncrossing
-        # closure, so the partition is connected iff no group closes before
-        # the last element.
-        rgs = self._rgs
-        left = list(self.block_sizes())  # elements of each block not read yet
-        if 1 in left and len(rgs) > 1:
-            return False  # a singleton crosses nothing
-        first = []  # position of the first element of each block seen
-        starts = []  # position of the first element of each open group
-        unread = []  # elements of each open group not read yet
-        last = self.n - 1
-        for i, a in enumerate(rgs):
-            if a == len(first):
-                first.append(i)
-                starts.append(i)
-                unread.append(left[a])
-            else:
-                # the group of a is the topmost one that started by first[a]
-                while starts[-1] > first[a]:
-                    starts.pop()
-                    merged = unread.pop()
-                    unread[-1] += merged
-            unread[-1] -= 1
-            if not unread[-1] and i < last:
-                return False
-        return True
+        return _rgs_connected(self._rgs)
 
     def classify(self) -> PartitionFlags:
         return PartitionFlags(
@@ -396,6 +368,84 @@ class SetPartition:
         return SetPartition._unchecked(
             tuple([label.setdefault(rgs[x - 1], len(label)) for x in s])
         )
+
+
+_new_object = object.__new__
+_set_rgs = SetPartition._rgs.__set__
+_set_blocks = SetPartition._blocks.__set__
+
+
+# ---------------------------------------------------------------------------
+# Predicates and text over a bare RGS tuple
+# ---------------------------------------------------------------------------
+
+
+def _rgs_irreducible(rgs: tuple[int, ...]) -> bool:
+    """Irreducible iff every cut between i and i+1 (i < n) is spanned by
+    some hull, i.e. a block met by 1..i reaches past i."""
+    last = {a: i for i, a in enumerate(rgs)}  # last position per block
+    reach = 0  # the last position of the blocks met so far
+    for i in range(len(rgs) - 1):
+        end = last[rgs[i]]
+        if end > reach:
+            reach = end
+        if reach == i:
+            return False
+    return True
+
+
+def _rgs_connected(rgs: tuple[int, ...]) -> bool:
+    """Connected iff the noncrossing closure is one block.
+
+    One scan with a stack of open groups, each a set of blocks joined by
+    crossings.  A block that comes back below the top group is crossed by
+    every group above it, so they merge into its group.  A group whose
+    last element is read is a block of the noncrossing closure, so the
+    partition is connected iff no group closes before the last element.
+    """
+    left = [0] * (max(rgs) + 1)  # elements of each block not read yet
+    for a in rgs:
+        left[a] += 1
+    last = len(rgs) - 1
+    if 1 in left and last:
+        return False  # a singleton crosses nothing
+    first = []  # position of the first element of each block seen
+    starts = []  # position of the first element of each open group
+    unread = []  # elements of each open group not read yet
+    for i, a in enumerate(rgs):
+        if a == len(first):
+            first.append(i)
+            starts.append(i)
+            unread.append(left[a])
+        else:
+            # the group of a is the topmost one that started by first[a]
+            while starts[-1] > first[a]:
+                starts.pop()
+                merged = unread.pop()
+                unread[-1] += merged
+        unread[-1] -= 1
+        if not unread[-1] and i < last:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    """The decimal labels "1", ..., "n" of the elements of [n]."""
+    return tuple(map(str, range(1, n + 1)))
+
+
+def _block_texts(rgs: tuple[int, ...]) -> list[str]:
+    """The text of each block, its labels joined by ",", in block order."""
+    out = [[] for _ in range(max(rgs) + 1)]
+    for a, label in zip(rgs, _labels(len(rgs))):
+        out[a].append(label)
+    return [",".join(b) for b in out]
+
+
+#: `_block_texts` of the last RGS asked for: `enumerate_monotone` yields
+#: the orders of one base one after another, so their texts share it
+_last_block_texts = lru_cache(maxsize=1)(_block_texts)
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +625,19 @@ class PartitionClass(enum.Enum):
 
 
 def _rgs_partitions(n, prune=None):
-    """All partitions of [n] in lexicographic RGS order, with optional
-    prefix pruning (prune(blocks, target_index, element) -> bool keeps).
+    """The RGS tuples of all partitions of [n] in lexicographic order, with
+    optional prefix pruning (prune(blocks, target_index, element) -> bool
+    keeps).
 
     A depth-first walk over positions with an explicit stack of choices,
-    so each partition is yielded from this frame and built without the
-    RGS check; the last position yields its choices in a direct loop.
+    so each tuple is yielded from this frame; the last position yields its
+    choices in a direct loop.
     """
     rgs = [0] * n
     blocks = [[1]]
     last = n - 1
     if not last:
-        yield SetPartition._unchecked((0,))
+        yield (0,)
         return
     chosen = [-1] * n  # block index placed at each position, -1 if none
     i = 1
@@ -596,7 +647,7 @@ def _rgs_partitions(n, prune=None):
             for v in range(len(blocks) + 1):
                 if prune is None or prune(blocks, v, x):
                     rgs[i] = v
-                    yield SetPartition._unchecked(tuple(rgs))
+                    yield tuple(rgs)
             i -= 1
             continue
         v = chosen[i]
@@ -643,15 +694,16 @@ def _prune_interval(blocks, v, x):
 
 
 #: class -> (walk, filter): the walk is the pruned RGS walk that runs and
-#: the limit key checked, the filter keeps the class's members (None: all)
+#: the limit key checked, the filter keeps the RGS tuples of the class's
+#: members (None: all)
 _CLASS_WALK = {
     PartitionClass.ALL: ("all", None),
     PartitionClass.NONCROSSING: ("noncrossing", None),
     PartitionClass.INTERVAL: ("interval", None),
-    PartitionClass.IRREDUCIBLE: ("all", SetPartition.is_irreducible),
-    PartitionClass.CONNECTED: ("all", SetPartition.is_connected),
-    PartitionClass.IRREDUCIBLE_NONCROSSING: ("noncrossing", SetPartition.is_irreducible),
-    PartitionClass.CONNECTED_NONCROSSING: ("noncrossing", SetPartition.is_connected),
+    PartitionClass.IRREDUCIBLE: ("all", _rgs_irreducible),
+    PartitionClass.CONNECTED: ("all", _rgs_connected),
+    PartitionClass.IRREDUCIBLE_NONCROSSING: ("noncrossing", _rgs_irreducible),
+    PartitionClass.CONNECTED_NONCROSSING: ("noncrossing", _rgs_connected),
 }
 
 _WALK_PRUNE = {"all": None, "noncrossing": _prune_noncrossing, "interval": _prune_interval}
@@ -661,7 +713,9 @@ def _enumerate_unchecked(n: int, cls: PartitionClass):
     """The members of the class in RGS order, with no limit check."""
     walk, keep = _CLASS_WALK[cls]
     members = _rgs_partitions(n, _WALK_PRUNE[walk])
-    return members if keep is None else filter(keep, members)
+    if keep is not None:
+        members = filter(keep, members)
+    return map(SetPartition._unchecked, members)
 
 
 def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL):
@@ -718,6 +772,14 @@ class OrderedPartition:
         if sorted(self.order) != list(range(self.base.num_blocks)):
             raise ValueError("order must be a permutation of the block indices")
 
+    @classmethod
+    def _unchecked(cls, base: SetPartition, order: tuple[int, ...]) -> "OrderedPartition":
+        """An ordered partition whose order is known to be a permutation of
+        the block indices, built without the `__post_init__` check."""
+        self = _new_object(cls)
+        self.__dict__.update(base=base, order=order)
+        return self
+
     @property
     def blocks_in_order(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.base.blocks[i] for i in self.order)
@@ -726,7 +788,8 @@ class OrderedPartition:
         return self.base.is_irreducible()
 
     def to_text(self) -> str:
-        return "|".join(",".join(map(str, b)) for b in self.blocks_in_order)
+        texts = _last_block_texts(self.base.rgs)
+        return "|".join([texts[i] for i in self.order])
 
     def __repr__(self):
         return self.to_text()
@@ -755,7 +818,7 @@ def enumerate_monotone(n: int):
 
         def rec():
             if len(seq) == k:
-                yield OrderedPartition(base, tuple(seq))
+                yield OrderedPartition._unchecked(base, tuple(seq))
                 return
             for b in range(k):
                 if not used[b] and remaining[b] == 0:

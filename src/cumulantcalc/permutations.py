@@ -61,10 +61,6 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles_list) -> "Permutation":
         word = list(range(1, n + 1))
         seen = set()

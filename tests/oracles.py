@@ -22,6 +22,7 @@ from cumulantcalc.partitions import (
     mobius_to_top,
     partitions_of,
 )
+from cumulantcalc.permutations import Permutation
 
 # --- counting -----------------------------------------------------------
 
@@ -150,6 +151,49 @@ def connected_by_union_find(pi: SetPartition) -> bool:
     for i, j in _crossing_pairs(pi):
         parent[find(i)] = find(j)
     return len({find(i) for i in range(pi.num_blocks)}) == 1
+
+
+def irreducible_by_reach(pi: SetPartition) -> bool:
+    """Every cut between i and i+1 (i < n) is spanned by some hull: a block
+    met by 1..i reaches past i (read off the partition's RGS and sizes)."""
+    rgs = pi.rgs
+    last = {a: i for i, a in enumerate(rgs)}  # last position per block
+    reach = 0  # the last position of the blocks met so far
+    for i in range(len(rgs) - 1):
+        end = last[rgs[i]]
+        if end > reach:
+            reach = end
+        if reach == i:
+            return False
+    return True
+
+
+def connected_by_group_stack(pi: SetPartition) -> bool:
+    """The noncrossing closure is one block: a stack of open groups of
+    crossing blocks, none of which may close before the last element."""
+    rgs = pi.rgs
+    left = list(pi.block_sizes())  # elements of each block not read yet
+    if 1 in left and len(rgs) > 1:
+        return False  # a singleton crosses nothing
+    first = []  # position of the first element of each block seen
+    starts = []  # position of the first element of each open group
+    unread = []  # elements of each open group not read yet
+    last = pi.n - 1
+    for i, a in enumerate(rgs):
+        if a == len(first):
+            first.append(i)
+            starts.append(i)
+            unread.append(left[a])
+        else:
+            # the group of a is the topmost one that started by first[a]
+            while starts[-1] > first[a]:
+                starts.pop()
+                merged = unread.pop()
+                unread[-1] += merged
+        unread[-1] -= 1
+        if not unread[-1] and i < last:
+            return False
+    return True
 
 
 def restrict_by_blocks(pi: SetPartition, subset) -> SetPartition:
@@ -634,6 +678,26 @@ def all_planar_forests(total: int):
     for sizes in compositions(total):
         for kids in _forests_of(sizes):
             yield RootedForest(tuple(kids))
+
+
+# --- text forms from the blocks ---------------------------------------------
+
+
+def text_by_blocks(pi: SetPartition) -> str:
+    """The text form joined from the built blocks, each element by str."""
+    return "|".join(",".join(map(str, b)) for b in pi.blocks)
+
+
+def ordered_text_by_blocks(op) -> str:
+    """An ordered partition's text form joined from its blocks in order."""
+    return "|".join(",".join(map(str, b)) for b in op.blocks_in_order)
+
+
+# --- permutations -----------------------------------------------------------
+
+
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(range(1, n + 1))
 
 
 # --- monotone orders by brute force -----------------------------------------

@@ -49,6 +49,34 @@ def test_enumerate_formats(capsys):
     assert len(table) == 5  # header + 4 interval partitions
 
 
+def test_enumerate_monotone_csv(capsys):
+    # one csv-quoted text form per ordered partition, under a header
+    code, out, _ = run_cli(capsys, "--format", "csv", "enumerate", "3", "monotone")
+    _, text, _ = run_cli(capsys, "enumerate", "3", "monotone")
+    table = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and table[0] == ["partition"]
+    assert table[1:] == [[line] for line in text.splitlines()]
+    assert out.splitlines()[:3] == ["partition", '"1,2,3"', '"1,2|3"']
+
+
+def test_enumerate_golden_digests(capsys):
+    # the text form streamed from the RGS, two-digit labels included
+    golden = {
+        ("enumerate", "11", "noncrossing"):
+            "c3b7f76e03b56c833613d00bd75eacca8a94af900551815036373bae7ccc5065",
+        ("enumerate", "10", "connected"):
+            "d6e3f8fdedceed65fa7c075afc18aae670a6f0c925170b004444686ff6046d7d",
+        ("enumerate", "7", "monotone"):
+            "d3d7954721d0144f583e1775053de26fe3f67906bdb568d70d65adb82effd0cd",
+        ("--format", "csv", "enumerate", "8", "irreducible-noncrossing"):
+            "1436dc210b017ec65ecc129b686296215cf6b3b1ec53f73739bc2403672993fb",
+    }
+    for args, digest in golden.items():
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
 def test_enumerate_errors(capsys):
     code, _, err = run_cli(capsys, "enumerate", "3", "wibble")
     assert code == 2 and "unknown partition class" in err

@@ -28,8 +28,10 @@ from oracles import (
     blocks_cross_by_runs,
     catalan_direct,
     closure_brute,
+    connected_by_group_stack,
     connected_by_union_find,
     interval_closure_by_fixpoint,
+    irreducible_by_reach,
     kreweras_by_separation,
     lattice_join,
     lattice_meet,
@@ -37,7 +39,9 @@ from oracles import (
     monotone_by_predicates,
     noncrossing_by_pairs,
     noncrossing_closure_by_fixpoint,
+    ordered_text_by_blocks,
     restrict_by_blocks,
+    text_by_blocks,
     triangle_geq,
 )
 
@@ -100,13 +104,26 @@ def test_class_predicates_match_oracles():
             assert nc_closure == noncrossing_closure_by_fixpoint(pi), pi
             assert connected == (nc_closure.num_blocks == 1), pi
             assert connected == connected_by_union_find(pi), pi
+            assert connected == connected_by_group_stack(pi), pi
             interval_closure = interval_closure_by_fixpoint(pi)
             assert pi.is_irreducible() == (interval_closure.num_blocks == 1), pi
+            assert pi.is_irreducible() == irreducible_by_reach(pi), pi
             assert pi.block_sizes() == tuple(map(len, pi.blocks))
     for n in range(1, 7):
         for pi in enumerate_partitions(n):
             closure = closure_brute(pi, lambda s: s.is_noncrossing())
             assert pi.is_connected() == (closure.num_blocks == 1), pi
+
+
+def test_text_from_the_rgs_matches_the_blocks():
+    for n in range(1, 10):
+        for pi in enumerate_partitions(n):
+            assert pi.to_text() == text_by_blocks(pi), pi
+    for op in enumerate_monotone(6):
+        assert op.to_text() == ordered_text_by_blocks(op), op
+    # three-digit labels: a label table cut short would drop elements
+    big = SetPartition.from_blocks(300, [range(r, 301, 7) for r in range(1, 8)])
+    assert SetPartition.from_text(big.to_text()) == big
 
 
 def test_counting_against_independent_formulas():
