@@ -8,6 +8,14 @@ and all randomized checks are seeded).  With `-v`, `verify` also writes
 one line per (identity, n) to stderr: its wall time and the peak RSS of
 the process that ran it.
 
+Names are checked by argparse `choices`, case-insensitively, against the
+library's own tables: the `PartitionClass` values and "monotone" for
+`enumerate`, the keys of `_TABLE_LIMITS` for `table` and the sequence
+kinds of `cumulants._SEQUENCE_KINDS` for `convert`; an unknown name is a
+usage error.  `enumerate` takes its first item, and with it the walk's limit
+check, before it writes anything, so a resource-limit error leaves stdout
+empty.
+
 Every setting is a flag (--format, --limit, --jobs, --cache-dir, -v); the
 CLI reads no environment variables.  Without a flag a setting takes its
 built-in default: the format of the subcommand, the limits of
@@ -27,6 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .algebra import rational_from_str, rational_to_str
@@ -84,51 +93,45 @@ def _json_dumps(obj) -> str:
 # enumerate
 # ---------------------------------------------------------------------------
 
-_CLASS_NAMES = {c.value: c for c in PartitionClass}
+#: the classes `enumerate` streams
+_ENUMERATED = tuple(c.value for c in PartitionClass) + ("monotone",)
+
+#: the class flags of each partition: its CSV columns and JSON keys, in order
+_FLAGS = (
+    ("noncrossing", SetPartition.is_noncrossing),
+    ("interval", SetPartition.is_interval),
+    ("irreducible", SetPartition.is_irreducible),
+    ("connected", SetPartition.is_connected),
+)
 
 
 def _cmd_enumerate(args) -> int:
-    name = args.partition_class.lower()
+    if args.partition_class == "monotone":
+        items, flags = enumerate_monotone(args.n), ()
+
+        def record(op):
+            return {"blocks_in_order": [list(b) for b in op.blocks_in_order]}
+    else:
+        items = enumerate_partitions(args.n, PartitionClass(args.partition_class))
+        flags = _FLAGS
+
+        def record(pi):
+            return {"partition": pi.to_json(), **{name: test(pi) for name, test in flags}}
+    # the generator checks its walk's limit on the first item, so take it
+    # before writing anything; every class holds the one-block partition
+    items = chain([next(items)], items)
     write = sys.stdout.write
-    if name == "monotone":
-        items = enumerate_monotone(args.n)
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(["partition"])
-            for op in items:
-                writer.writerow([op.to_text()])
-        elif args.format == "json":
-            for op in items:
-                print(_json_dumps({"blocks_in_order": [list(b) for b in op.blocks_in_order]}))
-        else:
-            for op in items:
-                write(op.to_text() + "\n")
-        return EXIT_OK
-    if name not in _CLASS_NAMES:
-        valid = ", ".join(sorted(_CLASS_NAMES) + ["monotone"])
-        print(f"error: unknown partition class {name!r} (expected one of {valid})",
-              file=sys.stderr)
-        return EXIT_USAGE
-    writer = None
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["partition", "noncrossing", "interval", "irreducible", "connected"])
-    for pi in enumerate_partitions(args.n, _CLASS_NAMES[name]):
-        if args.format == "json":
-            flags = pi.classify()
-            print(_json_dumps({
-                "partition": pi.to_json(),
-                "noncrossing": flags.noncrossing,
-                "interval": flags.interval,
-                "irreducible": flags.irreducible,
-                "connected": flags.connected,
-            }))
-        elif args.format == "csv":
-            flags = pi.classify()
-            writer.writerow([pi.to_text(), flags.noncrossing, flags.interval,
-                             flags.irreducible, flags.connected])
-        else:
-            write(pi.to_text() + "\n")
+        writer.writerow(["partition"] + [name for name, _ in flags])
+        for item in items:
+            writer.writerow([item.to_text()] + [test(item) for _, test in flags])
+    elif args.format == "json":
+        for item in items:
+            write(_json_dumps(record(item)) + "\n")
+    else:
+        for item in items:
+            write(item.to_text() + "\n")
     return EXIT_OK
 
 
@@ -153,13 +156,7 @@ def _verify_worker(job):
     return report, time.perf_counter() - start, _peak_rss_mb()
 
 
-def _check_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be positive (got {n})")
-
-
 def _cmd_verify(args) -> int:
-    _check_positive(args.n_max)
     names = None if args.all else [args.identity]
     jobs = [(name, n, args.limit)
             for name, n in catalog_jobs(args.n_max, names, strict=not args.all)]
@@ -233,15 +230,13 @@ def _table_rows(what: str, n: int):
              rational_to_str(tutte_eval(anti_interval_graph(pi), 1, 0)))
             for pi in partitions_of(n, "irreducible")
         ]
-    elif what == "mobius":
+    else:  # "mobius"
         header = ["partition", "mu_p_top", "mu_nc_top", "mu_i_top"]
         rows = []
         for pi in partitions_of(n, "all"):
             nc = str(mobius_to_top(pi, "NC")) if pi.is_noncrossing() else ""
             iv = str(mobius_to_top(pi, "I")) if pi.is_interval() else ""
             rows.append((pi.to_text(), str(mobius_to_top(pi, "P")), nc, iv))
-    else:
-        raise ValueError(f"unknown table {what!r}")
     return header, rows
 
 
@@ -267,18 +262,14 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int):
 
 
 def _cmd_table(args) -> int:
-    what = args.what.lower()
-    if what not in _TABLE_LIMITS:
-        print(f"error: unknown table {what!r}", file=sys.stderr)
-        return EXIT_USAGE
     # checked before the cache is read, so a hit is served only within the
     # limits the table's builder checks
-    for key in _TABLE_LIMITS[what]:
+    for key in _TABLE_LIMITS[args.what]:
         check_limit(key, args.n)
     if args.cache_dir:
-        header, rows = _cached_table_rows(Path(args.cache_dir), what, args.n)
+        header, rows = _cached_table_rows(Path(args.cache_dir), args.what, args.n)
     else:
-        header, rows = _table_rows(what, args.n)
+        header, rows = _table_rows(args.what, args.n)
     if args.format == "json":
         print(_json_dumps([dict(zip(header, r)) for r in rows]))
     else:
@@ -294,16 +285,7 @@ def _cmd_table(args) -> int:
 # convert
 # ---------------------------------------------------------------------------
 
-_SEQ_KINDS = tuple(_SEQUENCE_KINDS)
-
-
 def _cmd_convert(args) -> int:
-    src, dst = args.src.lower(), args.dst.lower()
-    for kind in (src, dst):
-        if kind not in _SEQ_KINDS:
-            print(f"error: unknown sequence kind {kind!r} "
-                  f"(expected one of {', '.join(_SEQ_KINDS)})", file=sys.stderr)
-            return EXIT_USAGE
     try:
         raw = json.loads(args.values)
     except json.JSONDecodeError as exc:
@@ -318,7 +300,7 @@ def _cmd_convert(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad rational in values: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = convert_sequence(src, dst, values)
+    out = convert_sequence(args.src, args.dst, values)
     print(_json_dumps([rational_to_str(v) for v in out]))
     return EXIT_OK
 
@@ -377,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream partitions of a class")
     p.add_argument("n", type=int)
-    p.add_argument("partition_class",
-                   help="all|noncrossing|interval|irreducible|connected|"
-                        "irreducible-noncrossing|connected-noncrossing|monotone")
+    p.add_argument("partition_class", type=str.lower, choices=_ENUMERATED)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="verify one identity (or --all) up to n")
@@ -390,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="emit beta/alpha/tutte/mobius tables")
-    p.add_argument("what")
+    p.add_argument("what", type=str.lower, choices=_TABLE_LIMITS)
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("convert", help="convert a rational sequence between bases")
-    p.add_argument("src")
-    p.add_argument("dst")
+    p.add_argument("src", type=str.lower, choices=_SEQUENCE_KINDS)
+    p.add_argument("dst", type=str.lower, choices=_SEQUENCE_KINDS)
     p.add_argument("values", help='JSON array of rationals, e.g. \'["1","1/2"]\'')
     p.set_defaults(func=_cmd_convert)
 

@@ -314,10 +314,9 @@ def moment_series(moments, order: int | None = None) -> TruncatedSeries:
     return TruncatedSeries([Fraction(1)] + [Fraction(v) for v in moments], order)
 
 
-def sequence_series(values, order: int | None = None) -> TruncatedSeries:
+def sequence_series(values) -> TruncatedSeries:
     """Ordinary generating function sum a_k z^k (zero constant term)."""
-    values = list(values)
-    return TruncatedSeries([Fraction(0)] + [Fraction(v) for v in values], order)
+    return TruncatedSeries([Fraction(0)] + [Fraction(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +363,7 @@ def boolean_poisson_kappa(n: int) -> Polynomial:
         raise ValueError("n must be positive")
     x = Polynomial.monomial(1, 1, "x")
     moments = moments_from_cumulants(CumulantKind.BOOLEAN, [x] * n)
-    kappa = cumulants_from_moments(CumulantKind.CLASSICAL, moments)[n - 1]
-    if not isinstance(kappa, Polynomial):
-        kappa = Polynomial.constant(kappa, "x")
-    return kappa
+    return cumulants_from_moments(CumulantKind.CLASSICAL, moments)[n - 1]
 
 
 def _det(matrix) -> Fraction:

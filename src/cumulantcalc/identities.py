@@ -683,7 +683,10 @@ def verify_identity(name: str, n: int) -> Report:
 
 def catalog_jobs(n_max: int, names=None, strict: bool = False) -> list[tuple[str, int]]:
     """The (identity, n) pairs for n = 1 .. n_max, identity by identity, each
-    clamped to its max_n; with strict=True a larger n_max raises up front."""
+    clamped to its max_n; with strict=True a larger n_max raises up front.
+    An n_max below 1 raises in both modes: there is nothing to check."""
+    if n_max < 1:
+        raise ValueError("n must be positive")
     jobs = []
     for name in names or identity_names():
         top = min(n_max, _catalog_row(name, n_max if strict else 1).max_n)

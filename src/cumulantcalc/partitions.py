@@ -19,7 +19,8 @@ Partition classes
 The class predicates skip the pairwise block tests and read the RGS once,
 left to right: `is_noncrossing` and `is_connected` with a stack of open
 blocks (or of groups of crossing blocks), `is_irreducible` with the last
-position reached so far; `restrict` relabels the RGS.
+position reached so far, `is_interval` by checking that it never steps
+down; `restrict` relabels the RGS.
 
 Each class is enumerated by one of three walks over RGS prefixes, all of
 P(n), NC(n) (pruned at a crossing) or I(n) (pruned at a gap), filtered by
@@ -85,7 +86,6 @@ __all__ = [
     "SetPartition",
     "OrderedPartition",
     "PartitionClass",
-    "PartitionFlags",
     "enumerate_partitions",
     "enumerate_monotone",
     "lattice_leq",
@@ -124,14 +124,6 @@ def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 # SetPartition
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionFlags:
-    noncrossing: bool
-    interval: bool
-    irreducible: bool
-    connected: bool
 
 
 class SetPartition:
@@ -295,21 +287,16 @@ class SetPartition:
         return True
 
     def is_interval(self) -> bool:
-        return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
+        # blocks are numbered by first use, so each is a run of consecutive
+        # elements iff the RGS never steps down to an earlier block
+        rgs = self._rgs
+        return all(a <= b for a, b in zip(rgs, rgs[1:]))
 
     def is_irreducible(self) -> bool:
         return _rgs_irreducible(self._rgs)
 
     def is_connected(self) -> bool:
         return _rgs_connected(self._rgs)
-
-    def classify(self) -> PartitionFlags:
-        return PartitionFlags(
-            noncrossing=self.is_noncrossing(),
-            interval=self.is_interval(),
-            irreducible=self.is_irreducible(),
-            connected=self.is_connected(),
-        )
 
     # -- block relations and closures ----------------------------------------
 
@@ -783,9 +770,6 @@ class OrderedPartition:
     @property
     def blocks_in_order(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.base.blocks[i] for i in self.order)
-
-    def is_irreducible(self) -> bool:
-        return self.base.is_irreducible()
 
     def to_text(self) -> str:
         texts = _last_block_texts(self.base.rgs)

@@ -153,6 +153,11 @@ def connected_by_union_find(pi: SetPartition) -> bool:
     return len({find(i) for i in range(pi.num_blocks)}) == 1
 
 
+def interval_by_blocks(pi: SetPartition) -> bool:
+    """Every block is a run of consecutive integers."""
+    return all(b[-1] - b[0] + 1 == len(b) for b in pi.blocks)
+
+
 def irreducible_by_reach(pi: SetPartition) -> bool:
     """Every cut between i and i+1 (i < n) is spanned by some hull: a block
     met by 1..i reaches past i (read off the partition's RGS and sizes)."""

@@ -25,6 +25,14 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def _usage_exit(capsys, *args):
+    """(exit code, stdout, stderr) of a call that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "1", "all")
     assert code == 0 and out == "1\n"
@@ -70,6 +78,15 @@ def test_enumerate_golden_digests(capsys):
             "d3d7954721d0144f583e1775053de26fe3f67906bdb568d70d65adb82effd0cd",
         ("--format", "csv", "enumerate", "8", "irreducible-noncrossing"):
             "1436dc210b017ec65ecc129b686296215cf6b3b1ec53f73739bc2403672993fb",
+        # the four class flags of every row, and the monotone records
+        ("--format", "json", "enumerate", "7", "all"):
+            "abac9e177fb8522823310a9f7ea730039602bf65e3a17574282053716ebe593d",
+        ("--format", "csv", "enumerate", "7", "all"):
+            "cc060f00aa1595b6282eb0d5c7ddaf6d050d1c0f29a3f8f519843724cf3d12c5",
+        ("--format", "json", "enumerate", "6", "monotone"):
+            "ee8c4b04fd44d7dd67b65fe368e19b65d4ff25d6465d7b663599d89696b724ac",
+        ("--format", "csv", "enumerate", "6", "monotone"):
+            "371dd435f9aa7309bbba030b912408f7c61e31189b2242f1165d52533c877e17",
     }
     for args, digest in golden.items():
         code, out, _ = run_cli(capsys, *args)
@@ -78,12 +95,21 @@ def test_enumerate_golden_digests(capsys):
 
 
 def test_enumerate_errors(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "3", "wibble")
-    assert code == 2 and "unknown partition class" in err
+    # argparse `choices` is the one check on the class name
+    code, out, err = _usage_exit(capsys, "enumerate", "3", "wibble")
+    assert code == 2 and out == "" and "invalid choice: 'wibble'" in err
     code, _, err = run_cli(capsys, "enumerate", "11", "all")
     assert code == 3 and "limit" in err
     code, out, _ = run_cli(capsys, "--limit", "11", "enumerate", "11", "interval")
     assert code == 0 and len(out.splitlines()) == 2**10
+
+
+def test_limit_error_writes_nothing_to_stdout(capsys):
+    # the limit is checked before the first line, header included, is written
+    for fmt in ("text", "json", "csv"):
+        for n, name in (("11", "all"), ("11", "connected"), ("9", "monotone")):
+            code, out, err = run_cli(capsys, "--format", fmt, "enumerate", n, name)
+            assert code == 3 and out == "" and err.startswith("error:"), (fmt, name)
 
 
 def test_verify_single(capsys):
@@ -325,8 +351,8 @@ def test_main_calls_share_the_parser_and_stay_independent(capsys):
 
 
 def test_convert_errors(capsys):
-    code, _, err = run_cli(capsys, "convert", "moments", "sideways", "[]")
-    assert code == 2 and "unknown sequence kind" in err
+    code, out, err = _usage_exit(capsys, "convert", "moments", "sideways", "[]")
+    assert code == 2 and out == "" and "invalid choice: 'sideways'" in err
     code, _, err = run_cli(capsys, "convert", "moments", "free", '["1", "oops"]')
     assert code == 2 and "bad rational" in err
     code, _, err = run_cli(capsys, "convert", "moments", "free", "not json")
@@ -380,8 +406,15 @@ def test_table_mobius_and_json(capsys):
 
 
 def test_table_unknown(capsys):
-    code, _, err = run_cli(capsys, "table", "zeta", "3")
-    assert code == 2
+    code, out, err = _usage_exit(capsys, "table", "zeta", "3")
+    assert code == 2 and out == "" and "invalid choice: 'zeta'" in err
+
+
+def test_names_are_case_insensitive(capsys):
+    assert run_cli(capsys, "enumerate", "4", "NonCrossing")[:2] == \
+        run_cli(capsys, "enumerate", "4", "noncrossing")[:2]
+    assert run_cli(capsys, "table", "BETA", "3")[:2] == run_cli(capsys, "table", "beta", "3")[:2]
+    assert run_cli(capsys, "convert", "Moments", "FREE", '["1","2"]')[:2] == (0, '["1","1"]\n')
 
 
 def test_table_n_below_one_is_usage_error(tmp_path, capsys):

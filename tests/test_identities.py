@@ -13,6 +13,7 @@ from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
     _type_sum,
+    catalog_jobs,
     identity_names,
     lenczewski_sum_check,
     run_catalog,
@@ -83,6 +84,15 @@ def test_run_catalog_clamps_limits():
         run_catalog(10, names=["moment_cumulant_B"], strict_limits=True)
     with pytest.raises(ValueError):
         run_catalog(3, names=["nope"])
+
+
+def test_nothing_to_check_raises_in_both_modes():
+    for strict in (False, True):
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                catalog_jobs(n_max, strict=strict)
+            with pytest.raises(ValueError, match="n must be positive"):
+                run_catalog(n_max, strict_limits=strict)
 
 
 def test_catalog_examples_from_the_identity_descriptions():

@@ -30,6 +30,7 @@ from oracles import (
     closure_brute,
     connected_by_group_stack,
     connected_by_union_find,
+    interval_by_blocks,
     interval_closure_by_fixpoint,
     irreducible_by_reach,
     kreweras_by_separation,
@@ -108,6 +109,7 @@ def test_class_predicates_match_oracles():
             interval_closure = interval_closure_by_fixpoint(pi)
             assert pi.is_irreducible() == (interval_closure.num_blocks == 1), pi
             assert pi.is_irreducible() == irreducible_by_reach(pi), pi
+            assert pi.is_interval() == interval_by_blocks(pi), pi
             assert pi.block_sizes() == tuple(map(len, pi.blocks))
     for n in range(1, 7):
         for pi in enumerate_partitions(n):
@@ -201,15 +203,15 @@ def test_enumeration_limit_errors():
 
 
 def test_classify_examples():
-    flags = P("1,3|2,4").classify()
-    assert (flags.noncrossing, flags.connected, flags.irreducible, flags.interval) == (
+    pi = P("1,3|2,4")
+    assert (pi.is_noncrossing(), pi.is_connected(), pi.is_irreducible(), pi.is_interval()) == (
         False,
         True,
         True,
         False,
     )
-    flags = P("1,2|3").classify()
-    assert (flags.noncrossing, flags.interval, flags.irreducible, flags.connected) == (
+    pi = P("1,2|3")
+    assert (pi.is_noncrossing(), pi.is_interval(), pi.is_irreducible(), pi.is_connected()) == (
         True,
         True,
         False,
@@ -217,8 +219,7 @@ def test_classify_examples():
     )
     # nine-point example: irreducible but not connected
     pi = SetPartition.from_blocks(9, [[1, 7], [2, 4], [3, 5], [6, 8, 9]])
-    flags = pi.classify()
-    assert flags.irreducible and not flags.connected
+    assert pi.is_irreducible() and not pi.is_connected()
 
 
 def test_irreducible_iff_1_sim_n_for_noncrossing():
