@@ -43,7 +43,9 @@ over one positive denominator, reduced so that the denominator shares no
 factor with all the numerators (the zero polynomial has denominator 1);
 equality is therefore canonical and decided term by term.  Sums of
 weighted polynomials go through one accumulator, `linear_combination`,
-which the ring operations use as well.  At the boundary (construction,
+which the ring operations use as well; a product of two polynomials with
+disjoint supports (the OR of their symbol masks), such as the blocks of a
+partitioned cumulant, merges no terms.  At the boundary (construction,
 ``sorted_terms``, ``evaluate`` and the text form) symbols are increasing
 element tuples, sorted inside a monomial by (size, subset), and
 coefficients are Fractions.
@@ -52,8 +54,10 @@ coefficients are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from math import comb, gcd, lcm
+from operator import or_
 
 __all__ = [
     "rational_to_str",
@@ -522,6 +526,29 @@ def _elements(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@lru_cache(maxsize=None)
+def _block_image(block: tuple[int, ...]) -> tuple[int, ...]:
+    """Image mask of every symbol mask of [k] under i -> block[i - 1].
+
+    `block` is a strictly increasing tuple of positive ints of length k;
+    the table has 2^k entries, each the image of the mask without its
+    lowest bit ORed with that bit's image.
+    """
+    if any(b <= a for a, b in zip((0,) + block, block)):
+        raise ValueError(f"relabel block must be strictly increasing and positive: {block}")
+    bits = [1 << (v - 1) for v in block]
+    image = [0] * (1 << len(block))
+    for s in range(1, len(image)):
+        low = s & -s
+        image[s] = image[s ^ low] | bits[low.bit_length() - 1]
+    return tuple(image)
+
+
+def _support(terms) -> int:
+    """The OR of the symbol masks of a polynomial's monomials."""
+    return reduce(or_, chain.from_iterable(terms), 0)
+
+
 def _symbols(mono: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """A bitmask monomial as element tuples sorted by (size, subset)."""
     return tuple(sorted(map(_elements, mono), key=lambda s: (len(s), s)))
@@ -621,11 +648,27 @@ class MomentPolynomial:
         )
 
     def __mul__(self, other):
+        """The product; a scalar `other` scales every coefficient.
+
+        When the supports (the OR of the symbol masks) of the two factors
+        are disjoint, as for the blocks of a partitioned cumulant, distinct
+        term pairs give distinct monomials and nonzero coefficients, so the
+        product is one dict comprehension with no merging and no zero test.
+        Otherwise equal monomials are merged and cancelled terms dropped.
+        """
         if not isinstance(other, MomentPolynomial):
             return linear_combination(self.n, ((other, self),))
+        n, den = max(self.n, other.n), self.den * other.den
+        other_terms = other.terms.items()
+        if not (_support(self.terms) & _support(other.terms)):
+            out = {
+                tuple(sorted(m1 + m2)): c1 * c2
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other_terms
+            }
+            return MomentPolynomial._wrap(n, out, den)
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        other_terms = other.terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in other_terms:
                 mono = tuple(sorted(m1 + m2))
@@ -634,33 +677,29 @@ class MomentPolynomial:
                     out[mono] = v
                 else:
                     del out[mono]
-        return MomentPolynomial._wrap(max(self.n, other.n), out, self.den * other.den)
+        return MomentPolynomial._wrap(n, out, den)
 
     __rmul__ = __mul__
 
     # -- transformations ----------------------------------------------------
 
-    def relabel(self, mapping: dict[int, int]) -> "MomentPolynomial":
-        """Push symbols through an order-preserving injection of indices.
+    def relabel(self, block: tuple[int, ...]) -> "MomentPolynomial":
+        """Move the symbols of [k] onto `block`, a strictly increasing
+        k-tuple of positive ints: element i becomes block[i - 1].
 
-        Such a map keeps the integer order of bitmasks, so every monomial
-        stays sorted and distinct monomials stay distinct.
+        The map is order-preserving, so it keeps the integer order of
+        bitmasks: every monomial stays sorted and distinct monomials stay
+        distinct.  Each symbol's image is read from the block's cached
+        table (`_block_image`); a symbol outside [k] raises ValueError.
         """
-        images = [v for _, v in sorted(mapping.items())]
-        if any(b <= a for a, b in zip([0] + images, images)):
-            raise ValueError(f"relabel needs an order-preserving injection: {mapping}")
-        new_n = max(self.n, images[-1] if images else self.n)
-        symbols = set()
-        for mono in self.terms:
-            symbols.update(mono)
-        image = {}
-        for s in symbols:
-            t = 0
-            for i in _elements(s):
-                t |= 1 << (mapping[i] - 1)
-            image[s] = t
-        image = image.__getitem__
-        out = {tuple(map(image, mono)): c for mono, c in self.terms.items()}
+        image = _block_image(block).__getitem__
+        try:
+            out = {tuple(map(image, mono)): c for mono, c in self.terms.items()}
+        except IndexError:
+            raise ValueError(
+                f"relabel block {block} is too short for the polynomial's symbols"
+            ) from None
+        new_n = max(self.n, block[-1]) if block else self.n
         return MomentPolynomial._wrap(new_n, out, self.den)
 
     def univariate(self) -> "MomentPolynomial":
@@ -749,9 +788,10 @@ def linear_combination(n: int, pairs) -> MomentPolynomial:
 def moment_monomial(partition) -> MomentPolynomial:
     """The monomial prod_{V in pi} m_V with coefficient 1.
 
-    Accepts any object exposing ``n`` and ``blocks`` (a SetPartition).
+    Takes a SetPartition and reads its restricted growth string: element
+    i sets bit i-1 of the mask of its block.
     """
-    n = partition.n
-    return MomentPolynomial._wrap(
-        n, {tuple(sorted(_mask(b, n) for b in partition.blocks)): 1}
-    )
+    masks = [0] * partition.num_blocks
+    for i, a in enumerate(partition.rgs):
+        masks[a] |= 1 << i
+    return MomentPolynomial._wrap(partition.n, {tuple(sorted(masks)): 1})

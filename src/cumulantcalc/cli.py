@@ -18,8 +18,9 @@ empty.
 
 Every setting is a flag (--format, --limit, --jobs, --cache-dir, -v); the
 CLI reads no environment variables.  Without a flag a setting takes its
-built-in default: the format of the subcommand, the limits of
-`limits.DEFAULT_LIMITS`, one job and no table cache.
+built-in default: the first format the subcommand writes (`_FORMATS_OF`),
+the limits of `limits.DEFAULT_LIMITS`, one job and no table cache.  A
+format the subcommand does not write is a usage error.
 """
 
 from __future__ import annotations
@@ -66,17 +67,18 @@ EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141
 
 
-#: the output formats of --format
-_FORMATS = ("text", "json", "csv")
-
-#: default output format per subcommand (overridden by --format)
-_FORMAT_DEFAULTS = {
-    "enumerate": "text",
-    "verify": "json",
-    "table": "csv",
-    "convert": "json",
-    "graph": "text",
+#: the output formats each subcommand writes, its default first; --format
+#: picks one of them, and any other format is a usage error
+_FORMATS_OF = {
+    "enumerate": ("text", "json", "csv"),
+    "verify": ("json", "text"),
+    "table": ("csv", "json"),
+    "convert": ("json",),
+    "graph": ("text", "json"),
 }
+
+#: the values --format accepts for some subcommand
+_FORMATS = tuple(dict.fromkeys(chain.from_iterable(_FORMATS_OF.values())))
 
 
 def _check_positive_flag(name: str, value: int) -> None:
@@ -397,7 +399,12 @@ def main(argv=None) -> int:
         _check_positive_flag("--jobs", args.jobs)
         if args.limit is not None:
             _check_positive_flag("--limit", args.limit)
-        args.format = args.format or _FORMAT_DEFAULTS[args.command]
+        formats = _FORMATS_OF[args.command]
+        if args.format is None:
+            args.format = formats[0]
+        elif args.format not in formats:
+            raise ValueError(f"{args.command} does not write --format {args.format} "
+                             f"(it writes {', '.join(formats)})")
         with override(args.limit):
             code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

@@ -152,10 +152,14 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
 
 @lru_cache(maxsize=None)
 def _partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomial:
-    out = MomentPolynomial.one(pi.n)
-    for block in pi.blocks:
-        mapping = {j + 1: v for j, v in enumerate(block)}
-        out = out * _cumulant_poly(kind, len(block)).relabel(mapping)
+    """The blocks' cumulants, each relabelled onto its block, multiplied
+    together.  The blocks are disjoint, so every product takes the
+    disjoint-support branch of `MomentPolynomial.__mul__`: no two term
+    pairs merge.  The product starts from the first block's image."""
+    first, *rest = pi.blocks
+    out = _cumulant_poly(kind, len(first)).relabel(first)
+    for block in rest:
+        out = out * _cumulant_poly(kind, len(block)).relabel(block)
     return out
 
 

@@ -19,9 +19,10 @@ from cumulantcalc.algebra import (
     rational_from_str,
     rational_to_str,
 )
-from cumulantcalc.partitions import SetPartition
+from cumulantcalc.partitions import SetPartition, enumerate_partitions
 
 from oracles import (
+    _fd_monomial,
     exp_termwise,
     fd_add,
     fd_from_sorted_terms,
@@ -227,6 +228,14 @@ def test_moment_monomial_examples():
     assert two == MomentPolynomial.symbol(3, (1, 3)) * MomentPolynomial.symbol(3, (2,))
 
 
+def test_moment_monomial_matches_oracle():
+    for n in range(1, 8):
+        for pi in enumerate_partitions(n, "all"):
+            mono = moment_monomial(pi)
+            assert mono.n == n and mono.den == 1
+            assert mono.sorted_terms() == sorted(_fd_monomial(pi).items()), pi
+
+
 def test_moment_polynomial_ring_axioms():
     rng = random.Random(7)
 
@@ -263,6 +272,60 @@ def test_moment_polynomial_ring_axioms():
             # one denominator per polynomial, in lowest terms
             assert combo.den > 0
             assert gcd(combo.den, *combo.terms.values()) == 1
+
+
+def _random_poly(rng, n, elements, include=None):
+    """A seeded random polynomial of ambient n whose symbols are nonempty
+    subsets of `elements`, with rational coefficients; the symbol
+    {include} is a factor of its first monomial, when given."""
+    terms = {}
+    for k in range(rng.randint(1, 5)):
+        mono = tuple(
+            tuple(sorted(rng.sample(elements, rng.randint(1, len(elements)))))
+            for _ in range(rng.randint(0, 3))
+        )
+        if include is not None and k == 0:
+            mono += ((include,),)
+        terms[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return MomentPolynomial(n, terms)
+
+
+def _support_of(p):
+    """The elements of [n] that occur in some symbol of p."""
+    return {i for mono, _ in p.sorted_terms() for sym in mono for i in sym}
+
+
+def test_product_branches_match_fraction_dict_oracle():
+    rng = random.Random(20)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        elements = list(range(1, n + 1))
+        rng.shuffle(elements)
+        cut = rng.randint(1, n - 1)
+        left, right = sorted(elements[:cut]), sorted(elements[cut:])
+        shared = rng.choice(left)
+        for include in (None, shared):
+            # disjoint supports, then supports that share the element `shared`
+            a = _random_poly(rng, n, left, include)
+            b = _random_poly(rng, n, right, include)
+            assert bool(_support_of(a) & _support_of(b)) == (include is not None)
+            fa, fb = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b))
+            product = a * b
+            assert product.sorted_terms() == sorted(fd_mul(fa, fb).items())
+            assert product.den > 0 and gcd(product.den, *product.terms.values()) == 1
+            assert product == b * a
+        # (a + b)(a - b): the cross terms cancel in the merging branch
+        a, b = (_random_poly(rng, n, elements, shared) for _ in range(2))
+        assert shared in _support_of(a + b) & _support_of(a - b)
+        fa, fb = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b))
+        product = (a + b) * (a - b)
+        expected = fd_mul(fd_add((1, fa), (1, fb)), fd_add((1, fa), (-1, fb)))
+        assert product.sorted_terms() == sorted(expected.items())
+        assert product == a * a - b * b
+    # disjoint factors whose product has a common factor to reduce
+    x = MomentPolynomial(2, {((1,),): Fraction(2, 3)})
+    y = MomentPolynomial(2, {((2,),): Fraction(3, 2)})
+    assert (x * y).terms == {(0b01, 0b10): 1} and (x * y).den == 1
 
 
 def test_linear_combination_rescales_the_denominator():
@@ -302,7 +365,15 @@ def test_moment_polynomial_validation():
     with pytest.raises(ValueError):
         MomentPolynomial(2, {((0, 1),): 1})  # elements start at 1
     with pytest.raises(ValueError):
-        MomentPolynomial.symbol(2, (1, 2)).relabel({1: 2, 2: 1})  # not order-preserving
+        MomentPolynomial.symbol(2, (1, 2)).relabel((2, 1))  # not increasing
+    with pytest.raises(ValueError):
+        MomentPolynomial.symbol(2, (1, 2)).relabel((2, 2))  # not strictly increasing
+    with pytest.raises(ValueError):
+        MomentPolynomial.symbol(2, (1, 2)).relabel((0, 3))  # not positive
+    with pytest.raises(ValueError):
+        MomentPolynomial.symbol(3, (1, 3)).relabel((2, 4))  # too short for {1, 3}
+    with pytest.raises(TypeError):
+        MomentPolynomial.symbol(2, (1, 2)).relabel({1: 2, 2: 4})  # a block is a tuple
 
 
 def test_moment_polynomial_bitmask_storage():
@@ -316,7 +387,7 @@ def test_moment_polynomial_bitmask_storage():
         (((2,), (1, 3)), Fraction(1, 2)),
     ]
     assert repr(p) == "-1/3*m{1,2,3} + 1/2*m{2}*m{1,3}"
-    assert p.relabel({1: 2, 2: 4, 3: 5}).sorted_terms() == [
+    assert p.relabel((2, 4, 5)).sorted_terms() == [
         (((2, 4, 5),), Fraction(-1, 3)),
         (((4,), (2, 5)), Fraction(1, 2)),
     ]

@@ -203,12 +203,23 @@ def test_the_package_reads_no_environment(capsys, monkeypatch):
 
 
 def test_bad_format_flag_is_usage_error(capsys):
-    # argparse `choices` is the one check on the format
+    # argparse `choices` rejects a format that no subcommand writes
     with pytest.raises(SystemExit) as exc:
         main(["--format", "xml", "verify", "cor9_factorial", "2"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert "--format: invalid choice: 'xml'" in err
+
+
+def test_format_the_subcommand_does_not_write_is_usage_error(capsys):
+    for args in (("--format", "csv", "verify", "cor9_factorial", "2"),
+                 ("--format", "csv", "graph", "1,3|2"),
+                 ("--format", "text", "convert", "moments", "free", '["1","1"]'),
+                 ("--format", "text", "table", "alpha", "3")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "", args
+        assert err.startswith("error:") and err.count("\n") == 1, args
+        assert f"--format {args[1]}" in err, args
 
 
 def test_verify_all_small(capsys):
