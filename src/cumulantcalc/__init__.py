@@ -23,7 +23,6 @@ from .algebra import (
     rational_to_str,
 )
 from .cumulants import (
-    BetaTable,
     CumulantKind,
     beta_formula,
     beta_recursive,

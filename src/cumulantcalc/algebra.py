@@ -121,10 +121,6 @@ class Polynomial:
     def monomial(cls, degree: int, coeff=1, var: str = "x") -> "Polynomial":
         return cls((0,) * degree + (Fraction(coeff),), var)
 
-    @classmethod
-    def from_json(cls, data, var: str = "x") -> "Polynomial":
-        return cls([rational_from_str(s) for s in data], var)
-
     # -- structure ----------------------------------------------------------
 
     def degree(self) -> int | None:
@@ -298,20 +294,12 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((), order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,), order)
 
     @classmethod
     def z(cls, order: int) -> "TruncatedSeries":
         return cls((0, 1), order)
-
-    @classmethod
-    def from_json(cls, data, order: int | None = None) -> "TruncatedSeries":
-        return cls([rational_from_str(s) for s in data], order)
 
     # -- structure ----------------------------------------------------------
 
@@ -599,10 +587,6 @@ class MomentPolynomial:
         out.terms = terms
         out.den = den
         return out
-
-    @classmethod
-    def zero(cls, n: int) -> "MomentPolynomial":
-        return cls._wrap(n, {})
 
     @classmethod
     def one(cls, n: int) -> "MomentPolynomial":

@@ -213,11 +213,10 @@ _TABLE_LIMITS = {
 
 def _table_rows(what: str, n: int):
     if what == "beta":
-        table = build_beta_table(n)
         header = ["partition", "digraph_key", "beta"]
         rows = [
             (pi.to_text(), _digraph_key_str(key), rational_to_str(value))
-            for pi, key, value in table.rows
+            for pi, key, value in build_beta_table(n)
         ]
     elif what == "alpha":
         header = ["partition", "alpha"]

@@ -38,7 +38,6 @@ check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -70,7 +69,6 @@ __all__ = [
     "determinant_cumulants",
     "beta_recursive",
     "beta_formula",
-    "BetaTable",
     "build_beta_table",
     "nested_pair_partition",
 ]
@@ -579,22 +577,14 @@ def beta_recursive(pi: SetPartition) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class BetaTable:
+def build_beta_table(n: int) -> tuple[tuple[SetPartition, tuple, Fraction], ...]:
     """beta of every partition of [n], as (partition, digraph key, beta) rows."""
-
-    n: int
-    rows: tuple[tuple[SetPartition, tuple, Fraction], ...]
-
-
-def build_beta_table(n: int) -> BetaTable:
-    """beta of every partition of [n]."""
     check_limit("beta-blocks", n)  # no partition of [n] has more blocks
     rows = []
     for pi in partitions_of(n, "all"):
         key = digraph_key(anti_interval_digraph(pi))
         rows.append((pi, key, _beta_of_digraph(key)))
-    return BetaTable(n, tuple(rows))
+    return tuple(rows)
 
 
 def nested_pair_partition(n: int) -> SetPartition:

@@ -8,24 +8,28 @@ it is never tolerated silently, and the CLI turns it into a nonzero exit
 code.  `run_catalog` sweeps every identity up to its documented limit and
 is the acceptance gate of the repository.
 
-Most conversion formulas share one shape,
+The catalog has three row shapes, and each row's report is named by the
+row.  Most conversion formulas share one shape,
 
     lhs_n = sum over pi in a partition class of w(pi) * rhs_pi,
 
 where rhs_pi is a partitioned cumulant and the weight w(pi) is 1, a sign,
-1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is a
-`FamilySum` row of the catalog, and `FamilySum.check` is their one
-checker.  The alpha expansions of thm2 are rows twice, univariate and
-multivariate (`thm2_*_mv`).  The univariate rows and the Lenczewski sum
-are summed by block-size type: each type is one product of the
-univariate cumulants that `cumulants_from_moments` gives for the moment
-symbols m_{1..k}.  The identities of other shapes (permutation
-sums, lattice-wide moment formulas, series, properties of beta) are
-`IdentityInfo` entries with a checker function each.  The multivariate
-rows and the permutation sums add up partitioned cumulants in
-`_cumulant_sum`, which checks their limits once, at n, and then reads the
-unchecked cache; the lattice formulas, one sum per pi, check them once
-per kind.
+1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is one of
+the 16 `FamilySum` rows, and `FamilySum.check` is their one checker.  The
+alpha expansions of thm2 are rows twice, univariate and multivariate
+(`thm2_*_mv`).  The univariate rows and the Lenczewski sum are summed by
+block-size type: each type is one product of the univariate cumulants
+that `cumulants_from_moments` gives for the moment symbols m_{1..k}.
+The 14 identities checked case by case (lattice-wide moment formulas,
+series on random sequences, the Lenczewski colours, properties of beta)
+are `Cases` rows: a generator yields the failed-check labels of each
+case, and `Cases.check` counts the cases and quotes the failures.  The 5
+`IdentityInfo` rows (permutation sums, cor9, prop10, log-Bessel) build
+their own report, with a detail dict or term counts, from a function of
+(name, n).  The multivariate rows and the permutation sums add up
+partitioned cumulants in `_cumulant_sum`, which checks their limits once,
+at n, and then reads the unchecked cache; the lattice formulas, one sum
+per pi, check them once per kind.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -52,6 +56,7 @@ from .algebra import (
 )
 from .cumulants import (
     CumulantKind,
+    _LATTICE_OF_KIND,
     _MOBIUS_LATTICE_OF_KIND,
     _check_cumulant_limits,
     _partitioned_cumulant,
@@ -72,7 +77,6 @@ from .graphs import anti_interval_graph, crossing_graph, tutte_eval
 from .limits import ResourceLimitError
 from .partitions import (
     SetPartition,
-    _LATTICE_CLASS,
     enumerate_monotone,
     lower_interval,
     partitions_of,
@@ -267,10 +271,10 @@ def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _check_thm4_cyclecruns(n):
+def _thm4_cyclecruns(name, n):
     parts = map(cycle_runs, cyclic_permutations(n))
     rhs = _cumulant_sum(n, B, ((_sign(part), part) for part in parts))
-    rep = _compare("thm4_cyclecruns", n, cumulant_poly(K, n), rhs)
+    rep = _compare(name, n, cumulant_poly(K, n), rhs)
     if rep.holds and n <= 6:
         # The cancellation underlying the cyclic form: summing over all of
         # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
@@ -284,27 +288,29 @@ def _check_thm4_cyclecruns(n):
     return rep
 
 
-def _check_cor_runs(n):
+def _cor_runs(name, n):
     parts = (runs(s)[0] for s in all_permutations(n) if s(1) == 1)
     rhs = _cumulant_sum(n, B, ((_sign(part), part) for part in parts))
-    return _compare("cor_runs", n, cumulant_poly(K, n), rhs)
+    return _compare(name, n, cumulant_poly(K, n), rhs)
 
 
 # ---------------------------------------------------------------------------
-# Moment-cumulant formulas and Moebius inversions
+# Case-by-case identities: each case yields the labels of its failed checks
 # ---------------------------------------------------------------------------
 
 
-def _check_lattice_formula(name, kinds, inverted, n):
+def _failed(*checks: tuple[str, bool]) -> list[str]:
+    """The labels of the (label, holds) checks that do not hold, in order."""
+    return [label for label, holds in checks if not holds]
+
+
+def _lattice_formula(kinds, inverted, n):
     """On every pi of each kind's lattice, a sum over sigma in [0, pi]:
     m_pi = sum kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma."""
-    failures = []
-    checked = 0
     for kind in kinds:
         lattice = _MOBIUS_LATTICE_OF_KIND[kind]
-        members = partitions_of(n, _LATTICE_CLASS[lattice])
+        members = partitions_of(n, _LATTICE_OF_KIND[kind])
         _check_cumulant_limits(kind, n)
-        checked += len(members)
         for pi in members:
             interval = lower_interval(pi, lattice)
             if inverted:
@@ -313,84 +319,71 @@ def _check_lattice_formula(name, kinds, inverted, n):
             else:
                 rhs = linear_combination(n, ((1, _partitioned_cumulant(kind, s)) for s, _ in interval))
                 holds = moment_monomial(pi) == rhs
-            if not holds:
-                failures.append(f"{lattice}:{pi}" if inverted else f"pi={pi}")
-    return _quantified(name, n, failures, checked)
+            yield _failed((f"{lattice}:{pi}" if inverted else f"pi={pi}", holds))
 
 
-# ---------------------------------------------------------------------------
-# Generating-function identities
-# ---------------------------------------------------------------------------
-
-
-def _check_series_B(n):
-    failures = []
-    seqs = _random_sequences("series_B", n)
-    for i, m in enumerate(seqs):
+def _series_B(n):
+    for i, m in enumerate(_random_sequences("series_B", n)):
         bm = moment_series(m)
         bs = sequence_series(cumulants_from_moments(B, m))
-        if bs * bm != bm - 1:
-            failures.append(f"seq#{i}")
-    return _quantified("series_B", n, failures, len(seqs))
+        yield _failed((f"seq#{i}", bs * bm == bm - 1))
 
 
-def _check_series_R(n):
-    failures = []
-    seqs = _random_sequences("series_R", n)
-    for i, m in enumerate(seqs):
+def _series_R(n):
+    for i, m in enumerate(_random_sequences("series_R", n)):
         ms = moment_series(m)
         rs = sequence_series(cumulants_from_moments(R, m))
         zm = TruncatedSeries.z(n) * ms
-        if rs.compose(zm) != ms - 1:
-            failures.append(f"seq#{i}")
-    return _quantified("series_R", n, failures, len(seqs))
+        yield _failed((f"seq#{i}", rs.compose(zm) == ms - 1))
 
 
-def _check_swap_identities(n):
-    failures = []
-    seqs = _random_sequences("swap", n)
+def _swap_identities(n):
     one = TruncatedSeries.one(n)
     z = TruncatedSeries.z(n)
-    for i, m in enumerate(seqs):
+    for i, m in enumerate(_random_sequences("swap", n)):
         rs = sequence_series(cumulants_from_moments(R, m))
         bs = sequence_series(cumulants_from_moments(B, m))
         left_inner = z * (one - bs).reciprocal()
-        if one + rs.compose(left_inner) != (one - bs).reciprocal():
-            failures.append(f"seq#{i}:left")
         right_inner = z * (one + rs).reciprocal()
-        if one - bs.compose(right_inner) != (one + rs).reciprocal():
-            failures.append(f"seq#{i}:right")
-    return _quantified("swap_identities", n, failures, len(seqs))
+        yield _failed(
+            (f"seq#{i}:left", one + rs.compose(left_inner) == (one - bs).reciprocal()),
+            (f"seq#{i}:right", one - bs.compose(right_inner) == (one + rs).reciprocal()),
+        )
 
 
-def _check_tilde_lemma(n):
-    failures = []
-    seqs = _random_sequences("tilde", n)
-    for i, m in enumerate(seqs):
+def _tilde_lemma(n):
+    for i, m in enumerate(_random_sequences("tilde", n)):
         out = tilde_transform(m)
-        if tilde_transform(out) != m:
-            failures.append(f"seq#{i}: not an involution")
-        if cumulants_from_moments(B, out) != [-x for x in cumulants_from_moments(R, m)]:
-            failures.append(f"seq#{i}: Boolean/free swap failed")
-        if cumulants_from_moments(H, out) != [-x for x in cumulants_from_moments(H, m)]:
-            failures.append(f"seq#{i}: monotone negation failed")
-    return _quantified("tilde_lemma", n, failures, len(seqs))
+        yield _failed(
+            (f"seq#{i}: not an involution", tilde_transform(out) == m),
+            (f"seq#{i}: Boolean/free swap failed",
+             cumulants_from_moments(B, out) == [-x for x in cumulants_from_moments(R, m)]),
+            (f"seq#{i}: monotone negation failed",
+             cumulants_from_moments(H, out) == [-x for x in cumulants_from_moments(H, m)]),
+        )
 
 
-def _check_monotone_flow_integer(n):
-    failures = []
-    seqs = _random_sequences("flow", n, count=5)
+def _monotone_flow_integer(n):
+    """One case per (sequence, t, s): frak_{t+s} = frak_t o frak_s."""
     order = n + 1
-    for i, h in enumerate(seqs):
+    for i, h in enumerate(_random_sequences("flow", n, count=5)):
         frak = {}
         for t in range(-4, 5):
             ms = moment_series(monotone_dilate(h, t), order)
             frak[t] = TruncatedSeries.z(order) * ms
         for t in range(-2, 3):
             for s in range(-2, 3):
-                if frak[t + s] != frak[t].compose(frak[s]):
-                    failures.append(f"seq#{i}:t={t},s={s}")
-    return _quantified("monotone_flow_integer", n, failures, len(seqs) * 25)
+                yield _failed((f"seq#{i}:t={t},s={s}", frak[t + s] == frak[t].compose(frak[s])))
+
+
+def _determinant_formulas(n):
+    """One case per (sequence, kind) of the two determinant formulas."""
+    for i, m in enumerate(_random_sequences("determinants", n)):
+        for kind in (K, B):
+            yield _failed((
+                f"seq#{i}:{kind.value}",
+                determinant_cumulants(kind.value, m) == cumulants_from_moments(kind, m),
+            ))
 
 
 def lenczewski_sum_check(n: int, colors: int) -> Report:
@@ -413,12 +406,9 @@ def lenczewski_sum_check(n: int, colors: int) -> Report:
     return _compare("lenczewski_sum", n, lhs, rhs, {"colors": colors})
 
 
-def _check_lenczewski_sum(n):
-    failures = [
-        f"N={colors}" for colors in range(1, 6)
-        if not lenczewski_sum_check(n, colors).holds
-    ]
-    return _quantified("lenczewski_sum", n, failures, 5)
+def _lenczewski_sum(n):
+    for colors in range(1, 6):
+        yield _failed((f"N={colors}", lenczewski_sum_check(n, colors).holds))
 
 
 # ---------------------------------------------------------------------------
@@ -426,44 +416,26 @@ def _check_lenczewski_sum(n):
 # ---------------------------------------------------------------------------
 
 
-def _check_thm5_reducible(n):
-    failures = []
-    checked = 0
+def _thm5_reducible(n):
     for pi in partitions_of(n, "all"):
-        if pi.is_irreducible():
-            continue
-        checked += 1
-        if beta_formula(pi) != 0 or beta_recursive(pi) != 0:
-            failures.append(f"pi={pi}")
-    return _quantified("thm5_reducible", n, failures, checked)
+        if not pi.is_irreducible():
+            yield _failed((f"pi={pi}", beta_formula(pi) == 0 and beta_recursive(pi) == 0))
 
 
-def _check_thm5_nonesting(n):
-    failures = []
-    checked = 0
+def _thm5_nonesting(n):
     for pi in partitions_of(n, "irreducible"):
-        if pi.block_pairs()[1]:
-            continue  # has a nesting
-        checked += 1
-        expected = _sign(pi) * tutte_eval(crossing_graph(pi), 1, 0)
-        if beta_formula(pi) != expected:
-            failures.append(f"pi={pi}")
-    return _quantified("thm5_nonesting", n, failures, checked)
+        if not pi.block_pairs()[1]:  # no nesting
+            expected = _sign(pi) * tutte_eval(crossing_graph(pi), 1, 0)
+            yield _failed((f"pi={pi}", beta_formula(pi) == expected))
 
 
-def _check_thm5_depth2(n):
-    failures = []
-    checked = 0
+def _thm5_depth2(n):
     for pi in partitions_of(n, "irreducible-noncrossing"):
-        if depth(pi) > 2:
-            continue
-        checked += 1
-        if beta_formula(pi) != Fraction(_sign(pi), pi.num_blocks):
-            failures.append(f"pi={pi}")
-    return _quantified("thm5_depth2", n, failures, checked)
+        if depth(pi) <= 2:
+            yield _failed((f"pi={pi}", beta_formula(pi) == Fraction(_sign(pi), pi.num_blocks)))
 
 
-def _check_cor9_factorial(n):
+def _cor9_factorial(name, n):
     per_blocks: dict[int, Fraction] = {}
     for pi in partitions_of(n, "irreducible"):
         t = tutte_eval(anti_interval_graph(pi), 1, 0)
@@ -475,30 +447,17 @@ def _check_cor9_factorial(n):
     for k in range(1, n + 1):
         if per_blocks.get(k, Fraction(0)) != eulerian(n - 1, k - 1):
             failures.append(f"blocks={k}")
-    return _quantified(
-        "cor9_factorial", n, failures, len(per_blocks) + 1, {"sum": str(total)}
-    )
+    return _quantified(name, n, failures, len(per_blocks) + 1, {"sum": str(total)})
 
 
-def _check_prop10_eulerian(n):
+def _prop10_eulerian(name, n):
     kappa = boolean_poisson_kappa(n)
     expected = Polynomial.monomial(1) * eulerian_polynomial(n - 1).scale_argument(-1)
     holds = kappa == expected
     return Report(
-        "prop10_eulerian", n, holds, len(kappa.coeffs), len(expected.coeffs),
+        name, n, holds, len(kappa.coeffs), len(expected.coeffs),
         None if holds else f"{kappa} != {expected}", {"kappa": kappa.to_json()},
     )
-
-
-def _check_determinant_formulas(n):
-    failures = []
-    seqs = _random_sequences("determinants", n)
-    for i, m in enumerate(seqs):
-        if determinant_cumulants("classical", m) != cumulants_from_moments(K, m):
-            failures.append(f"seq#{i}:classical")
-        if determinant_cumulants("boolean", m) != cumulants_from_moments(B, m):
-            failures.append(f"seq#{i}:boolean")
-    return _quantified("determinant_formulas", n, failures, 2 * len(seqs))
 
 
 def logbessel_beta_check(max_n: int) -> Report:
@@ -511,6 +470,10 @@ def logbessel_beta_check(max_n: int) -> Report:
     the classical convolution recursion
     a_{m+1} = sum_k C(m,k) C(m,k-1) a_k a_{m+1-k}.
     """
+    return _logbessel_carlitz("logbessel_carlitz", max_n)
+
+
+def _logbessel_carlitz(name, max_n):
     if max_n < 1:
         raise ValueError("max_n must be positive")
     f = TruncatedSeries(
@@ -536,7 +499,7 @@ def logbessel_beta_check(max_n: int) -> Report:
     holds = from_series == from_beta and all(v > 0 for v in unsigned) and carlitz_ok
     sequence = [str(v) for v in from_beta]
     return Report(
-        "logbessel_carlitz", max_n, holds, len(sequence), len(sequence),
+        name, max_n, holds, len(sequence), len(sequence),
         None if holds else f"series={from_series} beta={from_beta}",
         {"sequence": sequence},
     )
@@ -570,16 +533,37 @@ _THM2_MULTIVARIATE = [
 
 
 @dataclass(frozen=True)
-class IdentityInfo:
-    """Catalog entry of an identity checked by its own function."""
+class Cases:
+    """Catalog row checked case by case: `cases(n)` yields, for each case,
+    the labels of its failed checks (an empty list when the case holds).
+    The report counts the cases and quotes the first three labels."""
 
     name: str
     max_n: int
-    check: callable
+    cases: Callable[[int], Iterable[list[str]]]
     summary: str
 
+    def check(self, n: int) -> Report:
+        outcomes = list(self.cases(n))
+        failures = [label for labels in outcomes for label in labels]
+        return _quantified(self.name, n, failures, len(outcomes))
 
-IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
+
+@dataclass(frozen=True)
+class IdentityInfo:
+    """Catalog row of an identity whose report carries more than failure
+    labels: `report(name, n)` builds it under the row's name."""
+
+    name: str
+    max_n: int
+    report: Callable[[str, int], Report]
+    summary: str
+
+    def check(self, n: int) -> Report:
+        return self.report(self.name, n)
+
+
+IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
     i.name: i
     for i in [
         FamilySum("free2boolean", 8, B, R, "irreducible-noncrossing", lambda pi: 1, False,
@@ -606,52 +590,48 @@ IDENTITY_CATALOG: dict[str, IdentityInfo | FamilySum] = {
         FamilySum("thm3_boolean2class_tutte", 7, K, B, "irreducible",
                   lambda pi: _sign(pi) * tutte_eval(anti_interval_graph(pi), 1, 0), False,
                   "classical cumulants from Boolean cumulants weighted by anti-interval Tutte values"),
-        IdentityInfo("thm4_cyclecruns", 7, _check_thm4_cyclecruns,
+        IdentityInfo("thm4_cyclecruns", 7, _thm4_cyclecruns,
                      "classical cumulants as signed Boolean sums over cycle runs of full cycles"),
-        IdentityInfo("cor_runs", 7, _check_cor_runs,
+        IdentityInfo("cor_runs", 7, _cor_runs,
                      "classical cumulants as signed Boolean sums over runs of permutations fixing 1"),
-        IdentityInfo("moment_cumulant_K", 8,
-                     partial(_check_lattice_formula, "moment_cumulant_K", [K], False),
-                     "defining moment formula of classical cumulants on every partition"),
-        IdentityInfo("moment_cumulant_R", 8,
-                     partial(_check_lattice_formula, "moment_cumulant_R", [R], False),
-                     "defining moment formula of free cumulants on every noncrossing partition"),
-        IdentityInfo("moment_cumulant_B", 9,
-                     partial(_check_lattice_formula, "moment_cumulant_B", [B], False),
-                     "defining moment formula of Boolean cumulants on every interval partition"),
+        Cases("moment_cumulant_K", 8, partial(_lattice_formula, [K], False),
+              "defining moment formula of classical cumulants on every partition"),
+        Cases("moment_cumulant_R", 8, partial(_lattice_formula, [R], False),
+              "defining moment formula of free cumulants on every noncrossing partition"),
+        Cases("moment_cumulant_B", 9, partial(_lattice_formula, [B], False),
+              "defining moment formula of Boolean cumulants on every interval partition"),
         FamilySum("moment_cumulant_H", 7, None, H, "noncrossing",
                   lambda pi: Fraction(1, partition_tree_factorial(pi)), False,
                   "monotone moment formula, grouped and ordered forms", ordered_max_n=7),
-        IdentityInfo("mobius_inversions", 7,
-                     partial(_check_lattice_formula, "mobius_inversions", [K, R, B], True),
-                     "Moebius-inverted cumulant formulas on all three lattices"),
-        IdentityInfo("series_B", 10, _check_series_B,
-                     "B(z) M(z) = M(z) - 1 on random rational moment sequences"),
-        IdentityInfo("series_R", 10, _check_series_R,
-                     "R(z M(z)) = M(z) - 1 on random rational moment sequences"),
-        IdentityInfo("swap_identities", 10, _check_swap_identities,
-                     "the two reciprocal substitution identities exchanged by the tilde map"),
-        IdentityInfo("tilde_lemma", 10, _check_tilde_lemma,
-                     "tilde swaps free and Boolean cumulants and negates monotone ones"),
-        IdentityInfo("monotone_flow_integer", 10, _check_monotone_flow_integer,
-                     "integer-parameter composition law of the monotone dilation"),
-        IdentityInfo("lenczewski_sum", 9, _check_lenczewski_sum,
-                     "colored free-cumulant sums match monotone dilation moments"),
+        Cases("mobius_inversions", 7, partial(_lattice_formula, [K, R, B], True),
+              "Moebius-inverted cumulant formulas on all three lattices"),
+        Cases("series_B", 10, _series_B,
+              "B(z) M(z) = M(z) - 1 on random rational moment sequences"),
+        Cases("series_R", 10, _series_R,
+              "R(z M(z)) = M(z) - 1 on random rational moment sequences"),
+        Cases("swap_identities", 10, _swap_identities,
+              "the two reciprocal substitution identities exchanged by the tilde map"),
+        Cases("tilde_lemma", 10, _tilde_lemma,
+              "tilde swaps free and Boolean cumulants and negates monotone ones"),
+        Cases("monotone_flow_integer", 10, _monotone_flow_integer,
+              "integer-parameter composition law of the monotone dilation"),
+        Cases("lenczewski_sum", 9, _lenczewski_sum,
+              "colored free-cumulant sums match monotone dilation moments"),
         FamilySum("beta_expansion", 6, K, H, "all", lambda pi: beta_formula(pi), False,
                   "classical cumulants as beta-weighted monotone cumulants"),
-        IdentityInfo("thm5_reducible", 6, _check_thm5_reducible,
-                     "beta vanishes on reducible partitions (both routes)"),
-        IdentityInfo("thm5_nonesting", 6, _check_thm5_nonesting,
-                     "beta equals the signed Tutte coefficient on nesting-free partitions"),
-        IdentityInfo("thm5_depth2", 7, _check_thm5_depth2,
-                     "beta is (-1)^(k-1)/k on irreducible noncrossing partitions of depth <= 2"),
-        IdentityInfo("cor9_factorial", 7, _check_cor9_factorial,
+        Cases("thm5_reducible", 6, _thm5_reducible,
+              "beta vanishes on reducible partitions (both routes)"),
+        Cases("thm5_nonesting", 6, _thm5_nonesting,
+              "beta equals the signed Tutte coefficient on nesting-free partitions"),
+        Cases("thm5_depth2", 7, _thm5_depth2,
+              "beta is (-1)^(k-1)/k on irreducible noncrossing partitions of depth <= 2"),
+        IdentityInfo("cor9_factorial", 7, _cor9_factorial,
                      "anti-interval Tutte values over irreducible partitions sum to (n-1)!"),
-        IdentityInfo("prop10_eulerian", 9, _check_prop10_eulerian,
+        IdentityInfo("prop10_eulerian", 9, _prop10_eulerian,
                      "constant Boolean cumulants give Eulerian classical cumulants"),
-        IdentityInfo("determinant_formulas", 9, _check_determinant_formulas,
-                     "Hessenberg determinant formulas match the Moebius route"),
-        IdentityInfo("logbessel_carlitz", 7, logbessel_beta_check,
+        Cases("determinant_formulas", 9, _determinant_formulas,
+              "Hessenberg determinant formulas match the Moebius route"),
+        IdentityInfo("logbessel_carlitz", 7, _logbessel_carlitz,
                      "nested-pairing beta values follow the log-Bessel series and its recursion"),
     ]
 }

@@ -138,7 +138,7 @@ def test_series_reciprocal_random_roundtrip():
 
 
 def test_series_log():
-    assert TruncatedSeries.one(4).log() == TruncatedSeries.zero(4)
+    assert TruncatedSeries.one(4).log() == TruncatedSeries((), 4)
     ez = exp_termwise(TruncatedSeries.z(4))
     assert ez.log() == TruncatedSeries.z(4)
     got = TruncatedSeries([1, -1], 3).log()
@@ -183,18 +183,17 @@ def _assert_kernel_matches(got: TruncatedSeries, expected):
 
 def test_series_kernel_matches_fraction_oracle():
     rng = random.Random(20261018)
-    zero = TruncatedSeries.zero
     for _ in range(300):
         m, n = rng.randint(0, 12), rng.randint(0, 12)
         a = TruncatedSeries(_random_coeffs(rng, m), m)
         if rng.randrange(10) == 0:
-            a = zero(m)
+            a = TruncatedSeries((), m)
         b = TruncatedSeries(_random_coeffs(rng, n), n)
         ac, bc = list(a.coeffs), list(b.coeffs)
         _assert_kernel_matches(a + b, fs_add(ac, bc))
         _assert_kernel_matches(a - b, fs_add(ac, [-c for c in bc]))
         _assert_kernel_matches(a * b, fs_mul(ac, bc))
-        _assert_kernel_matches(a * zero(m), [Fraction(0)] * (m + 1))
+        _assert_kernel_matches(a * TruncatedSeries((), m), [Fraction(0)] * (m + 1))
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         _assert_kernel_matches(a * c, [c * x for x in ac])
         _assert_kernel_matches(c + a, [ac[0] + c] + ac[1:])
@@ -217,7 +216,6 @@ def test_series_mixing_orders_takes_the_minimum_order():
 def test_series_json():
     s = TruncatedSeries([1, Fraction(1, 2)], 1)
     assert s.to_json() == ["1", "1/2"]
-    assert TruncatedSeries.from_json(["1", "1/2"]) == s
 
 
 def test_moment_monomial_examples():
@@ -240,7 +238,7 @@ def test_moment_polynomial_ring_axioms():
     rng = random.Random(7)
 
     def rand_poly(n, rational):
-        out = MomentPolynomial.zero(n)
+        out = MomentPolynomial(n)
         for _ in range(rng.randint(1, 4)):
             syms = []
             for _ in range(rng.randint(1, 3)):
@@ -251,7 +249,7 @@ def test_moment_polynomial_ring_axioms():
             out = out + coeff * MomentPolynomial(n, {tuple(syms): 1})
         return out
 
-    zero = MomentPolynomial.zero(4)
+    zero = MomentPolynomial(4)
     for rational in (False, True):
         for _ in range(30):
             a, b, c = (rand_poly(4, rational) for _ in range(3))
@@ -342,7 +340,7 @@ def test_linear_combination_rescales_the_denominator():
     # cancellation back to an integer polynomial reduces the denominator
     back = linear_combination(2, [(1, mixed), (Fraction(-1, 3), y), (Fraction(1, 2), x)])
     assert back == x and back.den == 1
-    assert linear_combination(2, []) == MomentPolynomial.zero(2)
+    assert linear_combination(2, []) == MomentPolynomial(2)
     assert linear_combination(2, [(0, mixed)]).den == 1
     assert repr(mixed) == "1/2*m{1} + 1/3*m{2}"
 

@@ -133,13 +133,11 @@ def test_verify_text_format(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from cumulantcalc import identities as ids
-    from cumulantcalc.identities import IdentityInfo, Report
-
-    def broken(n):
-        return Report("broken", n, False, 0, 0, "forced failure")
+    from cumulantcalc.identities import Cases
 
     monkeypatch.setitem(
-        ids.IDENTITY_CATALOG, "broken", IdentityInfo("broken", 9, broken, "test stub")
+        ids.IDENTITY_CATALOG, "broken",
+        Cases("broken", 9, lambda n: [["forced failure"]], "test stub"),
     )
     code, out, _ = run_cli(capsys, "verify", "broken", "2")
     assert code == 1

@@ -324,13 +324,13 @@ def test_beta_many_blocks_against_recursion():
 
 def test_beta_table():
     table = build_beta_table(4)
-    assert table.n == 4
-    for pi, _, value in table.rows:
+    assert len(table) == 15  # the Bell number B_4
+    for pi, _, value in table:
         assert beta_recursive(pi) == value, pi
-    value = {pi: v for pi, _, v in table.rows}
+    value = {pi: v for pi, _, v in table}
     assert value[P("1,4|2,3")] == Fraction(-1, 2)
     assert value[SetPartition.one_block(4)] == 1
-    reducibles = [pi for pi, _, v in table.rows if not pi.is_irreducible()]
+    reducibles = [pi for pi, _, v in table if not pi.is_irreducible()]
     assert all(value[pi] == 0 for pi in reducibles)
 
 

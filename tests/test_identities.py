@@ -71,9 +71,31 @@ def test_report_serialization():
 def test_full_catalog_small_n():
     reports = run_catalog(4)
     assert len(reports) == 4 * len(IDENTITY_CATALOG)
-    for rep in reports:
+    for rep, (name, n) in zip(reports, catalog_jobs(4)):
         assert isinstance(rep, Report)
+        # every report is named by the catalog key of its row
+        assert (rep.identity, rep.n) == (name, n)
         assert rep.holds, (rep.identity, rep.n, rep.witness)
+
+
+@pytest.mark.parametrize("name, target, broken, checked, witness", [
+    ("tilde_lemma", "tilde_transform", lambda real: list, 25,
+     "seq#0: Boolean/free swap failed; seq#0: monotone negation failed; "
+     "seq#1: Boolean/free swap failed"),
+    ("series_B", "moment_series", lambda real: lambda *args: real(*args) + 1, 25,
+     "seq#0; seq#1; seq#2"),
+    ("thm5_depth2", "beta_formula", lambda real: lambda pi: Fraction(7), 13,
+     "pi=1,2,3,4,5; pi=1,2,3,5|4; pi=1,2,4,5|3"),
+])
+def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, broken,
+                                                 checked, witness):
+    # a broken library function fails every case: the report counts the
+    # cases and lists the first three failure labels in order
+    monkeypatch.setattr(identities, target, broken(getattr(identities, target)))
+    assert verify_identity(name, 5).to_dict() == {
+        "identity": name, "n": 5, "holds": False,
+        "lhs_terms": checked, "rhs_terms": checked, "witness": witness,
+    }
 
 
 def test_run_catalog_clamps_limits():

@@ -6,10 +6,11 @@ imports it.  A public method, property or classmethod of a class in
 `src/` stays only if `src/` reads its name as an attribute outside every
 function of that name (its own body and same-named members of other
 classes do not count), or `test_acceptance.py` does; inside a class,
-`self.name` and `cls.name` count only for that class.  A method that is
-not a property counts as read only where the read is called or taken off
-a class name (`SetPartition.from_text`), so a data field that shares its
-name (`report.identity`) does not keep it.  Second names and helpers that
+`self.name` and `cls.name` count only for that class, and a read taken
+off a class name (`SetPartition.from_text`) only for the class named.  A
+method that is not a property counts as read only where the read is
+called or taken off a class name, so a data field that shares its name
+(`report.identity`) does not keep it.  Second names and helpers that
 only their own tests call belong in `tests/oracles.py`.
 """
 
@@ -86,8 +87,9 @@ def test_every_export_has_a_reader():
 def _attribute_reads(tree, classes) -> list[tuple[str | None, str, frozenset, bool]]:
     """(owner, attribute, enclosing function names, method-like) of each
     attribute load in `tree`; the owner is the enclosing class of a
-    `self.x` or `cls.x` load, else None (any class).  A load is method-like
-    when it is called or taken off one of `classes` by name."""
+    `self.x` or `cls.x` load, the class of a `Class.x` load taken off one
+    of `classes` by name, else None (any class).  A load is method-like
+    when it is called or taken off a class name."""
     out = []
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
@@ -98,9 +100,9 @@ def _attribute_reads(tree, classes) -> list[tuple[str | None, str, frozenset, bo
             funcs = funcs | {node.name}
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             named = node.value.id if isinstance(node.value, ast.Name) else None
-            owned = named in ("self", "cls")
+            owner = cls if named in ("self", "cls") else named if named in classes else None
             method_like = id(node) in called or named in classes
-            out.append((cls if owned else None, node.attr, funcs, method_like))
+            out.append((owner, node.attr, funcs, method_like))
         for child in ast.iter_child_nodes(node):
             visit(child, cls, funcs)
 
@@ -130,8 +132,8 @@ def test_every_public_member_has_a_reader():
                     continue
                 any_read = _is_property(member)
                 if any(
-                    attr == member.name and (any_read or method_like)
-                    for _, attr, _, method_like in accepted
+                    attr == member.name and owner in (None, cls.name) and (any_read or method_like)
+                    for owner, attr, _, method_like in accepted
                 ):
                     continue
                 if not any(
