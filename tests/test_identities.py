@@ -86,6 +86,8 @@ def test_full_catalog_small_n():
      "seq#0; seq#1; seq#2"),
     ("thm5_depth2", "beta_formula", lambda real: lambda pi: Fraction(7), 13,
      "pi=1,2,3,4,5; pi=1,2,3,5|4; pi=1,2,4,5|3"),
+    ("thm5_reducible", "beta_formula", lambda real: lambda pi: 1, 30,
+     "pi=1,2,3,4|5; pi=1,2,3|4,5; pi=1,2,3|4|5"),
 ])
 def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, broken,
                                                  checked, witness):
