@@ -25,7 +25,6 @@ from .algebra import (
 from .cumulants import (
     CumulantKind,
     beta_formula,
-    beta_recursive,
     boolean_poisson_kappa,
     build_beta_table,
     convert_sequence,
@@ -48,7 +47,6 @@ from .forests import (
 from .graphs import (
     HeapOrder,
     MixedGraph,
-    acyclic_orientations_unique_source,
     anti_interval_digraph,
     anti_interval_graph,
     count_pyramids,
@@ -61,7 +59,6 @@ from .identities import (
     Report,
     identity_names,
     lenczewski_sum_check,
-    logbessel_beta_check,
     run_catalog,
     verify_identity,
 )
@@ -75,7 +72,6 @@ from .partitions import (
     kreweras_complement,
     lattice_leq,
     lower_interval,
-    mobius,
 )
 from .permutations import (
     Permutation,

@@ -32,13 +32,14 @@ and the text form) coefficients are Fractions.
 
 Moment polynomials
 ------------------
-A moment symbol m_S is indexed by a nonempty subset S of [n] and stands for
-the joint moment of the variables listed in S (each identity in scope is
-multilinear, so no variable ever repeats inside one symbol).  A symbol is
-stored as the bitmask of S (bit i-1 for element i), and a monomial, a
-*multiset* of symbols, as the sorted tuple of its bitmasks: products such
-as m_{1}*m_{1} cannot come from a partition but do occur in intermediate
-arithmetic and are representable.  A polynomial keeps integer numerators
+A moment symbol m_S is indexed by a nonempty finite set S of positive
+integers and stands for the joint moment of the variables listed in S
+(each identity in scope is multilinear, so no variable ever repeats
+inside one symbol).  A symbol is stored as the bitmask of S (bit i-1 for
+element i), and a monomial, a *multiset* of symbols, as the sorted tuple
+of its bitmasks: products such as m_{1}*m_{1} cannot come from a
+partition but do occur in intermediate arithmetic and are
+representable.  A polynomial keeps integer numerators
 over one positive denominator, reduced so that the denominator shares no
 factor with all the numerators (the zero polynomial has denominator 1);
 equality is therefore canonical and decided term by term.  Sums of
@@ -497,11 +498,11 @@ def moment_symbol(elements) -> tuple[int, ...]:
     return sym
 
 
-def _mask(elements, n: int) -> int:
-    """Bitmask of a validated symbol of [n]: bit i-1 for element i."""
+def _mask(elements) -> int:
+    """Bitmask of a validated symbol: bit i-1 for element i."""
     sym = moment_symbol(elements)
-    if sym[0] < 1 or sym[-1] > n:
-        raise ValueError(f"symbol {sym} outside ambient [{n}]")
+    if sym[0] < 1:
+        raise ValueError(f"moment symbol must start at 1 or above: {sym}")
     mask = 0
     for i in sym:
         mask |= 1 << (i - 1)
@@ -543,28 +544,25 @@ def _symbols(mono: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 class MomentPolynomial:
-    """Exact polynomial in formal moment symbols m_S, S a subset of [n].
+    """Exact polynomial in formal moment symbols m_S, S a nonempty set of
+    positive integers.
 
     ``terms`` maps monomials (sorted tuples of symbol bitmasks) to nonzero
     integer numerators over the one denominator ``den``.  Equality compares
-    ``den`` and ``terms``; the ambient n is bookkeeping (binary operations
-    take the larger ambient).  The constructor, ``sorted_terms``,
-    ``evaluate`` and the text form speak in element tuples and Fractions.
+    ``den`` and ``terms``.  The constructor, ``sorted_terms``, ``evaluate``
+    and the text form speak in element tuples and Fractions.
     """
 
-    __slots__ = ("n", "terms", "den")
+    __slots__ = ("terms", "den")
 
-    def __init__(self, n: int, terms=None):
-        if n < 0:
-            raise ValueError("ambient n must be nonnegative")
+    def __init__(self, terms):
         acc: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff:
-                key = tuple(sorted(_mask(s, n) for s in mono))
+                key = tuple(sorted(_mask(s) for s in mono))
                 acc[key] = acc.get(key, 0) + coeff
         den = lcm(*(c.denominator for c in acc.values()))
-        self.n = n
         self.terms = {
             m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
         }
@@ -573,7 +571,7 @@ class MomentPolynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, n: int, terms: dict, den: int = 1) -> "MomentPolynomial":
+    def _wrap(cls, terms: dict, den: int = 1) -> "MomentPolynomial":
         """Wrap nonzero integer numerators over den > 0, reduced to lowest terms."""
         if not terms:
             den = 1
@@ -583,18 +581,17 @@ class MomentPolynomial:
                 den //= g
                 terms = {m: c // g for m, c in terms.items()}
         out = cls.__new__(cls)
-        out.n = n
         out.terms = terms
         out.den = den
         return out
 
     @classmethod
-    def one(cls, n: int) -> "MomentPolynomial":
-        return cls._wrap(n, {(): 1})
+    def one(cls) -> "MomentPolynomial":
+        return cls._wrap({(): 1})
 
     @classmethod
-    def symbol(cls, n: int, subset) -> "MomentPolynomial":
-        return cls._wrap(n, {(_mask(subset, n),): 1})
+    def symbol(cls, subset) -> "MomentPolynomial":
+        return cls._wrap({(_mask(subset),): 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -619,17 +616,15 @@ class MomentPolynomial:
     def __add__(self, other):
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
-        return linear_combination(max(self.n, other.n), ((1, self), (1, other)))
+        return linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
-        return linear_combination(max(self.n, other.n), ((1, self), (-1, other)))
+        return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self):
-        return MomentPolynomial._wrap(
-            self.n, {m: -c for m, c in self.terms.items()}, self.den
-        )
+        return MomentPolynomial._wrap({m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         """The product; a scalar `other` scales every coefficient.
@@ -641,8 +636,8 @@ class MomentPolynomial:
         Otherwise equal monomials are merged and cancelled terms dropped.
         """
         if not isinstance(other, MomentPolynomial):
-            return linear_combination(self.n, ((other, self),))
-        n, den = max(self.n, other.n), self.den * other.den
+            return linear_combination(((other, self),))
+        den = self.den * other.den
         other_terms = other.terms.items()
         if not (_support(self.terms) & _support(other.terms)):
             out = {
@@ -650,7 +645,7 @@ class MomentPolynomial:
                 for m1, c1 in self.terms.items()
                 for m2, c2 in other_terms
             }
-            return MomentPolynomial._wrap(n, out, den)
+            return MomentPolynomial._wrap(out, den)
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for m1, c1 in self.terms.items():
@@ -661,7 +656,7 @@ class MomentPolynomial:
                     out[mono] = v
                 else:
                     del out[mono]
-        return MomentPolynomial._wrap(n, out, den)
+        return MomentPolynomial._wrap(out, den)
 
     __rmul__ = __mul__
 
@@ -683,8 +678,7 @@ class MomentPolynomial:
             raise ValueError(
                 f"relabel block {block} is too short for the polynomial's symbols"
             ) from None
-        new_n = max(self.n, block[-1]) if block else self.n
-        return MomentPolynomial._wrap(new_n, out, self.den)
+        return MomentPolynomial._wrap(out, self.den)
 
     def univariate(self) -> "MomentPolynomial":
         """Identify all variables: each symbol S becomes the symbol (1..|S|).
@@ -701,7 +695,7 @@ class MomentPolynomial:
                 out[key] = v
             else:
                 del out[key]
-        return MomentPolynomial._wrap(self.n, out, self.den)
+        return MomentPolynomial._wrap(out, self.den)
 
     def evaluate(self, value_of_symbol) -> Fraction:
         """Evaluate with `value_of_symbol(sym) -> Fraction` per symbol."""
@@ -730,13 +724,12 @@ class MomentPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def linear_combination(n: int, pairs) -> MomentPolynomial:
+def linear_combination(pairs) -> MomentPolynomial:
     """Sum of weight * poly over (rational weight, MomentPolynomial) pairs.
 
     The one accumulator of the package: integer numerators are added into
     a single dict over a running denominator, which is rescaled (to the
-    lcm) only when a contribution's denominator does not divide it.  The
-    result has ambient n.
+    lcm) only when a contribution's denominator does not divide it.
     """
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
@@ -766,7 +759,7 @@ def linear_combination(n: int, pairs) -> MomentPolynomial:
                 acc[m] = v
             else:
                 del acc[m]
-    return MomentPolynomial._wrap(n, acc, den)
+    return MomentPolynomial._wrap(acc, den)
 
 
 def moment_monomial(partition) -> MomentPolynomial:
@@ -778,4 +771,4 @@ def moment_monomial(partition) -> MomentPolynomial:
     masks = [0] * partition.num_blocks
     for i, a in enumerate(partition.rgs):
         masks[a] |= 1 << i
-    return MomentPolynomial._wrap(partition.n, {tuple(sorted(masks)): 1})
+    return MomentPolynomial._wrap({tuple(sorted(masks)): 1})

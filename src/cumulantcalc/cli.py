@@ -35,6 +35,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -241,17 +242,27 @@ def _table_rows(what: str, n: int):
     return header, rows
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _cached_table_rows(cache_dir: Path, what: str, n: int):
     """`_table_rows` through a JSON file in `cache_dir`.
 
-    A file that does not parse counts as a miss; it is rewritten through a
-    temporary file and `os.replace`, so readers never see a partial file.
+    A file that does not parse, or whose header is not a list of strings
+    with every row a list of as many strings, counts as a miss; it is
+    rewritten through a temporary file and `os.replace`, so readers never
+    see a partial file.
     """
     # v1: the version of the payload format; bump it when the shape changes
     path = cache_dir / f"table-v1-{what}-{n}.json"
     try:
         payload = json.loads(path.read_text())
-        return payload["header"], [tuple(r) for r in payload["rows"]]
+        header, rows = payload["header"], payload["rows"]
+        if _strings(header) and isinstance(rows, list) and all(
+            _strings(r) and len(r) == len(header) for r in rows
+        ):
+            return header, [tuple(r) for r in rows]
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         pass
     header, rows = _table_rows(what, n)
@@ -286,9 +297,29 @@ def _cmd_table(args) -> int:
 # convert
 # ---------------------------------------------------------------------------
 
+#: the largest decimal exponent `convert` reads: CPython's default limit
+#: on the digits of an integer's text (3.11 on), past which no result
+#: could be written
+_MAX_EXPONENT = 4300
+
+
+def _exact_number(literal: str) -> Fraction:
+    """A JSON number with a fraction or an exponent, read exactly rather
+    than through a binary float; an exponent past `_MAX_EXPONENT` is a
+    ValueError before 10^e is built."""
+    _, _, exponent = literal.lower().partition("e")
+    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"exponent out of range in {literal}")
+    return Fraction(literal)
+
+
+#: built once: `json.loads` with a keyword builds a decoder per call
+_EXACT_JSON = json.JSONDecoder(parse_float=_exact_number)
+
+
 def _cmd_convert(args) -> int:
     try:
-        raw = json.loads(args.values)
+        raw = _EXACT_JSON.decode(args.values)
     except json.JSONDecodeError as exc:
         print(f"error: values must be a JSON array of rationals "
               f"(parse error at position {exc.pos})", file=sys.stderr)

@@ -21,18 +21,15 @@ value is scaled by Q^k, Q the lcm of the denominators (times N! for
 monotone), and the k-th result divided by Q^k at the end (`_scaled`).
 
 The beta coefficients express classical cumulants in the monotone family:
-K_n = sum over P(n) of beta(pi) H_pi.  Two independent routes are
-implemented: the closed sum
+K_n = sum over P(n) of beta(pi) H_pi.  They are computed by the closed sum
 
     beta(pi) = sum over sigma >= pi with all restrictions noncrossing of
                mu_P(sigma, top) / prod_W tau(pi|_W)!
 
-and the recursion obtained by peeling the top of the lattice.  Both are
-memoized on the anti-interval digraph, which determines beta.  The closed
-sum reads the crossing and nesting relations of the blocks off the
-digraph as bitmasks and never rebuilds a restricted partition; the
-recursion restricts pi block set by block set and stays the independent
-check.
+memoized on the anti-interval digraph, which determines beta.  The sum
+reads the crossing and nesting relations of the blocks off the digraph as
+bitmasks and never rebuilds a restricted partition.  The recursion that
+peels the top of the lattice is the test suite's independent check.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ __all__ = [
     "monotone_dilate",
     "boolean_poisson_kappa",
     "determinant_cumulants",
-    "beta_recursive",
     "beta_formula",
     "build_beta_table",
     "nested_pair_partition",
@@ -145,7 +141,7 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
             (mobius_to_top(pi, lattice), moment_monomial(pi))
             for pi in partitions_of(n, _LATTICE_OF_KIND[kind])
         )
-    return linear_combination(n, pairs)
+    return linear_combination(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -457,18 +453,6 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
 # Beta coefficients
 # ---------------------------------------------------------------------------
 
-_BETA_RECURSIVE_MEMO: dict[tuple, Fraction] = {}
-
-
-def _coarsening_blocks(pi: SetPartition):
-    """Unions of pi-blocks for every partition of the block-index set."""
-    k = pi.num_blocks
-    for grouping in partitions_of(k, "all"):
-        yield [
-            sorted(x for idx in cls for x in pi.blocks[idx - 1])
-            for cls in grouping.blocks
-        ]
-
 
 def _beta_closed_sum(k: int, crossing, nesting) -> Fraction:
     """The closed sum for beta, from the anti-interval digraph of pi.
@@ -546,35 +530,6 @@ def beta_formula(pi: SetPartition) -> Fraction:
     sum over coarsenings with noncrossing restrictions."""
     check_limit("beta-blocks", pi.num_blocks)
     return _beta_of_digraph(digraph_key(anti_interval_digraph(pi)))
-
-
-def beta_recursive(pi: SetPartition) -> Fraction:
-    """beta by peeling the top of the partition lattice.
-
-    beta(pi) = [pi noncrossing]/tau(pi)! - sum over sigma in [pi, top)
-    of prod over blocks W of sigma of beta(pi|_W).
-    """
-    check_limit("beta-blocks", pi.num_blocks)
-    key = digraph_key(anti_interval_digraph(pi))
-    hit = _BETA_RECURSIVE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    total = Fraction(0)
-    for parts in _coarsening_blocks(pi):
-        if len(parts) == 1:
-            continue  # sigma = top is excluded
-        prod = Fraction(1)
-        for w in parts:
-            prod *= beta_recursive(pi.restrict(w))
-            if prod == 0:
-                break
-        total += prod
-    if pi.is_noncrossing():
-        value = Fraction(1, partition_tree_factorial(pi)) - total
-    else:
-        value = -total
-    _BETA_RECURSIVE_MEMO[key] = value
-    return value
 
 
 def build_beta_table(n: int) -> tuple[tuple[SetPartition, tuple, Fraction], ...]:

@@ -21,11 +21,13 @@ T(1,0) of a connected graph counts acyclic orientations whose unique
 source is any fixed vertex; specializing to the two graphs above it
 counts the crossing/interval heaps that are pyramids, i.e. heap orders in
 which the block containing 1 is the only maximal element.
+`enumerate_pyramids` lists those orientations of the crossing or
+anti-interval graph one by one, so `count_pyramids` is a second route to
+T(1,0) on the graphs of a partition.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +42,6 @@ __all__ = [
     "anti_interval_digraph",
     "digraph_key",
     "tutte_eval",
-    "acyclic_orientations_unique_source",
     "enumerate_pyramids",
     "count_pyramids",
     "graph_to_json",
@@ -79,9 +80,6 @@ class MixedGraph:
         return tuple(sorted(
             list(self.undirected) + [(min(i, j), max(i, j)) for i, j in self.directed]
         ))
-
-    def is_connected(self) -> bool:
-        return self.n == 0 or len(_reached(self.all_edges_undirected(), 0)) == self.n
 
 
 def _reached(edges, start: int) -> set[int]:
@@ -188,10 +186,9 @@ def tutte_eval(g: MixedGraph, x, y) -> Fraction:
 
 
 def _acyclic_with_unique_source(n, edges, source):
-    """Yield orientations (tuples of arcs) acyclic with unique source."""
+    """Yield the orientations (tuples of arcs) of a loopless graph that are
+    acyclic with unique source."""
     m = len(edges)
-    if any(u == v for u, v in edges):
-        return  # a loop kills acyclicity outright
     for mask in range(1 << m):
         arcs = tuple(
             (u, v) if mask >> k & 1 == 0 else (v, u)
@@ -218,21 +215,6 @@ def _acyclic_with_unique_source(n, edges, source):
             head += 1
         if len(order) == n:
             yield arcs
-
-
-def acyclic_orientations_unique_source(g: MixedGraph, v: int) -> int:
-    """Count acyclic orientations whose unique source is v (oracle grade).
-
-    For a connected graph the count is T_G(1,0) and does not depend on v;
-    a disconnected graph has none (returned as 0 with a warning).
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if not g.is_connected():
-        warnings.warn("disconnected graph has no single-source acyclic orientation")
-        return 0
-    edges = list(g.all_edges_undirected()) + [(w, w) for w in g.loops]
-    return sum(1 for _ in _acyclic_with_unique_source(g.n, edges, v))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ from .cumulants import (
     _check_cumulant_limits,
     _partitioned_cumulant,
     beta_formula,
-    beta_recursive,
     boolean_poisson_kappa,
     cumulant_poly,
     cumulants_from_moments,
@@ -99,7 +98,6 @@ __all__ = [
     "catalog_jobs",
     "run_catalog",
     "lenczewski_sum_check",
-    "logbessel_beta_check",
 ]
 
 K, R, B, H = (
@@ -242,7 +240,7 @@ def _cumulant_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
     the limits of `kind` are checked once, at n."""
     _check_cumulant_limits(kind, n)
     pairs = ((w, _partitioned_cumulant(kind, pi)) for w, pi in weighted if w)
-    return linear_combination(n, pairs)
+    return linear_combination(pairs)
 
 
 def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
@@ -258,12 +256,12 @@ def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
         sizes = tuple(sorted(pi.block_sizes()))
         by_type[sizes] = by_type.get(sizes, 0) + w
     u = cumulants_from_moments(
-        kind, [MomentPolynomial.symbol(k, range(1, k + 1)) for k in range(1, n + 1)]
+        kind, [MomentPolynomial.symbol(range(1, k + 1)) for k in range(1, n + 1)]
     )
-    return linear_combination(n, (
-        (w, prod((u[s - 1] for s in sizes), start=MomentPolynomial.one(n)))
+    return linear_combination(
+        (w, prod((u[s - 1] for s in sizes), start=MomentPolynomial.one()))
         for sizes, w in by_type.items() if w
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +312,10 @@ def _lattice_formula(kinds, inverted, n):
         for pi in members:
             interval = lower_interval(pi, lattice)
             if inverted:
-                rhs = linear_combination(n, ((mu, moment_monomial(s)) for s, mu in interval))
+                rhs = linear_combination((mu, moment_monomial(s)) for s, mu in interval)
                 holds = _partitioned_cumulant(kind, pi) == rhs
             else:
-                rhs = linear_combination(n, ((1, _partitioned_cumulant(kind, s)) for s, _ in interval))
+                rhs = linear_combination((1, _partitioned_cumulant(kind, s)) for s, _ in interval)
                 holds = moment_monomial(pi) == rhs
             yield _failed((f"{lattice}:{pi}" if inverted else f"pi={pi}", holds))
 
@@ -419,7 +417,7 @@ def _lenczewski_sum(n):
 def _thm5_reducible(n):
     for pi in partitions_of(n, "all"):
         if not pi.is_irreducible():
-            yield _failed((f"pi={pi}", beta_formula(pi) == 0 and beta_recursive(pi) == 0))
+            yield _failed((f"pi={pi}", beta_formula(pi) == 0))
 
 
 def _thm5_nonesting(n):
@@ -460,7 +458,7 @@ def _prop10_eulerian(name, n):
     )
 
 
-def logbessel_beta_check(max_n: int) -> Report:
+def _logbessel_carlitz(name, max_n):
     """Match n! beta(nested pairing) against the log-Bessel coefficients.
 
     The exponential generating function of beta over the nested pairings
@@ -470,12 +468,6 @@ def logbessel_beta_check(max_n: int) -> Report:
     the classical convolution recursion
     a_{m+1} = sum_k C(m,k) C(m,k-1) a_k a_{m+1-k}.
     """
-    return _logbessel_carlitz("logbessel_carlitz", max_n)
-
-
-def _logbessel_carlitz(name, max_n):
-    if max_n < 1:
-        raise ValueError("max_n must be positive")
     f = TruncatedSeries(
         [0] + [Fraction(1, factorial(k) ** 2) for k in range(1, max_n + 1)]
     )
@@ -620,7 +612,7 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
         FamilySum("beta_expansion", 6, K, H, "all", lambda pi: beta_formula(pi), False,
                   "classical cumulants as beta-weighted monotone cumulants"),
         Cases("thm5_reducible", 6, _thm5_reducible,
-              "beta vanishes on reducible partitions (both routes)"),
+              "beta vanishes on reducible partitions"),
         Cases("thm5_nonesting", 6, _thm5_nonesting,
               "beta equals the signed Tutte coefficient on nesting-free partitions"),
         Cases("thm5_depth2", 7, _thm5_depth2,
@@ -674,6 +666,6 @@ def catalog_jobs(n_max: int, names=None, strict: bool = False) -> list[tuple[str
     return jobs
 
 
-def run_catalog(n_max: int, names=None, strict_limits: bool = False) -> list[Report]:
-    """Verify the `catalog_jobs` pairs in order (clamped unless strict_limits)."""
-    return [verify_identity(*job) for job in catalog_jobs(n_max, names, strict_limits)]
+def run_catalog(n_max: int) -> list[Report]:
+    """Verify the clamped `catalog_jobs` pairs in order."""
+    return [verify_identity(*job) for job in catalog_jobs(n_max)]

@@ -20,7 +20,7 @@ The class predicates skip the pairwise block tests and read the RGS once,
 left to right: `is_noncrossing` and `is_connected` with a stack of open
 blocks (or of groups of crossing blocks), `is_irreducible` with the last
 position reached so far, `is_interval` by checking that it never steps
-down; `restrict` relabels the RGS.
+down.
 
 Each class is enumerated by one of three walks over RGS prefixes, all of
 P(n), NC(n) (pruned at a crossing) or I(n) (pruned at a gap), filtered by
@@ -54,8 +54,9 @@ noncrossing (interval) pi is noncrossing (interval) exactly when each of
 its restrictions to a block of pi is.  So `lower_interval` walks [0, pi]
 block by block, one member of `partitions_of(|W|)` per block relabelled
 onto W, and carries mu(sigma, pi) = prod_W mu(sigma|_W, 1_W) as a product
-of to-the-top values; no pair of lattice members is compared.
-`lattice_leq` and the per-pair `mobius` stay as the direct definitions.
+of to-the-top values; no pair of lattice members is compared.  It is the
+library's one route to mu(sigma, pi); `lattice_leq` stays as the direct
+definition of the order.
 
 Kreweras complement
 -------------------
@@ -91,7 +92,6 @@ __all__ = [
     "lattice_leq",
     "kreweras_complement",
     "lower_interval",
-    "mobius",
     "mobius_to_top",
     "catalan_number",
 ]
@@ -342,20 +342,6 @@ class SetPartition:
         """Smallest noncrossing partition dominating self."""
         return self._merge_components(self.block_pairs()[0])
 
-    def restrict(self, subset) -> "SetPartition":
-        """Intersect blocks with `subset` and relabel to [|subset|]."""
-        s = sorted(set(subset))
-        if not s:
-            raise ValueError("cannot restrict to the empty set")
-        if s[0] < 1 or s[-1] > self.n:
-            raise ValueError(f"cannot restrict to {s}: not a subset of [{self.n}]")
-        # renumber the blocks met by the subset in first-use order
-        rgs = self._rgs
-        label: dict[int, int] = {}
-        return SetPartition._unchecked(
-            tuple([label.setdefault(rgs[x - 1], len(label)) for x in s])
-        )
-
 
 _new_object = object.__new__
 _set_rgs = SetPartition._rgs.__set__
@@ -440,14 +426,10 @@ _last_block_texts = lru_cache(maxsize=1)(_block_texts)
 # ---------------------------------------------------------------------------
 
 
-def _require_same_n(pi: SetPartition, sigma: SetPartition) -> None:
-    if pi.n != sigma.n:
-        raise ValueError(f"partitions of different sets: n={pi.n} vs n={sigma.n}")
-
-
 def lattice_leq(pi: SetPartition, sigma: SetPartition) -> bool:
     """Refinement order: every block of pi lies inside a block of sigma."""
-    _require_same_n(pi, sigma)
+    if pi.n != sigma.n:
+        raise ValueError(f"partitions of different sets: n={pi.n} vs n={sigma.n}")
     owner = {}
     for a, s in zip(pi.rgs, sigma.rgs):
         if owner.setdefault(a, s) != s:
@@ -521,29 +503,6 @@ def mobius_to_top(pi: SetPartition, lattice: str) -> int:
             out *= _mu_full_nc(len(b))
         return out
     raise ValueError(f"unknown lattice {lattice!r}")
-
-
-def mobius(pi: SetPartition, sigma: SetPartition, lattice: str) -> int:
-    """Moebius value mu(pi, sigma) in P(n), NC(n) or I(n).
-
-    Every interval factors over the blocks of sigma:
-    [pi, sigma] = prod_W [pi|_W, 1_W], so the value is the product of the
-    per-block to-the-top values, each given by a closed form.
-    """
-    _require_same_n(pi, sigma)
-    lat = lattice.upper()
-    if lat not in ("P", "NC", "I"):
-        raise ValueError(f"unknown lattice {lattice!r}")
-    if lat == "NC" and not (pi.is_noncrossing() and sigma.is_noncrossing()):
-        raise ValueError("both partitions must be noncrossing for lattice NC")
-    if lat == "I" and not (pi.is_interval() and sigma.is_interval()):
-        raise ValueError("both partitions must be interval for lattice I")
-    if not lattice_leq(pi, sigma):
-        raise ValueError(f"{pi} is not a refinement of {sigma}")
-    out = 1
-    for w in sigma.blocks:
-        out *= mobius_to_top(pi.restrict(w), lat)
-    return out
 
 
 #: the class enumerated for each lattice of the Moebius functions

@@ -4,13 +4,16 @@ Everything here recomputes a quantity by a route different from the one
 the library takes: exhaustive search instead of closed forms, direct
 summation instead of recurrences, termwise series instead of Newton
 iteration, Fraction-dict moment polynomials and Fraction-coefficient series
-instead of the integer kernels, Gaussian elimination instead of Bareiss.
-Oracles intentionally stay naive and slow.
+instead of the integer kernels, Gaussian elimination instead of Bareiss,
+the subset expansion instead of deletion-contraction, vertex orders
+instead of orientation masks, and the recursion over coarsenings instead
+of the closed sum for beta.  Oracles intentionally stay naive and slow.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import factorial
+from functools import lru_cache
+from itertools import permutations, product
+from math import comb, factorial
 
 from cumulantcalc.algebra import Polynomial, TruncatedSeries, linear_combination
 from cumulantcalc.cumulants import CumulantKind, partitioned_cumulant
@@ -233,7 +236,7 @@ def lattice_meet(pi: SetPartition, sigma: SetPartition) -> SetPartition:
 def triangle_geq(sigma: SetPartition, pi: SetPartition) -> bool:
     """sigma >= pi with pi restricted to every sigma-block noncrossing."""
     return lattice_leq(pi, sigma) and all(
-        pi.restrict(w).is_noncrossing() for w in sigma.blocks
+        restrict_by_blocks(pi, w).is_noncrossing() for w in sigma.blocks
     )
 
 
@@ -257,6 +260,32 @@ def mobius_brute(members, pi: SetPartition, sigma: SetPartition) -> int:
                 mu[nu] for nu in interval if nu in mu and lattice_leq(nu, rho) and nu != rho
             )
     return mu[sigma]
+
+
+# --- beta by peeling the top of the partition lattice -------------------------
+
+
+@lru_cache(maxsize=None)
+def beta_by_coarsenings(pi: SetPartition) -> Fraction:
+    """beta(pi) = [pi noncrossing] / tau(pi)! minus the sum over the
+    coarsenings sigma of pi other than the top of the product over the
+    blocks W of sigma of beta(pi|_W), each restriction rebuilt by
+    `restrict_by_blocks`; memoized on the partition."""
+    blocks = pi.blocks
+    total = Fraction(0)
+    for grouping in partitions_of(len(blocks), "all"):
+        if grouping.num_blocks == 1:
+            continue  # sigma = top is excluded
+        term = Fraction(1)
+        for cls in grouping.blocks:
+            union = [x for idx in cls for x in blocks[idx - 1]]
+            term *= beta_by_coarsenings(restrict_by_blocks(pi, union))
+            if not term:
+                break
+        total += term
+    if noncrossing_by_pairs(pi):
+        return Fraction(1, partition_tree_factorial(pi)) - total
+    return -total
 
 
 def kreweras_by_separation(pi: SetPartition) -> SetPartition:
@@ -344,11 +373,11 @@ def cumulants_per_partition(kind, moments) -> list:
     return out
 
 
-def univariate_sum_per_partition(n: int, kind, weighted):
+def univariate_sum_per_partition(kind, weighted):
     """Sum of w * kind_pi over (w, pi) pairs, one multivariate partitioned
     cumulant per set partition, with the variables identified afterwards."""
     return linear_combination(
-        n, ((w, partitioned_cumulant(kind, pi).univariate()) for w, pi in weighted if w)
+        (w, partitioned_cumulant(kind, pi).univariate()) for w, pi in weighted if w
     )
 
 
@@ -481,11 +510,71 @@ def tutte_random_order(edges, x, y, rng) -> Fraction:
     )
 
 
-def tutte_polynomial(g) -> dict[tuple[int, int], int]:
-    """A copy of the library's coefficient table {(i, j): c} of T_G."""
-    from cumulantcalc import graphs
+def _graph_edges(g) -> list[tuple[int, int]]:
+    """Every edge of a `MixedGraph`, orientations dropped, loops as (v, v)."""
+    return list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
 
-    return dict(graphs._tutte_table(graphs._edges_of(g)))
+
+def _rank(n: int, edges) -> int:
+    """n minus the number of components of the graph on range(n), by
+    union-find."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    rank = 0
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a != b:
+            root[a] = b
+            rank += 1
+    return rank
+
+
+def graph_is_connected(g) -> bool:
+    return g.n == 0 or _rank(g.n, _graph_edges(g)) == g.n - 1
+
+
+def tutte_polynomial(g) -> dict[tuple[int, int], int]:
+    """The coefficients {(i, j): c} of T_G = sum c x^i y^j by the subset
+    expansion T = sum over edge subsets A of
+    (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)), each power expanded binomially;
+    a loop or a parallel edge is one more element of E."""
+    edges = _graph_edges(g)
+    full = _rank(g.n, edges)
+    table: dict[tuple[int, int], int] = {}
+    for mask in range(1 << len(edges)):
+        chosen = [e for k, e in enumerate(edges) if mask >> k & 1]
+        r = _rank(g.n, chosen)
+        a, b = full - r, len(chosen) - r
+        for i in range(a + 1):
+            for j in range(b + 1):
+                c = (-1) ** (a - i + b - j) * comb(a, i) * comb(b, j)
+                table[i, j] = table.get((i, j), 0) + c
+    return {ij: c for ij, c in table.items() if c}
+
+
+def acyclic_orientations_by_orders(g, source: int) -> int:
+    """Acyclic orientations of g whose unique source is `source`: the
+    distinct orientations (each edge from its earlier end to its later one)
+    induced by the vertex orders that start at `source` and in which every
+    other vertex has an earlier neighbour.  A loop allows none."""
+    edges = _graph_edges(g)
+    if any(u == v for u, v in edges):
+        return 0
+    neighbours = {v: set() for v in range(g.n)}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    found = set()
+    for order in permutations([v for v in range(g.n) if v != source]):
+        place = {v: k for k, v in enumerate((source, *order))}
+        if all(any(place[w] < place[v] for w in neighbours[v]) for v in order):
+            found.add(tuple(place[u] < place[v] for u, v in edges))
+    return len(found)
 
 
 def partition_sum_identity_check(g, q) -> Fraction:

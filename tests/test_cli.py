@@ -368,6 +368,21 @@ def test_convert_errors(capsys):
     assert code == 2 and "position" in err
 
 
+def test_convert_reads_json_numbers_exactly(capsys):
+    # JSON numbers are decimal literals, read without a binary float
+    code, out, _ = run_cli(capsys, "convert", "moments", "moments", "[12345678901234567890.5]")
+    assert (code, out) == (0, '["24691357802469135781/2"]\n')
+    code, out, _ = run_cli(capsys, "convert", "moments", "moments", "[1e-400, 0.1, 25e-1, 3]")
+    assert code == 0 and json.loads(out) == [f"1/{10**400}", "1/10", "5/2", "3"]
+    for bad in ("[NaN]", "[Infinity]", "[1, -Infinity]"):
+        code, out, err = run_cli(capsys, "convert", "moments", "free", bad)
+        assert code == 2 and out == "" and "bad rational" in err, bad
+    # an exponent too large to write is refused before 10^e is built
+    for bad in ("[1e4301]", "[2.5E-999999999]"):
+        code, out, err = run_cli(capsys, "convert", "moments", "free", bad)
+        assert code == 2 and out == "" and "exponent out of range" in err, bad
+
+
 def test_convert_empty_array_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "convert", "moments", "free", "[]")
     assert code == 2 and out == ""
@@ -498,11 +513,14 @@ def test_table_cache_corrupt_file_is_a_miss(tmp_path, capsys):
     _, expected, _ = run_cli(capsys, "table", "beta", "3")
     assert run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")[0] == 0
     [cache_file] = tmp_path.iterdir()
-    cache_file.write_text("{bad")
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
-    assert code == 0 and out == expected
-    assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
-    assert len(json.loads(cache_file.read_text())["rows"]) == 5
+    # a file that does not parse, then files that parse into the wrong shape
+    for bad in ("{bad", '{"header": 5, "rows": [[1]]}',
+                '{"header": ["partition", "alpha"], "rows": ["ab"]}'):
+        cache_file.write_text(bad)
+        code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "table", "beta", "3")
+        assert code == 0 and out == expected, bad
+        assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
+        assert len(json.loads(cache_file.read_text())["rows"]) == 5
 
 
 def test_graph_command(capsys):

@@ -13,7 +13,6 @@ from cumulantcalc.cumulants import (
     CumulantKind,
     _det,
     beta_formula,
-    beta_recursive,
     boolean_poisson_kappa,
     build_beta_table,
     convert_sequence,
@@ -27,12 +26,13 @@ from cumulantcalc.cumulants import (
     tilde_transform,
 )
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
-from cumulantcalc.identities import lenczewski_sum_check, logbessel_beta_check, verify_identity
+from cumulantcalc.identities import lenczewski_sum_check, verify_identity
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
 from cumulantcalc.permutations import eulerian_polynomial
 from oracles import (
+    beta_by_coarsenings,
     cumulants_per_partition,
     det_by_elimination,
     determinant_moments,
@@ -49,29 +49,26 @@ K, R, B, H = (
 )
 
 P = SetPartition.from_text
-
-
-def sym(n, s):
-    return MomentPolynomial.symbol(n, s)
+sym = MomentPolynomial.symbol
 
 
 def test_cumulant_poly_small_cases():
     for kind in CumulantKind:
-        assert cumulant_poly(kind, 1) == sym(1, (1,))
-        assert cumulant_poly(kind, 2) == sym(2, (1, 2)) - sym(2, (1,)) * sym(2, (2,))
+        assert cumulant_poly(kind, 1) == sym((1,))
+        assert cumulant_poly(kind, 2) == sym((1, 2)) - sym((1,)) * sym((2,))
     b3 = (
-        sym(3, (1, 2, 3))
-        - sym(3, (1, 2)) * sym(3, (3,))
-        - sym(3, (1,)) * sym(3, (2, 3))
-        + sym(3, (1,)) * sym(3, (2,)) * sym(3, (3,))
+        sym((1, 2, 3))
+        - sym((1, 2)) * sym((3,))
+        - sym((1,)) * sym((2, 3))
+        + sym((1,)) * sym((2,)) * sym((3,))
     )
     assert cumulant_poly(B, 3) == b3
     k3 = (
-        sym(3, (1, 2, 3))
-        - sym(3, (1, 2)) * sym(3, (3,))
-        - sym(3, (1, 3)) * sym(3, (2,))
-        - sym(3, (2, 3)) * sym(3, (1,))
-        + 2 * sym(3, (1,)) * sym(3, (2,)) * sym(3, (3,))
+        sym((1, 2, 3))
+        - sym((1, 2)) * sym((3,))
+        - sym((1, 3)) * sym((2,))
+        - sym((2, 3)) * sym((1,))
+        + 2 * sym((1,)) * sym((2,)) * sym((3,))
     )
     assert cumulant_poly(K, 3) == k3
     # every partition of [3] is noncrossing and the Moebius values agree,
@@ -81,10 +78,10 @@ def test_cumulant_poly_small_cases():
     assert cumulant_poly(R, 3) == k3
     diff = cumulant_poly(K, 4) - cumulant_poly(R, 4)
     expected = (
-        -sym(4, (1, 3)) * sym(4, (2, 4))
-        - sym(4, (1,)) * sym(4, (2,)) * sym(4, (3,)) * sym(4, (4,))
-        + sym(4, (1, 3)) * sym(4, (2,)) * sym(4, (4,))
-        + sym(4, (2, 4)) * sym(4, (1,)) * sym(4, (3,))
+        -sym((1, 3)) * sym((2, 4))
+        - sym((1,)) * sym((2,)) * sym((3,)) * sym((4,))
+        + sym((1, 3)) * sym((2,)) * sym((4,))
+        + sym((2, 4)) * sym((1,)) * sym((3,))
     )
     assert diff == expected
 
@@ -98,14 +95,14 @@ def test_cumulant_poly_limits():
 
 def test_partitioned_cumulant():
     pi = SetPartition.singletons(3)
-    prod = sym(3, (1,)) * sym(3, (2,)) * sym(3, (3,))
+    prod = sym((1,)) * sym((2,)) * sym((3,))
     for kind in CumulantKind:
         assert partitioned_cumulant(kind, pi) == prod
         assert partitioned_cumulant(kind, SetPartition.one_block(3)) == cumulant_poly(
             kind, 3
         )
     got = partitioned_cumulant(K, P("1,3|2"))
-    expect = (sym(3, (1, 3)) - sym(3, (1,)) * sym(3, (3,))) * sym(3, (2,))
+    expect = (sym((1, 3)) - sym((1,)) * sym((3,))) * sym((2,))
     assert got == expect
 
 
@@ -137,7 +134,7 @@ def test_sequences_match_polynomials():
 def test_univariate_cumulants_of_moment_symbols():
     # cumulants_from_moments on the symbols m_{1..k} is the identified
     # multivariate cumulant polynomial
-    symbols = [sym(k, range(1, k + 1)) for k in range(1, 8)]
+    symbols = [sym(range(1, k + 1)) for k in range(1, 8)]
     for kind in CumulantKind:
         got = cumulants_from_moments(kind, symbols)
         for k in range(1, 8):
@@ -282,13 +279,13 @@ def test_beta_values():
     assert beta_formula(nested_pair_partition(3)) == Fraction(2, 3)
     assert beta_formula(P("1,4|2|3")) == Fraction(1, 3)
     assert beta_formula(P("1,3|2,4")) == -1
-    assert beta_formula(P("1,4|2,6|3|5")) == beta_recursive(P("1,4|2,6|3|5"))
+    assert beta_formula(P("1,4|2,6|3|5")) == beta_by_coarsenings(P("1,4|2,6|3|5"))
 
 
 def test_beta_routes_agree():
     for n in range(1, 8):
         for pi in partitions_of(n, "all"):
-            assert beta_formula(pi) == beta_recursive(pi), pi
+            assert beta_formula(pi) == beta_by_coarsenings(pi), pi
 
 
 def test_beta_depends_only_on_digraph():
@@ -319,14 +316,14 @@ def test_beta_many_blocks_against_recursion():
                  "1,9|2,3|4,6|5,7|8,10|11|12,14|13",
                  "1,3|2,5|4,7|6,9|8,11|10,13|12,14"):
         pi = P(text)
-        assert beta_formula(pi) == beta_recursive(pi), pi
+        assert beta_formula(pi) == beta_by_coarsenings(pi), pi
 
 
 def test_beta_table():
     table = build_beta_table(4)
     assert len(table) == 15  # the Bell number B_4
     for pi, _, value in table:
-        assert beta_recursive(pi) == value, pi
+        assert beta_by_coarsenings(pi) == value, pi
     value = {pi: v for pi, _, v in table}
     assert value[P("1,4|2,3")] == Fraction(-1, 2)
     assert value[SetPartition.one_block(4)] == 1
@@ -348,16 +345,18 @@ def test_beta_expansion():
 
 
 def test_logbessel_carlitz():
-    rep = logbessel_beta_check(5)
+    rep = verify_identity("logbessel_carlitz", 5)
     assert rep.holds
     assert rep.detail["sequence"] == ["1", "-1", "4", "-33", "456"]
     assert 2 * beta_formula(nested_pair_partition(2)) == -1
     # plugging the recursion at the fourth term by hand:
     # a_4 = C(3,1)C(3,0) a_1 a_3 + C(3,2)C(3,1) a_2 a_2 + C(3,3)C(3,2) a_3 a_1
     assert 3 * 1 * 4 + 3 * 3 * 1 + 1 * 3 * 4 == 33
-    # bounded by the block count of the nested pairings
-    with pytest.raises(ResourceLimitError, match="beta-blocks"):
-        logbessel_beta_check(11)
+    # bounded by the block count of the nested pairings, and by the row's cap
+    with override(4), pytest.raises(ResourceLimitError, match="beta-blocks"):
+        verify_identity("logbessel_carlitz", 5)
+    with pytest.raises(ResourceLimitError, match="limited to n <= 7"):
+        verify_identity("logbessel_carlitz", 8)
 
 
 def test_moment_formula_brute_force_cross_check():

@@ -25,6 +25,7 @@ from oracles import (
     monotone_orders_brute,
     nesting_forest_by_enclosure,
     nondecreasing_labellings_brute,
+    restrict_by_blocks,
     tree_factorial_by_sizes,
     tree_shapes_by_recursion,
     tree_size,
@@ -155,7 +156,7 @@ def test_weight_multiplicative_over_components():
             w = Fraction(1, partition_tree_factorial(pi))
             product = Fraction(1)
             for support in interval_closure_by_fixpoint(pi).blocks:
-                product *= Fraction(1, partition_tree_factorial(pi.restrict(support)))
+                product *= Fraction(1, partition_tree_factorial(restrict_by_blocks(pi, support)))
             assert w == product
 
 

@@ -102,12 +102,13 @@ def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, brok
 
 def test_run_catalog_clamps_limits():
     # through a row that is cheap at its max_n (0.2 s at n = 9)
-    reports = run_catalog(10, names=["moment_cumulant_B"])
-    assert max(r.n for r in reports) == 9
+    jobs = catalog_jobs(10, ["moment_cumulant_B"])
+    assert jobs == [("moment_cumulant_B", n) for n in range(1, 10)]
+    assert all(verify_identity(*job).holds for job in jobs)
     with pytest.raises(ResourceLimitError):
-        run_catalog(10, names=["moment_cumulant_B"], strict_limits=True)
+        catalog_jobs(10, ["moment_cumulant_B"], strict=True)
     with pytest.raises(ValueError):
-        run_catalog(3, names=["nope"])
+        catalog_jobs(3, ["nope"])
 
 
 def test_nothing_to_check_raises_in_both_modes():
@@ -115,8 +116,8 @@ def test_nothing_to_check_raises_in_both_modes():
         for n_max in (0, -1):
             with pytest.raises(ValueError, match="n must be positive"):
                 catalog_jobs(n_max, strict=strict)
-            with pytest.raises(ValueError, match="n must be positive"):
-                run_catalog(n_max, strict_limits=strict)
+        with pytest.raises(ValueError, match="n must be positive"):
+            run_catalog(n_max)
 
 
 def test_catalog_examples_from_the_identity_descriptions():
@@ -221,7 +222,7 @@ def test_type_sum_matches_per_partition_oracle():
         row = IDENTITY_CATALOG[name]
         for n in range(1, 8):
             weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
-            expected = univariate_sum_per_partition(n, row.rhs, weighted)
+            expected = univariate_sum_per_partition(row.rhs, weighted)
             assert _type_sum(n, row.rhs, weighted) == expected, (name, n)
     # both sides of the Lenczewski sum
     for n in range(1, 7):
@@ -235,5 +236,5 @@ def test_type_sum_matches_per_partition_oracle():
                   for pi in members]),
             ]
             for kind, weighted in sides:
-                expected = univariate_sum_per_partition(n, kind, weighted)
+                expected = univariate_sum_per_partition(kind, weighted)
                 assert _type_sum(n, kind, weighted) == expected, (kind, n, colors)

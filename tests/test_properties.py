@@ -11,7 +11,6 @@ from fractions import Fraction  # noqa: E402
 from cumulantcalc.cumulants import (  # noqa: E402
     CumulantKind,
     beta_formula,
-    beta_recursive,
     convert_sequence,
 )
 from cumulantcalc.partitions import (  # noqa: E402
@@ -22,12 +21,12 @@ from cumulantcalc.partitions import (  # noqa: E402
 )
 
 from oracles import (  # noqa: E402
+    beta_by_coarsenings,
     blocks_cross_by_runs,
     cumulants_per_partition,
     interval_closure_by_fixpoint,
     lattice_meet,
     moments_per_partition,
-    restrict_by_blocks,
 )
 
 #: every run draws the same examples and writes no example database
@@ -91,14 +90,6 @@ def test_closures_are_idempotent_and_monotone(data):
 
 
 @SEEDED
-@given(st.data())
-def test_restrict_matches_from_blocks_route(data):
-    pi = data.draw(partitions())
-    subset = data.draw(st.sets(st.integers(1, pi.n), min_size=1))
-    assert pi.restrict(subset) == restrict_by_blocks(pi, subset)
-
-
-@SEEDED
 @given(partitions())
 def test_text_and_json_round_trips(pi):
     assert SetPartition.from_text(pi.to_text()) == pi
@@ -108,7 +99,7 @@ def test_text_and_json_round_trips(pi):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(partitions(max_n=8))
 def test_beta_routes_agree_on_random_partitions(pi):
-    assert beta_formula(pi) == beta_recursive(pi)
+    assert beta_formula(pi) == beta_by_coarsenings(pi)
 
 
 @SEEDED
