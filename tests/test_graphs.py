@@ -162,8 +162,18 @@ def test_acyclic_orientation_counts():
     for v in range(3):
         assert acyclic_orientations_by_orders(triangle, v) == 2
     assert tutte_eval(triangle, 1, 0) == 2
-    # a disconnected graph has no single-source orientation
-    assert acyclic_orientations_by_orders(MixedGraph(3, ((0, 1),)), 0) == 0
+
+
+def test_disconnected_orientation_count_warns_zero():
+    # A disconnected graph has no single-source acyclic orientation, while
+    # T(1, 0) is the product over its components and so no count of them.
+    # Both enumerations give zero: the oracle over vertex orders and the
+    # library's generator behind the pyramid counts.
+    g = MixedGraph(3, ((0, 1),))
+    assert tutte_eval(g, 1, 0) == 1
+    for v in range(3):
+        assert acyclic_orientations_by_orders(g, v) == 0
+        assert list(graphs._acyclic_with_unique_source(g.n, list(g.undirected), v)) == []
 
 
 def test_source_independence_random_graphs():
