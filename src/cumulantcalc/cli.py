@@ -297,18 +297,15 @@ def _cmd_table(args) -> int:
 # convert
 # ---------------------------------------------------------------------------
 
-#: the largest decimal exponent `convert` reads: CPython's default limit
-#: on the digits of an integer's text (3.11 on), past which no result
-#: could be written
-_MAX_EXPONENT = 4300
-
-
 def _exact_number(literal: str) -> Fraction:
     """A JSON number with a fraction or an exponent, read exactly rather
-    than through a binary float; an exponent past `_MAX_EXPONENT` is a
-    ValueError before 10^e is built."""
+    than through a binary float.  An exponent e whose 10^|e| has more
+    digits than the interpreter writes as text
+    (`sys.get_int_max_str_digits()`, 0 for no limit) is a ValueError
+    before 10^e is built."""
     _, _, exponent = literal.lower().partition("e")
-    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent)) >= limit:
         raise ValueError(f"exponent out of range in {literal}")
     return Fraction(literal)
 

@@ -262,6 +262,15 @@ def mobius_brute(members, pi: SetPartition, sigma: SetPartition) -> int:
     return mu[sigma]
 
 
+def mobius_by_blocks(sigma: SetPartition, pi: SetPartition, lattice: str) -> int:
+    """mu(sigma, pi) for sigma <= pi as the product over the blocks W of pi
+    of mu(sigma|_W, top), each restriction rebuilt by `restrict_by_blocks`."""
+    out = 1
+    for w in pi.blocks:
+        out *= mobius_to_top(restrict_by_blocks(sigma, w), lattice)
+    return out
+
+
 # --- beta by peeling the top of the partition lattice -------------------------
 
 

@@ -377,8 +377,12 @@ def test_convert_reads_json_numbers_exactly(capsys):
     for bad in ("[NaN]", "[Infinity]", "[1, -Infinity]"):
         code, out, err = run_cli(capsys, "convert", "moments", "free", bad)
         assert code == 2 and out == "" and "bad rational" in err, bad
-    # an exponent too large to write is refused before 10^e is built
-    for bad in ("[1e4301]", "[2.5E-999999999]"):
+    # an exponent whose power of ten has more digits than the interpreter
+    # writes (4300 by default) is refused before 10^e is built
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "convert", "moments", "moments", f"[1e-{limit - 1}]")
+    assert code == 0 and json.loads(out) == [f"1/{10**(limit - 1)}"]
+    for bad in (f"[1e{limit}]", f"[1e-{limit}]", "[1e4301]", "[2.5E-999999999]"):
         code, out, err = run_cli(capsys, "convert", "moments", "free", bad)
         assert code == 2 and out == "" and "exponent out of range" in err, bad
 

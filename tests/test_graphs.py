@@ -165,10 +165,10 @@ def test_acyclic_orientation_counts():
 
 
 def test_disconnected_orientation_count_warns_zero():
-    # A disconnected graph has no single-source acyclic orientation, while
-    # T(1, 0) is the product over its components and so no count of them.
-    # Both enumerations give zero: the oracle over vertex orders and the
-    # library's generator behind the pyramid counts.
+    # Checks zero counts: a disconnected graph has no single-source acyclic
+    # orientation, while T(1, 0) is the product over its components and so
+    # no count of them.  Both enumerations give zero: the oracle over vertex
+    # orders and the library's generator behind the pyramid counts.
     g = MixedGraph(3, ((0, 1),))
     assert tutte_eval(g, 1, 0) == 1
     for v in range(3):

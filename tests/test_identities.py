@@ -116,6 +116,7 @@ def test_nothing_to_check_raises_in_both_modes():
         for n_max in (0, -1):
             with pytest.raises(ValueError, match="n must be positive"):
                 catalog_jobs(n_max, strict=strict)
+    for n_max in (0, -1):
         with pytest.raises(ValueError, match="n must be positive"):
             run_catalog(n_max)
 
