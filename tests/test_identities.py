@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from cumulantcalc import identities, limits
+from cumulantcalc.algebra import Polynomial
 from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
 from cumulantcalc.identities import (
@@ -88,6 +89,8 @@ def test_full_catalog_small_n():
      "pi=1,2,3,4,5; pi=1,2,3,5|4; pi=1,2,4,5|3"),
     ("thm5_reducible", "beta_formula", lambda real: lambda pi: 1, 30,
      "pi=1,2,3,4|5; pi=1,2,3|4,5; pi=1,2,3|4|5"),
+    ("lenczewski_sum", "labelling_polynomial_of", lambda real: lambda pi: Polynomial([0, 2]), 5,
+     "N=1; N=2; N=3"),
 ])
 def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, broken,
                                                  checked, witness):
@@ -133,7 +136,6 @@ def test_catalog_examples_from_the_identity_descriptions():
 
 def test_prop10_checker_reports_a_mismatch(monkeypatch):
     from cumulantcalc import identities as ids
-    from cumulantcalc.algebra import Polynomial
 
     monkeypatch.setattr(ids, "boolean_poisson_kappa", lambda n: Polynomial([0, 2]))
     rep = verify_identity("prop10_eulerian", 3)
