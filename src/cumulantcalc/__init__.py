@@ -15,7 +15,6 @@ from .algebra import (
     Polynomial,
     TruncatedSeries,
     bernoulli_number,
-    bernoulli_polynomial,
     faulhaber_polynomial,
     linear_combination,
     moment_monomial,
@@ -58,7 +57,6 @@ from .identities import (
     IDENTITY_CATALOG,
     Report,
     identity_names,
-    lenczewski_sum_check,
     run_catalog,
     verify_identity,
 )

@@ -7,14 +7,16 @@ the arithmetic foundation:
 * rationals and their text form ("p/q", or just "p" when q == 1),
 * dense univariate polynomials over the rationals,
 * truncated formal power series with exact coefficients,
-* Bernoulli numbers/polynomials and Faulhaber summation polynomials,
+* Bernoulli numbers and Faulhaber summation polynomials,
 * the formal moment-polynomial ring in which cumulant identities are stated.
 
 Bernoulli convention
 --------------------
 ``bernoulli_number(n)`` returns B_n(1), the n-th Bernoulli polynomial
 evaluated at 1, so ``bernoulli_number(1) == +1/2``.  The polynomials B_n(x)
-are the coefficients of z*exp(x*z)/(exp(z) - 1) = sum B_n(x) z^n / n!.
+are the coefficients of z*exp(x*z)/(exp(z) - 1) = sum B_n(x) z^n / n!;
+Faulhaber's formula reads the coefficients of sum_{k=1..N} k^j off these
+numbers.
 
 Truncated series
 ----------------
@@ -65,7 +67,6 @@ __all__ = [
     "rational_from_str",
     "Polynomial",
     "TruncatedSeries",
-    "bernoulli_polynomial",
     "bernoulli_number",
     "faulhaber_polynomial",
     "MomentPolynomial",
@@ -94,38 +95,33 @@ def rational_from_str(s: str) -> Fraction:
 class Polynomial:
     """Dense univariate polynomial over Fraction, lowest degree first.
 
-    Trailing zero coefficients are stripped; the zero polynomial has
-    ``degree() is None`` (the distinguished sentinel).  Binary operations
-    require matching indeterminate names, except that constants mix freely.
+    Trailing zero coefficients are stripped, so the zero polynomial has
+    no coefficients.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), var: str = "x"):
+    def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str = "x") -> "Polynomial":
-        return cls((), var)
+    def zero(cls) -> "Polynomial":
+        return cls(())
 
     @classmethod
-    def constant(cls, c, var: str = "x") -> "Polynomial":
-        return cls((Fraction(c),), var)
+    def constant(cls, c) -> "Polynomial":
+        return cls((Fraction(c),))
 
     @classmethod
-    def monomial(cls, degree: int, coeff=1, var: str = "x") -> "Polynomial":
-        return cls((0,) * degree + (Fraction(coeff),), var)
+    def monomial(cls, degree: int, coeff=1) -> "Polynomial":
+        return cls((0,) * degree + (Fraction(coeff),))
 
     # -- structure ----------------------------------------------------------
-
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -133,56 +129,42 @@ class Polynomial:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def _join_var(self, other: "Polynomial") -> str:
-        if self.var == other.var or other.is_zero() or other.degree() == 0:
-            return self.var
-        if self.is_zero() or self.degree() == 0:
-            return other.var
-        raise ValueError(f"mixed indeterminates {self.var!r} and {other.var!r}")
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.var)
-        var = self._join_var(other)
+            other = Polynomial.constant(other)
         m = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(m)], var
-        )
+        return Polynomial([self.coefficient(k) + other.coefficient(k) for k in range(m)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], self.var)
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.var)
+            other = Polynomial.constant(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return Polynomial.constant(other, self.var) - self
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            return Polynomial([c * a for a in self.coeffs], self.var)
-        var = self._join_var(other)
+            return Polynomial([c * a for a in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(var)
+            return Polynomial.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Polynomial(out, var)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         c = Fraction(scalar)
-        return Polynomial([a / c for a in self.coeffs], self.var)
+        return Polynomial([a / c for a in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -201,19 +183,10 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitute `inner` for the indeterminate (Horner)."""
-        acc = Polynomial.zero(inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     def scale_argument(self, c) -> "Polynomial":
         """Return p(c*x)."""
         c = Fraction(c)
-        return Polynomial(
-            [a * c**k for k, a in enumerate(self.coeffs)], self.var
-        )
+        return Polynomial([a * c**k for k, a in enumerate(self.coeffs)])
 
     # -- text ---------------------------------------------------------------
 
@@ -230,7 +203,7 @@ class Polynomial:
             if k == 0:
                 parts.append(rational_to_str(c))
             else:
-                mono = self.var if k == 1 else f"{self.var}^{k}"
+                mono = "x" if k == 1 else f"x^{k}"
                 parts.append(mono if c == 1 else f"{rational_to_str(c)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -423,9 +396,6 @@ class TruncatedSeries:
 
     # -- text ---------------------------------------------------------------
 
-    def to_json(self) -> list[str]:
-        return [rational_to_str(c) for c in self.coeffs]
-
     def __repr__(self):
         body = " + ".join(
             f"{rational_to_str(c)}*z^{k}" for k, c in enumerate(self.coeffs) if c
@@ -449,38 +419,25 @@ def _bernoulli_at_zero(n: int) -> Fraction:
     return -s / (n + 1)
 
 
-@lru_cache(maxsize=None)
-def bernoulli_polynomial(n: int) -> Polynomial:
-    """B_n(x) = sum_k C(n,k) B_k(0) x^(n-k)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = comb(n, k) * _bernoulli_at_zero(k)
-    return Polynomial(coeffs, "x")
-
-
 def bernoulli_number(n: int) -> Fraction:
     """B_n(1); equals B_n(0) except that bernoulli_number(1) == +1/2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return bernoulli_polynomial(n).evaluate(1)
+    return Fraction(1, 2) if n == 1 else _bernoulli_at_zero(n)
 
 
 @lru_cache(maxsize=None)
 def faulhaber_polynomial(j: int) -> Polynomial:
     """The polynomial Q (in N) with Q(N) = sum_{k=1..N} k^j.
 
-    Q = (B_{j+1}(N+1) - B_{j+1}(0)) / (j+1); degree j+1, zero constant term.
+    Faulhaber's formula in the B_n(1) convention:
+    Q = sum_{d=1..j+1} C(j+1, d) B_{j+1-d}(1) N^d / (j+1).
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    b = bernoulli_polynomial(j + 1)
-    shifted = b.compose(Polynomial((1, 1), "N"))  # B_{j+1}(N+1)
-    q = (shifted - shifted.coefficient(0)) / (j + 1)
-    q = Polynomial(q.coeffs, "N")
-    assert q.coefficient(0) == 0
-    return q
+    return Polynomial(
+        [0] + [comb(j + 1, d) * bernoulli_number(j + 1 - d) / (j + 1) for d in range(1, j + 2)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,14 @@ def _cmd_convert(args) -> int:
         print(f"error: bad rational in values: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = convert_sequence(args.src, args.dst, values)
-    print(_json_dumps([rational_to_str(v) for v in out]))
+    try:
+        texts = [rational_to_str(v) for v in out]
+    except ValueError:  # str(int) refuses more digits than the limit
+        raise ResourceLimitError(
+            "a converted value has more digits than the interpreter writes as "
+            f"text (sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})"
+        ) from None
+    print(_json_dumps(texts))
     return EXIT_OK
 
 

@@ -359,7 +359,7 @@ def boolean_poisson_kappa(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    x = Polynomial.monomial(1, 1, "x")
+    x = Polynomial.monomial(1)
     moments = moments_from_cumulants(CumulantKind.BOOLEAN, [x] * n)
     return cumulants_from_moments(CumulantKind.CLASSICAL, moments)[n - 1]
 

@@ -131,7 +131,7 @@ def partition_tree_factorial(pi: SetPartition) -> int:
 
 def _indefinite_sum(q: Polynomial) -> Polynomial:
     """The polynomial N -> sum_{j=1..N} q(j), via Faulhaber polynomials."""
-    out = Polynomial.zero("N")
+    out = Polynomial.zero()
     for d, c in enumerate(q.coeffs):
         if c:
             out = out + c * faulhaber_polynomial(d)
@@ -146,7 +146,7 @@ def _tree_poly(shape: tuple) -> Polynomial:
     P(N) = sum_{k=1..N} prod_i P_{t_i}(N-k+1) for the branches t_i, i.e.
     the indefinite sum of the product of the branch polynomials.
     """
-    q = Polynomial.constant(1, "N")
+    q = Polynomial.constant(1)
     for c in shape:
         q = q * _tree_poly(c)
     return _indefinite_sum(q)
@@ -154,7 +154,7 @@ def _tree_poly(shape: tuple) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _forest_poly(shape: tuple) -> Polynomial:
-    out = Polynomial.constant(1, "N")
+    out = Polynomial.constant(1)
     for t in shape:
         out = out * _tree_poly(t)
     return out

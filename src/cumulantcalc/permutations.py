@@ -92,9 +92,6 @@ class Permutation:
     def __repr__(self):
         return self.cycle_string()
 
-    def to_json(self) -> list[int]:
-        return list(self.word)
-
     # -- cycles ---------------------------------------------------------------
 
     def standard_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -195,7 +192,7 @@ def eulerian(n: int, k: int) -> int:
 
 
 def eulerian_polynomial(n: int) -> Polynomial:
-    return Polynomial([eulerian(n, k) for k in range(max(n, 1))], "x")
+    return Polynomial([eulerian(n, k) for k in range(max(n, 1))])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
-from cumulantcalc.algebra import Polynomial, TruncatedSeries, linear_combination
+from cumulantcalc.algebra import TruncatedSeries, linear_combination
 from cumulantcalc.cumulants import CumulantKind, partitioned_cumulant
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.partitions import (
@@ -704,11 +704,6 @@ def determinant_moments(kind: str, cumulants) -> list[Fraction]:
     return [det_by_elimination([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
 
 
-def polynomial_derivative(p: Polynomial) -> Polynomial:
-    """d/dx of a `Polynomial`, term by term."""
-    return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:], p.var)
-
-
 def exp_termwise(g: TruncatedSeries) -> TruncatedSeries:
     """exp by the plain sum of g^k / k!."""
     assert g.coefficient(0) == 0
@@ -861,10 +856,10 @@ def tree_poly_by_recursion(t):
     product of the branch polynomials (no memo, no shapes)."""
     from cumulantcalc.algebra import Polynomial, faulhaber_polynomial
 
-    q = Polynomial.constant(1, "N")
+    q = Polynomial.constant(1)
     for c in t.children:
         q = q * tree_poly_by_recursion(c)
-    out = Polynomial.zero("N")
+    out = Polynomial.zero()
     for d, c in enumerate(q.coeffs):
         if c:
             out = out + c * faulhaber_polynomial(d)
@@ -877,7 +872,7 @@ def forest_invariants_by_trees(pi: SetPartition):
     from cumulantcalc.algebra import Polynomial
 
     forest = nesting_forest_by_enclosure(pi)
-    poly = Polynomial.constant(1, "N")
+    poly = Polynomial.constant(1)
     tree_fact = 1
     for t in forest.trees:
         poly = poly * tree_poly_by_recursion(t)

@@ -207,7 +207,7 @@ def test_criterion_08_classical_in_monotone_basis():
 def test_criterion_09_boolean_poisson():
     from cumulantcalc.permutations import eulerian_polynomial
 
-    x = Polynomial.monomial(1, 1, "x")
+    x = Polynomial.monomial(1, 1)
     for n in range(1, 9):
         kappa = boolean_poisson_kappa(n)  # raises on any mismatch
         assert kappa == x * eulerian_polynomial(n - 1).scale_argument(-1)

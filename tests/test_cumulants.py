@@ -26,7 +26,7 @@ from cumulantcalc.cumulants import (
     tilde_transform,
 )
 from cumulantcalc.graphs import anti_interval_digraph, digraph_key
-from cumulantcalc.identities import lenczewski_sum_check, verify_identity
+from cumulantcalc.identities import verify_identity
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
@@ -197,31 +197,32 @@ def test_monotone_dilate():
     assert cumulants_from_moments(H, monotone_dilate(h, 7)) == [7 * x for x in h]
 
 
-def test_lenczewski_examples():
-    # N = 1 reduces to the plain free moment-cumulant formula
+def test_lenczewski_examples(monkeypatch):
+    # each n checks N = 1..5 colours; N = 1 reduces to the plain free
+    # moment-cumulant formula
     for n in range(1, 6):
-        assert lenczewski_sum_check(n, 1).holds
-    assert lenczewski_sum_check(2, 4).holds
-    assert lenczewski_sum_check(4, 3).holds
-    # bounded by the cumulant polynomials it multiplies
+        assert verify_identity("lenczewski_sum", n).holds
+    # bounded by the row's max_n, and by the cumulant polynomials it multiplies
+    with pytest.raises(ResourceLimitError, match="lenczewski_sum is limited to n <= 9"):
+        verify_identity("lenczewski_sum", 10)
+    monkeypatch.setitem(DEFAULT_LIMITS, "cumulant-other", 4)
     with pytest.raises(ResourceLimitError, match="cumulant-other"):
-        lenczewski_sum_check(10, 1)
-    with pytest.raises(ValueError):
-        lenczewski_sum_check(3, 6)
+        verify_identity("lenczewski_sum", 5)
 
 
 def test_lenczewski_n2_coefficients():
-    # m_2(X(N)) = N m_2 + N(N-1) m_1^2 against the colored sum by hand
-    for colors in range(1, 6):
-        rep = lenczewski_sum_check(2, colors)
-        assert rep.holds and rep.detail == {"colors": colors}
+    # m_2(X(N)) = N m_2 + N(N-1) m_1^2 against the colored sum, one case per N
+    assert verify_identity("lenczewski_sum", 2).to_dict() == {
+        "identity": "lenczewski_sum", "n": 2, "holds": True,
+        "lhs_terms": 5, "rhs_terms": 5,
+    }
 
 
 def test_boolean_poisson_kappa():
-    x = Polynomial.monomial(1, 1, "x")
+    x = Polynomial.monomial(1, 1)
     assert boolean_poisson_kappa(1) == x
     assert boolean_poisson_kappa(2) == x  # E_1 has no descent term
-    assert boolean_poisson_kappa(3) == x * Polynomial([1, -1], "x")
+    assert boolean_poisson_kappa(3) == x * Polynomial([1, -1])
     assert boolean_poisson_kappa(4).evaluate(1) == -2
     for n in range(1, 11):
         assert boolean_poisson_kappa(n) == x * eulerian_polynomial(n - 1).scale_argument(-1)

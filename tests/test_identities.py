@@ -16,7 +16,6 @@ from cumulantcalc.identities import (
     _type_sum,
     catalog_jobs,
     identity_names,
-    lenczewski_sum_check,
     run_catalog,
     verify_identity,
 )
@@ -150,12 +149,12 @@ def test_deterministic_reports():
 
 
 def test_univariate_caches_check_a_lowered_limit(monkeypatch):
-    # the type weights behind the univariate sums are cached; a warm call
-    # must still check the cumulant limits
-    assert lenczewski_sum_check(5, 1).holds
+    # the partition list and the labelling polynomials behind the Lenczewski
+    # sum are cached; a warm call must still check the cumulant limits
+    assert verify_identity("lenczewski_sum", 5).holds
     monkeypatch.setitem(limits.DEFAULT_LIMITS, "cumulant-other", 3)
     with pytest.raises(ResourceLimitError):
-        lenczewski_sum_check(5, 1)
+        verify_identity("lenczewski_sum", 5)
 
 
 @pytest.mark.parametrize("name, key, low", [

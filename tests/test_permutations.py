@@ -31,7 +31,7 @@ def test_permutation_basics():
     assert s(1) == 2 and s.n == 3
     assert s.cycle_string() == "(1,2,3)"
     assert Permutation.from_cycles(3, [(1, 2, 3)]) == s
-    assert Permutation.from_cycles(7, [(1, 3), (2, 5, 7)]).to_json() == [3, 5, 1, 4, 7, 6, 2]
+    assert Permutation.from_cycles(7, [(1, 3), (2, 5, 7)]).word == (3, 5, 1, 4, 7, 6, 2)
     assert identity_permutation(4).is_interval_type()
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))

@@ -12,6 +12,9 @@ method that is not a property counts as read only where the read is
 called or taken off a class name, so a data field that shares its name
 (`report.identity`) does not keep it.  Second names and helpers that
 only their own tests call belong in `tests/oracles.py`.
+
+The same scan holds `src/` to exact arithmetic: it may hold no float
+literal, no call to `float` and no `isclose`.
 """
 
 import ast
@@ -143,3 +146,20 @@ def test_every_public_member_has_a_reader():
                 ):
                     unread.append(name)
     assert not unread, f"public members with no reader: {unread}"
+
+
+def test_no_floating_point_in_src():
+    # exact arithmetic throughout: no float literal, no float() call and no
+    # isclose anywhere in src/ (an annotation naming float is not a call)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno}: float literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}: float() call")
+            elif "isclose" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+                found.append(f"{path.name}:{node.lineno}: isclose")
+    assert not found, found
