@@ -34,31 +34,45 @@ and the text form) coefficients are Fractions.
 
 Moment polynomials
 ------------------
-A moment symbol m_S is indexed by a nonempty finite set S of positive
-integers and stands for the joint moment of the variables listed in S
-(each identity in scope is multilinear, so no variable ever repeats
-inside one symbol).  A symbol is stored as the bitmask of S (bit i-1 for
-element i), and a monomial, a *multiset* of symbols, as the sorted tuple
-of its bitmasks: products such as m_{1}*m_{1} cannot come from a
-partition but do occur in intermediate arithmetic and are
-representable.  A polynomial keeps integer numerators
-over one positive denominator, reduced so that the denominator shares no
-factor with all the numerators (the zero polynomial has denominator 1);
-equality is therefore canonical and decided term by term.  Sums of
-weighted polynomials go through one accumulator, `linear_combination`,
-which the ring operations use as well; a product of two polynomials with
-disjoint supports (the OR of their symbol masks), such as the blocks of a
-partitioned cumulant, merges no terms.  At the boundary (construction,
-``sorted_terms``, ``evaluate`` and the text form) symbols are increasing
-element tuples, sorted inside a monomial by (size, subset), and
-coefficients are Fractions.
+A moment symbol m_S is indexed by a nonempty set S of elements of 1..31
+and stands for the joint moment of the variables listed in S (each
+identity in scope is multilinear, so no variable repeats inside one
+symbol).  A monomial is one int, its key, of W = 5-bit digits in one of
+two layouts; each polynomial records its layout, and a constant belongs
+to both:
+
+* multilinear: symbols with disjoint sets, a set partition of the
+  support.  Digit i-1 holds the least element of the symbol that holds
+  i, or 0 when i is outside the support.  The product of two monomials
+  with disjoint supports, as for the blocks of a partitioned cumulant,
+  is the sum of their keys: no digit carries and no terms merge.
+* univariate: initial segments m_{1..j}, the symbols once the variables
+  are identified (`univariate()` is the library's one way in).  Digit
+  j-1 counts the factors m_{1..j}, so a product is again a key sum, and
+  equal monomials merge.
+
+The layouts narrow the ring on purpose; every identity of the catalog
+(n <= 10) stays far inside them.  ValueError is raised for an element or
+a factor count above 31, for a monomial whose symbols meet unless every
+symbol of its polynomial is an initial segment (m_{2}*m_{2,3} fits
+neither layout), for a multilinear product whose supports meet, and for
+a sum or product that mixes the layouts.  Polynomials of the two layouts
+are equal when their monomials are.  A polynomial keeps integer
+numerators over one positive denominator, reduced so that the
+denominator shares no factor with all the numerators (the zero
+polynomial has denominator 1); equality is therefore canonical and
+decided term by term.  Sums of weighted polynomials go through one
+accumulator, `linear_combination`, which the ring operations use as
+well.  At the boundary (construction, ``sorted_terms``, ``evaluate`` and
+the text form) symbols are increasing element tuples, sorted inside a
+monomial by (size, subset), and coefficients are Fractions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
 from math import comb, gcd, lcm
 from operator import or_
 
@@ -445,91 +459,143 @@ def faulhaber_polynomial(j: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+#: bits per digit of a monomial key: an element, a least element or a
+#: factor count is at most 31
+_WIDTH = 5
+_DIGIT = (1 << _WIDTH) - 1
+#: bit 0 of each of the 32 digits, where a carry out of a digit lands
+_LOW = sum(1 << _WIDTH * i for i in range(_DIGIT + 1))
+#: layout flags; a constant has layout 0, so the OR of the operands'
+#: layouts is the layout of a sum or product
+_MULTILINEAR, _UNIVARIATE = 1, 2
+_OVERFLOW = f"a univariate monomial has more than {_DIGIT} factors of one size"
+
+
 def moment_symbol(elements) -> tuple[int, ...]:
-    """Canonical moment symbol: a nonempty strictly increasing int tuple."""
+    """Canonical moment symbol: a strictly increasing tuple of elements in 1..31."""
     sym = tuple(elements)
     if not sym:
         raise ValueError("moment symbol must be nonempty")
-    if any(b <= a for a, b in zip(sym, sym[1:])):
-        raise ValueError(f"moment symbol must be strictly increasing: {sym}")
+    if any(b <= a for a, b in zip((0,) + sym, sym + (_DIGIT + 1,))):
+        raise ValueError(f"moment symbol must be strictly increasing within 1..{_DIGIT}: {sym}")
     return sym
 
 
-def _mask(elements) -> int:
-    """Bitmask of a validated symbol: bit i-1 for element i."""
-    sym = moment_symbol(elements)
-    if sym[0] < 1:
-        raise ValueError(f"moment symbol must start at 1 or above: {sym}")
-    mask = 0
-    for i in sym:
-        mask |= 1 << (i - 1)
-    return mask
+def _multilinear_key(symbols) -> int | None:
+    """The multilinear key of canonical symbols, or None when two meet."""
+    key = seen = 0
+    for sym in symbols:
+        for i in sym:
+            if seen >> i & 1:
+                return None
+            seen |= 1 << i
+            key += sym[0] << _WIDTH * (i - 1)
+    return key
+
+
+def _size_key(sizes) -> int:
+    """The univariate key of symbols (1..j) of the given sizes j."""
+    counts = Counter(sizes)
+    if max(counts.values(), default=0) > _DIGIT:
+        raise ValueError(_OVERFLOW)
+    return sum(count << _WIDTH * (size - 1) for size, count in counts.items())
 
 
 @lru_cache(maxsize=None)
-def _elements(mask: int) -> tuple[int, ...]:
-    """The symbol (increasing element tuple) of a bitmask."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def _digits(key: int) -> tuple[int, ...]:
+    """The digits of a key, lowest first, up to its highest nonzero one;
+    cached, since `relabel` reads the keys of one cumulant polynomial once
+    for every block of its size."""
+    out = []
+    while key:
+        out.append(key & _DIGIT)
+        key >>= _WIDTH
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _block_image(block: tuple[int, ...]) -> tuple[int, ...]:
-    """Image mask of every symbol mask of [k] under i -> block[i - 1].
-
-    `block` is a strictly increasing tuple of positive ints of length k;
-    the table has 2^k entries, each the image of the mask without its
-    lowest bit ORed with that bit's image.
-    """
-    if any(b <= a for a, b in zip((0,) + block, block)):
-        raise ValueError(f"relabel block must be strictly increasing and positive: {block}")
-    bits = [1 << (v - 1) for v in block]
-    image = [0] * (1 << len(block))
-    for s in range(1, len(image)):
-        low = s & -s
-        image[s] = image[s ^ low] | bits[low.bit_length() - 1]
-    return tuple(image)
-
-
-def _support(terms) -> int:
-    """The OR of the symbol masks of a polynomial's monomials."""
-    return reduce(or_, chain.from_iterable(terms), 0)
+def _decode(key: int, layout: int) -> tuple[tuple[int, ...], ...]:
+    """A monomial key as element tuples sorted by (size, subset)."""
+    if layout == _UNIVARIATE:
+        symbols = [
+            tuple(range(1, j + 1))
+            for j, count in enumerate(_digits(key), 1)
+            for _ in range(count)
+        ]
+    else:
+        blocks: dict[int, list[int]] = {}
+        for i, least in enumerate(_digits(key), 1):
+            if least:
+                blocks.setdefault(least, []).append(i)
+        symbols = map(tuple, blocks.values())
+    return tuple(sorted(symbols, key=lambda s: (len(s), s)))
 
 
-def _symbols(mono: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """A bitmask monomial as element tuples sorted by (size, subset)."""
-    return tuple(sorted(map(_elements, mono), key=lambda s: (len(s), s)))
+def _occupied(keys) -> int:
+    """The support of multilinear keys: bit 0 of digit i - 1 for each
+    element i some key holds (the shifts fold each digit onto its bit 0)."""
+    s = reduce(or_, keys, 0)
+    return (s | s >> 1 | s >> 2 | s >> 3 | s >> 4) & _LOW
+
+
+def _joined(layout: int) -> int:
+    """The layout of a sum or product, from the OR of its operands'."""
+    if layout == _MULTILINEAR | _UNIVARIATE:
+        raise ValueError(
+            "cannot mix multilinear and univariate moment polynomials; "
+            "identify the variables with univariate() first"
+        )
+    return layout
 
 
 class MomentPolynomial:
     """Exact polynomial in formal moment symbols m_S, S a nonempty set of
     positive integers.
 
-    ``terms`` maps monomials (sorted tuples of symbol bitmasks) to nonzero
-    integer numerators over the one denominator ``den``.  Equality compares
-    ``den`` and ``terms``.  The constructor, ``sorted_terms``, ``evaluate``
-    and the text form speak in element tuples and Fractions.
+    ``terms`` maps monomial keys (ints in the polynomial's ``layout``; see
+    "Moment polynomials" in the module docstring) to nonzero integer
+    numerators over the one denominator ``den``.  Equality compares
+    ``den`` and ``terms`` within a layout.  The constructor,
+    ``sorted_terms``, ``evaluate`` and the text form speak in element
+    tuples and Fractions.
     """
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("terms", "den", "layout")
 
     def __init__(self, terms):
-        acc: dict[tuple[int, ...], Fraction] = {}
+        monos = []
         for mono, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff:
-                key = tuple(sorted(_mask(s) for s in mono))
-                acc[key] = acc.get(key, 0) + coeff
+                monos.append((tuple(map(moment_symbol, mono)), coeff))
+        keys = [_multilinear_key(symbols) for symbols, _ in monos]
+        if None not in keys:
+            layout = _MULTILINEAR
+        elif all(s[-1] == len(s) for symbols, _ in monos for s in symbols):
+            keys = [_size_key(map(len, symbols)) for symbols, _ in monos]
+            layout = _UNIVARIATE
+        else:
+            raise ValueError(
+                "a monomial whose symbols meet fits neither layout unless "
+                "every symbol of the polynomial is an initial segment (1..j)"
+            )
+        acc: dict[int, Fraction] = {}
+        for key, (_, coeff) in zip(keys, monos):
+            acc[key] = acc.get(key, 0) + coeff
         den = lcm(*(c.denominator for c in acc.values()))
         self.terms = {
             m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
         }
         self.den = den if self.terms else 1
+        self.layout = layout if any(self.terms) else 0
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, terms: dict, den: int = 1) -> "MomentPolynomial":
-        """Wrap nonzero integer numerators over den > 0, reduced to lowest terms."""
+    def _wrap(cls, terms: dict, den: int, layout: int) -> "MomentPolynomial":
+        """Wrap nonzero integer numerators over den > 0, reduced to lowest
+        terms; a constant, zero included, gets layout 0."""
+        if not any(terms):
+            layout = 0
         if not terms:
             den = 1
         elif den != 1:
@@ -540,15 +606,16 @@ class MomentPolynomial:
         out = cls.__new__(cls)
         out.terms = terms
         out.den = den
+        out.layout = layout
         return out
 
     @classmethod
     def one(cls) -> "MomentPolynomial":
-        return cls._wrap({(): 1})
+        return cls._wrap({0: 1}, 1, 0)
 
     @classmethod
     def symbol(cls, subset) -> "MomentPolynomial":
-        return cls._wrap({(_mask(subset),): 1})
+        return cls._wrap({_multilinear_key((moment_symbol(subset),)): 1}, 1, _MULTILINEAR)
 
     # -- structure ----------------------------------------------------------
 
@@ -560,12 +627,15 @@ class MomentPolynomial:
 
     def sorted_terms(self):
         """(monomial as element tuples, Fraction coefficient), sorted."""
-        den = self.den
-        return sorted((_symbols(m), Fraction(c, den)) for m, c in self.terms.items())
+        den, layout = self.den, self.layout
+        return sorted((_decode(m, layout), Fraction(c, den)) for m, c in self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
+        if self.layout | other.layout == _MULTILINEAR | _UNIVARIATE:
+            # one key can stand for two monomials: compare the monomials
+            return self.sorted_terms() == other.sorted_terms()
         return self.den == other.den and self.terms == other.terms
 
     # -- arithmetic ---------------------------------------------------------
@@ -581,39 +651,43 @@ class MomentPolynomial:
         return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self):
-        return MomentPolynomial._wrap({m: -c for m, c in self.terms.items()}, self.den)
+        return MomentPolynomial._wrap(
+            {m: -c for m, c in self.terms.items()}, self.den, self.layout
+        )
 
     def __mul__(self, other):
         """The product; a scalar `other` scales every coefficient.
 
-        When the supports (the OR of the symbol masks) of the two factors
-        are disjoint, as for the blocks of a partitioned cumulant, distinct
+        A key product is a key sum.  Multilinear factors must have disjoint
+        supports, as the blocks of a partitioned cumulant do; then distinct
         term pairs give distinct monomials and nonzero coefficients, so the
         product is one dict comprehension with no merging and no zero test.
-        Otherwise equal monomials are merged and cancelled terms dropped.
+        Univariate products merge equal monomials, drop cancelled terms and
+        raise ValueError when a factor count passes 31.
         """
         if not isinstance(other, MomentPolynomial):
             return linear_combination(((other, self),))
+        layout = _joined(self.layout | other.layout)
         den = self.den * other.den
         other_terms = other.terms.items()
-        if not (_support(self.terms) & _support(other.terms)):
-            out = {
-                tuple(sorted(m1 + m2)): c1 * c2
-                for m1, c1 in self.terms.items()
-                for m2, c2 in other_terms
-            }
-            return MomentPolynomial._wrap(out, den)
-        out: dict[tuple[int, ...], int] = {}
+        if layout != _UNIVARIATE:
+            if _occupied(self.terms) & _occupied(other.terms):
+                raise ValueError("multilinear factors with overlapping supports")
+            out = {m1 + m2: c1 * c2 for m1, c1 in self.terms.items() for m2, c2 in other_terms}
+            return MomentPolynomial._wrap(out, den, layout)
+        out: dict[int, int] = {}
         get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other_terms:
-                mono = tuple(sorted(m1 + m2))
+                mono = m1 + m2
+                if (mono ^ m1 ^ m2) & _LOW:  # a count carried into the next digit
+                    raise ValueError(_OVERFLOW)
                 v = get(mono, 0) + c1 * c2
                 if v:
                     out[mono] = v
                 else:
                     del out[mono]
-        return MomentPolynomial._wrap(out, den)
+        return MomentPolynomial._wrap(out, den, layout)
 
     __rmul__ = __mul__
 
@@ -621,46 +695,62 @@ class MomentPolynomial:
 
     def relabel(self, block: tuple[int, ...]) -> "MomentPolynomial":
         """Move the symbols of [k] onto `block`, a strictly increasing
-        k-tuple of positive ints: element i becomes block[i - 1].
+        k-tuple of elements of 1..31: element i becomes block[i - 1].
 
-        The map is order-preserving, so it keeps the integer order of
-        bitmasks: every monomial stays sorted and distinct monomials stay
-        distinct.  Each symbol's image is read from the block's cached
-        table (`_block_image`); a symbol outside [k] raises ValueError.
+        The map is order-preserving, so it maps the least element of a
+        symbol to the least element of its image: digit i - 1 of a key,
+        which holds a least element l, becomes digit block[i - 1] - 1,
+        which holds block[l - 1].  Distinct monomials stay distinct.  A
+        symbol outside [k] raises ValueError, and so does the univariate
+        layout, which has no elements to move.
         """
-        image = _block_image(block).__getitem__
-        try:
-            out = {tuple(map(image, mono)): c for mono, c in self.terms.items()}
-        except IndexError:
-            raise ValueError(
-                f"relabel block {block} is too short for the polynomial's symbols"
-            ) from None
-        return MomentPolynomial._wrap(out, self.den)
+        if any(b <= a for a, b in zip((0,) + block, block + (_DIGIT + 1,))):
+            raise ValueError(f"relabel block must increase strictly within 1..{_DIGIT}: {block}")
+        if self.layout == _UNIVARIATE:
+            raise ValueError("relabel needs a multilinear polynomial")
+        k = len(block)
+        if _occupied(self.terms) >> _WIDTH * k:
+            raise ValueError(f"relabel block {block} is too short for the polynomial's symbols")
+        if block == tuple(range(1, k + 1)):
+            return self
+        # places[i][l]: digit i holding l, moved; l = 0 stays 0
+        places = [[0] + [v << _WIDTH * (w - 1) for v in block] for w in block]
+        place = list.__getitem__
+        out = {
+            sum(map(place, places, _digits(key))): c for key, c in self.terms.items()
+        }
+        return MomentPolynomial._wrap(out, self.den, self.layout)
 
     def univariate(self) -> "MomentPolynomial":
         """Identify all variables: each symbol S becomes the symbol (1..|S|).
 
-        This is the specialization X_1 = ... = X_n = X; two multivariate
-        polynomials with equal univariate images agree as univariate
-        identities.
+        This is the specialization X_1 = ... = X_n = X, and the one way into
+        the univariate layout: a multilinear key becomes the key that counts
+        its symbols by size.  Two multivariate polynomials with equal
+        univariate images agree as univariate identities.  A univariate or
+        constant polynomial is its own image.
         """
-        out: dict[tuple[int, ...], int] = {}
+        if self.layout != _MULTILINEAR:
+            return self
+        out: dict[int, int] = {}
         for mono, c in self.terms.items():
-            key = tuple(sorted((1 << s.bit_count()) - 1 for s in mono))
+            sizes = Counter(_digits(mono))  # least element -> symbol size
+            sizes.pop(0, None)
+            key = _size_key(sizes.values())
             v = out.get(key, 0) + c
             if v:
                 out[key] = v
             else:
                 del out[key]
-        return MomentPolynomial._wrap(out, self.den)
+        return MomentPolynomial._wrap(out, self.den, _UNIVARIATE)
 
     def evaluate(self, value_of_symbol) -> Fraction:
         """Evaluate with `value_of_symbol(sym) -> Fraction` per symbol."""
         total = Fraction(0)
         for mono, c in self.terms.items():
             prod = Fraction(c)
-            for s in mono:
-                prod *= Fraction(value_of_symbol(_elements(s)))
+            for s in _decode(mono, self.layout):
+                prod *= Fraction(value_of_symbol(s))
             total += prod
         return total / self.den
 
@@ -686,17 +776,20 @@ def linear_combination(pairs) -> MomentPolynomial:
 
     The one accumulator of the package: integer numerators are added into
     a single dict over a running denominator, which is rescaled (to the
-    lcm) only when a contribution's denominator does not divide it.
+    lcm) only when a contribution's denominator does not divide it.  The
+    polynomials share one layout (constants fit both).
     """
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     den = 1
+    layout = 0
     for weight, poly in pairs:
         if not isinstance(weight, (int, Fraction)):
             weight = Fraction(weight)
         a, b = weight.numerator, weight.denominator
         if not a:
             continue
+        layout |= poly.layout
         q = poly.den
         if q != 1:
             g = gcd(a, q)
@@ -716,16 +809,22 @@ def linear_combination(pairs) -> MomentPolynomial:
                 acc[m] = v
             else:
                 del acc[m]
-    return MomentPolynomial._wrap(acc, den)
+    return MomentPolynomial._wrap(acc, den, _joined(layout))
 
 
 def moment_monomial(partition) -> MomentPolynomial:
     """The monomial prod_{V in pi} m_V with coefficient 1.
 
     Takes a SetPartition and reads its restricted growth string: element
-    i sets bit i-1 of the mask of its block.
+    i gets the least element of its block, the first i with its block
+    index.
     """
-    masks = [0] * partition.num_blocks
+    if partition.n > _DIGIT:
+        raise ValueError(f"moment monomials hold elements 1..{_DIGIT}, not {partition.n}")
+    least: list[int] = []
+    key = 0
     for i, a in enumerate(partition.rgs):
-        masks[a] |= 1 << i
-    return MomentPolynomial._wrap({tuple(sorted(masks)): 1})
+        if a == len(least):
+            least.append(i + 1)
+        key += least[a] << _WIDTH * i
+    return MomentPolynomial._wrap({key: 1}, 1, _MULTILINEAR)

@@ -321,6 +321,9 @@ def _cmd_convert(args) -> int:
         print(f"error: values must be a JSON array of rationals "
               f"(parse error at position {exc.pos})", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # a number literal the decoder cannot convert
+        print(f"error: bad rational in values: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not isinstance(raw, list) or not raw:
         print("error: values must be a non-empty JSON array", file=sys.stderr)
         return EXIT_USAGE

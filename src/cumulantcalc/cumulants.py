@@ -145,15 +145,23 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _block_cumulant(kind: CumulantKind, block: tuple[int, ...]) -> MomentPolynomial:
+    """The |block|-th cumulant relabelled onto `block`: one relabel per
+    (kind, block) per process."""
+    return _cumulant_poly(kind, len(block)).relabel(block)
+
+
+@lru_cache(maxsize=None)
 def _partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomial:
     """The blocks' cumulants, each relabelled onto its block, multiplied
-    together.  The blocks are disjoint, so every product takes the
-    disjoint-support branch of `MomentPolynomial.__mul__`: no two term
-    pairs merge.  The product starts from the first block's image."""
-    first, *rest = pi.blocks
-    out = _cumulant_poly(kind, len(first)).relabel(first)
+    together.  The blocks are disjoint, so every product is a product of
+    multilinear factors with disjoint supports: no two term pairs merge.
+    The factors go smallest block first, so the partial products stay
+    small until the largest factor multiplies in."""
+    first, *rest = sorted(pi.blocks, key=len)
+    out = _block_cumulant(kind, first)
     for block in rest:
-        out = out * _cumulant_poly(kind, len(block)).relabel(block)
+        out = out * _block_cumulant(kind, block)
     return out
 
 

@@ -44,7 +44,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import comb, factorial, prod
 
 from .algebra import (
@@ -203,7 +203,7 @@ class FamilySum:
         if self.lhs is None:
             lhs = moment_monomial(SetPartition.one_block(n))
         elif self.univariate:
-            lhs = _type_sum(n, self.lhs, [(1, SetPartition.one_block(n))])
+            lhs = _type_products(n, self.lhs)((n,))
         else:
             lhs = cumulant_poly(self.lhs, n)
         members = partitions_of(n, self.cls)
@@ -229,7 +229,7 @@ class FamilySum:
 
     def _sum(self, n: int, weighted) -> MomentPolynomial:
         if self.univariate:
-            return _type_sum(n, self.rhs, weighted)
+            return _type_sum(_type_products(n, self.rhs), weighted)
         return _cumulant_sum(n, self.rhs, weighted)
 
 
@@ -241,25 +241,27 @@ def _cumulant_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
     return linear_combination(pairs)
 
 
-def _type_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
-    """Sum of w * kind_pi over (w, pi) pairs, all variables identified.
-
-    Univariate, kind_pi is the product of u_|V| over the blocks V of pi,
-    so the weights are summed by block-size type, and u_1..u_n are the
-    cumulants of the moment symbols m_{1..k}, from `cumulants_from_moments`.
-    """
+def _type_products(n: int, kind: CumulantKind):
+    """Univariate kind_pi as a memoized function of the block-size type of
+    pi (its sorted size tuple): the product of u_s over the sizes s, where
+    u_1..u_n are the cumulants of the moment symbols m_{1..k}, from
+    `cumulants_from_moments`.  The limits of `kind` are checked at n."""
     _check_cumulant_limits(kind, n)
+    u = cumulants_from_moments(
+        kind, [MomentPolynomial.symbol(range(1, k + 1)).univariate() for k in range(1, n + 1)]
+    )
+    return cache(lambda sizes: prod((u[s - 1] for s in sizes), start=MomentPolynomial.one()))
+
+
+def _type_sum(products, weighted) -> MomentPolynomial:
+    """Sum of w * kind_pi over (w, pi) pairs, all variables identified, with
+    kind_pi from `_type_products`: the weights are summed by block-size
+    type first."""
     by_type: dict[tuple[int, ...], int | Fraction] = {}
     for w, pi in weighted:
         sizes = tuple(sorted(pi.block_sizes()))
         by_type[sizes] = by_type.get(sizes, 0) + w
-    u = cumulants_from_moments(
-        kind, [MomentPolynomial.symbol(range(1, k + 1)) for k in range(1, n + 1)]
-    )
-    return linear_combination(
-        (w, prod((u[s - 1] for s in sizes), start=MomentPolynomial.one()))
-        for sizes, w in by_type.items() if w
-    )
+    return linear_combination((w, products(sizes)) for sizes, w in by_type.items() if w)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +391,12 @@ def _lenczewski_sum(n):
     members = partitions_of(n, "noncrossing")
     # P_pi depends only on the forest shape of pi: evaluate each one once
     evaluate = lru_cache(maxsize=None)(Polynomial.evaluate)
+    free, monotone = _type_products(n, R), _type_products(n, H)
     for colors in range(1, 6):
-        lhs = _type_sum(n, R, (
+        lhs = _type_sum(free, (
             (evaluate(labelling_polynomial_of(pi), colors), pi) for pi in members
         ))
-        rhs = _type_sum(n, H, (
+        rhs = _type_sum(monotone, (
             (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
             for pi in members
         ))
@@ -511,7 +514,7 @@ _THM2 = [
 _THM2_MULTIVARIATE = [
     replace(row, name=f"{row.name}_mv", max_n=max_n, univariate=False,
             summary=row.summary.replace("univariate", "multivariate", 1))
-    for row, max_n in zip(_THM2, (9, 9, 8))
+    for row, max_n in zip(_THM2, (10, 10, 8))
 ]
 
 
@@ -560,11 +563,11 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
         FamilySum("free2class_tutte", 7, K, R, "connected",
                   lambda pi: _sign(pi) * tutte_eval(crossing_graph(pi), 1, 0), False,
                   "classical cumulants from free cumulants weighted by crossing-graph Tutte values"),
-        FamilySum("thm1_mono2boolean", 9, B, H, "irreducible-noncrossing",
+        FamilySum("thm1_mono2boolean", 10, B, H, "irreducible-noncrossing",
                   lambda pi: Fraction(1, partition_tree_factorial(pi)), False,
                   "Boolean cumulants from monotone cumulants with nesting-forest weights",
                   ordered_max_n=6),
-        FamilySum("thm1_mono2free", 9, R, H, "irreducible-noncrossing",
+        FamilySum("thm1_mono2free", 10, R, H, "irreducible-noncrossing",
                   lambda pi: Fraction(_sign(pi), partition_tree_factorial(pi)), False,
                   "free cumulants from monotone cumulants with signed nesting-forest weights",
                   ordered_max_n=6),

@@ -31,7 +31,7 @@ DEFAULT_LIMITS = {
     "monotone": 8,
     "beta-blocks": 10,
     "cumulant-classical": 8,
-    "cumulant-other": 9,
+    "cumulant-other": 10,
 }
 
 

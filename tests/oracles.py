@@ -434,6 +434,14 @@ def fd_relabel(poly: dict, mapping) -> dict:
     }
 
 
+def fd_univariate(poly: dict) -> dict:
+    """Each symbol S becomes (1, ..., |S|): the variables identified."""
+    return fd_add(*(
+        (c, {_canonical(tuple(range(1, len(s) + 1)) for s in mono): Fraction(1)})
+        for mono, c in poly.items()
+    ))
+
+
 def fd_from_sorted_terms(terms) -> dict:
     return {mono: Fraction(c) for mono, c in terms}
 

@@ -3,6 +3,8 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -21,11 +23,15 @@ from cumulantcalc.algebra import (
 from cumulantcalc.partitions import SetPartition, enumerate_partitions
 
 from oracles import (
+    _canonical,
     _fd_monomial,
+    bell_number,
     exp_termwise,
     fd_add,
     fd_from_sorted_terms,
     fd_mul,
+    fd_relabel,
+    fd_univariate,
     fs_add,
     fs_compose,
     fs_log,
@@ -214,56 +220,112 @@ def test_moment_monomial_matches_oracle():
             assert mono.sorted_terms() == sorted(_fd_monomial(pi).items()), pi
 
 
+def _random_multilinear_mono(rng, elements):
+    """A random set partition, into at most three blocks, of a random
+    subset of `elements`."""
+    blocks: dict[int, list[int]] = {}
+    for e in rng.sample(elements, rng.randint(0, len(elements))):
+        blocks.setdefault(rng.randint(0, 2), []).append(e)
+    return tuple(tuple(sorted(b)) for b in blocks.values())
+
+
+def _random_univariate_mono(rng, size):
+    """One to three initial segments (1..j), j <= size, repeats allowed."""
+    return tuple(tuple(range(1, rng.randint(1, size) + 1)) for _ in range(rng.randint(1, 3)))
+
+
 def test_moment_polynomial_ring_axioms():
     rng = random.Random(7)
 
-    def rand_poly(n, rational):
+    def rand_poly(monomial, rational):
         out = MomentPolynomial({})
         for _ in range(rng.randint(1, 4)):
-            syms = []
-            for _ in range(rng.randint(1, 3)):
-                size = rng.randint(1, n)
-                start = rng.randint(1, n - size + 1)
-                syms.append(tuple(range(start, start + size)))
             coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 6) if rational else 1)
-            out = out + coeff * MomentPolynomial({tuple(syms): 1})
+            out = out + coeff * monomial()
         return out
+
+    def multilinear_monomial(elements):
+        return MomentPolynomial({_random_multilinear_mono(rng, elements): 1})
+
+    def univariate_monomial():
+        return MomentPolynomial({_random_univariate_mono(rng, 4): 1}).univariate()
 
     zero = MomentPolynomial({})
     for rational in (False, True):
         for _ in range(30):
-            a, b, c = (rand_poly(4, rational) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a - a == zero
-            assert (a - a).den == 1
-            assert (a * Fraction(1, 3)) * 3 == a
-            assert a * 0 == zero and (a * 0).den == 1
-            # the integer kernel against the Fraction-dict reference
-            fa, fb, fc = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b, c))
-            assert (a * b).sorted_terms() == sorted(fd_mul(fa, fb).items())
-            assert (a - b).sorted_terms() == sorted(fd_add((1, fa), (-1, fb)).items())
-            w = [Fraction(rng.randint(-4, 4), rng.randint(1, 7)) for _ in range(3)]
-            combo = linear_combination(zip(w, (a, b, c)))
-            assert combo.sorted_terms() == sorted(fd_add(*zip(w, (fa, fb, fc))).items())
-            # one denominator per polynomial, in lowest terms
-            assert combo.den > 0
-            assert gcd(combo.den, *combo.terms.values()) == 1
+            # multilinear factors on disjoint parts of [6], univariate ones
+            elements = rng.sample(range(1, 7), 6)
+            multilinear = [
+                rand_poly(partial(multilinear_monomial, elements[i:i + 2]), rational)
+                for i in (0, 2, 4)
+            ]
+            univariate = [rand_poly(univariate_monomial, rational) for _ in range(3)]
+            for a, b, c in (multilinear, univariate):
+                assert a * b == b * a
+                assert (a * b) * c == a * (b * c)
+                assert a * (b + c) == a * b + a * c
+                assert a - a == zero
+                assert (a - a).den == 1
+                assert (a * Fraction(1, 3)) * 3 == a
+                assert a * 0 == zero and (a * 0).den == 1
+                # the integer kernel against the Fraction-dict reference
+                fa, fb, fc = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b, c))
+                assert (a * b).sorted_terms() == sorted(fd_mul(fa, fb).items())
+                assert (a - b).sorted_terms() == sorted(fd_add((1, fa), (-1, fb)).items())
+                w = [Fraction(rng.randint(-4, 4), rng.randint(1, 7)) for _ in range(3)]
+                combo = linear_combination(zip(w, (a, b, c)))
+                assert combo.sorted_terms() == sorted(fd_add(*zip(w, (fa, fb, fc))).items())
+                # one denominator per polynomial, in lowest terms
+                assert combo.den > 0
+                assert gcd(combo.den, *combo.terms.values()) == 1
+                assert combo.univariate().sorted_terms() == sorted(
+                    fd_univariate(fd_add(*zip(w, (fa, fb, fc)))).items()
+                )
+            # [6] moved onto a random 6-subset of [9]
+            block = tuple(sorted(rng.sample(range(1, 10), 6)))
+            whole = multilinear[0] * multilinear[1] * multilinear[2]
+            expected = fd_relabel(fd_from_sorted_terms(whole.sorted_terms()),
+                                  dict(zip(range(1, 7), block)))
+            assert whole.relabel(block).sorted_terms() == sorted(expected.items())
+
+
+def test_every_multilinear_monomial_round_trips():
+    # a multilinear monomial over [7] is a set partition of a subset of [7]
+    keys = set()
+    for size in range(8):
+        for subset in combinations(range(1, 8), size):
+            for pi in enumerate_partitions(size, "all") if size else [None]:
+                mono = _canonical(
+                    tuple(subset[i - 1] for i in block) for block in (pi.blocks if pi else ())
+                )
+                p = MomentPolynomial({mono: Fraction(-3, 2)})
+                assert p.sorted_terms() == [(mono, Fraction(-3, 2))]
+                assert p.univariate().sorted_terms() == sorted(
+                    fd_univariate({mono: Fraction(-3, 2)}).items()
+                )
+                keys.update(p.terms)
+    assert len(keys) == bell_number(8)  # distinct monomials, distinct keys
+    # and every univariate monomial of weight <= 7 (a partition of the weight)
+    for weight in range(1, 8):
+        for count in range(1, weight + 1):
+            for sizes in combinations_with_replacement(range(1, weight + 1), count):
+                if sum(sizes) == weight:
+                    mono = tuple(tuple(range(1, s + 1)) for s in sizes)
+                    p = MomentPolynomial({mono: 5})
+                    assert p.sorted_terms() == [(mono, 5)]
 
 
 def _random_poly(rng, elements, include=None):
-    """A seeded random polynomial whose symbols are nonempty subsets of
-    `elements`, with rational coefficients; the symbol {include} is a
-    factor of its first monomial, when given."""
+    """A seeded random multilinear polynomial with rational coefficients,
+    each monomial a set partition of a random subset of `elements`; the
+    symbol {include} is a factor of its first monomial, when given."""
     terms = {}
     for k in range(rng.randint(1, 5)):
-        mono = tuple(
-            tuple(sorted(rng.sample(elements, rng.randint(1, len(elements)))))
-            for _ in range(rng.randint(0, 3))
-        )
         if include is not None and k == 0:
-            mono += ((include,),)
+            rest = [e for e in elements if e != include]
+            mono = _random_multilinear_mono(rng, rest) + ((include,),)
+        else:
+            mono = _random_multilinear_mono(rng, elements)
         terms[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
     return MomentPolynomial(terms)
 
@@ -287,14 +349,19 @@ def test_product_branches_match_fraction_dict_oracle():
             a = _random_poly(rng, left, include)
             b = _random_poly(rng, right, include)
             assert bool(_support_of(a) & _support_of(b)) == (include is not None)
+            if include is not None:
+                # multilinear factors may not meet: the merging branch is
+                # the univariate one
+                with pytest.raises(ValueError, match="overlapping supports"):
+                    a * b
+                a, b = a.univariate(), b.univariate()
             fa, fb = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b))
             product = a * b
             assert product.sorted_terms() == sorted(fd_mul(fa, fb).items())
             assert product.den > 0 and gcd(product.den, *product.terms.values()) == 1
             assert product == b * a
         # (a + b)(a - b): the cross terms cancel in the merging branch
-        a, b = (_random_poly(rng, elements, shared) for _ in range(2))
-        assert shared in _support_of(a + b) & _support_of(a - b)
+        a, b = (_random_poly(rng, elements, shared).univariate() for _ in range(2))
         fa, fb = (fd_from_sorted_terms(p.sorted_terms()) for p in (a, b))
         product = (a + b) * (a - b)
         expected = fd_mul(fd_add((1, fa), (1, fb)), fd_add((1, fa), (-1, fb)))
@@ -303,17 +370,19 @@ def test_product_branches_match_fraction_dict_oracle():
     # disjoint factors whose product has a common factor to reduce
     x = MomentPolynomial({((1,),): Fraction(2, 3)})
     y = MomentPolynomial({((2,),): Fraction(3, 2)})
-    assert (x * y).terms == {(0b01, 0b10): 1} and (x * y).den == 1
+    assert (x * y).terms == {1 + (2 << 5): 1} and (x * y).den == 1
 
 
 def test_linear_combination_rescales_the_denominator():
+    # the keys of m{1} and m{2}: digit i - 1 holds the least element of the
+    # symbol that holds i
     x = MomentPolynomial.symbol((1,))
     y = MomentPolynomial.symbol((2,))
     halves = linear_combination([(Fraction(1, 2), x), (Fraction(1, 2), y)])
-    assert halves.den == 2 and halves.terms == {(1,): 1, (2,): 1}
+    assert halves.den == 2 and halves.terms == {1: 1, 2 << 5: 1}
     # 1/2 x + 1/3 y: 3 does not divide 2, so the running denominator becomes 6
     mixed = linear_combination([(Fraction(1, 2), x), (Fraction(1, 3), y)])
-    assert mixed.den == 6 and mixed.terms == {(1,): 3, (2,): 2}
+    assert mixed.den == 6 and mixed.terms == {1: 3, 2 << 5: 2}
     assert mixed.sorted_terms() == [(((1,),), Fraction(1, 2)), (((2,),), Fraction(1, 3))]
     # a weight that cancels a polynomial's denominator
     assert linear_combination([(6, mixed)]) == 3 * x + 2 * y
@@ -326,11 +395,70 @@ def test_linear_combination_rescales_the_denominator():
 
 
 def test_moment_polynomial_repeated_symbols_allowed():
-    m1 = MomentPolynomial.symbol((1,))
+    # in the univariate layout, where digit j - 1 counts the factors m_{1..j}
+    m1 = MomentPolynomial.symbol((1,)).univariate()
     sq = m1 * m1
     assert sq.num_terms() == 1
     ((mono, coeff),) = sq.sorted_terms()
     assert mono == ((1,), (1,)) and coeff == 1
+    assert sq.terms == {2: 1}
+    assert sq == MomentPolynomial({((1,), (1,)): 1})
+
+
+def test_moment_polynomial_layouts_reject_what_they_cannot_hold():
+    sym = MomentPolynomial.symbol
+    # elements go up to 31, one 5-bit digit
+    top = sym((1, 31))
+    assert top.sorted_terms() == [(((1, 31),), 1)]
+    assert sym((1, 2)).relabel((30, 31)) == sym((30, 31))
+    assert moment_monomial(SetPartition.one_block(31)) == sym(range(1, 32))
+    with pytest.raises(ValueError):
+        sym((1, 32))
+    with pytest.raises(ValueError):
+        MomentPolynomial({((32,),): 1})
+    with pytest.raises(ValueError):
+        sym((1, 2)).relabel((31, 32))
+    with pytest.raises(ValueError):
+        moment_monomial(SetPartition.one_block(32))
+    # a factor count goes up to 31 as well
+    power = MomentPolynomial({((1,),) * 31: 1})
+    assert power.sorted_terms() == [(((1,),) * 31, 1)]
+    m1 = sym((1,)).univariate()
+    assert power * sym((1, 2)).univariate() != power
+    with pytest.raises(ValueError, match="more than 31"):
+        power * m1
+    with pytest.raises(ValueError, match="more than 31"):
+        MomentPolynomial({((1,),) * 32: 1})
+    # multilinear factors whose supports meet
+    with pytest.raises(ValueError, match="overlapping supports"):
+        sym((1, 2)) * sym((2, 3))
+    with pytest.raises(ValueError, match="overlapping supports"):
+        sym((1,)) * sym((1,))
+    # a monomial whose symbols meet and are not all initial segments
+    with pytest.raises(ValueError, match="neither layout"):
+        MomentPolynomial({((2,), (2, 3)): 1})
+    with pytest.raises(ValueError, match="neither layout"):
+        MomentPolynomial({((1,), (1,)): 1, ((2,),): 1})
+    # the two layouts do not mix; a constant belongs to both
+    for mixed in (
+        lambda: sym((1, 2)) + sym((1, 2)).univariate(),
+        lambda: sym((1, 2)) * sym((3,)).univariate(),
+        lambda: linear_combination([(1, sym((1,))), (2, m1)]),
+    ):
+        with pytest.raises(ValueError, match="cannot mix"):
+            mixed()
+    one = MomentPolynomial.one()
+    assert one * m1 == m1 and one * sym((2,)) == sym((2,))
+    assert (one + m1).sorted_terms() == [((), 1), (((1,),), 1)]
+    assert (one + sym((1,)) - sym((1,))) * m1 == m1  # a constant once more
+    with pytest.raises(ValueError, match="multilinear"):
+        m1.relabel((2,))
+    # equality compares monomials across the layouts, not keys: m{1}*m{2}
+    # and m{1}*m{1,2}^2 share the key 1 + (2 << 5)
+    assert sym((1, 2)) == sym((1, 2)).univariate()
+    product = sym((1,)) * sym((2,))
+    power = MomentPolynomial({((1,), (1, 2), (1, 2)): 1})
+    assert product.terms == power.terms and product != power
 
 
 def test_moment_polynomial_validation():
@@ -354,8 +482,9 @@ def test_moment_polynomial_validation():
 
 def test_moment_polynomial_bitmask_storage():
     p = MomentPolynomial({((1, 3), (2,)): Fraction(1, 2), ((1, 2, 3),): Fraction(-1, 3)})
-    # m_S is the bitmask of S, a monomial the sorted tuple of its masks
-    assert p.terms == {(0b010, 0b101): 3, (0b111,): -2}
+    # a multilinear key: 5-bit digit i - 1 holds the least element of the
+    # symbol that holds i
+    assert p.terms == {0b00001_00010_00001: 3, 0b00001_00001_00001: -2}
     assert p.den == 6
     # symbols inside a monomial by (size, subset), monomials as tuples
     assert p.sorted_terms() == [
@@ -369,6 +498,12 @@ def test_moment_polynomial_bitmask_storage():
     ]
     values = {(2,): 5, (1, 3): 7, (1, 2, 3): Fraction(1, 4)}
     assert p.evaluate(values.__getitem__) == Fraction(35, 2) - Fraction(1, 12)
+    # a univariate key: digit j - 1 counts the factors m_{1..j}
+    u = p.univariate()
+    assert u.terms == {0b00001_00001: 3, 0b00001_00000_00000: -2} and u.den == 6
+    assert repr(u) == "1/2*m{1}*m{1,2} - 1/3*m{1,2,3}"
+    values = {(1,): 5, (1, 2): 7, (1, 2, 3): Fraction(1, 4)}
+    assert u.evaluate(values.__getitem__) == Fraction(35, 2) - Fraction(1, 12)
 
 
 def test_univariate_specialization_merges_by_size():

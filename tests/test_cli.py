@@ -385,6 +385,12 @@ def test_convert_reads_json_numbers_exactly(capsys):
     for bad in (f"[1e{limit}]", f"[1e-{limit}]", "[1e4301]", "[2.5E-999999999]"):
         code, out, err = run_cli(capsys, "convert", "moments", "free", bad)
         assert code == 2 and out == "" and "exponent out of range" in err, bad
+    # a literal with more digits than the interpreter reads reports like
+    # the same value as a JSON string
+    digits = "1" + "0" * limit
+    for bad in (f"[{digits}]", f"[1.{digits}]", f'["{digits}"]'):
+        code, out, err = run_cli(capsys, "convert", "moments", "moments", bad)
+        assert code == 2 and out == "" and err.startswith("error: bad rational in values: "), bad
 
 
 def test_convert_result_beyond_the_digit_limit_is_a_resource_error(capsys):

@@ -117,6 +117,27 @@ def test_cumulant_poly_matches_fraction_dict_oracle():
             assert partitioned_cumulant(kind, pi).sorted_terms() == expected, (kind, pi)
 
 
+def test_partitioned_cumulants_relabel_each_block_once(monkeypatch):
+    real = MomentPolynomial.relabel
+    blocks = Counter()
+
+    def counting(self, block):
+        blocks[block] += 1
+        return real(self, block)
+
+    monkeypatch.setattr(MomentPolynomial, "relabel", counting)
+    for kind in CumulantKind:
+        cumulants._block_cumulant.cache_clear()
+        cumulants._partitioned_cumulant.cache_clear()
+        cumulants._cumulant_poly.cache_clear()
+        blocks.clear()
+        for _ in range(2):
+            for pi in partitions_of(6, "all"):
+                partitioned_cumulant(kind, pi)
+        every = {block for pi in partitions_of(6, "all") for block in pi.blocks}
+        assert set(blocks) == every and set(blocks.values()) == {1}, kind
+
+
 def test_sequences_match_polynomials():
     # substituting a numeric moment sequence into the polynomial layer
     rng = random.Random(3)
@@ -134,7 +155,7 @@ def test_sequences_match_polynomials():
 def test_univariate_cumulants_of_moment_symbols():
     # cumulants_from_moments on the symbols m_{1..k} is the identified
     # multivariate cumulant polynomial
-    symbols = [sym(range(1, k + 1)) for k in range(1, 8)]
+    symbols = [sym(range(1, k + 1)).univariate() for k in range(1, 8)]
     for kind in CumulantKind:
         got = cumulants_from_moments(kind, symbols)
         for k in range(1, 8):

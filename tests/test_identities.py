@@ -13,6 +13,7 @@ from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factori
 from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
+    _type_products,
     _type_sum,
     catalog_jobs,
     identity_names,
@@ -225,7 +226,7 @@ def test_type_sum_matches_per_partition_oracle():
         for n in range(1, 8):
             weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
             expected = univariate_sum_per_partition(row.rhs, weighted)
-            assert _type_sum(n, row.rhs, weighted) == expected, (name, n)
+            assert _type_sum(_type_products(n, row.rhs), weighted) == expected, (name, n)
     # both sides of the Lenczewski sum
     for n in range(1, 7):
         members = partitions_of(n, "noncrossing")
@@ -239,4 +240,5 @@ def test_type_sum_matches_per_partition_oracle():
             ]
             for kind, weighted in sides:
                 expected = univariate_sum_per_partition(kind, weighted)
-                assert _type_sum(n, kind, weighted) == expected, (kind, n, colors)
+                products = _type_products(n, kind)
+                assert _type_sum(products, weighted) == expected, (kind, n, colors)
