@@ -229,7 +229,7 @@ def _table_rows(what: str, n: int):
         header = ["partition", "blocks", "tutte_anti_interval_10"]
         rows = [
             (pi.to_text(), str(pi.num_blocks),
-             rational_to_str(tutte_eval(anti_interval_graph(pi), 1, 0)))
+             str(tutte_eval(anti_interval_graph(pi))))
             for pi in partitions_of(n, "irreducible")
         ]
     else:  # "mobius"
@@ -279,7 +279,10 @@ def _cmd_table(args) -> int:
     for key in _TABLE_LIMITS[args.what]:
         check_limit(key, args.n)
     if args.cache_dir:
-        header, rows = _cached_table_rows(Path(args.cache_dir), args.what, args.n)
+        try:
+            header, rows = _cached_table_rows(Path(args.cache_dir), args.what, args.n)
+        except OSError as exc:  # the builder does no I/O: the cache failed
+            raise ValueError(f"--cache-dir {args.cache_dir} cannot be used: {exc}") from None
     else:
         header, rows = _table_rows(args.what, args.n)
     if args.format == "json":

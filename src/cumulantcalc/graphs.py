@@ -13,11 +13,10 @@ pairs split into crossing and nested ones:
   (e.g. {1,3,5} and {2,4}); crossing takes precedence, which is what makes
   the digraph a complete invariant for the beta coefficients.
 
-The Tutte polynomial is one deletion-contraction recursion on multigraphs
-(loop -> y * delete, bridge -> x * contract, else delete + contract) that
-builds coefficient tables, memoized on a normalized labeled edge list;
-`tutte_eval` sums the table at (x, y), memoized per (edge list, x, y).
-T(1,0) of a connected graph counts acyclic orientations whose unique
+`tutte_eval` gives the one Tutte value the paper uses, T(1,0), by an
+integer deletion-contraction on multigraphs (loop -> 0, bridge ->
+contract, else delete + contract), memoized on a normalized labeled edge
+list.  T(1,0) of a connected graph counts acyclic orientations whose unique
 source is any fixed vertex; specializing to the two graphs above it
 counts the crossing/interval heaps that are pyramids, i.e. heap orders in
 which the block containing 1 is the only maximal element.
@@ -29,7 +28,6 @@ T(1,0) on the graphs of a partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import SetPartition
@@ -126,7 +124,7 @@ def digraph_key(g: MixedGraph) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Tutte polynomial by deletion-contraction
+# Tutte value T(1, 0) by deletion-contraction
 # ---------------------------------------------------------------------------
 
 
@@ -145,39 +143,27 @@ def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _tutte_table(edges) -> dict[tuple[int, int], int]:
-    """Coefficients {(i, j): c} of T = sum c x^i y^j, pivoting on edges[0].
-
-    The tables are shared by every caller and must not be mutated.
-    """
+def _tutte_10(edges) -> int:
+    """T(1, 0) of a normalized edge list, pivoting on edges[0]."""
     if not edges:
-        return {(0, 0): 1}
+        return 1
     (u, v), rest = edges[0], edges[1:]
-    if u == v:  # a loop: y * T(G - e)
-        return {(i, j + 1): c for (i, j), c in _tutte_table(_normalize_edges(rest)).items()}
-    contracted = _tutte_table(_normalize_edges(
+    if u == v:  # a loop: the factor y is 0
+        return 0
+    contracted = _tutte_10(_normalize_edges(
         ((u if a == v else a), (u if b == v else b)) for a, b in rest
     ))
-    if v not in _reached(rest, u):  # a bridge: x * T(G / e)
-        return {(i + 1, j): c for (i, j), c in contracted.items()}
-    table = dict(_tutte_table(_normalize_edges(rest)))
-    for ij, c in contracted.items():
-        table[ij] = table.get(ij, 0) + c
-    return table
+    if v not in _reached(rest, u):  # a bridge: the factor x is 1
+        return contracted
+    return _tutte_10(_normalize_edges(rest)) + contracted
 
 
-def _edges_of(g: MixedGraph) -> tuple[tuple[int, int], ...]:
-    return _normalize_edges(list(g.all_edges_undirected()) + [(v, v) for v in g.loops])
-
-
-@lru_cache(maxsize=None)
-def _tutte_value(edges, x: Fraction, y: Fraction) -> Fraction:
-    return sum((c * x**i * y**j for (i, j), c in _tutte_table(edges).items()), Fraction(0))
-
-
-def tutte_eval(g: MixedGraph, x, y) -> Fraction:
-    """T_G(x, y) by deletion-contraction; orientations are ignored."""
-    return _tutte_value(_edges_of(g), Fraction(x), Fraction(y))
+def tutte_eval(g: MixedGraph) -> int:
+    """T_G(1, 0) by deletion-contraction; orientations are ignored and a
+    loop makes it 0."""
+    return _tutte_10(_normalize_edges(
+        list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_criterion_04_factorial_sum():
     for n in range(1, 8):
         per_k: dict[int, int] = {}
         for pi in partitions_of(n, "irreducible"):
-            t = tutte_eval(anti_interval_graph(pi), 1, 0)
+            t = tutte_eval(anti_interval_graph(pi))
             per_k[pi.num_blocks] = per_k.get(pi.num_blocks, 0) + t
         assert sum(per_k.values()) == factorial(n - 1), n
         for k in range(1, n + 1):
@@ -139,13 +139,13 @@ def test_criterion_05_three_way_tutte():
     for n in range(1, 8):
         for pi in partitions_of(n, "connected"):
             g = crossing_graph(pi)
-            t = tutte_eval(g, 1, 0)
+            t = tutte_eval(g)
             assert t == acyclic_orientations_by_orders(g, 0)
             assert t == count_pyramids(pi, "crossing")
             checked += 1
         for pi in partitions_of(n, "irreducible"):
             g = anti_interval_graph(pi)
-            t = tutte_eval(g, 1, 0)
+            t = tutte_eval(g)
             assert t == acyclic_orientations_by_orders(g, 0)
             assert t == count_pyramids(pi, "interval")
             checked += 1
@@ -160,7 +160,7 @@ def test_criterion_06_psi_bijection():
             part = cycle_runs(s)
             counts[part] = counts.get(part, 0) + 1
         for pi in partitions_of(n, "irreducible"):
-            assert counts.get(pi, 0) == tutte_eval(anti_interval_graph(pi), 1, 0), pi
+            assert counts.get(pi, 0) == tutte_eval(anti_interval_graph(pi)), pi
         assert sum(counts.values()) == factorial(n - 1)
     _ok("criterion 6 - heap bijection round-trips and counts match Tutte, n<=7")
 
@@ -175,7 +175,7 @@ def test_criterion_07_beta():
         for pi in partitions_of(n, "irreducible"):
             if not anti_interval_digraph(pi).directed:
                 expected = (-1) ** (pi.num_blocks - 1) * tutte_eval(
-                    crossing_graph(pi), 1, 0
+                    crossing_graph(pi)
                 )
                 assert beta_formula(pi) == expected, pi
         for pi in partitions_of(n, "irreducible-noncrossing"):

@@ -545,6 +545,32 @@ def test_table_cache_corrupt_file_is_a_miss(tmp_path, capsys):
         assert len(json.loads(cache_file.read_text())["rows"]) == 5
 
 
+def test_unusable_cache_dir_is_usage_error(tmp_path, capsys):
+    # a regular file fails the read, a dangling symlink the write
+    regular = tmp_path / "file"
+    regular.write_text("")
+    dangling = tmp_path / "link"
+    dangling.symlink_to(tmp_path / "nowhere")
+    for cache in (regular, dangling):
+        code, out, err = run_cli(capsys, "--cache-dir", str(cache), "table", "beta", "3")
+        assert code == 2 and out == "", cache
+        assert err.startswith(f"error: --cache-dir {cache} ") and err.count("\n") == 1, err
+    assert regular.read_text() == "" and not dangling.exists()
+
+
+def test_benchmark_recorded_digests(tmp_path, capsys):
+    # every op whose stdout the benchmark pins, run as its client runs them
+    path = Path(__file__).parents[1] / "perfbench" / "expected_digests.json"
+    recorded = json.loads(path.read_text())
+    assert recorded
+    for key, digest in recorded.items():
+        argv = key.split()
+        if argv[0] == "table":
+            argv = ["--cache-dir", str(tmp_path)] + argv
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
 def test_graph_command(capsys):
     code, out, _ = run_cli(capsys, "graph", "1,3|2,4")
     assert code == 0 and out.strip() == "n=2;u:0-1"

@@ -79,19 +79,27 @@ def test_mixed_graph_validation():
         MixedGraph(2, (), ((0, 0),))
 
 
+def _oracle_value(g, x, y) -> Fraction:
+    """T_G(x, y) summed from the subset-expansion oracle's coefficients."""
+    x, y = Fraction(x), Fraction(y)
+    return sum(c * x**i * y**j for (i, j), c in tutte_polynomial(g).items())
+
+
 def test_tutte_eval_small_graphs():
-    assert tutte_eval(MixedGraph(3), 1, 0) == 1  # edgeless
+    edgeless = MixedGraph(3)
+    assert tutte_eval(edgeless) == 1 and type(tutte_eval(edgeless)) is int
     edge = MixedGraph(2, ((0, 1),))
-    assert tutte_eval(edge, 1, 0) == 1  # bridge contributes x
-    assert tutte_eval(edge, Fraction(7), Fraction(3)) == 7
+    assert tutte_eval(edge) == 1  # bridge contributes x
+    assert _oracle_value(edge, 7, 3) == 7
     loop = MixedGraph(1, (), (), (0,))
-    assert tutte_eval(loop, 5, 3) == 3
+    assert tutte_eval(loop) == 0 and type(tutte_eval(loop)) is int
+    assert _oracle_value(loop, 5, 3) == 3
     triangle = MixedGraph(3, ((0, 1), (0, 2), (1, 2)))
     # delete-contract by hand: T = x^2 + x + y
     assert tutte_polynomial(triangle) == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
-    assert tutte_eval(triangle, 1, 0) == 2
+    assert tutte_eval(triangle) == 2
     c4 = MixedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-    assert tutte_eval(c4, 1, 0) == 3
+    assert tutte_eval(c4) == 3
     double_edge = MixedGraph(2, ((0, 1), (0, 1)))
     assert tutte_polynomial(double_edge) == {(1, 0): 1, (0, 1): 1}
 
@@ -102,36 +110,29 @@ def test_tutte_multigraph_cases():
     assert tutte_polynomial(theta) == {(1, 0): 1, (0, 1): 1, (0, 2): 1}
     bridge_loop = MixedGraph(2, ((0, 1),), (), (0,))
     assert tutte_polynomial(bridge_loop) == {(1, 1): 1}
-    assert tutte_eval(bridge_loop, 1, 0) == 0  # the loop kills T(1,0)
+    assert tutte_eval(bridge_loop) == 0  # the loop kills T(1,0)
+    assert type(tutte_eval(bridge_loop)) is int
     # orientation of directed edges is ignored by Tutte
     mixed = MixedGraph(3, ((0, 1),), ((2, 1),))
     plain = MixedGraph(3, ((0, 1), (1, 2)))
     assert tutte_polynomial(mixed) == tutte_polynomial(plain)
+    # a directed edge still counts: it closes this triangle
+    assert tutte_eval(MixedGraph(3, ((0, 1), (0, 2)), ((2, 1),))) == 2
 
 
-def test_tutte_eval_sums_the_coefficient_table():
+def test_tutte_eval_matches_the_polynomial_oracle_at_1_0():
     # the multigraphs of test_tutte_multigraph_cases, then every crossing
-    # and anti-interval graph of n <= 6
+    # and anti-interval graph of n <= 7
     cases = [
         MixedGraph(2, ((0, 1), (0, 1), (0, 1))),
         MixedGraph(2, ((0, 1),), (), (0,)),
         MixedGraph(3, ((0, 1),), ((2, 1),)),
     ]
-    for n in range(1, 7):
+    for n in range(1, 8):
         for pi in partitions_of(n, "all"):
             cases += [crossing_graph(pi), anti_interval_graph(pi)]
-    points = [(Fraction(x), Fraction(y)) for x, y in
-              ((1, 0), (2, 3), (0, 0), (Fraction(1, 2), Fraction(-3, 4)), (-1, Fraction(1, 3)))]
     for g in cases:
-        table = tutte_polynomial(g)
-        misses = None
-        for x, y in points:
-            by_hand = sum(c * x**i * y**j for (i, j), c in table.items())
-            assert tutte_eval(g, x, y) == by_hand, (g, x, y)
-            if misses is None:
-                misses = graphs._tutte_table.cache_info().misses
-        # every evaluation point reads the one table
-        assert graphs._tutte_table.cache_info().misses == misses, g
+        assert tutte_eval(g) == _oracle_value(g, 1, 0), g
 
 
 def test_tutte_edge_order_independence():
@@ -144,11 +145,9 @@ def test_tutte_edge_order_independence():
         possible = list(combinations(range(n), 2))
         edges = tuple(sorted(rng.sample(possible, k=min(len(possible), rng.randint(1, 7)))))
         g = MixedGraph(n, edges)
-        for point in ((1, 0), (2, 3), (0, 0)):
-            base = tutte_eval(g, *point)
-            for _ in range(3):
-                got = tutte_random_order(list(edges), Fraction(point[0]), Fraction(point[1]), rng)
-                assert got == base, (edges, point)
+        base = tutte_eval(g)
+        for _ in range(3):
+            assert tutte_random_order(list(edges), Fraction(1), Fraction(0), rng) == base, edges
 
 
 def test_acyclic_orientation_counts():
@@ -156,12 +155,12 @@ def test_acyclic_orientation_counts():
     k2 = MixedGraph(2, ((0, 1),))
     assert acyclic_orientations_by_orders(k2, 0) == 1
     assert acyclic_orientations_by_orders(k2, 1) == 1
-    assert tutte_eval(k2, 1, 0) == 1
+    assert tutte_eval(k2) == 1
     triangle = MixedGraph(3, ((0, 1), (0, 2), (1, 2)))
     # 8 orientations, 6 acyclic, 2 per choice of source
     for v in range(3):
         assert acyclic_orientations_by_orders(triangle, v) == 2
-    assert tutte_eval(triangle, 1, 0) == 2
+    assert tutte_eval(triangle) == 2
 
 
 def test_disconnected_orientation_count_warns_zero():
@@ -170,7 +169,7 @@ def test_disconnected_orientation_count_warns_zero():
     # no count of them.  Both enumerations give zero: the oracle over vertex
     # orders and the library's generator behind the pyramid counts.
     g = MixedGraph(3, ((0, 1),))
-    assert tutte_eval(g, 1, 0) == 1
+    assert tutte_eval(g) == 1
     for v in range(3):
         assert acyclic_orientations_by_orders(g, v) == 0
         assert list(graphs._acyclic_with_unique_source(g.n, list(g.undirected), v)) == []
@@ -189,7 +188,7 @@ def test_source_independence_random_graphs():
         found += 1
         counts = {acyclic_orientations_by_orders(g, v) for v in range(n)}
         assert len(counts) == 1
-        assert counts.pop() == tutte_eval(g, 1, 0)
+        assert counts.pop() == tutte_eval(g)
 
 
 def test_pyramids_trivial_cases():
@@ -210,7 +209,7 @@ def test_eleven_point_interval_heap_example():
     pi = SetPartition.from_blocks(11, [[1, 4, 8], [2, 5], [3, 7], [6, 11], [9, 10]])
     g = anti_interval_graph(pi)
     assert g.undirected == ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4))
-    t = tutte_eval(g, 1, 0)
+    t = tutte_eval(g)
     assert t == 4
     pyramids = list(enumerate_pyramids(pi, "interval"))
     assert len(pyramids) == 4
@@ -222,7 +221,7 @@ def test_eight_point_crossing_heap_example():
     pi = SetPartition.from_blocks(8, [[1, 4], [2, 7], [3, 6], [5, 8]])
     g = crossing_graph(pi)
     assert g.undirected == ((0, 1), (0, 2), (1, 3), (2, 3))
-    assert tutte_eval(g, 1, 0) == 3
+    assert tutte_eval(g) == 3
     assert acyclic_orientations_by_orders(g, 0) == 3
     assert count_pyramids(pi, "crossing") == 3
 
@@ -231,12 +230,12 @@ def test_three_way_agreement_small():
     for n in range(1, 7):
         for pi in partitions_of(n, "connected"):
             g = crossing_graph(pi)
-            t = tutte_eval(g, 1, 0)
+            t = tutte_eval(g)
             assert t == acyclic_orientations_by_orders(g, 0)
             assert t == count_pyramids(pi, "crossing")
         for pi in partitions_of(n, "irreducible"):
             g = anti_interval_graph(pi)
-            t = tutte_eval(g, 1, 0)
+            t = tutte_eval(g)
             assert t == acyclic_orientations_by_orders(g, 0)
             assert t == count_pyramids(pi, "interval")
 
@@ -259,12 +258,15 @@ def test_partition_sum_matches_tutte_on_all_small_graphs():
         for edge_count in range(0, min(len(pairs), 7) + 1):
             for edges in combinations(pairs, edge_count):
                 g = MixedGraph(n, tuple(edges))
+                connected = graph_is_connected(g)
                 for q in (Fraction(0), Fraction(-1), Fraction(2)):
                     lhs = partition_sum_identity_check(g, q)
-                    if graph_is_connected(g):
-                        assert lhs == tutte_eval(g, 1, q), (edges, q)
-                    else:
+                    if not connected:
                         assert lhs == 0, (edges, q)
+                    elif q == 0:
+                        assert lhs == tutte_eval(g), edges
+                    else:
+                        assert lhs == _oracle_value(g, 1, q), (edges, q)
 
 
 def test_digraph_key_and_serialization():
