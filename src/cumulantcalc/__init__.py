@@ -63,7 +63,6 @@ from .identities import (
 from .limits import ResourceLimitError
 from .partitions import (
     OrderedPartition,
-    PartitionClass,
     SetPartition,
     enumerate_monotone,
     enumerate_partitions,

@@ -9,12 +9,12 @@ one line per (identity, n) to stderr: its wall time and the peak RSS of
 the process that ran it.
 
 Names are checked by argparse `choices`, case-insensitively, against the
-library's own tables: the `PartitionClass` values and "monotone" for
-`enumerate`, the keys of `_TABLE_LIMITS` for `table` and the sequence
-kinds of `cumulants._SEQUENCE_KINDS` for `convert`; an unknown name is a
-usage error.  `enumerate` takes its first item, and with it the walk's limit
-check, before it writes anything, so a resource-limit error leaves stdout
-empty.
+library's own tables: the classes of `partitions._CLASS_WALK` and
+"monotone" for `enumerate`, the keys of `_TABLE_LIMITS` for `table` and
+the sequence kinds of `cumulants._SEQUENCE_KINDS` for `convert`; an
+unknown name is a usage error.  `enumerate` takes its first item, and
+with it the walk's limit check, before it writes anything, so a
+resource-limit error leaves stdout empty.
 
 Every setting is a flag (--format, --limit, --jobs, --cache-dir, -v); the
 CLI reads no environment variables.  Without a flag a setting takes its
@@ -53,8 +53,8 @@ from .graphs import (
 from .identities import catalog_jobs, verify_identity
 from .limits import ResourceLimitError, check_limit, override
 from .partitions import (
-    PartitionClass,
     SetPartition,
+    _CLASS_WALK,
     enumerate_monotone,
     enumerate_partitions,
     mobius_to_top,
@@ -97,7 +97,7 @@ def _json_dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 
 #: the classes `enumerate` streams
-_ENUMERATED = tuple(c.value for c in PartitionClass) + ("monotone",)
+_ENUMERATED = (*_CLASS_WALK, "monotone")
 
 #: the class flags of each partition: its CSV columns and JSON keys, in order
 _FLAGS = (
@@ -115,7 +115,7 @@ def _cmd_enumerate(args) -> int:
         def record(op):
             return {"blocks_in_order": [list(b) for b in op.blocks_in_order]}
     else:
-        items = enumerate_partitions(args.n, PartitionClass(args.partition_class))
+        items = enumerate_partitions(args.n, args.partition_class)
         flags = _FLAGS
 
         def record(pi):
@@ -236,9 +236,9 @@ def _table_rows(what: str, n: int):
         header = ["partition", "mu_p_top", "mu_nc_top", "mu_i_top"]
         rows = []
         for pi in partitions_of(n, "all"):
-            nc = str(mobius_to_top(pi, "NC")) if pi.is_noncrossing() else ""
-            iv = str(mobius_to_top(pi, "I")) if pi.is_interval() else ""
-            rows.append((pi.to_text(), str(mobius_to_top(pi, "P")), nc, iv))
+            nc = str(mobius_to_top(pi, "noncrossing")) if pi.is_noncrossing() else ""
+            iv = str(mobius_to_top(pi, "interval")) if pi.is_interval() else ""
+            rows.append((pi.to_text(), str(mobius_to_top(pi, "all")), nc, iv))
     return header, rows
 
 

@@ -49,7 +49,7 @@ from .algebra import (
 from .forests import partition_tree_factorial
 from .graphs import anti_interval_digraph, digraph_key
 from .limits import check_limit
-from .partitions import SetPartition, _LATTICE_CLASS, mobius_to_top, partitions_of
+from .partitions import SetPartition, mobius_to_top, partitions_of
 
 __all__ = [
     "CumulantKind",
@@ -77,17 +77,13 @@ class CumulantKind(enum.Enum):
     MONOTONE = "monotone"
 
 
-#: the lattice of each kind's Moebius inversion
-_MOBIUS_LATTICE_OF_KIND = {
-    CumulantKind.CLASSICAL: "P",
-    CumulantKind.FREE: "NC",
-    CumulantKind.BOOLEAN: "I",
-}
-
-#: the partition class each kind's sums run over (monotone: NC, tau-weighted)
+#: the lattice each kind's sums run over: its Moebius inversion for K, R
+#: and B, the tau-weighted noncrossing sum for H
 _LATTICE_OF_KIND = {
-    **{kind: _LATTICE_CLASS[lat] for kind, lat in _MOBIUS_LATTICE_OF_KIND.items()},
-    CumulantKind.MONOTONE: _LATTICE_CLASS["NC"],
+    CumulantKind.CLASSICAL: "all",
+    CumulantKind.FREE: "noncrossing",
+    CumulantKind.BOOLEAN: "interval",
+    CumulantKind.MONOTONE: "noncrossing",
 }
 
 
@@ -136,10 +132,10 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
             for pi in partitions_of(n, "noncrossing")
         )
     else:
-        lattice = _MOBIUS_LATTICE_OF_KIND[kind]
+        lattice = _LATTICE_OF_KIND[kind]
         pairs = (
             (mobius_to_top(pi, lattice), moment_monomial(pi))
-            for pi in partitions_of(n, _LATTICE_OF_KIND[kind])
+            for pi in partitions_of(n, lattice)
         )
     return linear_combination(pairs)
 

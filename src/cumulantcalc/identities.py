@@ -58,7 +58,6 @@ from .algebra import (
 from .cumulants import (
     CumulantKind,
     _LATTICE_OF_KIND,
-    _MOBIUS_LATTICE_OF_KIND,
     _check_cumulant_limits,
     _partitioned_cumulant,
     beta_formula,
@@ -309,8 +308,8 @@ def _lattice_formula(kinds, inverted, n):
     """On every pi of each kind's lattice, a sum over sigma in [0, pi]:
     m_pi = sum kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma."""
     for kind in kinds:
-        lattice = _MOBIUS_LATTICE_OF_KIND[kind]
-        members = partitions_of(n, _LATTICE_OF_KIND[kind])
+        lattice = _LATTICE_OF_KIND[kind]
+        members = partitions_of(n, lattice)
         _check_cumulant_limits(kind, n)
         for pi in members:
             interval = lower_interval(pi, lattice)
@@ -501,10 +500,10 @@ def _logbessel_carlitz(name, max_n):
 
 #: Theorem 2, monotone cumulants as alpha-weighted sums: the univariate rows
 _THM2 = [
-    FamilySum("thm2_free2mono", 9, H, R, "irreducible-noncrossing",
+    FamilySum("thm2_free2mono", 10, H, R, "irreducible-noncrossing",
               lambda pi: alpha(pi), True,
               "univariate monotone cumulants from free cumulants with alpha weights"),
-    FamilySum("thm2_boolean2mono", 9, H, B, "irreducible-noncrossing",
+    FamilySum("thm2_boolean2mono", 10, H, B, "irreducible-noncrossing",
               lambda pi: _sign(pi) * alpha(pi), True,
               "univariate monotone cumulants from Boolean cumulants with signed alpha weights"),
     FamilySum("thm2_class2mono", 8, H, K, "irreducible",
@@ -616,9 +615,9 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
               "beta is (-1)^(k-1)/k on irreducible noncrossing partitions of depth <= 2"),
         IdentityInfo("cor9_factorial", 7, _cor9_factorial,
                      "anti-interval Tutte values over irreducible partitions sum to (n-1)!"),
-        IdentityInfo("prop10_eulerian", 9, _prop10_eulerian,
+        IdentityInfo("prop10_eulerian", 10, _prop10_eulerian,
                      "constant Boolean cumulants give Eulerian classical cumulants"),
-        Cases("determinant_formulas", 9, _determinant_formulas,
+        Cases("determinant_formulas", 10, _determinant_formulas,
               "Hessenberg determinant formulas match the Moebius route"),
         IdentityInfo("logbessel_carlitz", 7, _logbessel_carlitz,
                      "nested-pairing beta values follow the log-Bessel series and its recursion"),

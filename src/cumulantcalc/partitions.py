@@ -24,8 +24,11 @@ down.
 
 Each class is enumerated by one of three walks over RGS prefixes, all of
 P(n), NC(n) (pruned at a crossing) or I(n) (pruned at a gap), filtered by
-the class's predicate (`_CLASS_WALK`).  A class costs what its walk costs,
-so the walk's name is also the limit key the class is checked against.
+the class's predicate (`_CLASS_WALK`, keyed by the class's name).  A class
+costs what its walk costs, so the walk's name is also the limit key the
+class is checked against.  The three unfiltered classes are the lattices,
+and a lattice is named by its class: `lower_interval` and `mobius_to_top`
+take "all", "noncrossing" or "interval".
 The walks yield bare RGS tuples and the filters are the module-level
 predicates over a tuple that `is_irreducible` and `is_connected` also
 call, so a `SetPartition` is built only for each member of the class, never
@@ -74,7 +77,6 @@ of 1..n, without building the blocks.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,7 +88,6 @@ from .limits import check_limit
 __all__ = [
     "SetPartition",
     "OrderedPartition",
-    "PartitionClass",
     "enumerate_partitions",
     "enumerate_monotone",
     "lattice_leq",
@@ -488,29 +489,32 @@ def _mu_full_nc(k: int) -> int:
 
 
 def mobius_to_top(pi: SetPartition, lattice: str) -> int:
-    """mu(pi, 1) in the chosen lattice ("P", "NC" or "I")."""
-    lat = lattice.upper()
+    """mu(pi, 1) in the lattice "all", "noncrossing" or "interval"."""
     k = pi.num_blocks
-    if lat == "P":
+    if lattice == "all":
         return _mu_full_p(k)
-    if lat == "I":
+    if lattice == "interval":
         if not pi.is_interval():
             raise ValueError(f"{pi} is not an interval partition")
         return (-1) ** (k - 1)
-    if lat == "NC":
+    if lattice == "noncrossing":
         out = 1
         for b in kreweras_complement(pi).blocks:
             out *= _mu_full_nc(len(b))
         return out
-    raise ValueError(f"unknown lattice {lattice!r}")
+    raise _unknown_lattice(lattice)
 
 
-#: the class enumerated for each lattice of the Moebius functions
-_LATTICE_CLASS = {"P": "all", "NC": "noncrossing", "I": "interval"}
+def _unknown_lattice(lattice) -> ValueError:
+    """The error for a name that is not a lattice.  The lattices are the
+    classes that run their own walk with no filter."""
+    lattices = ", ".join(c for c, walk in _CLASS_WALK.items() if walk == (c, None))
+    return ValueError(f"unknown lattice {lattice!r}; lattices: {lattices}")
 
 
 def lower_interval(pi: SetPartition, lattice: str):
-    """Yield (sigma, mu(sigma, pi)) for every sigma <= pi in the lattice.
+    """Yield (sigma, mu(sigma, pi)) for every sigma <= pi in the lattice
+    "all", "noncrossing" or "interval".
 
     [0, pi] is the product over the blocks W of pi of the lattices on W, so
     sigma runs over the products of one member of `partitions_of(|W|)` per
@@ -520,17 +524,16 @@ def lower_interval(pi: SetPartition, lattice: str):
     Order: the last block of pi varies fastest.  The lattice's limit is
     checked on every call, hit or miss, at the largest block.
     """
-    lat = lattice.upper()
-    if lat not in _LATTICE_CLASS:
-        raise ValueError(f"unknown lattice {lattice!r}")
-    if lat == "NC" and not pi.is_noncrossing():
+    if _CLASS_WALK.get(lattice) != (lattice, None):
+        raise _unknown_lattice(lattice)
+    if lattice == "noncrossing" and not pi.is_noncrossing():
         raise ValueError(f"{pi} is not a noncrossing partition")
-    if lat == "I" and not pi.is_interval():
+    if lattice == "interval" and not pi.is_interval():
         raise ValueError(f"{pi} is not an interval partition")
     n = pi.n
     blocks = pi.blocks
-    check_limit(_LATTICE_CLASS[lat], max(pi.block_sizes()))
-    factors = [_block_lattice_cached(len(w), lat) for w in blocks]
+    check_limit(lattice, max(pi.block_sizes()))
+    factors = [_block_lattice_cached(len(w), lattice) for w in blocks]
     positions = [[x - 1 for x in w] for w in blocks]
     # sigma's block with local label a in pi's j-th block gets the raw
     # label j*n + a; renumbering raw labels in first-use order gives the RGS
@@ -549,25 +552,14 @@ def lower_interval(pi: SetPartition, lattice: str):
 
 
 @lru_cache(maxsize=64)
-def _block_lattice_cached(k: int, lat: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _block_lattice_cached(k: int, lattice: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(RGS, mu(sigma, 1)) for every sigma of the lattice on k elements."""
-    cls = PartitionClass(_LATTICE_CLASS[lat])
-    return tuple((s.rgs, mobius_to_top(s, lat)) for s in _partitions_of(k, cls))
+    return tuple((s.rgs, mobius_to_top(s, lattice)) for s in _partitions_of(k, lattice))
 
 
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-
-class PartitionClass(enum.Enum):
-    ALL = "all"
-    NONCROSSING = "noncrossing"
-    INTERVAL = "interval"
-    IRREDUCIBLE = "irreducible"
-    CONNECTED = "connected"
-    IRREDUCIBLE_NONCROSSING = "irreducible-noncrossing"
-    CONNECTED_NONCROSSING = "connected-noncrossing"
 
 
 def _rgs_partitions(n, prune=None):
@@ -639,23 +631,24 @@ def _prune_interval(blocks, v, x):
     return v == len(blocks) or (blocks[v][-1] == x - 1)
 
 
-#: class -> (walk, filter): the walk is the pruned RGS walk that runs and
-#: the limit key checked, the filter keeps the RGS tuples of the class's
-#: members (None: all)
+#: the partition classes, by name: class -> (walk, filter).  The walk is
+#: the pruned RGS walk that runs and the limit key checked, the filter keeps
+#: the RGS tuples of the class's members (None: all).  The classes that run
+#: their own walk with no filter are the lattices.
 _CLASS_WALK = {
-    PartitionClass.ALL: ("all", None),
-    PartitionClass.NONCROSSING: ("noncrossing", None),
-    PartitionClass.INTERVAL: ("interval", None),
-    PartitionClass.IRREDUCIBLE: ("all", _rgs_irreducible),
-    PartitionClass.CONNECTED: ("all", _rgs_connected),
-    PartitionClass.IRREDUCIBLE_NONCROSSING: ("noncrossing", _rgs_irreducible),
-    PartitionClass.CONNECTED_NONCROSSING: ("noncrossing", _rgs_connected),
+    "all": ("all", None),
+    "noncrossing": ("noncrossing", None),
+    "interval": ("interval", None),
+    "irreducible": ("all", _rgs_irreducible),
+    "connected": ("all", _rgs_connected),
+    "irreducible-noncrossing": ("noncrossing", _rgs_irreducible),
+    "connected-noncrossing": ("noncrossing", _rgs_connected),
 }
 
 _WALK_PRUNE = {"all": None, "noncrossing": _prune_noncrossing, "interval": _prune_interval}
 
 
-def _enumerate_unchecked(n: int, cls: PartitionClass):
+def _enumerate_unchecked(n: int, cls: str):
     """The members of the class in RGS order, with no limit check."""
     walk, keep = _CLASS_WALK[cls]
     members = _rgs_partitions(n, _WALK_PRUNE[walk])
@@ -664,33 +657,38 @@ def _enumerate_unchecked(n: int, cls: PartitionClass):
     return map(SetPartition._unchecked, members)
 
 
-def enumerate_partitions(n: int, cls: PartitionClass = PartitionClass.ALL):
+def _check_class(n: int, cls: str) -> None:
+    """Raise unless cls names a class and n is within its walk's limit."""
+    if cls not in _CLASS_WALK:
+        raise ValueError(
+            f"unknown partition class {cls!r}; classes: {', '.join(_CLASS_WALK)}"
+        )
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_limit(_CLASS_WALK[cls][0], n)
+
+
+def enumerate_partitions(n: int, cls: str = "all"):
     """Stream the members of the class, each exactly once, in RGS order.
 
     The limit checked is that of the class's walk (`_CLASS_WALK`).
     """
-    cls = PartitionClass(cls)
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_limit(_CLASS_WALK[cls][0], n)
+    _check_class(n, cls)
     yield from _enumerate_unchecked(n, cls)
 
 
-def partitions_of(n: int, cls_value: str = "all") -> tuple[SetPartition, ...]:
+def partitions_of(n: int, cls: str = "all") -> tuple[SetPartition, ...]:
     """Cached tuple of all partitions of [n] in a class (internal reuse).
 
     The walk's limit is checked on every call, hit or miss, so a limit
     lowered after the first call is never bypassed by the cache.
     """
-    cls = PartitionClass(cls_value)
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_limit(_CLASS_WALK[cls][0], n)
+    _check_class(n, cls)
     return _partitions_of(n, cls)
 
 
 @lru_cache(maxsize=64)
-def _partitions_of(n: int, cls: PartitionClass) -> tuple[SetPartition, ...]:
+def _partitions_of(n: int, cls: str) -> tuple[SetPartition, ...]:
     return tuple(_enumerate_unchecked(n, cls))  # checked by the caller
 
 
@@ -748,7 +746,7 @@ def enumerate_monotone(n: int):
     if n < 1:
         raise ValueError("n must be positive")
     check_limit("monotone", n)
-    for base in _enumerate_unchecked(n, PartitionClass.NONCROSSING):
+    for base in _enumerate_unchecked(n, "noncrossing"):
         k = base.num_blocks
         preds = [0] * k  # number of outer blocks not yet placed
         outer_of = [[] for _ in range(k)]

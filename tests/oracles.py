@@ -470,14 +470,14 @@ def fd_cumulant(kind, n: int) -> dict:
                      fd_partitioned_cumulant(kind, pi))
                 )
     else:
-        cls, lattice = {
-            CumulantKind.CLASSICAL: ("all", "P"),
-            CumulantKind.FREE: ("noncrossing", "NC"),
-            CumulantKind.BOOLEAN: ("interval", "I"),
+        lattice = {
+            CumulantKind.CLASSICAL: "all",
+            CumulantKind.FREE: "noncrossing",
+            CumulantKind.BOOLEAN: "interval",
         }[kind]
         weighted = [
             (mobius_to_top(pi, lattice), _fd_monomial(pi))
-            for pi in enumerate_partitions(n, cls)
+            for pi in enumerate_partitions(n, lattice)
         ]
     out = _FD_CUMULANTS[key] = fd_add(*weighted)
     return out

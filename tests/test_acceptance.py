@@ -107,13 +107,16 @@ def test_criterion_02_counting():
 def test_criterion_03_mobius():
     for n in range(1, 8):
         bottom, top = SetPartition.singletons(n), SetPartition.one_block(n)
-        mu = {lattice: dict(lower_interval(top, lattice)) for lattice in ("P", "NC", "I")}
-        assert mu["P"][bottom] == (-1) ** (n - 1) * factorial(n - 1)
-        assert mu["NC"][bottom] == (-1) ** (n - 1) * catalan_number(n - 1)
-        assert mu["I"][bottom] == (-1) ** (n - 1)
+        mu = {
+            lattice: dict(lower_interval(top, lattice))
+            for lattice in ("all", "noncrossing", "interval")
+        }
+        assert mu["all"][bottom] == (-1) ** (n - 1) * factorial(n - 1)
+        assert mu["noncrossing"][bottom] == (-1) ** (n - 1) * catalan_number(n - 1)
+        assert mu["interval"][bottom] == (-1) ** (n - 1)
     for n in range(1, 7):
-        for lattice, cls in (("P", "all"), ("NC", "noncrossing"), ("I", "interval")):
-            members = partitions_of(n, cls)
+        for lattice in ("all", "noncrossing", "interval"):
+            members = partitions_of(n, lattice)
             for sigma in members:
                 mu = dict(lower_interval(sigma, lattice))
                 for pi in members:

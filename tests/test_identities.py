@@ -51,6 +51,16 @@ def test_multivariate_thm2_rows_are_their_univariate_rows_unidentified():
         assert (mv.lhs, mv.rhs, mv.cls, mv.weight) == (row.lhs, row.rhs, row.cls, row.weight)
 
 
+@pytest.mark.parametrize("name", [
+    "thm2_free2mono", "thm2_boolean2mono", "prop10_eulerian", "determinant_formulas",
+])
+def test_rows_hold_at_their_cap_of_ten(name):
+    # 0.3 s or less each at n = 10 on 2 vCPUs; n = 11 needs the default
+    # `cumulant-other` or `all` limit (10) raised
+    assert IDENTITY_CATALOG[name].max_n == 10
+    assert verify_identity(name, 10).holds
+
+
 def test_unknown_identity_and_bad_n():
     with pytest.raises(ValueError):
         verify_identity("bogus", 3)
@@ -91,6 +101,12 @@ def test_full_catalog_small_n():
      "pi=1,2,3,4|5; pi=1,2,3|4,5; pi=1,2,3|4|5"),
     ("lenczewski_sum", "labelling_polynomial_of", lambda real: lambda pi: Polynomial([0, 2]), 5,
      "N=1; N=2; N=3"),
+    # the lattice rows: one case per pi, 42 = |NC(5)| and 110 = 52 + 42 + 16
+    # over P(5), NC(5) and I(5); the inverted form labels each by lattice
+    ("moment_cumulant_R", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 42,
+     "pi=1,2,3,4,5; pi=1,2,3,4|5; pi=1,2,3,5|4"),
+    ("mobius_inversions", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 110,
+     "all:1,2,3,4,5; all:1,2,3,4|5; all:1,2,3,5|4"),
 ])
 def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, broken,
                                                  checked, witness):

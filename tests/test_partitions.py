@@ -9,8 +9,8 @@ from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import (
     OrderedPartition,
     blocks_cross,
-    PartitionClass,
     SetPartition,
+    _CLASS_WALK,
     catalan_number,
     enumerate_monotone,
     enumerate_partitions,
@@ -138,7 +138,7 @@ def test_counting_against_independent_formulas():
 def test_enumeration_examples():
     assert len(list(enumerate_partitions(4))) == 15
     assert len(list(enumerate_partitions(4, "noncrossing"))) == 14
-    for cls in PartitionClass:
+    for cls in _CLASS_WALK:
         assert list(enumerate_partitions(1, cls)) == [P("1")]
 
 
@@ -187,9 +187,9 @@ def test_limit_keys_are_the_walks_and_the_other_tasks():
 
 def test_partitions_of_rejects_n_below_one():
     for n in (0, -1):
-        for cls in PartitionClass:
+        for cls in _CLASS_WALK:
             with pytest.raises(ValueError, match="^n must be positive$"):
-                partitions_of(n, cls.value)
+                partitions_of(n, cls)
 
 
 def test_enumeration_limit_errors():
@@ -363,8 +363,8 @@ def test_lower_interval_matches_refinement_scan():
     # the product walk against the members^2 lattice_leq scan, with the
     # carried mu against the per-pair product over the blocks of pi
     for n in range(1, 8):
-        for cls, lattice in (("all", "P"), ("noncrossing", "NC"), ("interval", "I")):
-            members = partitions_of(n, cls)
+        for lattice in ("all", "noncrossing", "interval"):
+            members = partitions_of(n, lattice)
             for pi in members:
                 walk = list(lower_interval(pi, lattice))
                 below = {sigma for sigma in members if lattice_leq(sigma, pi)}
@@ -376,21 +376,37 @@ def test_lower_interval_matches_refinement_scan():
 
 def test_lower_interval_examples_and_rejections():
     pi = P("1,3|2")
-    assert dict(lower_interval(pi, "P")) == {pi: 1, SetPartition.singletons(3): -1}
-    assert dict(lower_interval(P("1,2,3"), "I")) == {
+    assert dict(lower_interval(pi, "all")) == {pi: 1, SetPartition.singletons(3): -1}
+    assert dict(lower_interval(P("1,2,3"), "interval")) == {
         P("1,2,3"): 1, P("1|2,3"): -1, P("1,2|3"): -1, P("1|2|3"): 1,
     }
     with pytest.raises(ValueError):
-        next(lower_interval(P("1,3|2,4"), "NC"))
+        next(lower_interval(P("1,3|2,4"), "noncrossing"))
     with pytest.raises(ValueError):
-        next(lower_interval(pi, "I"))
+        next(lower_interval(pi, "interval"))
     with pytest.raises(ValueError):
         next(lower_interval(pi, "Q"))
     # the per-size tables are cached; a hit still checks the limit
     top = SetPartition.one_block(5)
-    assert len(list(lower_interval(top, "P"))) == bell_number(5)
+    assert len(list(lower_interval(top, "all"))) == bell_number(5)
     with override(4), pytest.raises(ResourceLimitError):
-        next(lower_interval(top, "P"))
+        next(lower_interval(top, "all"))
+
+
+def test_lattices_and_classes_have_one_name_each():
+    # a lattice is named by its class: no letters, no case folding, and no
+    # class that is not a lattice
+    pi = P("1,2|3")
+    lattices = "; lattices: all, noncrossing, interval$"
+    for name in ("P", "NC", "I", "All", "irreducible"):
+        with pytest.raises(ValueError, match=f"^unknown lattice '{name}'{lattices}"):
+            next(lower_interval(pi, name))
+        with pytest.raises(ValueError, match=f"^unknown lattice '{name}'{lattices}"):
+            mobius_to_top(pi, name)
+    with pytest.raises(ValueError, match="^unknown partition class 'bogus'; classes: all, "):
+        partitions_of(3, "bogus")
+    with pytest.raises(ValueError, match="^unknown partition class 'NC'"):
+        next(enumerate_partitions(3, "NC"))
 
 
 def test_kreweras_complement_examples():
@@ -410,18 +426,18 @@ def test_mobius_closed_forms():
     for n in range(1, 8):
         bottom = SetPartition.singletons(n)
         top = SetPartition.one_block(n)
-        assert _mu_to(top, "P")[bottom] == (-1) ** (n - 1) * factorial(n - 1)
-        assert _mu_to(top, "NC")[bottom] == (-1) ** (n - 1) * catalan_number(n - 1)
-        assert _mu_to(top, "I")[bottom] == (-1) ** (n - 1)
-    assert _mu_to(SetPartition.one_block(4), "P")[SetPartition.singletons(4)] == -6
-    assert _mu_to(SetPartition.one_block(4), "NC")[SetPartition.singletons(4)] == -5
-    assert _mu_to(SetPartition.one_block(3), "I")[SetPartition.singletons(3)] == 1
+        assert _mu_to(top, "all")[bottom] == (-1) ** (n - 1) * factorial(n - 1)
+        assert _mu_to(top, "noncrossing")[bottom] == (-1) ** (n - 1) * catalan_number(n - 1)
+        assert _mu_to(top, "interval")[bottom] == (-1) ** (n - 1)
+    assert _mu_to(SetPartition.one_block(4), "all")[SetPartition.singletons(4)] == -6
+    assert _mu_to(SetPartition.one_block(4), "noncrossing")[SetPartition.singletons(4)] == -5
+    assert _mu_to(SetPartition.one_block(3), "interval")[SetPartition.singletons(3)] == 1
 
 
 def test_mobius_agrees_with_brute_force_recursion():
     for n in range(1, 6):
-        for lattice, cls in (("P", "all"), ("NC", "noncrossing"), ("I", "interval")):
-            members = partitions_of(n, cls)
+        for lattice in ("all", "noncrossing", "interval"):
+            members = partitions_of(n, lattice)
             for sigma in members:
                 mu = _mu_to(sigma, lattice)
                 for pi in members:
@@ -435,7 +451,7 @@ def test_weisner_lemma():
     for n in range(2, 6):
         members = partitions_of(n, "all")
         top = SetPartition.one_block(n)
-        mu = _mu_to(top, "P")
+        mu = _mu_to(top, "all")
         for a in members:
             if a == top:
                 continue
@@ -455,4 +471,4 @@ def test_mobius_to_top_matches_interval_form():
         top = SetPartition.one_block(n)
         members = partitions_of(n, "all")
         for pi in members:
-            assert mobius_to_top(pi, "P") == mobius_brute(members, pi, top)
+            assert mobius_to_top(pi, "all") == mobius_brute(members, pi, top)

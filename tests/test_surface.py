@@ -26,9 +26,8 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 #: the bijective layer waits for its catalog rows (ROADMAP item 3)
 ALLOWED_UNUSED = {"phi"}
 
-#: `perfbench/tracer.py` looks this method up with `vars(cls)["univariate"]`
-#: to time it, so `run.py --trace 1` raises KeyError without it
-ALLOWED_UNUSED_MEMBERS = {"MomentPolynomial.univariate"}
+#: public members kept without a reader ("Class.member"); none today
+ALLOWED_UNUSED_MEMBERS: set[str] = set()
 
 
 def _defines(node, name: str) -> bool:
