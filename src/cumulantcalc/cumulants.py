@@ -283,13 +283,7 @@ def cumulants_from_moments(kind: CumulantKind, moments) -> list:
     return _recursion(kind, moments, forward=False)
 
 
-_SEQUENCE_KINDS = {
-    "moments": None,
-    "classical": CumulantKind.CLASSICAL,
-    "free": CumulantKind.FREE,
-    "boolean": CumulantKind.BOOLEAN,
-    "monotone": CumulantKind.MONOTONE,
-}
+_SEQUENCE_KINDS = {"moments": None, **{k.value: k for k in CumulantKind}}
 
 
 def convert_sequence(src: str, dst: str, values) -> list:

@@ -17,19 +17,20 @@ where rhs_pi is a partitioned cumulant and the weight w(pi) is 1, a sign,
 1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is one of
 the 16 `FamilySum` rows, and `FamilySum.check` is their one checker.  The
 alpha expansions of thm2 are rows twice, univariate and multivariate
-(`thm2_*_mv`).  The univariate rows and the Lenczewski sum are summed by
-block-size type: each type is one product of the univariate cumulants
-that `cumulants_from_moments` gives for the moment symbols m_{1..k}.
-The 14 identities checked case by case (lattice-wide moment formulas,
-series on random sequences, the Lenczewski colours, properties of beta)
-are `Cases` rows: a generator yields the failed-check labels of each
-case, and `Cases.check` counts the cases and quotes the failures.  The 5
-`IdentityInfo` rows (permutation sums, cor9, prop10, log-Bessel) build
-their own report, with a detail dict or term counts, from a function of
-(name, n).  The multivariate rows and the permutation sums add up
-partitioned cumulants in `_cumulant_sum`, which checks their limits once,
-at n, and then reads the unchecked cache; the lattice formulas, one sum
-per pi, check them once per kind.
+(`thm2_*_mv`).  The 14 identities checked case by case (lattice-wide
+moment formulas, series on random sequences, the Lenczewski colours,
+properties of beta) are `Cases` rows: a generator yields the
+failed-check labels of each case, and `Cases.check` counts the cases and
+quotes the failures.  The 5 `IdentityInfo` rows (permutation sums, cor9,
+prop10, log-Bessel) build their own report, with a detail dict or term
+counts, from a function of (name, n).
+
+The sums are added by `_cumulant_sum(kind, n, weighted)`, over
+partitioned cumulants, or with all variables identified by `_type_sum`,
+over one product per block-size type of the univariate cumulants that
+`_symbol_cumulants` converts once per (kind, n).  Both check the limits
+of `kind` once, at n; the lattice formulas, one sum per pi, check them
+once per kind.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -44,7 +45,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import permutations
 from math import comb, factorial, prod
 
@@ -85,7 +86,6 @@ from .permutations import (
     all_permutations,
     cycle_runs,
     cycles,
-    cyclic_permutations,
     eulerian,
     eulerian_polynomial,
     runs,
@@ -182,9 +182,9 @@ class FamilySum:
     the partitioned cumulant of the family `rhs`.  Each weight is computed
     before rhs_pi is fetched, and a zero weight skips it.  Rows give the
     weight as a lambda, so the library functions it calls are looked up
-    when it runs.  With `univariate`, both sides are compared after all
-    variables are identified, and each side is summed by block-size type
-    (`_type_sum`).  For n <= `ordered_max_n` (monotone rhs) the sum is
+    when it runs.  Both sides are added by `_cumulant_sum` or, with
+    `univariate`, by `_type_sum`, which compares them after all variables
+    are identified.  For n <= `ordered_max_n` (monotone rhs) the sum is
     checked again in ordered-monotone form: over every monotone
     order of every pi, each order carrying weight(pi) * tau(pi)! / |pi|!
     (the orders of one pi are counted and summed as one term).
@@ -201,14 +201,13 @@ class FamilySum:
     ordered_max_n: int = 0
 
     def check(self, n: int) -> Report:
+        add = _type_sum if self.univariate else _cumulant_sum
         if self.lhs is None:
             lhs = moment_monomial(SetPartition.one_block(n))
-        elif self.univariate:
-            lhs = _type_products(n, self.lhs)((n,))
         else:
-            lhs = cumulant_poly(self.lhs, n)
+            lhs = add(self.lhs, n, [(1, SetPartition.one_block(n))])
         members = partitions_of(n, self.cls)
-        rhs = self._sum(n, ((self.weight(pi), pi) for pi in members))
+        rhs = add(self.rhs, n, ((self.weight(pi), pi) for pi in members))
         rep = _compare(self.name, n, lhs, rhs)
         if rep.holds and n <= self.ordered_max_n:
             per_order = {
@@ -217,7 +216,7 @@ class FamilySum:
                 for pi in members
             }
             orders = Counter(op.base for op in enumerate_monotone(n))
-            ordered = self._sum(n, (
+            ordered = add(self.rhs, n, (
                 (per_order[pi] * count, pi)
                 for pi, count in orders.items()
                 if pi in per_order
@@ -228,13 +227,8 @@ class FamilySum:
             rep.detail = {"ordered_form_checked": True}
         return rep
 
-    def _sum(self, n: int, weighted) -> MomentPolynomial:
-        if self.univariate:
-            return _type_sum(_type_products(n, self.rhs), weighted)
-        return _cumulant_sum(n, self.rhs, weighted)
 
-
-def _cumulant_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
+def _cumulant_sum(kind: CumulantKind, n: int, weighted) -> MomentPolynomial:
     """Sum of w * kind_pi over (w, pi) pairs of [n], skipping zero weights;
     the limits of `kind` are checked once, at n."""
     _check_cumulant_limits(kind, n)
@@ -242,27 +236,28 @@ def _cumulant_sum(n: int, kind: CumulantKind, weighted) -> MomentPolynomial:
     return linear_combination(pairs)
 
 
-def _type_products(n: int, kind: CumulantKind):
-    """Univariate kind_pi as a memoized function of the block-size type of
-    pi (its sorted size tuple): the product of u_s over the sizes s, where
-    u_1..u_n are the cumulants of the moment symbols m_{1..k}, from
-    `cumulants_from_moments`.  The limits of `kind` are checked at n."""
+@lru_cache(maxsize=None)
+def _symbol_cumulants(kind: CumulantKind, n: int) -> tuple[MomentPolynomial, ...]:
+    """u_1..u_n, the univariate cumulants of the moment symbols m_{1..k};
+    unchecked, `_type_sum` checks the limits before it reads this cache."""
+    symbols = [MomentPolynomial.symbol(range(1, k + 1)).univariate() for k in range(1, n + 1)]
+    return tuple(cumulants_from_moments(kind, symbols))
+
+
+def _type_sum(kind: CumulantKind, n: int, weighted) -> MomentPolynomial:
+    """`_cumulant_sum` with all variables identified: the weights are summed
+    by block-size type first, and each type is one product of the u_s of
+    `_symbol_cumulants` over its sizes s."""
     _check_cumulant_limits(kind, n)
-    u = cumulants_from_moments(
-        kind, [MomentPolynomial.symbol(range(1, k + 1)).univariate() for k in range(1, n + 1)]
-    )
-    return cache(lambda sizes: prod((u[s - 1] for s in sizes), start=MomentPolynomial.one()))
-
-
-def _type_sum(products, weighted) -> MomentPolynomial:
-    """Sum of w * kind_pi over (w, pi) pairs, all variables identified, with
-    kind_pi from `_type_products`: the weights are summed by block-size
-    type first."""
+    u = _symbol_cumulants(kind, n)
     by_type: dict[tuple[int, ...], int | Fraction] = {}
     for w, pi in weighted:
         sizes = tuple(sorted(pi.block_sizes()))
         by_type[sizes] = by_type.get(sizes, 0) + w
-    return linear_combination((w, products(sizes)) for sizes, w in by_type.items() if w)
+    return linear_combination(
+        (w, prod((u[s - 1] for s in sizes), start=MomentPolynomial.one()))
+        for sizes, w in by_type.items() if w
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +265,28 @@ def _type_sum(products, weighted) -> MomentPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _runs_sum(name, n):
+    """K_n against the signed B-sum over the runs of the words 1 a_2 ... a_n,
+    which are also the cycle runs of the full cycles (1 a_2 ... a_n): the
+    walk of both `cor_runs` and `thm4_cyclecruns`."""
+    parts = (runs(Permutation((1,) + rest))[0] for rest in permutations(range(2, n + 1)))
+    rhs = _cumulant_sum(B, n, ((_sign(part), part) for part in parts))
+    return _compare(name, n, cumulant_poly(K, n), rhs)
+
+
 def _thm4_cyclecruns(name, n):
-    parts = map(cycle_runs, cyclic_permutations(n))
-    rhs = _cumulant_sum(n, B, ((_sign(part), part) for part in parts))
-    rep = _compare(name, n, cumulant_poly(K, n), rhs)
+    rep = _runs_sum(name, n)
     if rep.holds and n <= 6:
         # The cancellation underlying the cyclic form: summing over all of
         # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
         pairs = ((s, cycle_runs(s)) for s in all_permutations(n))
-        full = _cumulant_sum(n, B, ((_sign(part) * _sign(cycles(s)), part) for s, part in pairs))
+        full = _cumulant_sum(B, n, ((_sign(part) * _sign(cycles(s)), part) for s, part in pairs))
         target = moment_monomial(SetPartition.one_block(n))
         if full != target:
             rep.holds = False
             rep.witness = "signed full-symmetric-group sum differs"
         rep.detail = {"cancellation_lemma_checked": True}
     return rep
-
-
-def _cor_runs(name, n):
-    # the permutations fixing 1 are the words 1 a_2 ... a_n, lexicographically
-    parts = (runs(Permutation((1,) + rest))[0] for rest in permutations(range(2, n + 1)))
-    rhs = _cumulant_sum(n, B, ((_sign(part), part) for part in parts))
-    return _compare(name, n, cumulant_poly(K, n), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +388,11 @@ def _lenczewski_sum(n):
     members = partitions_of(n, "noncrossing")
     # P_pi depends only on the forest shape of pi: evaluate each one once
     evaluate = lru_cache(maxsize=None)(Polynomial.evaluate)
-    free, monotone = _type_products(n, R), _type_products(n, H)
     for colors in range(1, 6):
-        lhs = _type_sum(free, (
+        lhs = _type_sum(R, n, (
             (evaluate(labelling_polynomial_of(pi), colors), pi) for pi in members
         ))
-        rhs = _type_sum(monotone, (
+        rhs = _type_sum(H, n, (
             (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
             for pi in members
         ))
@@ -580,7 +574,7 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
                   "classical cumulants from Boolean cumulants weighted by anti-interval Tutte values"),
         IdentityInfo("thm4_cyclecruns", 7, _thm4_cyclecruns,
                      "classical cumulants as signed Boolean sums over cycle runs of full cycles"),
-        IdentityInfo("cor_runs", 7, _cor_runs,
+        IdentityInfo("cor_runs", 7, _runs_sum,
                      "classical cumulants as signed Boolean sums over runs of permutations fixing 1"),
         Cases("moment_cumulant_K", 8, partial(_lattice_formula, [K], False),
               "defining moment formula of classical cumulants on every partition"),

@@ -454,7 +454,7 @@ def kreweras_complement(pi: SetPartition) -> SetPartition:
     prev, one walk along the cycles labels them in first-use order.
     """
     if not pi.is_noncrossing():
-        raise ValueError("Kreweras complement needs a noncrossing partition")
+        raise ValueError(f"{pi} is not a noncrossing partition")
     rgs = pi.rgs
     n = len(rgs)
     prev = [0] * n  # 0-based cyclic predecessor of each position in its block

@@ -184,6 +184,17 @@ def test_closed_stdout_exits_141_without_traceback():
     assert "Traceback" not in err and "Exception" not in err
 
 
+def test_python_m_runs_the_cli(capsys):
+    # `python -m cumulantcalc` from a checkout is the in-process `main`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    args = ["verify", "cor9_factorial", "3"]
+    proc = subprocess.run([sys.executable, "-m", "cumulantcalc", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = run_cli(capsys, *args)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and out
+
+
 def test_the_package_reads_no_environment(capsys, monkeypatch):
     # every setting is a flag: variables named like the old settings change nothing
     monkeypatch.setenv("CUMULANTCALC_MAX_ALL", "1")

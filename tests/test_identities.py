@@ -13,7 +13,7 @@ from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factori
 from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
-    _type_products,
+    _symbol_cumulants,
     _type_sum,
     catalog_jobs,
     identity_names,
@@ -222,18 +222,24 @@ def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
 
 
 def test_thm4_computes_each_cycle_run_partition_once(monkeypatch):
-    calls = 0
-    real = identities.cycle_runs
+    calls = Counter()
 
-    def counting(sigma):
-        nonlocal calls
-        calls += 1
-        return real(sigma)
+    def counting(name):
+        real = getattr(identities, name)
 
-    monkeypatch.setattr(identities, "cycle_runs", counting)
+        def wrapper(sigma):
+            calls[name] += 1
+            return real(sigma)
+
+        monkeypatch.setattr(identities, name, wrapper)
+
+    counting("cycle_runs")
+    counting("runs")
     assert verify_identity("thm4_cyclecruns", 6).holds
-    # once per full cycle, then once per permutation for the cancellation
-    assert calls == factorial(5) + factorial(6)
+    # the runs of each word 1 a_2 ... a_6 are the cycle runs of the full
+    # cycle (1 a_2 ... a_6), read once each; then the cancellation lemma
+    # reads the cycle runs of every permutation once
+    assert calls == {"runs": factorial(5), "cycle_runs": factorial(6)}
 
 
 def test_type_sum_matches_per_partition_oracle():
@@ -242,7 +248,7 @@ def test_type_sum_matches_per_partition_oracle():
         for n in range(1, 8):
             weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
             expected = univariate_sum_per_partition(row.rhs, weighted)
-            assert _type_sum(_type_products(n, row.rhs), weighted) == expected, (name, n)
+            assert _type_sum(row.rhs, n, weighted) == expected, (name, n)
     # both sides of the Lenczewski sum
     for n in range(1, 7):
         members = partitions_of(n, "noncrossing")
@@ -256,5 +262,21 @@ def test_type_sum_matches_per_partition_oracle():
             ]
             for kind, weighted in sides:
                 expected = univariate_sum_per_partition(kind, weighted)
-                products = _type_products(n, kind)
-                assert _type_sum(products, weighted) == expected, (kind, n, colors)
+                assert _type_sum(kind, n, weighted) == expected, (kind, n, colors)
+
+
+def test_univariate_rows_convert_each_kind_once(monkeypatch):
+    # the univariate rows share one conversion of the moment symbols per
+    # (kind, n): the four rows at n = 6 need H, R, B and K
+    converted = []
+    real = identities.cumulants_from_moments
+
+    def counting(kind, moments):
+        converted.append(kind)
+        return real(kind, moments)
+
+    monkeypatch.setattr(identities, "cumulants_from_moments", counting)
+    _symbol_cumulants.cache_clear()
+    for name in ("thm2_free2mono", "thm2_boolean2mono", "thm2_class2mono", "lenczewski_sum"):
+        assert verify_identity(name, 6).holds, name
+    assert Counter(converted) == Counter(CumulantKind)

@@ -413,8 +413,10 @@ def test_kreweras_complement_examples():
     assert kreweras_complement(P("1,3|2")) == P("1,2|3")
     assert kreweras_complement(SetPartition.singletons(3)) == SetPartition.one_block(3)
     assert kreweras_complement(SetPartition.one_block(3)) == SetPartition.singletons(3)
-    with pytest.raises(ValueError):
-        kreweras_complement(P("1,3|2,4"))
+    # the message names the partition, also when `mobius_to_top` is called
+    for call in (kreweras_complement, lambda pi: mobius_to_top(pi, "noncrossing")):
+        with pytest.raises(ValueError, match=r"^1,3\|2,4 is not a noncrossing partition$"):
+            call(P("1,3|2,4"))
 
 
 def _mu_to(sigma, lattice):
