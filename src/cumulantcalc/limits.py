@@ -30,7 +30,7 @@ DEFAULT_LIMITS = {
     "interval": 16,
     "monotone": 8,
     "beta-blocks": 10,
-    "cumulant-classical": 8,
+    "cumulant-classical": 9,
     "cumulant-other": 10,
 }
 

@@ -6,8 +6,9 @@ summation instead of recurrences, termwise series instead of Newton
 iteration, Fraction-dict moment polynomials and Fraction-coefficient series
 instead of the integer kernels, Gaussian elimination instead of Bareiss,
 the subset expansion instead of deletion-contraction, vertex orders
-instead of orientation masks, and the recursion over coarsenings instead
-of the closed sum for beta.  Oracles intentionally stay naive and slow.
+instead of orientation masks, the recursion over coarsenings instead
+of the closed sum for beta, and one lower-interval sum per partition
+instead of one per block size.  Oracles intentionally stay naive and slow.
 """
 
 from fractions import Fraction
@@ -15,13 +16,14 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
-from cumulantcalc.algebra import TruncatedSeries, linear_combination
+from cumulantcalc.algebra import TruncatedSeries, linear_combination, moment_monomial
 from cumulantcalc.cumulants import CumulantKind, partitioned_cumulant
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.partitions import (
     SetPartition,
     enumerate_partitions,
     lattice_leq,
+    lower_interval,
     mobius_to_top,
     partitions_of,
 )
@@ -336,15 +338,17 @@ def kreweras_by_separation(pi: SetPartition) -> SetPartition:
 # --- moment-cumulant sums, one term per set partition -----------------------
 
 
+_LATTICE = {
+    CumulantKind.CLASSICAL: "all",
+    CumulantKind.FREE: "noncrossing",
+    CumulantKind.BOOLEAN: "interval",
+    CumulantKind.MONOTONE: "noncrossing",
+}
+
+
 def _lattice_terms(kind, n: int):
     """(block sizes, weight) for every member of the kind's lattice."""
-    cls = {
-        CumulantKind.CLASSICAL: "all",
-        CumulantKind.FREE: "noncrossing",
-        CumulantKind.BOOLEAN: "interval",
-        CumulantKind.MONOTONE: "noncrossing",
-    }[kind]
-    for pi in enumerate_partitions(n, cls):
+    for pi in enumerate_partitions(n, _LATTICE[kind]):
         if kind is CumulantKind.MONOTONE:
             weight = Fraction(1, partition_tree_factorial(pi))
         else:
@@ -380,6 +384,21 @@ def cumulants_per_partition(kind, moments) -> list:
                 acc -= w * _block_product(sizes, out)
         out.append(acc)
     return out
+
+
+def lattice_formula_by_intervals(kind, inverted: bool, n: int):
+    """(pi, holds) for every pi of the kind's lattice on [n], in its order,
+    each by a literal sum over the lower interval of pi:
+    m_pi = sum kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma."""
+    lattice = _LATTICE[kind]
+    for pi in partitions_of(n, lattice):
+        interval = lower_interval(pi, lattice)
+        if inverted:
+            rhs = linear_combination((mu, moment_monomial(s)) for s, mu in interval)
+            yield pi, partitioned_cumulant(kind, pi) == rhs
+        else:
+            rhs = linear_combination((1, partitioned_cumulant(kind, s)) for s, _ in interval)
+            yield pi, moment_monomial(pi) == rhs
 
 
 def univariate_sum_per_partition(kind, weighted):

@@ -271,6 +271,21 @@ def test_verify_univariate_rows_golden_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+def test_verify_lattice_rows_golden_digests(capsys):
+    # pins the lattice rows beyond the n <= 6 of `verify --all 6`, at the
+    # caps they had when each pi summed its whole lower interval
+    golden = {
+        ("moment_cumulant_K", "8"): "a9ead0cf2cfa2c5069cd24a8479b14c180e7bc06dfd46c3dc5c5b4cdb5a93a6a",
+        ("moment_cumulant_R", "8"): "ce2d3f84973197d72d1ce2d50ffc48843b69d32c80ba70713635e6bfdd2d900f",
+        ("moment_cumulant_B", "9"): "fcabde8ec99c76daefc8266a75cddf112d0a2cbb53fe21f8a2caeb6328c53382",
+        ("mobius_inversions", "7"): "05bf5be698719d2d46ccbb0b405e94bd3890677dcc22721f9573925ecbc20783",
+    }
+    for (name, n), digest in golden.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 def test_verify_multivariate_thm2_rows_golden_digests(capsys):
     # pins the thm2 sums without identified variables; every report holds
     golden = {

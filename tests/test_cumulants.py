@@ -88,7 +88,7 @@ def test_cumulant_poly_small_cases():
 
 def test_cumulant_poly_limits():
     with pytest.raises(ResourceLimitError):
-        cumulant_poly(K, 9)
+        cumulant_poly(K, 10)
     with pytest.raises(ValueError):
         cumulant_poly(K, 0)
 

@@ -21,8 +21,8 @@ from cumulantcalc.identities import (
     verify_identity,
 )
 from cumulantcalc.limits import ResourceLimitError
-from cumulantcalc.partitions import partitions_of
-from oracles import bell_number, univariate_sum_per_partition
+from cumulantcalc.partitions import SetPartition, partitions_of
+from oracles import lattice_formula_by_intervals, univariate_sum_per_partition
 
 
 def test_catalog_is_complete():
@@ -67,7 +67,7 @@ def test_unknown_identity_and_bad_n():
     with pytest.raises(ValueError):
         verify_identity("free2boolean", 0)
     with pytest.raises(ResourceLimitError):
-        verify_identity("moment_cumulant_K", 9)
+        verify_identity("moment_cumulant_K", 10)
 
 
 def test_report_serialization():
@@ -119,13 +119,66 @@ def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, brok
     }
 
 
+@pytest.mark.parametrize("kind", [CumulantKind.CLASSICAL, CumulantKind.FREE,
+                                  CumulantKind.BOOLEAN])
+@pytest.mark.parametrize("inverted", [False, True])
+def test_lattice_formula_matches_per_pi_interval_sums(monkeypatch, kind, inverted):
+    # the row multiplies one interval sum per block size; the oracle sums
+    # the whole lower interval of every pi.  The row reads pi's own side
+    # (m_pi, or kind_pi inverted) once per case, so recording those reads
+    # gives the pi it checks, in order.
+    target = "_partitioned_cumulant" if inverted else "moment_monomial"
+    real = getattr(identities, target)
+    seen = []
+
+    def recording(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(identities, target, recording)
+    for n in range(1, 8):
+        expected = list(lattice_formula_by_intervals(kind, inverted, n))
+        assert all(holds for _, holds in expected), (n, kind, inverted)
+        seen.clear()
+        outcomes = list(identities._lattice_formula([kind], inverted, n))
+        assert outcomes == [[]] * len(expected)
+        assert seen == [pi for pi, _ in expected]
+
+
+@pytest.mark.parametrize("name, lattice", [
+    ("moment_cumulant_K", "all"),
+    ("moment_cumulant_R", "noncrossing"),
+    ("moment_cumulant_B", "interval"),
+    ("mobius_inversions", "all"),
+])
+@pytest.mark.parametrize("target", ["_partitioned_cumulant", "moment_monomial"])
+def test_lattice_rows_read_every_sigma(monkeypatch, name, lattice, target):
+    # doubling kind_sigma or m_sigma for one sigma strictly between 0 and 1
+    # of a lattice on four elements fails the row at n = 4 and not below:
+    # S_4 reads every kind_sigma and T_4 every m_sigma, and each sigma is
+    # also a pi whose own side is compared
+    real = getattr(identities, target)
+    ends = (SetPartition.singletons(4), SetPartition.one_block(4))
+    for sigma in partitions_of(4, lattice):
+        if sigma in ends:
+            continue
+
+        def corrupted(*args, sigma=sigma):
+            out = real(*args)
+            return out + out if args[-1] == sigma else out
+
+        monkeypatch.setattr(identities, target, corrupted)
+        assert verify_identity(name, 3).holds, sigma
+        assert not verify_identity(name, 4).holds, sigma
+
+
 def test_run_catalog_clamps_limits():
-    # through a row that is cheap at its max_n (0.2 s at n = 9)
-    jobs = catalog_jobs(10, ["moment_cumulant_B"])
-    assert jobs == [("moment_cumulant_B", n) for n in range(1, 10)]
+    # through a row that is cheap at its max_n (0.06 s at n = 10)
+    jobs = catalog_jobs(11, ["moment_cumulant_B"])
+    assert jobs == [("moment_cumulant_B", n) for n in range(1, 11)]
     assert all(verify_identity(*job).holds for job in jobs)
     with pytest.raises(ResourceLimitError):
-        catalog_jobs(10, ["moment_cumulant_B"], strict=True)
+        catalog_jobs(11, ["moment_cumulant_B"], strict=True)
     with pytest.raises(ValueError):
         catalog_jobs(3, ["nope"])
 
@@ -202,8 +255,11 @@ def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, key, low):
         "moment_cumulant_H", "free2class_tutte", "thm4_cyclecruns", "cor_runs",
         "thm2_free2mono_mv",
     )),
-    # lower_interval, public, checks once per pi of P(6)
-    ("moment_cumulant_K", bell_number(6) + 8),
+    # the lattice rows, per lattice: 1 for its members, 2 for the cumulant
+    # limits, and 6 in lower_interval, public, once per block size k <= 6
+    ("moment_cumulant_K", 9),
+    ("moment_cumulant_R", 9),
+    ("mobius_inversions", 3 * 9),
 ])
 def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
     # the limits are checked where the row chooses its work, not again for
