@@ -46,7 +46,6 @@ from .forests import alpha
 from .graphs import (
     anti_interval_digraph,
     anti_interval_graph,
-    digraph_key,
     graph_to_json,
     tutte_eval,
 )
@@ -193,8 +192,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _digraph_key_str(key) -> str:
-    n, und, dirs, loops = key
+def _digraph_key_str(n, und, dirs) -> str:
     parts = [f"n={n}"]
     if und:
         parts.append("u:" + ",".join(f"{a}-{b}" for a, b in und))
@@ -216,7 +214,7 @@ def _table_rows(what: str, n: int):
     if what == "beta":
         header = ["partition", "digraph_key", "beta"]
         rows = [
-            (pi.to_text(), _digraph_key_str(key), rational_to_str(value))
+            (pi.to_text(), _digraph_key_str(*key), rational_to_str(value))
             for pi, key, value in build_beta_table(n)
         ]
     elif what == "alpha":
@@ -364,7 +362,7 @@ def _cmd_graph(args) -> int:
     pi = _parse_partition(args.partition)
     g = anti_interval_digraph(pi)
     if args.format == "text":
-        print(_digraph_key_str(digraph_key(g)))
+        print(_digraph_key_str(g.n, g.undirected, g.directed))
     else:
         print(_json_dumps(graph_to_json(g)))
     return EXIT_OK

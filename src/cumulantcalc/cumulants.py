@@ -26,10 +26,11 @@ K_n = sum over P(n) of beta(pi) H_pi.  They are computed by the closed sum
     beta(pi) = sum over sigma >= pi with all restrictions noncrossing of
                mu_P(sigma, top) / prod_W tau(pi|_W)!
 
-memoized on the anti-interval digraph, which determines beta.  The sum
-reads the crossing and nesting relations of the blocks off the digraph as
-bitmasks and never rebuilds a restricted partition.  The recursion that
-peels the top of the lattice is the test suite's independent check.
+memoized on the anti-interval digraph, which determines beta, keyed as the
+block count and the crossing and nesting pairs of `SetPartition.block_pairs`.
+The sum reads those relations as bitmasks and never rebuilds a restricted
+partition.  The recursion that peels the top of the lattice is the test
+suite's independent check.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .algebra import (
     moment_monomial,
 )
 from .forests import partition_tree_factorial
-from .graphs import anti_interval_digraph, digraph_key
 from .limits import check_limit
 from .partitions import SetPartition, mobius_to_top, partitions_of
 
@@ -452,6 +452,7 @@ def determinant_cumulants(kind: str, moments) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _beta_closed_sum(k: int, crossing, nesting) -> Fraction:
     """The closed sum for beta, from the anti-interval digraph of pi.
 
@@ -517,17 +518,17 @@ def _beta_closed_sum(k: int, crossing, nesting) -> Fraction:
     return Fraction(K[size - 1], fact[k])
 
 
-@lru_cache(maxsize=None)
-def _beta_of_digraph(key: tuple) -> Fraction:
-    k, crossing, nesting, _ = key
-    return _beta_closed_sum(k, crossing, nesting)
+def _beta_key(pi: SetPartition) -> tuple:
+    """(k, crossing, nesting): pi's anti-interval digraph, beta's memo key."""
+    crossing, nesting = pi.block_pairs()
+    return pi.num_blocks, tuple(crossing), tuple(nesting)
 
 
 def beta_formula(pi: SetPartition) -> Fraction:
     """The coefficient of H_pi in the classical cumulant K_n, by the closed
     sum over coarsenings with noncrossing restrictions."""
     check_limit("beta-blocks", pi.num_blocks)
-    return _beta_of_digraph(digraph_key(anti_interval_digraph(pi)))
+    return _beta_closed_sum(*_beta_key(pi))
 
 
 def build_beta_table(n: int) -> tuple[tuple[SetPartition, tuple, Fraction], ...]:
@@ -535,8 +536,8 @@ def build_beta_table(n: int) -> tuple[tuple[SetPartition, tuple, Fraction], ...]
     check_limit("beta-blocks", n)  # no partition of [n] has more blocks
     rows = []
     for pi in partitions_of(n, "all"):
-        key = digraph_key(anti_interval_digraph(pi))
-        rows.append((pi, key, _beta_of_digraph(key)))
+        key = _beta_key(pi)
+        rows.append((pi, key, _beta_closed_sum(*key)))
     return tuple(rows)
 
 

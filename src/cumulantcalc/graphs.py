@@ -38,7 +38,6 @@ __all__ = [
     "crossing_graph",
     "anti_interval_graph",
     "anti_interval_digraph",
-    "digraph_key",
     "tutte_eval",
     "enumerate_pyramids",
     "count_pyramids",
@@ -116,11 +115,6 @@ def anti_interval_digraph(pi: SetPartition) -> MixedGraph:
     """Anti-interval graph with nesting edges directed outer -> inner."""
     crossing, nesting = pi.block_pairs()
     return MixedGraph(pi.num_blocks, tuple(crossing), tuple(nesting))
-
-
-def digraph_key(g: MixedGraph) -> tuple:
-    """Canonical labeled key; beta coefficients are memoized on this."""
-    return (g.n, g.undirected, g.directed, g.loops)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import permutations
 from math import comb, factorial, prod
 
@@ -309,8 +309,8 @@ def _lattice_formula(kinds, inverted, n):
     So the sum over [0, pi] is the product over W of one sum over the
     lattice on |W| elements, S_k = sum kind_sigma or
     T_k = sum mu(sigma, 1_k) m_sigma, relabelled onto W: the intervals are
-    summed once per k, at pi = 1_k, and each pi multiplies its blocks'
-    sums, smallest block first."""
+    summed once per k, at pi = 1_k, each block's sum is relabelled once,
+    and each pi multiplies its blocks' sums, smallest block first."""
     for kind in kinds:
         lattice = _LATTICE_OF_KIND[kind]
         members = partitions_of(n, lattice)
@@ -322,11 +322,12 @@ def _lattice_formula(kinds, inverted, n):
             )
             for k in range(1, n + 1)
         }
+        relabelled = cache(lambda block: sums[len(block)].relabel(block))
         for pi in members:
             first, *rest = sorted(pi.blocks, key=len)
-            rhs = sums[len(first)].relabel(first)
+            rhs = relabelled(first)
             for block in rest:
-                rhs = rhs * sums[len(block)].relabel(block)
+                rhs = rhs * relabelled(block)
             if inverted:
                 holds = _partitioned_cumulant(kind, pi) == rhs
             else:

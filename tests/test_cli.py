@@ -600,6 +600,9 @@ def test_benchmark_recorded_digests(tmp_path, capsys):
 def test_graph_command(capsys):
     code, out, _ = run_cli(capsys, "graph", "1,3|2,4")
     assert code == 0 and out.strip() == "n=2;u:0-1"
+    # a pair that both crosses and nests keeps only its crossing edge
+    code, out, _ = run_cli(capsys, "graph", "1,3,5|2,4")
+    assert code == 0 and out.strip() == "n=2;u:0-1"
     code, out, _ = run_cli(capsys, "--format", "json", "graph", "1,4|2,3")
     assert json.loads(out) == {"n": 2, "undirected": [], "directed": [[0, 1]], "loops": []}
     # JSON partition input is accepted too

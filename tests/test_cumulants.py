@@ -25,8 +25,8 @@ from cumulantcalc.cumulants import (
     partitioned_cumulant,
     tilde_transform,
 )
-from cumulantcalc.graphs import anti_interval_digraph, digraph_key
-from cumulantcalc.identities import verify_identity
+from cumulantcalc.graphs import MixedGraph, anti_interval_digraph
+from cumulantcalc.identities import _lattice_formula, verify_identity
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
@@ -136,6 +136,26 @@ def test_partitioned_cumulants_relabel_each_block_once(monkeypatch):
                 partitioned_cumulant(kind, pi)
         every = {block for pi in partitions_of(6, "all") for block in pi.blocks}
         assert set(blocks) == every and set(blocks.values()) == {1}, kind
+
+
+@pytest.mark.parametrize("kind", [K, R, B])
+@pytest.mark.parametrize("inverted, n", [(False, 7), (True, 6)])
+def test_lattice_rows_relabel_each_block_once(monkeypatch, kind, inverted, n):
+    # with the cumulant caches warm, one row call relabels the sum of each
+    # block size onto each block of its lattice once, however many pi hold it
+    list(_lattice_formula([kind], inverted, n))
+    real = MomentPolynomial.relabel
+    blocks = Counter()
+
+    def counting(self, block):
+        blocks[block] += 1
+        return real(self, block)
+
+    monkeypatch.setattr(MomentPolynomial, "relabel", counting)
+    assert all(case == [] for case in _lattice_formula([kind], inverted, n))
+    lattice = cumulants._LATTICE_OF_KIND[kind]
+    every = {block for pi in partitions_of(n, lattice) for block in pi.blocks}
+    assert set(blocks) == every and set(blocks.values()) == {1}, kind
 
 
 def test_sequences_match_polynomials():
@@ -311,14 +331,29 @@ def test_beta_routes_agree():
 
 
 def test_beta_depends_only_on_digraph():
+    # grouped by the digraph `graphs` builds, not by beta's own memo key
     seen = {}
     for n in range(1, 7):
         for pi in partitions_of(n, "all"):
-            key = digraph_key(anti_interval_digraph(pi))
+            key = anti_interval_digraph(pi)
             value = beta_formula(pi)
             if key in seen:
                 assert seen[key] == value, pi
             seen[key] = value
+
+
+def test_beta_table_builds_no_graph(monkeypatch):
+    # beta is keyed on the block relations themselves, not on a MixedGraph
+    real = MixedGraph.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(MixedGraph, "__post_init__", counting)
+    assert len(build_beta_table(6)) == 203
+    assert built == []
 
 
 def test_beta_block_limit():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from cumulantcalc import identities, limits
+from cumulantcalc import cumulants, identities, limits, partitions
 from cumulantcalc.algebra import Polynomial
 from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
@@ -170,6 +170,31 @@ def test_lattice_rows_read_every_sigma(monkeypatch, name, lattice, target):
         monkeypatch.setattr(identities, target, corrupted)
         assert verify_identity(name, 3).holds, sigma
         assert not verify_identity(name, 4).holds, sigma
+
+
+def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
+    # mu(pi, 1) doubled on every two-block pi, in both modules that read it;
+    # the caches built on mu are emptied before and after, so no corrupted
+    # entry outlives the test
+    caches = (partitions._block_lattice_cached, cumulants._cumulant_poly,
+              cumulants._block_cumulant, cumulants._partitioned_cumulant)
+    real = partitions.mobius_to_top
+
+    def doubled(pi, lattice):
+        mu = real(pi, lattice)
+        return 2 * mu if pi.num_blocks == 2 else mu
+
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(partitions, "mobius_to_top", doubled)
+    monkeypatch.setattr(cumulants, "mobius_to_top", doubled)
+    try:
+        for name in ("moment_cumulant_K", "moment_cumulant_R", "moment_cumulant_B"):
+            for n in range(2, 6):
+                assert not verify_identity(name, n).holds, (name, n)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_run_catalog_clamps_limits():
