@@ -181,9 +181,9 @@ class Polynomial:
         return Polynomial([a / c for a in self.coeffs])
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return self.coeffs == Polynomial.constant(other).coeffs
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -186,9 +186,9 @@ class FamilySum:
     when it runs.  Both sides are added by `_cumulant_sum` or, with
     `univariate`, by `_type_sum`, which compares them after all variables
     are identified.  For n <= `ordered_max_n` (monotone rhs) the sum is
-    checked again in ordered-monotone form: over every monotone
-    order of every pi, each order carrying weight(pi) * tau(pi)! / |pi|!
-    (the orders of one pi are counted and summed as one term).
+    checked again in ordered-monotone form: each member pi is summed once
+    with weight(pi) * tau(pi)! / |pi|! times the number of its monotone
+    orders, as counted from `enumerate_monotone(n)`.
     """
 
     name: str
@@ -211,16 +211,11 @@ class FamilySum:
         rhs = add(self.rhs, n, ((self.weight(pi), pi) for pi in members))
         rep = _compare(self.name, n, lhs, rhs)
         if rep.holds and n <= self.ordered_max_n:
-            per_order = {
-                pi: Fraction(self.weight(pi)) * partition_tree_factorial(pi)
-                / factorial(pi.num_blocks)
-                for pi in members
-            }
             orders = Counter(op.base for op in enumerate_monotone(n))
             ordered = add(self.rhs, n, (
-                (per_order[pi] * count, pi)
-                for pi, count in orders.items()
-                if pi in per_order
+                (Fraction(self.weight(pi)) * partition_tree_factorial(pi)
+                 / factorial(pi.num_blocks) * orders[pi], pi)
+                for pi in members
             ))
             if ordered != lhs:
                 rep.holds = False

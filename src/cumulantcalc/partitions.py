@@ -80,7 +80,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 from .limits import check_limit
@@ -739,38 +739,15 @@ class OrderedPartition:
 def enumerate_monotone(n: int):
     """Stream every monotone partition of [n] exactly once.
 
-    For each noncrossing base (RGS order), the orders are the linear
-    extensions of the nesting order (outer before inner), generated in
-    lexicographic order of the block-index sequence.
+    For each noncrossing base (RGS order), the orders are the permutations
+    of the block indices in lexicographic order, kept when every block
+    comes after each block it is nested in.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_limit("monotone", n)
     for base in _enumerate_unchecked(n, "noncrossing"):
-        k = base.num_blocks
-        preds = [0] * k  # number of outer blocks not yet placed
-        outer_of = [[] for _ in range(k)]
-        for i, j in base.block_pairs()[1]:  # block j nested inside block i
-            preds[j] += 1
-            outer_of[i].append(j)
-        seq: list[int] = []
-        remaining = preds[:]
-        used = [False] * k
-
-        def rec():
-            if len(seq) == k:
-                yield OrderedPartition._unchecked(base, tuple(seq))
-                return
-            for b in range(k):
-                if not used[b] and remaining[b] == 0:
-                    used[b] = True
-                    for inner in outer_of[b]:
-                        remaining[inner] -= 1
-                    seq.append(b)
-                    yield from rec()
-                    seq.pop()
-                    for inner in outer_of[b]:
-                        remaining[inner] += 1
-                    used[b] = False
-
-        yield from rec()
+        nested = base.block_pairs()[1]  # (i, j): block j nested inside block i
+        for order in permutations(range(base.num_blocks)):
+            if all(order.index(i) < order.index(j) for i, j in nested):
+                yield OrderedPartition._unchecked(base, order)

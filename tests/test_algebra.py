@@ -55,6 +55,12 @@ def test_polynomial_basics():
     q = Polynomial([0, 0, 1])
     assert (p * q).coeffs == (0, 0, 1, 2)
     assert json.dumps(p.to_json()) == '["1", "2"]'
+    # a Polynomial equals only another Polynomial
+    assert (Polynomial([1, 2]) == None) is False  # noqa: E711
+    assert None not in [Polynomial([1])]
+    assert Polynomial([1]) != "1"
+    assert Polynomial([1]) != 1
+    assert {1: "a"}.get(Polynomial([1])) is None
 
 
 def test_faulhaber_small_cases():

@@ -197,6 +197,31 @@ def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
             cached.cache_clear()
 
 
+def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
+    # one order short: the last order of the first base (RGS order) that has
+    # two or more orders and holds 1 and n in one block; such a base is
+    # irreducible, so it is a member of every row below
+    real = identities.enumerate_monotone
+
+    def one_order_short(n):
+        stream = list(real(n))
+        counts = Counter(op.base for op in stream)
+        base = next(op.base for op in stream
+                    if counts[op.base] >= 2 and op.base.rgs[0] == op.base.rgs[-1])
+        last = max(i for i, op in enumerate(stream) if op.base == base)
+        yield from stream[:last] + stream[last + 1:]
+
+    monkeypatch.setattr(identities, "enumerate_monotone", one_order_short)
+    for name in ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free"):
+        for n in (4, 5):
+            rep = verify_identity(name, n)
+            assert not rep.holds, (name, n)
+            assert rep.witness.startswith("ordered-partition form differs:"), (name, n)
+            assert rep.detail == {"ordered_form_checked": True}, (name, n)
+    monkeypatch.undo()
+    assert verify_identity("moment_cumulant_H", 5).holds
+
+
 def test_run_catalog_clamps_limits():
     # through a row that is cheap at its max_n (0.06 s at n = 10)
     jobs = catalog_jobs(11, ["moment_cumulant_B"])

@@ -1,10 +1,12 @@
 """Partitions: classes, closures, components, lattice, Moebius, enumeration."""
 
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
 import pytest
 
+from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import (
     OrderedPartition,
@@ -316,18 +318,24 @@ def test_monotone_enumeration_counts():
 
 
 def test_monotone_enumeration_matches_brute_force():
-    for n in range(1, 6):
-        got = set()
-        for op in enumerate_monotone(n):
-            assert monotone_by_predicates(op)
-            got.add((op.base, op.order))
-        brute = set()
-        for base in enumerate_partitions(n):
-            for perm in permutations(range(base.num_blocks)):
-                op = OrderedPartition(base, perm)
-                if monotone_by_predicates(op):
-                    brute.add((base, perm))
+    # the stream, in order: RGS order of the bases, then the lexicographic
+    # order of the block permutations
+    for n in range(1, 7):
+        got = [(op.base, op.order) for op in enumerate_monotone(n)]
+        brute = [
+            (base, perm)
+            for base in enumerate_partitions(n)
+            for perm in permutations(range(base.num_blocks))
+            if monotone_by_predicates(OrderedPartition(base, perm))
+        ]
         assert got == brute
+    # the order counts the ordered-monotone form relies on: |pi|! / tau(pi)!
+    # for every noncrossing pi, and no other base
+    counts = Counter(op.base for op in enumerate_monotone(7))
+    assert counts == {
+        pi: factorial(pi.num_blocks) // partition_tree_factorial(pi)
+        for pi in partitions_of(7, "noncrossing")
+    }
 
 
 def test_ordered_partition_validation():
