@@ -33,6 +33,12 @@ of `kind` once, at n.  The lattice formulas check them once per kind, add
 one interval sum per block size k <= n, at pi = 1_k, and multiply those
 sums block by block for every pi.
 
+Four walks depend only on n, and each is counted once per n: the monotone
+orders of each noncrossing pi, the runs of the words 1 a_2 ... a_n, the
+cycle runs of S_n, and the (forest shape, block-size type) classes of
+NC(n).  A count holds partitions and integer counts only, so the sums
+weight each distinct partition once, times its count.
+
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
 catalog tags (thm1..thm5, cor9, prop10).  Random-sequence checks draw
@@ -73,9 +79,9 @@ from .cumulants import (
     sequence_series,
     tilde_transform,
 )
-from .forests import alpha, depth, labelling_polynomial_of, partition_tree_factorial
+from .forests import _shape, alpha, depth, labelling_polynomial_of, partition_tree_factorial
 from .graphs import anti_interval_graph, crossing_graph, tutte_eval
-from .limits import ResourceLimitError
+from .limits import ResourceLimitError, check_limit
 from .partitions import (
     SetPartition,
     enumerate_monotone,
@@ -188,7 +194,8 @@ class FamilySum:
     are identified.  For n <= `ordered_max_n` (monotone rhs) the sum is
     checked again in ordered-monotone form: each member pi is summed once
     with weight(pi) * tau(pi)! / |pi|! times the number of its monotone
-    orders, as counted from `enumerate_monotone(n)`.
+    orders, read from `_monotone_order_counts(n)` after the "monotone"
+    limit is checked.
     """
 
     name: str
@@ -211,7 +218,8 @@ class FamilySum:
         rhs = add(self.rhs, n, ((self.weight(pi), pi) for pi in members))
         rep = _compare(self.name, n, lhs, rhs)
         if rep.holds and n <= self.ordered_max_n:
-            orders = Counter(op.base for op in enumerate_monotone(n))
+            check_limit("monotone", n)
+            orders = _monotone_order_counts(n)
             ordered = add(self.rhs, n, (
                 (Fraction(self.weight(pi)) * partition_tree_factorial(pi)
                  / factorial(pi.num_blocks) * orders[pi], pi)
@@ -257,26 +265,86 @@ def _type_sum(kind: CumulantKind, n: int, weighted) -> MomentPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# Counts of the walks that depend only on n
+# ---------------------------------------------------------------------------
+# Each count holds partitions and integer counts only, no weight and no
+# polynomial, so a sum weights each distinct partition once, times its
+# count.  The counts are unchecked: each reader checks the row's limit keys
+# first, on every call, so a warm count is never read past a lowered limit
+# and a cold one starts no walk there.
+
+
+@cache
+def _monotone_order_counts(n: int) -> Counter[SetPartition]:
+    """The number of monotone orders of each noncrossing pi of [n]."""
+    return Counter(op.base for op in enumerate_monotone(n))
+
+
+@cache
+def _run_counts(n: int) -> Counter[SetPartition]:
+    """How many words 1 a_2 ... a_n have each partition by runs; these are
+    also the cycle runs of the full cycles (1 a_2 ... a_n)."""
+    return Counter(runs(Permutation((1,) + rest))[0] for rest in permutations(range(2, n + 1)))
+
+
+@cache
+def _cycle_run_counts(n: int) -> Counter[tuple[SetPartition, int]]:
+    """How many sigma in S_n have each pair (cycle_runs(sigma), the sign
+    (-1)^(#cycles - 1) of sigma)."""
+    return Counter((cycle_runs(s), _sign(cycles(s))) for s in all_permutations(n))
+
+
+@cache
+def _shape_type_counts(n: int) -> tuple[tuple[SetPartition, int], ...]:
+    """A representative pi (the first in RGS order) and the size of each
+    (forest shape, block-size type) class of NC(n)."""
+    first: dict[tuple, SetPartition] = {}
+    sizes: Counter[tuple] = Counter()
+    for pi in partitions_of(n, "noncrossing"):
+        key = (_shape(pi), tuple(sorted(pi.block_sizes())))
+        first.setdefault(key, pi)
+        sizes[key] += 1
+    return tuple((pi, sizes[key]) for key, pi in first.items())
+
+
+# ---------------------------------------------------------------------------
 # Permutation sums for classical cumulants
 # ---------------------------------------------------------------------------
+
+
+def _run_sum(n) -> MomentPolynomial:
+    """The sum of (-1)^(#runs - 1) B_runs over the words 1 a_2 ... a_n, one
+    term per partition of `_run_counts(n)`; unchecked, the caller checks
+    the limits of B and of the row first."""
+    return linear_combination(
+        (_sign(part) * c, _partitioned_cumulant(B, part)) for part, c in _run_counts(n).items()
+    )
+
+
+def _cycle_run_sum(n) -> MomentPolynomial:
+    """The sum of (-1)^(#cycleruns - #cycles) B_cycleruns over S_n, one term
+    per pair of `_cycle_run_counts(n)`; unchecked like `_run_sum`."""
+    return linear_combination(
+        (_sign(part) * sign * c, _partitioned_cumulant(B, part))
+        for (part, sign), c in _cycle_run_counts(n).items()
+    )
 
 
 def _runs_sum(name, n):
     """K_n against the signed B-sum over the runs of the words 1 a_2 ... a_n,
     which are also the cycle runs of the full cycles (1 a_2 ... a_n): the
-    walk of both `cor_runs` and `thm4_cyclecruns`."""
-    parts = (runs(Permutation((1,) + rest))[0] for rest in permutations(range(2, n + 1)))
-    rhs = _cumulant_sum(B, n, ((_sign(part), part) for part in parts))
-    return _compare(name, n, cumulant_poly(K, n), rhs)
+    sum of both `cor_runs` and `thm4_cyclecruns`."""
+    _check_cumulant_limits(B, n)
+    lhs = cumulant_poly(K, n)
+    return _compare(name, n, lhs, _run_sum(n))
 
 
 def _thm4_cyclecruns(name, n):
-    rep = _runs_sum(name, n)
+    rep = _runs_sum(name, n)  # checks the limits of both kinds at n
     if rep.holds and n <= 6:
         # The cancellation underlying the cyclic form: summing over all of
         # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
-        pairs = ((s, cycle_runs(s)) for s in all_permutations(n))
-        full = _cumulant_sum(B, n, ((_sign(part) * _sign(cycles(s)), part) for s, part in pairs))
+        full = _cycle_run_sum(n)
         target = moment_monomial(SetPartition.one_block(n))
         if full != target:
             rep.holds = False
@@ -397,19 +465,33 @@ def _determinant_formulas(n):
 def _lenczewski_sum(n):
     """For N = 1..5 colours, sum over NC(n) of P_pi(N) r_pi against the
     moment of the N-fold monotone dilation, as exact univariate moment
-    polynomials."""
-    members = partitions_of(n, "noncrossing")
-    # P_pi depends only on the forest shape of pi: evaluate each one once
+    polynomials.
+
+    P_pi, |pi| and tau(pi)! depend only on the forest shape of pi, and a
+    univariate cumulant product only on its block-size type, so each side
+    adds one term per (shape, type) class of `_shape_type_counts(n)`: the
+    weight of its representative times the class size.
+    """
+    _check_cumulant_limits(R, n)  # the keys of both sides
+    for colors, lhs, rhs in _lenczewski_sides(n):
+        yield _failed((f"N={colors}", lhs == rhs))
+
+
+def _lenczewski_sides(n):
+    """(N, free side, monotone side) for N = 1..5; a generator, so the count
+    is read only when the caller, having checked the limits, iterates."""
+    classes = _shape_type_counts(n)
+    # several types share a shape: evaluate each P_pi once per N
     evaluate = lru_cache(maxsize=None)(Polynomial.evaluate)
     for colors in range(1, 6):
         lhs = _type_sum(R, n, (
-            (evaluate(labelling_polynomial_of(pi), colors), pi) for pi in members
+            (c * evaluate(labelling_polynomial_of(pi), colors), pi) for pi, c in classes
         ))
         rhs = _type_sum(H, n, (
-            (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
-            for pi in members
+            (c * Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
+            for pi, c in classes
         ))
-        yield _failed((f"N={colors}", lhs == rhs))
+        yield colors, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +692,7 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
               "tilde swaps free and Boolean cumulants and negates monotone ones"),
         Cases("monotone_flow_integer", 10, _monotone_flow_integer,
               "integer-parameter composition law of the monotone dilation"),
-        Cases("lenczewski_sum", 9, _lenczewski_sum,
+        Cases("lenczewski_sum", 10, _lenczewski_sum,
               "colored free-cumulant sums match monotone dilation moments"),
         FamilySum("beta_expansion", 6, K, H, "all", lambda pi: beta_formula(pi), False,
                   "classical cumulants as beta-weighted monotone cumulants"),

@@ -18,7 +18,7 @@ from math import comb, factorial
 
 from cumulantcalc.algebra import TruncatedSeries, linear_combination, moment_monomial
 from cumulantcalc.cumulants import CumulantKind, partitioned_cumulant
-from cumulantcalc.forests import partition_tree_factorial
+from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
 from cumulantcalc.partitions import (
     SetPartition,
     enumerate_partitions,
@@ -27,7 +27,7 @@ from cumulantcalc.partitions import (
     mobius_to_top,
     partitions_of,
 )
-from cumulantcalc.permutations import Permutation
+from cumulantcalc.permutations import Permutation, all_permutations, cycle_runs, cycles, runs
 
 # --- counting -----------------------------------------------------------
 
@@ -407,6 +407,43 @@ def univariate_sum_per_partition(kind, weighted):
     return linear_combination(
         (w, partitioned_cumulant(kind, pi).univariate()) for w, pi in weighted if w
     )
+
+
+def _sign(pi: SetPartition) -> int:
+    return (-1) ** (pi.num_blocks - 1)
+
+
+def runs_sum_per_word(n: int):
+    """Sum of (-1)^(#runs - 1) B_runs, one term per word 1 a_2 ... a_n."""
+    parts = (runs(Permutation((1,) + rest))[0] for rest in permutations(range(2, n + 1)))
+    return linear_combination(
+        (_sign(part), partitioned_cumulant(CumulantKind.BOOLEAN, part)) for part in parts
+    )
+
+
+def cycle_runs_sum_per_permutation(n: int):
+    """Sum of (-1)^(#cycleruns - #cycles) B_cycleruns, one term per sigma in S_n."""
+    return linear_combination(
+        (_sign(cycle_runs(s)) * _sign(cycles(s)),
+         partitioned_cumulant(CumulantKind.BOOLEAN, cycle_runs(s)))
+        for s in all_permutations(n)
+    )
+
+
+def lenczewski_sides_per_partition(n: int):
+    """(N, free side, monotone side) of the Lenczewski sum for N = 1..5, one
+    term per pi in NC(n): each weight read from pi's own forest, each
+    cumulant product multivariate, with the variables identified afterwards."""
+    members = partitions_of(n, "noncrossing")
+    for colors in range(1, 6):
+        lhs = univariate_sum_per_partition(CumulantKind.FREE, (
+            (labelling_polynomial_of(pi).evaluate(colors), pi) for pi in members
+        ))
+        rhs = univariate_sum_per_partition(CumulantKind.MONOTONE, (
+            (Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
+            for pi in members
+        ))
+        yield colors, lhs, rhs
 
 
 # --- moment polynomials as Fraction dicts ------------------------------------

@@ -264,6 +264,7 @@ def test_verify_univariate_rows_golden_digests(capsys):
         ("thm2_class2mono", "8"): "c578beb8d01676ab415356dca3cc21e5879d59e8b1540398c99f31dfc8e3a87f",
         ("lenczewski_sum", "7"): "fc6e707a826ec62b06fb5036448275a7f41736245c9ce5892e4f994ba81d5c97",
         ("lenczewski_sum", "9"): "9db60c53a1c063d4e761f8ebd433a4ba01976b523db67a23b2dfedc1eec937f6",
+        ("lenczewski_sum", "10"): "29f283c9cec39dc92570ab8aef399e13ff9f9b8a72869276ce15b8d18ef94a5e",
     }
     for (name, n), digest in golden.items():
         code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)

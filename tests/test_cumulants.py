@@ -244,8 +244,8 @@ def test_lenczewski_examples(monkeypatch):
     for n in range(1, 6):
         assert verify_identity("lenczewski_sum", n).holds
     # bounded by the row's max_n, and by the cumulant polynomials it multiplies
-    with pytest.raises(ResourceLimitError, match="lenczewski_sum is limited to n <= 9"):
-        verify_identity("lenczewski_sum", 10)
+    with pytest.raises(ResourceLimitError, match="lenczewski_sum is limited to n <= 10"):
+        verify_identity("lenczewski_sum", 11)
     monkeypatch.setitem(DEFAULT_LIMITS, "cumulant-other", 4)
     with pytest.raises(ResourceLimitError, match="cumulant-other"):
         verify_identity("lenczewski_sum", 5)

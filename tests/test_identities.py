@@ -9,7 +9,6 @@ import pytest
 from cumulantcalc import cumulants, identities, limits, partitions
 from cumulantcalc.algebra import Polynomial
 from cumulantcalc.cumulants import CumulantKind
-from cumulantcalc.forests import labelling_polynomial_of, partition_tree_factorial
 from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
@@ -22,7 +21,14 @@ from cumulantcalc.identities import (
 )
 from cumulantcalc.limits import ResourceLimitError
 from cumulantcalc.partitions import SetPartition, partitions_of
-from oracles import lattice_formula_by_intervals, univariate_sum_per_partition
+from oracles import (
+    catalan_direct,
+    cycle_runs_sum_per_permutation,
+    lattice_formula_by_intervals,
+    lenczewski_sides_per_partition,
+    runs_sum_per_word,
+    univariate_sum_per_partition,
+)
 
 
 def test_catalog_is_complete():
@@ -211,15 +217,58 @@ def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
         last = max(i for i, op in enumerate(stream) if op.base == base)
         yield from stream[:last] + stream[last + 1:]
 
+    # the orders are counted once per n: the count is emptied before and
+    # after, so the short stream is read and no short count outlives the test
+    identities._monotone_order_counts.cache_clear()
     monkeypatch.setattr(identities, "enumerate_monotone", one_order_short)
-    for name in ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free"):
-        for n in (4, 5):
-            rep = verify_identity(name, n)
-            assert not rep.holds, (name, n)
-            assert rep.witness.startswith("ordered-partition form differs:"), (name, n)
-            assert rep.detail == {"ordered_form_checked": True}, (name, n)
-    monkeypatch.undo()
+    try:
+        for name in ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free"):
+            for n in (4, 5):
+                rep = verify_identity(name, n)
+                assert not rep.holds, (name, n)
+                assert rep.witness.startswith("ordered-partition form differs:"), (name, n)
+                assert rep.detail == {"ordered_form_checked": True}, (name, n)
+    finally:
+        monkeypatch.undo()
+        identities._monotone_order_counts.cache_clear()
     assert verify_identity("moment_cumulant_H", 5).holds
+
+
+def test_ordered_form_catches_a_wrong_tree_factorial_with_warm_counts(monkeypatch):
+    # tau(pi)! doubled on every three-block pi, in both modules that read it,
+    # with the cumulant caches emptied before and after and the order counts
+    # left warm: the counts carry no tau, so the ordered form sums
+    # |orders(pi)| / |pi|! H_pi and fails, where the grouped form of
+    # moment_cumulant_H reads the same tau as H itself and holds
+    names = ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free")
+    caches = (cumulants._cumulant_poly, cumulants._block_cumulant, cumulants._partitioned_cumulant)
+    counts = identities._monotone_order_counts
+    for name in names:
+        for n in range(3, 7):
+            assert verify_identity(name, n).holds, (name, n)
+    real = identities.partition_tree_factorial
+
+    def doubled(pi):
+        tau = real(pi)
+        return 2 * tau if pi.num_blocks == 3 else tau
+
+    for cached in caches:
+        cached.cache_clear()
+    misses = counts.cache_info().misses
+    monkeypatch.setattr(cumulants, "partition_tree_factorial", doubled)
+    monkeypatch.setattr(identities, "partition_tree_factorial", doubled)
+    try:
+        for name in names:
+            for n in range(3, 7):
+                rep = verify_identity(name, n)
+                assert not rep.holds, (name, n)
+                if name == "moment_cumulant_H":
+                    assert rep.witness.startswith("ordered-partition form differs:"), n
+        assert counts.cache_info().misses == misses
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_run_catalog_clamps_limits():
@@ -327,7 +376,9 @@ def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
     assert len(keys) <= most, Counter(keys)
 
 
-def test_thm4_computes_each_cycle_run_partition_once(monkeypatch):
+def _count_run_calls(monkeypatch) -> Counter:
+    """Wrap `runs` and `cycle_runs` as the catalog reads them; the returned
+    Counter records the calls of each."""
     calls = Counter()
 
     def counting(name):
@@ -341,11 +392,72 @@ def test_thm4_computes_each_cycle_run_partition_once(monkeypatch):
 
     counting("cycle_runs")
     counting("runs")
-    assert verify_identity("thm4_cyclecruns", 6).holds
-    # the runs of each word 1 a_2 ... a_6 are the cycle runs of the full
-    # cycle (1 a_2 ... a_6), read once each; then the cancellation lemma
-    # reads the cycle runs of every permutation once
-    assert calls == {"runs": factorial(5), "cycle_runs": factorial(6)}
+    return calls
+
+
+def test_thm4_computes_each_cycle_run_partition_once(monkeypatch):
+    calls = _count_run_calls(monkeypatch)
+    # the walks are counted once per n: the counts are emptied before and
+    # after, so this call walks and no count made through the wrappers
+    # outlives the test
+    for count in (identities._run_counts, identities._cycle_run_counts):
+        count.cache_clear()
+    try:
+        assert verify_identity("thm4_cyclecruns", 6).holds
+        # the runs of each word 1 a_2 ... a_6 are the cycle runs of the full
+        # cycle (1 a_2 ... a_6), read once each; then the cancellation lemma
+        # reads the cycle runs of every permutation once
+        assert calls == {"runs": factorial(5), "cycle_runs": factorial(6)}
+    finally:
+        monkeypatch.undo()
+        for count in (identities._run_counts, identities._cycle_run_counts):
+            count.cache_clear()
+
+
+def test_counts_hold_partitions_and_integers_and_total_their_walks():
+    for n in range(1, 8):
+        monotone = identities._monotone_order_counts(n)
+        word_runs = identities._run_counts(n)
+        cycle_runs = identities._cycle_run_counts(n)
+        classes = identities._shape_type_counts(n)
+        parts = [*monotone, *word_runs, *(pi for pi, _ in classes)]
+        assert all(type(pi) is SetPartition for pi in parts)
+        assert all(type(pi) is SetPartition and sign in (1, -1) for pi, sign in cycle_runs)
+        sizes = [*monotone.values(), *word_runs.values(), *cycle_runs.values(),
+                 *(c for _, c in classes)]
+        assert all(type(c) is int and c > 0 for c in sizes)
+        assert sum(word_runs.values()) == factorial(n - 1), n
+        assert sum(cycle_runs.values()) == factorial(n), n
+        assert sum(c for _, c in classes) == catalan_direct(n), n
+        assert sum(monotone.values()) == factorial(n + 1) // 2, n
+
+
+def test_counted_run_sums_match_the_per_permutation_sums():
+    for n in range(1, 8):
+        assert identities._run_sum(n) == runs_sum_per_word(n), n
+        assert identities._cycle_run_sum(n) == cycle_runs_sum_per_permutation(n), n
+
+
+def test_warm_monotone_count_checks_a_lowered_limit(monkeypatch):
+    assert verify_identity("moment_cumulant_H", 7).holds
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "monotone", 6)
+    with pytest.raises(ResourceLimitError, match="'monotone'"):
+        verify_identity("moment_cumulant_H", 7)
+
+
+def test_cold_run_counts_start_no_walk_past_a_lowered_limit(monkeypatch):
+    calls = _count_run_calls(monkeypatch)
+    for count in (identities._run_counts, identities._cycle_run_counts):
+        count.cache_clear()
+    monkeypatch.setitem(limits.DEFAULT_LIMITS, "interval", 4)
+    try:
+        with pytest.raises(ResourceLimitError, match="'interval'"):
+            verify_identity("thm4_cyclecruns", 5)
+        assert not calls
+    finally:
+        monkeypatch.undo()
+        for count in (identities._run_counts, identities._cycle_run_counts):
+            count.cache_clear()
 
 
 def test_type_sum_matches_per_partition_oracle():
@@ -355,20 +467,9 @@ def test_type_sum_matches_per_partition_oracle():
             weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
             expected = univariate_sum_per_partition(row.rhs, weighted)
             assert _type_sum(row.rhs, n, weighted) == expected, (name, n)
-    # both sides of the Lenczewski sum
-    for n in range(1, 7):
-        members = partitions_of(n, "noncrossing")
-        for colors in range(1, 6):
-            sides = [
-                (CumulantKind.FREE,
-                 [(labelling_polynomial_of(pi).evaluate(colors), pi) for pi in members]),
-                (CumulantKind.MONOTONE,
-                 [(Fraction(colors) ** pi.num_blocks / partition_tree_factorial(pi), pi)
-                  for pi in members]),
-            ]
-            for kind, weighted in sides:
-                expected = univariate_sum_per_partition(kind, weighted)
-                assert _type_sum(kind, n, weighted) == expected, (kind, n, colors)
+    # both sides of the Lenczewski sum, one term per (shape, type) class
+    for n in range(1, 8):
+        assert list(identities._lenczewski_sides(n)) == list(lenczewski_sides_per_partition(n)), n
 
 
 def test_univariate_rows_convert_each_kind_once(monkeypatch):
