@@ -461,7 +461,8 @@ def _beta_closed_sum(k: int, crossing, nesting) -> Fraction:
     block i.  Both become bitmasks per block: cross[i] and inside[i].  For
     a set G of blocks, the restriction of pi to their union is noncrossing
     iff cross[i] & G == 0 for every i in G, and then its tree factorial is
-    the product over i in G of 1 + |inside[i] & G|.
+    the product over i in G of 1 + |inside[i] & G| (the formula of
+    `forests.partition_tree_factorial`, with G all the blocks).
 
     With h(G) = [noncrossing] / tau(G)!, the closed sum is the sum over the
     partitions sigma of the block set of mu_P(sigma, top) * prod_W h(W):

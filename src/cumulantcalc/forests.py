@@ -9,36 +9,42 @@ outer block.
 The invariants:
 
 * tree factorial t! (product over vertices of subtree sizes): a forest
-  with k vertices admits exactly k!/t! monotone (increasing) labellings;
+  with k vertices admits exactly k!/t! monotone (increasing) labellings.
+  A subtree size is 1 + the number of blocks nested inside the block, so
+  t! is read off the nesting pairs, which join each block to every block
+  it encloses (`cumulants._beta_closed_sum` uses the same product);
 * the labelling polynomial P(N), counting nondecreasing labellings of the
   forest with labels from [N]: a polynomial of degree <= #vertices with
   zero constant term, assembled from Faulhaber summation polynomials;
 * alpha = P'(0), the linear coefficient; it vanishes whenever the forest
   has more than one tree, i.e. whenever 1 and n lie in different blocks,
   and `alpha` returns 0 there without building the shape;
-* the depth of a noncrossing partition (1 + forest height).
+* the depth of a noncrossing partition (1 + forest height): 1 + the
+  largest number of blocks that enclose one block, again a count of
+  nesting pairs.
 
 Shapes.  A tree shape is the sorted tuple of the shapes of its children
 (a leaf is `()`), and a forest shape is the sorted tuple of the shapes of
 its trees.  Sorting forgets the block labels and the left-to-right order
-of siblings, and nothing else: t!, the height and the labelling polynomial are
-each defined by recursions over the children that neither read a label
-nor depend on the order of the children (a product, a maximum, and an
-indefinite sum of a product), so each is a function of the shape, and so
-is alpha.
+of siblings, and nothing else: the labelling polynomial is defined by a
+recursion over the children that neither reads a label nor depends on
+the order of the children (an indefinite sum of a product), so it is a
+function of the shape, and so is alpha.  A tree shape is the forest shape
+of its children, so a tree's polynomial is the indefinite sum of a
+forest polynomial.
 `_shape(pi)` builds the forest shape of a partition in one reverse pass
 over its nesting pairs: a nested block has a larger index than every
 block enclosing it, so a block's children are complete before the pair
 that attaches it to its parent is reached.
 
 Caches.  `_shape` and `partition_tree_factorial` are keyed by the
-partition; `_tree_poly` and `_tree_stats` (vertex count, t!, height) by
-a tree shape, and `_forest_poly` by a forest shape.  There are at most as
-many shapes as unlabelled rooted trees or forests with n vertices (486
-trees with at most 9), so a sweep over NC(n) does the polynomial work
-once per shape, not once per partition.
+partition, `_tree_poly` by a tree shape and `_forest_poly` by a forest
+shape.  There are at most as many shapes as unlabelled rooted trees or
+forests with n vertices (486 trees with at most 9), so a sweep over NC(n)
+does the polynomial work once per shape, not once per partition.
 
-No invariant of a partition builds a labelled forest.
+No invariant of a partition builds a labelled forest, and t! and the
+depth build no shape.
 `labelling_polynomial` takes a planar `RootedForest` of `RootedTree`s,
 for forests given as such, and reads its shape.
 """
@@ -113,20 +119,12 @@ def _forest_shape(f: RootedForest) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _tree_stats(shape: tuple) -> tuple[int, int, int]:
-    """(vertices, t!, height) of a tree shape."""
-    size, fact, height = 1, 1, -1
-    for c in shape:
-        s, f, h = _tree_stats(c)
-        size += s
-        fact *= f
-        height = max(height, h)
-    return size, size * fact, height + 1
-
-
-@lru_cache(maxsize=None)
 def partition_tree_factorial(pi: SetPartition) -> int:
-    return prod(_tree_stats(t)[1] for t in _shape(pi))
+    """tau(pi)!: the product over the blocks of 1 + #blocks nested inside."""
+    inside = [1] * pi.num_blocks
+    for i, _ in _nesting_pairs(pi):
+        inside[i] += 1
+    return prod(inside)
 
 
 def _indefinite_sum(q: Polynomial) -> Polynomial:
@@ -144,12 +142,9 @@ def _tree_poly(shape: tuple) -> Polynomial:
 
     Conditioning on the root label k gives
     P(N) = sum_{k=1..N} prod_i P_{t_i}(N-k+1) for the branches t_i, i.e.
-    the indefinite sum of the product of the branch polynomials.
+    the indefinite sum of the polynomial of the forest of branches.
     """
-    q = Polynomial.constant(1)
-    for c in shape:
-        q = q * _tree_poly(c)
-    return _indefinite_sum(q)
+    return _indefinite_sum(_forest_poly(shape))
 
 
 @lru_cache(maxsize=None)
@@ -186,5 +181,9 @@ def alpha(pi: SetPartition) -> Fraction:
 
 
 def depth(pi: SetPartition) -> int:
-    """Maximal number of blocks covering a block (the block included)."""
-    return 1 + max((_tree_stats(t)[2] for t in _shape(pi)), default=0)
+    """Maximal number of blocks covering a block (the block included): 1 +
+    the largest number of nesting pairs that share their inner block."""
+    enclosing = [0] * pi.num_blocks
+    for _, j in _nesting_pairs(pi):
+        enclosing[j] += 1
+    return 1 + max(enclosing, default=0)

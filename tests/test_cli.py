@@ -272,6 +272,21 @@ def test_verify_univariate_rows_golden_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+def test_verify_tree_factorial_and_depth_rows_golden_digests(capsys):
+    # pins the rows that read tau(pi)! or the depth beyond the n <= 6 of
+    # `verify --all 6`
+    golden = {
+        ("thm1_mono2boolean", "8"): "e3fe5af766d1919a55d27fcc29335b4a16c71c2392536c273ba9137e0ceb76d6",
+        ("thm1_mono2free", "8"): "97eba1e372cfa359f573046bcbcc632e19864624a98567875ed5803a3e079b4e",
+        ("moment_cumulant_H", "7"): "bc934c202d41b2642227e26186003eb20106acb6e19c0cb7742fc3ca938224cc",
+        ("thm5_depth2", "7"): "925be37650255420c6cf14817081de49e6b8b12000ee1989fe6044973c088087",
+    }
+    for (name, n), digest in golden.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 def test_verify_lattice_rows_golden_digests(capsys):
     # pins the lattice rows beyond the n <= 6 of `verify --all 6`, at the
     # caps they had when each pi summed its whole lower interval

@@ -187,7 +187,7 @@ def test_labelling_polynomial_of_partition():
 
 def _clear_shape_caches():
     for cache in (forests._shape, forests._tree_poly, forests._forest_poly,
-                  forests._tree_stats, partition_tree_factorial):
+                  partition_tree_factorial):
         cache.cache_clear()
 
 
@@ -200,6 +200,15 @@ def test_invariants_match_the_rooted_tree_oracle():
             assert labelling_polynomial_of(pi) == poly, pi
             assert partition_tree_factorial(pi) == tree_fact, pi
             assert depth(pi) == d, pi
+
+
+def test_tree_factorial_and_depth_build_no_shape():
+    # both are counts of nesting pairs, read without the forest shape
+    _clear_shape_caches()
+    for pi in enumerate_partitions(7, "noncrossing"):
+        partition_tree_factorial(pi)
+        depth(pi)
+    assert forests._shape.cache_info().currsize == 0
 
 
 def test_alpha_sums_once_per_tree_shape(monkeypatch):

@@ -107,6 +107,8 @@ def test_full_catalog_small_n():
      "pi=1,2,3,4|5; pi=1,2,3|4,5; pi=1,2,3|4|5"),
     ("lenczewski_sum", "labelling_polynomial_of", lambda real: lambda pi: Polynomial([0, 2]), 5,
      "N=1; N=2; N=3"),
+    ("lenczewski_sum", "monotone_dilate", lambda real: lambda h, t: real(h, t + 1), 5,
+     "N=1; N=2; N=3"),
     # the lattice rows: one case per pi, 42 = |NC(5)| and 110 = 52 + 42 + 16
     # over P(5), NC(5) and I(5); the inverted form labels each by lattice
     ("moment_cumulant_R", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 42,
@@ -467,7 +469,8 @@ def test_type_sum_matches_per_partition_oracle():
             weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
             expected = univariate_sum_per_partition(row.rhs, weighted)
             assert _type_sum(row.rhs, n, weighted) == expected, (name, n)
-    # both sides of the Lenczewski sum, one term per (shape, type) class
+    # both sides of the Lenczewski sum: the free side adds one term per
+    # (shape, type) class, the monotone side is `monotone_dilate`
     for n in range(1, 8):
         assert list(identities._lenczewski_sides(n)) == list(lenczewski_sides_per_partition(n)), n
 
