@@ -47,6 +47,15 @@ def catalan_direct(n: int) -> int:
     return factorial(2 * n) // (factorial(n) * factorial(n + 1))
 
 
+def partitions_by_growth(n: int) -> list[SetPartition]:
+    """P(n) in RGS order, each restricted growth string extended by every
+    entry it can take next, level by level, with no prefix walk."""
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [s + (a,) for s in strings for a in range(max(s) + 2)]
+    return [SetPartition(s) for s in strings]
+
+
 # --- closures by exhaustive minimum --------------------------------------
 
 

@@ -78,6 +78,15 @@ def test_enumerate_golden_digests(capsys):
             "d3d7954721d0144f583e1775053de26fe3f67906bdb568d70d65adb82effd0cd",
         ("--format", "csv", "enumerate", "8", "irreducible-noncrossing"):
             "1436dc210b017ec65ecc129b686296215cf6b3b1ec53f73739bc2403672993fb",
+        # the pruned connected walks and the irreducible filter
+        ("--format", "csv", "enumerate", "9", "connected"):
+            "1ff7b000edae97adfe12946fd78371a17b55e8ac8b48966c76bb522662bf9f5e",
+        ("--format", "json", "enumerate", "8", "connected"):
+            "63275bd06d35490c12ec742730e17fb28dc29b3a63cd0349fd7a5f2289876fa2",
+        ("enumerate", "12", "connected-noncrossing"):
+            "9281791c16c9fdadc26b2d524d2db70375000750f2334e050c47a6c25c5198b2",
+        ("enumerate", "10", "irreducible"):
+            "c83d6f2d016bd89fc1f5184c189c54ff066e46ab774f5bf404e70e5a9a5aa53d",
         # the four class flags of every row, and the monotone records
         ("--format", "json", "enumerate", "7", "all"):
             "abac9e177fb8522823310a9f7ea730039602bf65e3a17574282053716ebe593d",

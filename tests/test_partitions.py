@@ -1,5 +1,6 @@
 """Partitions: classes, closures, components, lattice, Moebius, enumeration."""
 
+import random
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -43,6 +44,7 @@ from oracles import (
     noncrossing_by_pairs,
     noncrossing_closure_by_fixpoint,
     ordered_text_by_blocks,
+    partitions_by_growth,
     text_by_blocks,
     triangle_geq,
 )
@@ -66,6 +68,10 @@ def test_invalid_partitions_rejected():
         SetPartition.from_blocks(3, [[1, 2], [2, 3]])
     for rgs in ((1, 0), (0, 2), (0, -1), (0, 1, 3)):
         with pytest.raises(ValueError):
+            SetPartition(rgs)
+    # entries that are not integers, bools included, as from_json rejects
+    for rgs in ([0.0, 1.0], ["0"], [False, True]):
+        with pytest.raises(ValueError, match="not a restricted growth string"):
             SetPartition(rgs)
 
 
@@ -124,6 +130,17 @@ def test_text_from_the_rgs_matches_the_blocks():
             assert pi.to_text() == text_by_blocks(pi), pi
     for op in enumerate_monotone(6):
         assert op.to_text() == ordered_text_by_blocks(op), op
+    # the text extends a cached parent prefix: visit the strings out of
+    # walk order, with ordered partitions' texts asked for in between
+    rng = random.Random(3301)
+    shuffled = list(enumerate_partitions(7))
+    rng.shuffle(shuffled)
+    reversed_nc = list(enumerate_partitions(9, "noncrossing"))[::-1]
+    orders = list(enumerate_monotone(5))
+    for i, pi in enumerate(shuffled + reversed_nc):
+        assert pi.to_text() == text_by_blocks(pi), pi
+        op = orders[i % len(orders)]
+        assert op.to_text() == ordered_text_by_blocks(op), op
     # three-digit labels: a label table cut short would drop elements
     big = SetPartition.from_blocks(300, [range(r, 301, 7) for r in range(1, 8)])
     assert SetPartition.from_text(big.to_text()) == big
@@ -145,12 +162,51 @@ def test_enumeration_examples():
 
 
 def test_enumeration_is_rgs_filter_order():
-    # Pruned noncrossing enumeration equals the plain filter in RGS order.
-    for n in range(1, 8):
-        filtered = [p for p in enumerate_partitions(n) if p.is_noncrossing()]
-        assert list(enumerate_partitions(n, "noncrossing")) == filtered
-        filtered = [p for p in enumerate_partitions(n) if p.is_interval()]
-        assert list(enumerate_partitions(n, "interval")) == filtered
+    # Every class, pruned walk and filter, equals P(n) in RGS order filtered
+    # by the oracles' predicates.
+    oracle = {
+        "all": lambda p: True,
+        "noncrossing": noncrossing_by_pairs,
+        "interval": interval_by_blocks,
+        "irreducible": irreducible_by_reach,
+        "connected": connected_by_union_find,
+        "irreducible-noncrossing":
+            lambda p: noncrossing_by_pairs(p) and irreducible_by_reach(p),
+        "connected-noncrossing":
+            lambda p: noncrossing_by_pairs(p) and connected_by_union_find(p),
+    }
+    assert set(oracle) == set(_CLASS_WALK)
+    for n in range(1, 10):
+        everything = partitions_by_growth(n)
+        for cls, keep in oracle.items():
+            filtered = [p for p in everything if keep(p)]
+            assert list(enumerate_partitions(n, cls)) == filtered, (n, cls)
+        # a connected noncrossing partition is its own noncrossing closure
+        assert list(enumerate_partitions(n, "connected-noncrossing")) == [
+            SetPartition.one_block(n)
+        ]
+
+
+@pytest.mark.parametrize("cls, n, walk_reads", [
+    ("connected", 10, 17_722),  # A000296(10): no singleton block
+    ("connected-noncrossing", 12, 4_213),  # the members of NC(12) with none either
+])
+def test_connected_walks_skip_prefixes_with_too_many_singletons(
+        monkeypatch, cls, n, walk_reads):
+    # the filter reads only strings the prune let through; unpruned, it
+    # would read all of P(10) (115,975) or NC(12) (208,012)
+    walk, prune, keep = _CLASS_WALK[cls]
+    read = []
+
+    def counted(rgs):
+        read.append(rgs)
+        return keep(rgs)
+
+    monkeypatch.setitem(_CLASS_WALK, cls, (walk, prune, counted))
+    stream = [p.rgs for p in enumerate_partitions(n, cls)]
+    assert len(read) <= walk_reads
+    monkeypatch.setitem(_CLASS_WALK, cls, (walk, None, keep))
+    assert stream == [p.rgs for p in enumerate_partitions(n, cls)]
 
 
 def test_partitions_of_limit_checked_on_every_call(monkeypatch):
