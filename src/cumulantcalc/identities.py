@@ -14,16 +14,17 @@ row.  Most conversion formulas share one shape,
     lhs_n = sum over pi in a partition class of w(pi) * rhs_pi,
 
 where rhs_pi is a partitioned cumulant and the weight w(pi) is 1, a sign,
-1/tau(pi)!, alpha, a Tutte value or beta.  Each such identity is one of
-the 16 `FamilySum` rows, and `FamilySum.check` is their one checker.  The
-alpha expansions of thm2 are rows twice, univariate and multivariate
-(`thm2_*_mv`).  The 14 identities checked case by case (lattice-wide
-moment formulas, series on random sequences, the Lenczewski colours,
-properties of beta) are `Cases` rows: a generator yields the
+1/tau(pi)!, alpha, a Tutte value, a run count or beta.  Each such identity
+is one of the 17 `FamilySum` rows, and `FamilySum.check` is their one
+checker.  The alpha expansions of thm2 are rows twice, univariate and
+multivariate (`thm2_*_mv`).  The 14 identities checked case by case
+(lattice-wide moment formulas, series on random sequences, the Lenczewski
+colours, properties of beta) are `Cases` rows: a generator yields the
 failed-check labels of each case, and `Cases.check` counts the cases and
-quotes the failures.  The 5 `IdentityInfo` rows (permutation sums, cor9,
-prop10, log-Bessel) build their own report, with a detail dict or term
-counts, from a function of (name, n).
+quotes the failures.  The 4 `IdentityInfo` rows (thm4, cor9, prop10,
+log-Bessel) build their own report, with a detail dict or term counts,
+from a function of (name, n); thm4 checks the sum of the `cor_runs` row
+under its own name, then its cancellation lemma.
 
 The sums are added by `_cumulant_sum(kind, n, weighted)`, over
 partitioned cumulants, or with all variables identified by `_type_sum`,
@@ -50,7 +51,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import permutations
@@ -70,7 +71,6 @@ from .cumulants import (
     _partitioned_cumulant,
     beta_formula,
     boolean_poisson_kappa,
-    cumulant_poly,
     cumulants_from_moments,
     determinant_cumulants,
     moment_series,
@@ -126,18 +126,8 @@ class Report:
     detail: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "n": self.n,
-            "holds": self.holds,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        # the fields in order, without an unset witness or detail
+        return {k: v for k, v in asdict(self).items() if v is not None and v != {}}
 
 
 def _compare(name, n, lhs: MomentPolynomial, rhs: MomentPolynomial):
@@ -313,35 +303,19 @@ def _shape_type_counts(n: int) -> tuple[tuple[SetPartition, int], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _run_sum(n) -> MomentPolynomial:
-    """The sum of (-1)^(#runs - 1) B_runs over the words 1 a_2 ... a_n, one
-    term per partition of `_run_counts(n)`; unchecked, the caller checks
-    the limits of B and of the row first."""
-    return linear_combination(
-        (_sign(part) * c, _partitioned_cumulant(B, part)) for part, c in _run_counts(n).items()
-    )
-
-
 def _cycle_run_sum(n) -> MomentPolynomial:
     """The sum of (-1)^(#cycleruns - #cycles) B_cycleruns over S_n, one term
-    per pair of `_cycle_run_counts(n)`; unchecked like `_run_sum`."""
-    return linear_combination(
-        (_sign(part) * sign * c, _partitioned_cumulant(B, part))
-        for (part, sign), c in _cycle_run_counts(n).items()
-    )
-
-
-def _runs_sum(name, n):
-    """K_n against the signed B-sum over the runs of the words 1 a_2 ... a_n,
-    which are also the cycle runs of the full cycles (1 a_2 ... a_n): the
-    sum of both `cor_runs` and `thm4_cyclecruns`."""
-    _check_cumulant_limits(B, n)
-    lhs = cumulant_poly(K, n)
-    return _compare(name, n, lhs, _run_sum(n))
+    per pair of `_cycle_run_counts(n)`; the count is read unchecked, so the
+    caller checks the limits of the row first."""
+    return _cumulant_sum(B, n, (
+        (_sign(part) * sign * c, part) for (part, sign), c in _cycle_run_counts(n).items()
+    ))
 
 
 def _thm4_cyclecruns(name, n):
-    rep = _runs_sum(name, n)  # checks the limits of both kinds at n
+    # the sum of `cor_runs`: the runs of the words 1 a_2 ... a_n are the
+    # cycle runs of the full cycles (1 a_2 ... a_n)
+    rep = replace(_COR_RUNS, name=name).check(n)
     if rep.holds and n <= 6:
         # The cancellation underlying the cyclic form: summing over all of
         # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
@@ -609,6 +583,13 @@ _THM2_MULTIVARIATE = [
 ]
 
 
+#: the runs corollary: the partitions by runs of the words 1 a_2 ... a_n are
+#: the irreducible partitions of [n], each weighted by its number of words
+_COR_RUNS = FamilySum("cor_runs", 7, K, B, "irreducible",
+                      lambda pi: _sign(pi) * _run_counts(pi.n)[pi], False,
+                      "classical cumulants as signed Boolean sums over runs of permutations fixing 1")
+
+
 @dataclass(frozen=True)
 class Cases:
     """Catalog row checked case by case: `cases(n)` yields, for each case,
@@ -669,8 +650,7 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
                   "classical cumulants from Boolean cumulants weighted by anti-interval Tutte values"),
         IdentityInfo("thm4_cyclecruns", 7, _thm4_cyclecruns,
                      "classical cumulants as signed Boolean sums over cycle runs of full cycles"),
-        IdentityInfo("cor_runs", 7, _runs_sum,
-                     "classical cumulants as signed Boolean sums over runs of permutations fixing 1"),
+        _COR_RUNS,
         Cases("moment_cumulant_K", 9, partial(_lattice_formula, [K], False),
               "defining moment formula of classical cumulants on every partition"),
         Cases("moment_cumulant_R", 10, partial(_lattice_formula, [R], False),

@@ -183,7 +183,8 @@ class SetPartition:
                 if x in seen:
                     raise ValueError(f"element {x} appears twice")
                 seen[x] = min(b)
-        if n < 1 or sorted(seen) != list(range(1, n + 1)):
+        # the length test first: the scan of [n] then costs what the blocks list
+        if n < 1 or len(seen) != n or any(i not in seen for i in range(1, n + 1)):
             raise ValueError(f"blocks do not partition [{n}]")
         order = {}
         rgs = []
@@ -529,10 +530,8 @@ def mobius_to_top(pi: SetPartition, lattice: str) -> int:
 
 
 def _unknown_lattice(lattice) -> ValueError:
-    """The error for a name that is not a lattice.  The lattices are the
-    classes that run their own walk with no prune and no filter."""
-    lattices = ", ".join(c for c, walk in _CLASS_WALK.items() if walk == (c, None, None))
-    return ValueError(f"unknown lattice {lattice!r}; lattices: {lattices}")
+    """The error for a name that is not a lattice, one of the walks."""
+    return ValueError(f"unknown lattice {lattice!r}; lattices: {', '.join(_WALK_PRUNE)}")
 
 
 def lower_interval(pi: SetPartition, lattice: str):
@@ -547,7 +546,7 @@ def lower_interval(pi: SetPartition, lattice: str):
     Order: the last block of pi varies fastest.  The lattice's limit is
     checked on every call, hit or miss, at the largest block.
     """
-    if _CLASS_WALK.get(lattice) != (lattice, None, None):
+    if lattice not in _WALK_PRUNE:
         raise _unknown_lattice(lattice)
     if lattice == "noncrossing" and not pi.is_noncrossing():
         raise ValueError(f"{pi} is not a noncrossing partition")
@@ -680,8 +679,7 @@ def _prune_singletons(n, walk_prune):
 #: is the pruned RGS walk that runs and the limit key checked.  The prune,
 #: if any, makes from n and the walk's prune the prune that runs in its
 #: place; it drops only prefixes that no member extends.  The filter keeps
-#: the RGS tuples of the class's members (None: all).  The classes that run
-#: their own walk with no prune and no filter are the lattices.
+#: the RGS tuples of the class's members (None: all).
 _CLASS_WALK = {
     "all": ("all", None, None),
     "noncrossing": ("noncrossing", None, None),
@@ -692,6 +690,8 @@ _CLASS_WALK = {
     "connected-noncrossing": ("noncrossing", _prune_singletons, _rgs_connected),
 }
 
+#: the walks, by name: walk -> its prune (None: none).  Each walk is also
+#: the class of its unpruned, unfiltered members, and these are the lattices.
 _WALK_PRUNE = {"all": None, "noncrossing": _prune_noncrossing, "interval": _prune_interval}
 
 

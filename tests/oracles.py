@@ -172,49 +172,6 @@ def interval_by_blocks(pi: SetPartition) -> bool:
     return all(b[-1] - b[0] + 1 == len(b) for b in pi.blocks)
 
 
-def irreducible_by_reach(pi: SetPartition) -> bool:
-    """Every cut between i and i+1 (i < n) is spanned by some hull: a block
-    met by 1..i reaches past i (read off the partition's RGS and sizes)."""
-    rgs = pi.rgs
-    last = {a: i for i, a in enumerate(rgs)}  # last position per block
-    reach = 0  # the last position of the blocks met so far
-    for i in range(len(rgs) - 1):
-        end = last[rgs[i]]
-        if end > reach:
-            reach = end
-        if reach == i:
-            return False
-    return True
-
-
-def connected_by_group_stack(pi: SetPartition) -> bool:
-    """The noncrossing closure is one block: a stack of open groups of
-    crossing blocks, none of which may close before the last element."""
-    rgs = pi.rgs
-    left = list(pi.block_sizes())  # elements of each block not read yet
-    if 1 in left and len(rgs) > 1:
-        return False  # a singleton crosses nothing
-    first = []  # position of the first element of each block seen
-    starts = []  # position of the first element of each open group
-    unread = []  # elements of each open group not read yet
-    last = pi.n - 1
-    for i, a in enumerate(rgs):
-        if a == len(first):
-            first.append(i)
-            starts.append(i)
-            unread.append(left[a])
-        else:
-            # the group of a is the topmost one that started by first[a]
-            while starts[-1] > first[a]:
-                starts.pop()
-                merged = unread.pop()
-                unread[-1] += merged
-        unread[-1] -= 1
-        if not unread[-1] and i < last:
-            return False
-    return True
-
-
 def restrict_by_blocks(pi: SetPartition, subset) -> SetPartition:
     """Intersect the blocks with `subset`, relabel, rebuild by from_blocks."""
     s = sorted(set(subset))

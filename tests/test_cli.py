@@ -281,6 +281,18 @@ def test_verify_univariate_rows_golden_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+def test_verify_run_rows_golden_digests(capsys):
+    # pins the two run rows beyond the n <= 6 of `verify --all 6`
+    golden = {
+        "cor_runs": "88279ca709895e110749164251441360f9c634e5ec9e22668d11eec36d0d5d6e",
+        "thm4_cyclecruns": "1d86c3e04879dc38149c2d7035b310cbab41c3cf935714dba1051223515d5963",
+    }
+    for name, digest in golden.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", name, "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 def test_verify_tree_factorial_and_depth_rows_golden_digests(capsys):
     # pins the rows that read tau(pi)! or the depth beyond the n <= 6 of
     # `verify --all 6`
@@ -641,6 +653,9 @@ def test_graph_bad_partition_is_usage_error(capsys):
         assert code == 2 and out == "" and err == "error: empty partition\n", text
     code, out, err = run_cli(capsys, "graph", '["12"]')  # a string is not a block
     assert code == 2 and out == "" and "list of lists of integers" in err
+    # a large label is a usage error, found without building [n]
+    code, out, err = run_cli(capsys, "graph", "1,1000000000000")
+    assert (code, out, err) == (2, "", "error: blocks do not partition [1000000000000]\n")
 
 
 def test_limit_precedence(monkeypatch):

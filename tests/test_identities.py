@@ -12,6 +12,7 @@ from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
+    _cumulant_sum,
     _symbol_cumulants,
     _type_sum,
     catalog_jobs,
@@ -435,9 +436,33 @@ def test_counts_hold_partitions_and_integers_and_total_their_walks():
 
 
 def test_counted_run_sums_match_the_per_permutation_sums():
+    row = IDENTITY_CATALOG["cor_runs"]
     for n in range(1, 8):
-        assert identities._run_sum(n) == runs_sum_per_word(n), n
+        weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
+        assert _cumulant_sum(row.rhs, n, weighted) == runs_sum_per_word(n), n
         assert identities._cycle_run_sum(n) == cycle_runs_sum_per_permutation(n), n
+
+
+def test_run_rows_fail_on_a_wrong_run_count(monkeypatch):
+    # one count off by one, at the one-block partition that every n has:
+    # both run rows read the counts through the `cor_runs` weight
+    real = identities._run_counts
+
+    def off_by_one(n):
+        counts = Counter(real(n))
+        counts[SetPartition.one_block(n)] += 1
+        return counts
+
+    real.cache_clear()
+    monkeypatch.setattr(identities, "_run_counts", off_by_one)
+    try:
+        for n in range(1, 8):
+            for name in ("cor_runs", "thm4_cyclecruns"):
+                rep = verify_identity(name, n)
+                assert not rep.holds and rep.witness, (name, n)
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()
 
 
 def test_warm_monotone_count_checks_a_lowered_limit(monkeypatch):

@@ -30,11 +30,9 @@ from oracles import (
     blocks_cross_by_runs,
     catalan_direct,
     closure_brute,
-    connected_by_group_stack,
     connected_by_union_find,
     interval_by_blocks,
     interval_closure_by_fixpoint,
-    irreducible_by_reach,
     kreweras_by_separation,
     lattice_join,
     lattice_meet,
@@ -66,6 +64,15 @@ def test_invalid_partitions_rejected():
         SetPartition.from_blocks(3, [[1, 2]])
     with pytest.raises(ValueError):
         SetPartition.from_blocks(3, [[1, 2], [2, 3]])
+    # a large label is rejected in time of the elements listed, not of [n]
+    for build in (lambda: SetPartition.from_text("1,1000000000000"),
+                  lambda: SetPartition.from_json([[1], [10**12]]),
+                  lambda: SetPartition.from_blocks(10**12, [[1]])):
+        with pytest.raises(ValueError, match=r"^blocks do not partition \[1000000000000\]$"):
+            build()
+    # n labels that are not 1..n
+    with pytest.raises(ValueError, match="do not partition"):
+        SetPartition.from_blocks(3, [[1, 2.5, 3]])
     for rgs in ((1, 0), (0, 2), (0, -1), (0, 1, 3)):
         with pytest.raises(ValueError):
             SetPartition(rgs)
@@ -112,10 +119,8 @@ def test_class_predicates_match_oracles():
             assert nc_closure == noncrossing_closure_by_fixpoint(pi), pi
             assert connected == (nc_closure.num_blocks == 1), pi
             assert connected == connected_by_union_find(pi), pi
-            assert connected == connected_by_group_stack(pi), pi
             interval_closure = interval_closure_by_fixpoint(pi)
             assert pi.is_irreducible() == (interval_closure.num_blocks == 1), pi
-            assert pi.is_irreducible() == irreducible_by_reach(pi), pi
             assert pi.is_interval() == interval_by_blocks(pi), pi
             assert pi.block_sizes() == tuple(map(len, pi.blocks))
     for n in range(1, 7):
@@ -164,14 +169,17 @@ def test_enumeration_examples():
 def test_enumeration_is_rgs_filter_order():
     # Every class, pruned walk and filter, equals P(n) in RGS order filtered
     # by the oracles' predicates.
+    def irreducible(p):
+        return interval_closure_by_fixpoint(p).num_blocks == 1
+
     oracle = {
         "all": lambda p: True,
         "noncrossing": noncrossing_by_pairs,
         "interval": interval_by_blocks,
-        "irreducible": irreducible_by_reach,
+        "irreducible": irreducible,
         "connected": connected_by_union_find,
         "irreducible-noncrossing":
-            lambda p: noncrossing_by_pairs(p) and irreducible_by_reach(p),
+            lambda p: noncrossing_by_pairs(p) and irreducible(p),
         "connected-noncrossing":
             lambda p: noncrossing_by_pairs(p) and connected_by_union_find(p),
     }

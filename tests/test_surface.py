@@ -14,7 +14,8 @@ called or taken off a class name, so a data field that shares its name
 only their own tests call belong in `tests/oracles.py`.
 
 The same scan holds `src/` to exact arithmetic: it may hold no float
-literal, no call to `float` and no `isclose`.
+literal, no call to `float` and no `isclose`; and it holds every module of
+`src/` but the package's `__init__` to reading each name it imports.
 """
 
 import ast
@@ -162,3 +163,25 @@ def test_no_floating_point_in_src():
                                getattr(node, "name", None)):
                 found.append(f"{path.name}:{node.lineno}: isclose")
     assert not found, found
+
+
+def test_every_import_in_src_is_read():
+    # `__init__` imports to re-export; `from __future__` binds no name
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unread, f"imports with no reader: {unread}"
