@@ -13,10 +13,19 @@ pairs split into crossing and nested ones:
   (e.g. {1,3,5} and {2,4}); crossing takes precedence, which is what makes
   the digraph a complete invariant for the beta coefficients.
 
-`tutte_eval` gives the one Tutte value the paper uses, T(1,0), by an
-integer deletion-contraction on multigraphs (loop -> 0, bridge ->
-contract, else delete + contract), memoized on a normalized labeled edge
-list.  T(1,0) of a connected graph counts acyclic orientations whose unique
+`tutte_eval` gives the one Tutte value the paper uses, T(1,0).  When the
+vertex order is a perfect elimination order, i.e. the earlier neighbours
+of each vertex form a clique, the graph is chordal, its chromatic
+polynomial is prod_v (x - d_v) with d_v the number of earlier neighbours
+of v, and T(1,0) = prod_{d_v > 0} d_v (T(1,0) is |[x] chi| on each
+component: Stanley 1973, Greene and Zaslavsky 1983).  The anti-interval
+graph always qualifies: it is the interval graph of the block hulls, and
+with blocks ordered by their minima the earlier neighbours of block j are
+the earlier blocks whose hull holds min(j), which meet pairwise there.
+Most crossing graphs qualify too.  Any other graph goes through an integer
+deletion-contraction on multigraphs (loop -> 0, bridge -> contract, else
+delete + contract), memoized on a normalized labeled edge list.
+T(1,0) of a connected graph counts acyclic orientations whose unique
 source is any fixed vertex; specializing to the two graphs above it
 counts the crossing/interval heaps that are pyramids, i.e. heap orders in
 which the block containing 1 is the only maximal element.
@@ -118,7 +127,7 @@ def anti_interval_digraph(pi: SetPartition) -> MixedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Tutte value T(1, 0) by deletion-contraction
+# Tutte value T(1, 0): a product on chordal graphs, else deletion-contraction
 # ---------------------------------------------------------------------------
 
 
@@ -153,11 +162,31 @@ def _tutte_10(edges) -> int:
 
 
 def tutte_eval(g: MixedGraph) -> int:
-    """T_G(1, 0) by deletion-contraction; orientations are ignored and a
-    loop makes it 0."""
-    return _tutte_10(_normalize_edges(
-        list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
-    ))
+    """T_G(1, 0); orientations are ignored and a loop makes it 0.
+
+    When the vertex order 0..n-1 is a perfect elimination order (the
+    earlier neighbours N-(v) of each v form a clique), the graph is
+    chordal with chromatic polynomial prod_v (x - d_v), d_v = |N-(v)|,
+    and T(1, 0), the product over the components of |[x] chi|, is the
+    product of the nonzero d_v.  The test: for each v with two or more
+    earlier neighbours, all but the latest one, p, are neighbours of p.
+    Anti-interval graphs always pass, since the earlier neighbours of a
+    block are the earlier blocks whose hull holds its minimum, and those
+    hulls meet pairwise there.  Any other graph goes to deletion-contraction.
+    """
+    if g.loops:
+        return 0
+    earlier: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.all_edges_undirected():
+        earlier[v].add(u)  # u < v; a set drops parallel edges
+    value = 1
+    for before in earlier:
+        if len(before) > 1:
+            p = max(before)
+            if not before.issubset(earlier[p] | {p}):
+                return _tutte_10(_normalize_edges(g.all_edges_undirected()))
+        value *= len(before) or 1
+    return value
 
 
 # ---------------------------------------------------------------------------

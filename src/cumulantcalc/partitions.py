@@ -42,16 +42,19 @@ for a string the filter drops.
 Block relations
 ---------------
 `block_pairs` is the one pairwise block scan: it lists the pairs of blocks
-whose hulls meet, split into crossing pairs and nested pairs.  Blocks are
+whose hulls meet, split into crossing pairs and nested pairs.  One pass
+over the RGS gives each block's first and last position.  Blocks are
 ordered by their minima, so the hulls of blocks i < j meet iff block j
-starts before block i ends, and a meeting pair that does not cross has
-block j nested inside block i.  The graphs, nesting forests and monotone
-orders read their relations from it.  The closures are its components:
-the noncrossing (interval) closure merges the connected components of the
-crossing (hull-meeting) pairs.  That is the *smallest* dominating
-partition of the class: any dominating noncrossing/interval partition
-must merge those pairs too, and the unions of the components are
-noncrossing (intervals).
+starts before block i ends.  Such a pair crosses iff block j ends after
+block i, or block i comes back between the first and last element of
+block j; otherwise all of block j lies in one gap of block i, nested
+inside it.  No block tuple is built.  The graphs, nesting forests and
+monotone orders read their relations from it.  The closures are its
+components: the noncrossing (interval) closure merges the connected
+components of the crossing (hull-meeting) pairs.  That is the *smallest*
+dominating partition of the class: any dominating noncrossing/interval
+partition must merge those pairs too, and the unions of the components
+are noncrossing (intervals).
 
 Refinement lattice
 ------------------
@@ -86,7 +89,6 @@ prefix.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -109,26 +111,6 @@ __all__ = [
 
 def catalan_number(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
-
-
-# ---------------------------------------------------------------------------
-# Block-level predicates (blocks are sorted integer tuples)
-# ---------------------------------------------------------------------------
-
-
-def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True if the pair partition {a, b} has a crossing (an abab pattern).
-
-    {a, b} is noncrossing iff all of b lies in one gap of the sorted block
-    a, the gap before a[0] and the gap after a[-1] counting as one: the gap
-    of x is bisect_right(a, x) modulo len(a).
-    """
-    k = len(a)
-    gap = bisect_right(a, b[0]) % k
-    for x in b:
-        if bisect_right(a, x) % k != gap:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +187,19 @@ class SetPartition:
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
-        return cls._from_listed_blocks([
-            [int(x) for x in part.split(",") if x.strip()]
-            for part in text.split("|")
-        ])
+        blocks = []
+        for part in text.split("|"):
+            block = []
+            for x in part.split(","):
+                x = x.strip()
+                if not x:
+                    continue
+                # int() would also take "+1", "1_0" and non-ASCII digits
+                if not (x.isascii() and x.isdigit()):
+                    raise ValueError(f"{x!r} is not an element label (a decimal integer)")
+                block.append(int(x))
+            blocks.append(block)
+        return cls._from_listed_blocks(blocks)
 
     @classmethod
     def from_json(cls, data) -> "SetPartition":
@@ -327,18 +318,28 @@ class SetPartition:
 
         Blocks are ordered by their minima, so the hulls of i < j meet iff
         block j starts before block i ends; past the first j that starts
-        after it, no later block meets block i.
+        after it, no later block meets block i.  A meeting pair crosses iff
+        block j ends after block i or block i comes back inside the hull of
+        block j; else block j sits in one gap of block i.
         """
-        bs = self.blocks
+        rgs = self._rgs
+        first: list[int] = []  # the first position of each block
+        last: list[int] = []  # the last position of each block
+        for pos, a in enumerate(rgs):
+            if a == len(first):
+                first.append(pos)
+                last.append(pos)
+            else:
+                last[a] = pos
         crossing = []
         nesting = []
-        for i, a in enumerate(bs):
-            end = a[-1]
-            for j in range(i + 1, len(bs)):
-                b = bs[j]
-                if b[0] > end:
+        for i, end in enumerate(last):
+            for j in range(i + 1, len(first)):
+                start = first[j]
+                if start > end:
                     break
-                (crossing if blocks_cross(a, b) else nesting).append((i, j))
+                crosses = last[j] > end or i in rgs[start + 1:last[j]]
+                (crossing if crosses else nesting).append((i, j))
         return crossing, nesting
 
     def _merge_components(self, pairs) -> "SetPartition":

@@ -581,6 +581,8 @@ def test_table_beta_7_golden_digest(capsys):
     golden = {
         ("table", "tutte", "8"):
             "17ded538995e0cd97e0d3e27eea0fbbbb358dbd97e8ad100274bed0846e04f49",
+        ("table", "tutte", "9"):
+            "50bcf3e366890ae01181349fb55ce73c948adcbe80c42f8d8721fa7c02ca4f5f",
         ("table", "alpha", "8"):
             "cf0c6e55897a21ff9b36cbf5441f30fbf4c7ff905de065fd23cd71e8cabae08f",
         ("table", "alpha", "10"):
@@ -645,6 +647,9 @@ def test_graph_command(capsys):
     # JSON partition input is accepted too
     code, out, _ = run_cli(capsys, "graph", "[[1,3],[2,4]]")
     assert code == 0 and out.strip() == "n=2;u:0-1"
+    # spaces around the labels are allowed
+    code, out, _ = run_cli(capsys, "graph", " 1 , 3 | 2 , 4 ")
+    assert code == 0 and out.strip() == "n=2;u:0-1"
 
 
 def test_graph_bad_partition_is_usage_error(capsys):
@@ -656,6 +661,19 @@ def test_graph_bad_partition_is_usage_error(capsys):
     # a large label is a usage error, found without building [n]
     code, out, err = run_cli(capsys, "graph", "1,1000000000000")
     assert (code, out, err) == (2, "", "error: blocks do not partition [1000000000000]\n")
+
+
+@pytest.mark.parametrize("text, token", [
+    ("+1", "+1"),
+    ("\uff11", "\uff11"),  # a full-width digit one
+    ("2|1_0,3", "1_0"),
+    ("a", "a"),
+    ("1|-2", "-2"),
+])
+def test_graph_labels_are_ascii_decimal(capsys, text, token):
+    code, out, err = run_cli(capsys, "graph", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: {token!r} is not an element label (a decimal integer)\n"
 
 
 def test_limit_precedence(monkeypatch):

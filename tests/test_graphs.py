@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from cumulantcalc import graphs
+from cumulantcalc import cli, graphs
 from cumulantcalc.cumulants import _beta_key
 from cumulantcalc.graphs import (
     MixedGraph,
@@ -127,12 +127,31 @@ def test_tutte_eval_matches_the_polynomial_oracle_at_1_0():
         MixedGraph(2, ((0, 1), (0, 1), (0, 1))),
         MixedGraph(2, ((0, 1),), (), (0,)),
         MixedGraph(3, ((0, 1),), ((2, 1),)),
+        # a path, chordal, but 0 and 1 are earlier neighbours of 2 that
+        # are not joined: not a perfect elimination order
+        MixedGraph(3, ((0, 2), (1, 2))),
+        MixedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))),  # C4, not chordal
+        MixedGraph(2, ((0, 1), (0, 1))),  # a double edge: T(1,0) = 1
+        MixedGraph(4, ((0, 1), (0, 2), (1, 2)), (), (3,)),  # a loop and a triangle
     ]
     for n in range(1, 8):
         for pi in partitions_of(n, "all"):
             cases += [crossing_graph(pi), anti_interval_graph(pi)]
     for g in cases:
         assert tutte_eval(g) == _oracle_value(g, 1, 0), g
+
+
+def test_anti_interval_graphs_never_reach_deletion_contraction(capsys):
+    # their vertex order is a perfect elimination order, so the product
+    # answers and the memoized deletion-contraction is never entered
+    graphs._tutte_10.cache_clear()
+    assert cli.main(["table", "tutte", "8"]) == 0
+    assert cli.main(["verify", "thm3_boolean2class_tutte", "7"]) == 0
+    info = graphs._tutte_10.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    # a graph that fails the test does go through it
+    assert tutte_eval(MixedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))) == 3
+    assert graphs._tutte_10.cache_info().misses > 0
 
 
 def test_tutte_edge_order_independence():

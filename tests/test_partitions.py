@@ -11,7 +11,6 @@ from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.limits import DEFAULT_LIMITS, ResourceLimitError, override
 from cumulantcalc.partitions import (
     OrderedPartition,
-    blocks_cross,
     SetPartition,
     _CLASS_WALK,
     catalan_number,
@@ -97,13 +96,19 @@ def test_empty_partition_text_and_json_rejected():
 
 
 def test_blocks_cross_matches_run_count_oracle():
-    # every ordered pair (a, b) of disjoint nonempty blocks of [9]
+    # every ordered pair (a, b) of disjoint nonempty blocks of [9]: the
+    # two-block partition of a | b, relabelled onto [|a | b|], has a
+    # crossing pair iff a and b cross
     pairs = 0
     for owner in product((0, 1, 2), repeat=9):
         a = tuple(x for x, o in enumerate(owner, start=1) if o == 1)
         b = tuple(x for x, o in enumerate(owner, start=1) if o == 2)
         if a and b:
-            assert blocks_cross(a, b) == blocks_cross_by_runs(a, b), (a, b)
+            rank = {x: r for r, x in enumerate(sorted(a + b), start=1)}
+            pi = SetPartition.from_blocks(
+                len(rank), [[rank[x] for x in a], [rank[x] for x in b]]
+            )
+            assert bool(pi.block_pairs()[0]) == blocks_cross_by_runs(a, b), (a, b)
             pairs += 1
     assert pairs == 3**9 - 2 * 2**9 + 1
 
@@ -300,7 +305,7 @@ def test_irreducibility_preserved_by_noncrossing_closure():
 
 
 def test_block_pairs_match_pairwise_predicates():
-    for n in range(1, 9):
+    for n in range(1, 10):
         for pi in enumerate_partitions(n):
             assert pi.block_pairs() == block_pairs_by_predicates(pi), pi
     crossing, nesting = P("1,3,5|2,4|6,8|7").block_pairs()
