@@ -37,8 +37,6 @@ from .cumulants import (
     tilde_transform,
 )
 from .forests import (
-    RootedForest,
-    RootedTree,
     alpha,
     depth,
     labelling_polynomial,

@@ -45,27 +45,30 @@ to both:
   support.  Digit i-1 holds the least element of the symbol that holds
   i, or 0 when i is outside the support.  The product of two monomials
   with disjoint supports, as for the blocks of a partitioned cumulant,
-  is the sum of their keys: no digit carries and no terms merge.
+  is the sum of their keys: no digit carries and no terms merge.  The
+  constructor, `symbol` and `moment_monomial` build this layout only.
 * univariate: initial segments m_{1..j}, the symbols once the variables
-  are identified (`univariate()` is the library's one way in).  Digit
-  j-1 counts the factors m_{1..j}, so a product is again a key sum, and
-  equal monomials merge.
+  are identified.  `univariate()` is the one way in, and sums and
+  products of univariate operands stay in it.  Digit j-1 counts the
+  factors m_{1..j}, so a product is again a key sum, and equal monomials
+  merge.
 
 The layouts narrow the ring on purpose; every identity of the catalog
 (n <= 10) stays far inside them.  ValueError is raised for an element or
-a factor count above 31, for a monomial whose symbols meet unless every
-symbol of its polynomial is an initial segment (m_{2}*m_{2,3} fits
-neither layout), for a multilinear product whose supports meet, and for
-a sum or product that mixes the layouts.  Polynomials of the two layouts
-are equal when their monomials are.  A polynomial keeps integer
-numerators over one positive denominator, reduced so that the
-denominator shares no factor with all the numerators (the zero
-polynomial has denominator 1); equality is therefore canonical and
-decided term by term.  Sums of weighted polynomials go through one
-accumulator, `linear_combination`, which the ring operations use as
-well.  At the boundary (construction, ``sorted_terms``, ``evaluate`` and
-the text form) symbols are increasing element tuples, sorted inside a
-monomial by (size, subset), and coefficients are Fractions.
+a factor count above 31, for a monomial given to the constructor whose
+symbols meet (m_{1}*m_{1}, say, is the univariate image of m_{1}*m_{2}),
+for a multilinear product whose supports meet, and for a sum or product
+that mixes the layouts.  Polynomials of the two layouts are equal when
+their monomials are.  A polynomial keeps integer numerators over one
+positive denominator, reduced so that the denominator shares no factor
+with all the numerators (the zero polynomial has denominator 1);
+equality is therefore canonical and decided term by term.  Sums of
+weighted polynomials go through one accumulator, `linear_combination`,
+which the ring operations use as well.  At the boundary (construction,
+``sorted_terms`` and the text form) symbols are increasing element
+tuples, sorted inside a monomial by (size, subset), and coefficients are
+Fractions.  There is no ``evaluate``: identities compare polynomials, and
+a caller that wants a value reads ``sorted_terms``.
 """
 
 from __future__ import annotations
@@ -554,39 +557,33 @@ class MomentPolynomial:
     ``terms`` maps monomial keys (ints in the polynomial's ``layout``; see
     "Moment polynomials" in the module docstring) to nonzero integer
     numerators over the one denominator ``den``.  Equality compares
-    ``den`` and ``terms`` within a layout.  The constructor,
-    ``sorted_terms``, ``evaluate`` and the text form speak in element
-    tuples and Fractions.
+    ``den`` and ``terms`` within a layout.  The constructor takes a dict
+    from monomials (tuples of element tuples) to rationals and builds a
+    multilinear polynomial; ``univariate()`` is the one way into the
+    univariate layout.  The constructor, ``sorted_terms`` and the text
+    form speak in element tuples and Fractions.
     """
 
     __slots__ = ("terms", "den", "layout")
 
     def __init__(self, terms):
-        monos = []
+        acc: dict[int, Fraction] = {}
         for mono, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff:
-                monos.append((tuple(map(moment_symbol, mono)), coeff))
-        keys = [_multilinear_key(symbols) for symbols, _ in monos]
-        if None not in keys:
-            layout = _MULTILINEAR
-        elif all(s[-1] == len(s) for symbols, _ in monos for s in symbols):
-            keys = [_size_key(map(len, symbols)) for symbols, _ in monos]
-            layout = _UNIVARIATE
-        else:
-            raise ValueError(
-                "a monomial whose symbols meet fits neither layout unless "
-                "every symbol of the polynomial is an initial segment (1..j)"
-            )
-        acc: dict[int, Fraction] = {}
-        for key, (_, coeff) in zip(keys, monos):
-            acc[key] = acc.get(key, 0) + coeff
+                key = _multilinear_key(map(moment_symbol, mono))
+                if key is None:
+                    raise ValueError(
+                        f"the symbols of {mono} meet: construction is multilinear, "
+                        "and univariate() is the way into the univariate layout"
+                    )
+                acc[key] = acc.get(key, 0) + coeff
         den = lcm(*(c.denominator for c in acc.values()))
         self.terms = {
             m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
         }
         self.den = den if self.terms else 1
-        self.layout = layout if any(self.terms) else 0
+        self.layout = _MULTILINEAR if any(self.terms) else 0
 
     # -- constructors -------------------------------------------------------
 
@@ -618,9 +615,6 @@ class MomentPolynomial:
         return cls._wrap({_multilinear_key((moment_symbol(subset),)): 1}, 1, _MULTILINEAR)
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -743,16 +737,6 @@ class MomentPolynomial:
             else:
                 del out[key]
         return MomentPolynomial._wrap(out, self.den, _UNIVARIATE)
-
-    def evaluate(self, value_of_symbol) -> Fraction:
-        """Evaluate with `value_of_symbol(sym) -> Fraction` per symbol."""
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            prod = Fraction(c)
-            for s in _decode(mono, self.layout):
-                prod *= Fraction(value_of_symbol(s))
-            total += prod
-        return total / self.den
 
     # -- text ---------------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Command-line front end: enumeration, verification, tables, conversion.
 
 Exit codes: 0 success, 1 identity failure, 2 usage error, 3 resource
-limit exceeded, 141 stdout closed early (128 + SIGPIPE, as when piped
+limit exceeded or memory exhausted (a `MemoryError`, or a `verify --jobs`
+worker that died), 141 stdout closed early (128 + SIGPIPE, as when piped
 into `head`).  Data goes to stdout, diagnostics to stderr; identical
 invocations produce byte-identical stdout (reports carry no timestamps
 and all randomized checks are seeded).  With `-v`, `verify` also writes
@@ -34,6 +35,7 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
@@ -166,6 +168,8 @@ def _cmd_verify(args) -> int:
     with ExitStack() as stack:
         if args.jobs > 1 and len(jobs) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            # on a failed job, drop the jobs that have not started
+            stack.callback(pool.shutdown, cancel_futures=True)
             runs = pool.map(_verify_worker, jobs)
         else:
             runs = map(_verify_worker, jobs)
@@ -449,6 +453,12 @@ def main(argv=None) -> int:
         return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (MemoryError, BrokenProcessPool) as exc:
+        # a worker that the kernel kills breaks the pool; `verify` prints
+        # only after its last job, so its stdout stays empty
+        what = "ran out of memory" if isinstance(exc, MemoryError) else "lost a worker process"
+        print(f"error: {args.command} {what}; lower n or --limit", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

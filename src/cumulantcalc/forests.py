@@ -43,15 +43,13 @@ shape.  There are at most as many shapes as unlabelled rooted trees or
 forests with n vertices (486 trees with at most 9), so a sweep over NC(n)
 does the polynomial work once per shape, not once per partition.
 
-No invariant of a partition builds a labelled forest, and t! and the
-depth build no shape.
-`labelling_polynomial` takes a planar `RootedForest` of `RootedTree`s,
-for forests given as such, and reads its shape.
+t! and the depth build no shape.  `labelling_polynomial` takes a planar
+forest as nested tuples (a forest is the tuple of its trees, a tree the
+tuple of its children, a leaf `()`) and sorts it into its shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -60,25 +58,10 @@ from .algebra import Polynomial, faulhaber_polynomial
 from .partitions import SetPartition
 
 __all__ = [
-    "RootedTree",
-    "RootedForest",
     "labelling_polynomial",
     "alpha",
     "depth",
 ]
-
-
-@dataclass(frozen=True)
-class RootedTree:
-    label: int
-    children: tuple["RootedTree", ...] = ()
-
-
-@dataclass(frozen=True)
-class RootedForest:
-    """Planar rooted forest."""
-
-    trees: tuple[RootedTree, ...]
 
 
 def _nesting_pairs(pi: SetPartition) -> list[tuple[int, int]]:
@@ -108,14 +91,6 @@ def _shape(pi: SetPartition) -> tuple:
             trees.append(tuple(kids))
     trees.sort()
     return tuple(trees)
-
-
-def _tree_shape(t: RootedTree) -> tuple:
-    return tuple(sorted(_tree_shape(c) for c in t.children))
-
-
-def _forest_shape(f: RootedForest) -> tuple:
-    return tuple(sorted(_tree_shape(t) for t in f.trees))
 
 
 @lru_cache(maxsize=None)
@@ -155,12 +130,17 @@ def _forest_poly(shape: tuple) -> Polynomial:
     return out
 
 
-def labelling_polynomial(f: RootedForest) -> Polynomial:
-    """Polynomial in N counting nondecreasing N-labellings of the forest:
-    the product of the polynomials of its trees.  The constant term is
-    zero unless the forest is empty, and the degree is at most the vertex
-    count."""
-    return _forest_poly(_forest_shape(f))
+def _canon(f: tuple) -> tuple:
+    """The shape of a planar forest or tree: its parts sorted, recursively."""
+    return tuple(sorted(map(_canon, f)))
+
+
+def labelling_polynomial(forest: tuple) -> Polynomial:
+    """Polynomial in N counting nondecreasing N-labellings of a planar
+    forest given as nested tuples: the product of the polynomials of its
+    trees.  The constant term is zero unless the forest is empty, and the
+    degree is at most the vertex count."""
+    return _forest_poly(_canon(forest))
 
 
 def labelling_polynomial_of(pi: SetPartition) -> Polynomial:

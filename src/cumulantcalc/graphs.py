@@ -81,12 +81,6 @@ class MixedGraph:
         object.__setattr__(self, "directed", tuple(sorted(self.directed)))
         object.__setattr__(self, "loops", tuple(sorted(self.loops)))
 
-    def all_edges_undirected(self) -> tuple[tuple[int, int], ...]:
-        """Every non-loop edge with orientation dropped (multiset)."""
-        return tuple(sorted(
-            list(self.undirected) + [(min(i, j), max(i, j)) for i, j in self.directed]
-        ))
-
 
 def _reached(edges, start: int) -> set[int]:
     """The vertices joined to `start` by a path along `edges`."""
@@ -176,15 +170,17 @@ def tutte_eval(g: MixedGraph) -> int:
     """
     if g.loops:
         return 0
+    # every non-loop edge as (u, v), u < v, orientation dropped
+    edges = g.undirected + tuple((min(e), max(e)) for e in g.directed)
     earlier: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.all_edges_undirected():
-        earlier[v].add(u)  # u < v; a set drops parallel edges
+    for u, v in edges:
+        earlier[v].add(u)  # a set drops parallel edges
     value = 1
     for before in earlier:
         if len(before) > 1:
             p = max(before)
             if not before.issubset(earlier[p] | {p}):
-                return _tutte_10(_normalize_edges(g.all_edges_undirected()))
+                return _tutte_10(_normalize_edges(edges))
         value *= len(before) or 1
     return value
 

@@ -468,6 +468,18 @@ def fd_from_sorted_terms(terms) -> dict:
     return {mono: Fraction(c) for mono, c in terms}
 
 
+def evaluate_moment_polynomial(p, value_of_symbol) -> Fraction:
+    """The value of a `MomentPolynomial` with each symbol (an element
+    tuple) replaced by `value_of_symbol(symbol)`, summed over its
+    `sorted_terms()`."""
+    total = Fraction(0)
+    for mono, c in p.sorted_terms():
+        for sym in mono:
+            c *= Fraction(value_of_symbol(sym))
+        total += c
+    return total
+
+
 def _fd_monomial(pi: SetPartition) -> dict:
     return {_canonical(pi.blocks): Fraction(1)}
 
@@ -551,7 +563,8 @@ def tutte_random_order(edges, x, y, rng) -> Fraction:
 
 def _graph_edges(g) -> list[tuple[int, int]]:
     """Every edge of a `MixedGraph`, orientations dropped, loops as (v, v)."""
-    return list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
+    dropped = sorted(list(g.undirected) + [(min(e), max(e)) for e in g.directed])
+    return dropped + [(v, v) for v in g.loops]
 
 
 def _rank(n: int, edges) -> int:
@@ -628,7 +641,7 @@ def partition_sum_identity_check(g, q) -> Fraction:
         raise ValueError("q = 1 is excluded")
     if g.n < 1:
         raise ValueError("the graph needs at least one vertex")
-    edges = list(g.all_edges_undirected()) + [(v, v) for v in g.loops]
+    edges = _graph_edges(g)
     total = Fraction(0)
     for pi in enumerate_partitions(g.n):
         rgs = pi.rgs  # vertex v of the graph is element v+1 of [n]
@@ -749,63 +762,35 @@ def exp_termwise(g: TruncatedSeries) -> TruncatedSeries:
 
 
 def nondecreasing_labellings_brute(forest, colors: int) -> int:
-    """Count maps vertices -> [colors] weakly increasing down every tree."""
-    vertices = []
-    parents = {}
+    """Count maps vertices -> [colors] weakly increasing down every tree of
+    a forest of nested tuples (a tree is the tuple of its children)."""
+    parents = []  # parents[v]: the parent of vertex v, numbered as walked
 
     def walk(t, parent):
-        vertices.append(t.label)
-        parents[t.label] = parent
-        for c in t.children:
-            walk(c, t.label)
+        v = len(parents)
+        parents.append(parent)
+        for c in t:
+            walk(c, v)
 
-    for t in forest.trees:
+    for t in forest:
         walk(t, None)
     count = 0
-    for assignment in product(range(1, colors + 1), repeat=len(vertices)):
-        value = dict(zip(vertices, assignment))
-        if all(
-            parents[v] is None or value[parents[v]] <= value[v] for v in vertices
-        ):
+    for value in product(range(1, colors + 1), repeat=len(parents)):
+        if all(p is None or value[p] <= x for p, x in zip(parents, value)):
             count += 1
     return count
 
 
 def all_planar_forests(total: int):
-    """Every planar rooted forest with `total` vertices (labels arbitrary)."""
-    from cumulantcalc.forests import RootedForest, RootedTree
-
-    counter = [0]
-
-    def trees(size):
-        if size == 1:
-            counter[0] += 1
-            yield RootedTree(counter[0], ())
-            return
-        for child_sizes in compositions(size - 1):
-            for kids in _forests_of(child_sizes):
-                counter[0] += 1
-                yield RootedTree(counter[0], kids)
-
-    def compositions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(1, k + 1):
-            for rest in compositions(k - first):
-                yield (first,) + rest
-
-    def _forests_of(sizes):
-        if not sizes:
-            yield ()
-            return
-        for t in trees(sizes[0]):
-            for rest in _forests_of(sizes[1:]):
-                yield (t,) + rest
-
-    for sizes in compositions(total):
-        for kids in _forests_of(sizes):
-            yield RootedForest(tuple(kids))
+    """Every planar rooted forest with `total` vertices, as nested tuples:
+    a forest is the tuple of its trees, a tree the tuple of its children."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):  # the vertices of the first tree
+        for tree in all_planar_forests(first - 1):
+            for rest in all_planar_forests(total - first):
+                yield (tree,) + rest
 
 
 # --- text forms from the blocks ---------------------------------------------
@@ -857,11 +842,10 @@ def monotone_orders_brute(pi: SetPartition) -> int:
     )
 
 
-def nesting_forest_by_enclosure(pi: SetPartition):
-    """The nesting forest with each block's parent found by a search over
-    all blocks: the enclosing block with the largest minimum."""
-    from cumulantcalc.forests import RootedForest, RootedTree
-
+def parents_by_enclosure(pi: SetPartition) -> list:
+    """The parent block index of each block of a noncrossing pi (None for a
+    root), by a search over all blocks: the enclosing block with the
+    largest minimum."""
     bs = pi.blocks
     k = len(bs)
     parent = [None] * k
@@ -870,24 +854,31 @@ def nesting_forest_by_enclosure(pi: SetPartition):
             if i != j and block_nests_inside(bs[i], bs[j]):
                 if parent[i] is None or bs[j][0] > bs[parent[i]][0]:
                     parent[i] = j
+    return parent
+
+
+def nesting_forest_by_enclosure(pi: SetPartition) -> tuple:
+    """The nesting forest as nested tuples, trees and children in block
+    order, with the parents of `parents_by_enclosure`."""
+    parent = parents_by_enclosure(pi)
 
     def build(i):
-        return RootedTree(i, tuple(build(c) for c in range(k) if parent[c] == i))
+        return tuple(build(c) for c in range(len(parent)) if parent[c] == i)
 
-    return RootedForest(tuple(build(r) for r in range(k) if parent[r] is None))
+    return build(None)
 
 
-# --- nesting-forest invariants by recursion over labelled trees -------------
+# --- nesting-forest invariants by recursion over planar trees ---------------
 
 
 def tree_poly_by_recursion(t):
-    """Labelling polynomial of a `RootedTree`, recursing over the tree
-    itself: the indefinite sum, through Faulhaber polynomials, of the
+    """Labelling polynomial of a tree of nested tuples, recursing over the
+    tree itself: the indefinite sum, through Faulhaber polynomials, of the
     product of the branch polynomials (no memo, no shapes)."""
     from cumulantcalc.algebra import Polynomial, faulhaber_polynomial
 
     q = Polynomial.constant(1)
-    for c in t.children:
+    for c in t:
         q = q * tree_poly_by_recursion(c)
     out = Polynomial.zero()
     for d, c in enumerate(q.coeffs):
@@ -904,34 +895,35 @@ def forest_invariants_by_trees(pi: SetPartition):
     forest = nesting_forest_by_enclosure(pi)
     poly = Polynomial.constant(1)
     tree_fact = 1
-    for t in forest.trees:
+    for t in forest:
         poly = poly * tree_poly_by_recursion(t)
         tree_fact *= tree_factorial_by_sizes(t)
-    a = poly.coefficient(1) if len(forest.trees) == 1 else Fraction(0)
-    return a, poly, tree_fact, 1 + max(map(tree_height, forest.trees), default=0)
+    a = poly.coefficient(1) if len(forest) == 1 else Fraction(0)
+    return a, poly, tree_fact, 1 + max(map(tree_height, forest), default=0)
 
 
 def tree_size(t) -> int:
-    """Number of vertices of a `RootedTree`."""
-    return 1 + sum(map(tree_size, t.children))
+    """Number of vertices of a tree of nested tuples."""
+    return 1 + sum(map(tree_size, t))
 
 
 def tree_height(t) -> int:
-    """Edges on the longest root-to-leaf path of a `RootedTree`."""
-    return 1 + max(map(tree_height, t.children), default=-1)
+    """Edges on the longest root-to-leaf path of a tree of nested tuples."""
+    return 1 + max(map(tree_height, t), default=-1)
 
 
 def tree_factorial_by_sizes(t) -> int:
-    """Product of the subtree sizes over the vertices of a `RootedTree`."""
+    """Product of the subtree sizes over the vertices of a tree of nested
+    tuples."""
     out = tree_size(t)
-    for c in t.children:
+    for c in t:
         out *= tree_factorial_by_sizes(c)
     return out
 
 
 def tree_shapes_by_recursion(t, into: set) -> tuple:
-    """Canonical shape of a `RootedTree` (sorted tuple of the child shapes),
-    adding it and the shape of every subtree to `into`."""
-    shape = tuple(sorted(tree_shapes_by_recursion(c, into) for c in t.children))
+    """Canonical shape of a tree of nested tuples (sorted tuple of the
+    child shapes), adding it and the shape of every subtree to `into`."""
+    shape = tuple(sorted(tree_shapes_by_recursion(c, into) for c in t))
     into.add(shape)
     return shape

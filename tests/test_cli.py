@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cumulantcalc import limits
+from cumulantcalc import cli, limits
 from cumulantcalc.cli import build_parser, main
 from cumulantcalc.identities import IDENTITY_CATALOG, identity_names
 from cumulantcalc.permutations import eulerian
@@ -191,6 +191,42 @@ def test_closed_stdout_exits_141_without_traceback():
     err = proc.stderr.read().decode()
     assert code == 141
     assert "Traceback" not in err and "Exception" not in err
+
+
+def test_out_of_memory_exits_3_without_traceback():
+    # one child whose address space is capped at 100 MB; uncapped, the
+    # command peaks near 215 MB, and `verify` prints only once every job
+    # has finished, so stdout stays empty
+    import resource
+
+    cap = 100 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cumulantcalc", "verify", "moment_cumulant_K", "9"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: verify ran out of memory; lower n or --limit\n"
+
+
+def _worker_out_of_memory(job):
+    raise MemoryError
+
+
+def _worker_that_dies(job):
+    os._exit(1)  # as a worker the kernel kills: the pool breaks
+
+
+@pytest.mark.parametrize("worker, what", [
+    (_worker_out_of_memory, "ran out of memory"),
+    (_worker_that_dies, "lost a worker process"),
+])
+def test_memory_exhausted_in_a_worker_exits_3(capsys, monkeypatch, worker, what):
+    monkeypatch.setattr(cli, "_verify_worker", worker)
+    code, out, err = run_cli(capsys, "--jobs", "2", "verify", "cor9_factorial", "3")
+    assert code == 3 and out == ""
+    assert err == f"error: verify {what}; lower n or --limit\n"
 
 
 def test_python_m_runs_the_cli(capsys):

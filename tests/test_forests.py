@@ -8,8 +8,6 @@ import pytest
 from cumulantcalc import forests
 from cumulantcalc.algebra import Polynomial, bernoulli_number
 from cumulantcalc.forests import (
-    RootedForest,
-    RootedTree,
     alpha,
     depth,
     labelling_polynomial,
@@ -25,6 +23,7 @@ from oracles import (
     monotone_orders_brute,
     nesting_forest_by_enclosure,
     nondecreasing_labellings_brute,
+    parents_by_enclosure,
     restrict_by_blocks,
     tree_factorial_by_sizes,
     tree_shapes_by_recursion,
@@ -35,14 +34,14 @@ P = SetPartition.from_text
 
 
 def path_tree(n):
-    t = RootedTree(n)
-    for label in range(n - 1, 0, -1):
-        t = RootedTree(label, (t,))
+    t = ()
+    for _ in range(n - 1):
+        t = (t,)
     return t
 
 
 def star_tree(leaves):
-    return RootedTree(0, tuple(RootedTree(i) for i in range(1, leaves + 1)))
+    return ((),) * leaves
 
 
 def monotone_labelling_count(pi):
@@ -62,15 +61,20 @@ def test_nesting_forest_eighteen_point_example():
     # {11,14,18} over {12,13} and {15,17} (over {16}); t! = (5 * 2) * (4 * 2)
     assert forests._shape(pi) == (((), (), ((),)), ((), ((),)))
     assert partition_tree_factorial(pi) == 80
-    f = nesting_forest_by_enclosure(pi)
-    assert sorted(map(tree_size, f.trees)) == [4, 5]
-    big = next(t for t in f.trees if tree_size(t) == 5)
-    # root {1,2,10} with children {3,6}, {7}, {8,9}; {4,5} hangs under {3,6}
-    assert pi.blocks[big.label] == (1, 2, 10)
-    child_blocks = {pi.blocks[c.label] for c in big.children}
-    assert child_blocks == {(3, 6), (7,), (8, 9)}
-    inner = next(c for c in big.children if pi.blocks[c.label] == (3, 6))
-    assert [pi.blocks[g.label] for g in inner.children] == [(4, 5)]
+    assert sorted(map(tree_size, nesting_forest_by_enclosure(pi))) == [4, 5]
+    parent = parents_by_enclosure(pi)
+    bs = pi.blocks
+
+    def children(block):
+        return {bs[c] for c, p in enumerate(parent) if p is not None and bs[p] == block}
+
+    # roots {1,2,10} and {11,14,18}; under the first {3,6}, {7}, {8,9}, and
+    # {4,5} hangs under {3,6}
+    assert {bs[r] for r, p in enumerate(parent) if p is None} == {(1, 2, 10), (11, 14, 18)}
+    assert children((1, 2, 10)) == {(3, 6), (7,), (8, 9)}
+    assert children((3, 6)) == {(4, 5)}
+    assert children((11, 14, 18)) == {(12, 13), (15, 17)}
+    assert children((15, 17)) == {(16,)}
 
 
 def test_monotone_labelling_count_examples():
@@ -99,16 +103,16 @@ def test_monotone_total_count():
 
 
 def test_labelling_polynomial_base_cases():
-    assert labelling_polynomial(RootedForest((RootedTree(0),))) == Polynomial([0, 1])
+    assert labelling_polynomial(((),)) == Polynomial([0, 1])
     for n in range(1, 6):
-        p = labelling_polynomial(RootedForest((path_tree(n),)))
+        p = labelling_polynomial((path_tree(n),))
         binom = Polynomial([1])
         x = Polynomial([0, 1])
         for i in range(n):
             binom = binom * (x + (n - 1 - i)) / (i + 1)
         assert p == binom  # C(N+n-1, n)
     # star with 2 leaves at N=2: enumerate all 8 labellings, 5 qualify
-    star = RootedForest((star_tree(2),))
+    star = (star_tree(2),)
     assert nondecreasing_labellings_brute(star, 2) == 5
     assert labelling_polynomial(star).evaluate(2) == 5
 
@@ -163,13 +167,13 @@ def test_weight_multiplicative_over_components():
 def test_child_order_never_affects_numbers():
     # reversing children everywhere leaves factorial and polynomial unchanged
     def mirror(t):
-        return RootedTree(t.label, tuple(mirror(c) for c in reversed(t.children)))
+        return tuple(mirror(c) for c in reversed(t))
 
     for size in range(1, 6):
         for forest in all_planar_forests(size):
-            m = RootedForest(tuple(mirror(t) for t in forest.trees))
-            assert (prod(map(tree_factorial_by_sizes, forest.trees))
-                    == prod(map(tree_factorial_by_sizes, m.trees)))
+            m = mirror(forest)
+            assert (prod(map(tree_factorial_by_sizes, forest))
+                    == prod(map(tree_factorial_by_sizes, m)))
             assert labelling_polynomial(forest) == labelling_polynomial(m)
 
 
@@ -222,22 +226,9 @@ def test_alpha_sums_once_per_tree_shape(monkeypatch):
         alpha(pi)
     shapes = set()
     for pi in members:
-        for t in nesting_forest_by_enclosure(pi).trees:
+        for t in nesting_forest_by_enclosure(pi):
             tree_shapes_by_recursion(t, shapes)
     # 37 of the 486 rooted trees with at most 9 vertices occur
     assert len(shapes) == 37
     assert 0 < len(calls) <= len(shapes)
 
-
-def test_invariants_build_no_rooted_tree(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an invariant built a labelled forest")
-
-    monkeypatch.setattr(forests, "RootedTree", refuse)
-    _clear_shape_caches()
-    for pi in enumerate_partitions(6, "noncrossing"):
-        alpha(pi)
-        labelling_polynomial_of(pi)
-        partition_tree_factorial(pi)
-        depth(pi)
-        monotone_labelling_count(pi)

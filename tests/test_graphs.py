@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from cumulantcalc import cli, graphs
-from cumulantcalc.cumulants import _beta_key
+from cumulantcalc.cumulants import _beta_key, nested_pair_partition
 from cumulantcalc.graphs import (
     MixedGraph,
     anti_interval_digraph,
@@ -152,6 +152,21 @@ def test_anti_interval_graphs_never_reach_deletion_contraction(capsys):
     # a graph that fails the test does go through it
     assert tutte_eval(MixedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))) == 3
     assert graphs._tutte_10.cache_info().misses > 0
+
+
+def test_tutte_product_with_four_or_more_earlier_neighbours():
+    # T(1,0) = prod max(d_v, 1) where some vertex has d_v >= 4; a factor
+    # miscounted only there passes the catalog (the d_v of each graph in
+    # its comment)
+    cases = [
+        (nested_pair_partition(5), 24),  # d_v = 0..4
+        (nested_pair_partition(6), 120),  # d_v = 0..5
+        (P("1,10|2,9|3,8|4,7|5|6"), 96),  # d_v = 0, 1, 2, 3, 4, 4
+        (P("1,12|2,11|3,10|4,9|5,7|6,8"), 120),  # a crossing pair in four hulls
+    ]
+    for pi, value in cases:
+        g = anti_interval_graph(pi)
+        assert tutte_eval(g) == value == acyclic_orientations_by_orders(g, 0), pi
 
 
 def test_tutte_edge_order_independence():

@@ -6,8 +6,10 @@ imports it.  A public method, property or classmethod of a class in
 `src/` stays only if `src/` reads its name as an attribute outside every
 function of that name (its own body and same-named members of other
 classes do not count), or `test_acceptance.py` does; inside a class,
-`self.name` and `cls.name` count only for that class, and a read taken
-off a class name (`SetPartition.from_text`) only for the class named.  A
+`self.name`, `cls.name` and `other.name` count only for that class, and a
+read taken off a class name (`SetPartition.from_text`) only for the class
+named.  An annotation reads nothing: every module of `src/` that has one
+imports `annotations` from `__future__`, so none is evaluated.  A
 method that is not a property counts as read only where the read is
 called or taken off a class name, so a data field that shares its name
 (`report.identity`) does not keep it.  Second names and helpers that
@@ -39,14 +41,24 @@ def _defines(node, name: str) -> bool:
     return isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == name
 
 
+def _evaluated_children(node) -> list:
+    """The child nodes of `node` but its annotations, which `from __future__
+    import annotations` leaves unevaluated."""
+    skip = {id(getattr(node, "annotation", None)), id(getattr(node, "returns", None))}
+    return [child for child in ast.iter_child_nodes(node) if id(child) not in skip]
+
+
 def _reads(node) -> set[str]:
-    """The names and attributes that `node` loads."""
+    """The names and attributes that `node` loads outside annotations."""
     out = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out.add(sub.attr)
+        stack.extend(_evaluated_children(sub))
     return out
 
 
@@ -90,9 +102,10 @@ def test_every_export_has_a_reader():
 def _attribute_reads(tree, classes) -> list[tuple[str | None, str, frozenset, bool]]:
     """(owner, attribute, enclosing function names, method-like) of each
     attribute load in `tree`; the owner is the enclosing class of a
-    `self.x` or `cls.x` load, the class of a `Class.x` load taken off one
-    of `classes` by name, else None (any class).  A load is method-like
-    when it is called or taken off a class name."""
+    `self.x`, `cls.x` or `other.x` load (every `other` in `src/` is the
+    same-class operand of an operator), the class of a `Class.x` load
+    taken off one of `classes` by name, else None (any class).  A load is
+    method-like when it is called or taken off a class name."""
     out = []
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
@@ -103,7 +116,7 @@ def _attribute_reads(tree, classes) -> list[tuple[str | None, str, frozenset, bo
             funcs = funcs | {node.name}
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             named = node.value.id if isinstance(node.value, ast.Name) else None
-            owner = cls if named in ("self", "cls") else named if named in classes else None
+            owner = cls if named in ("self", "cls", "other") else named if named in classes else None
             method_like = id(node) in called or named in classes
             out.append((owner, node.attr, funcs, method_like))
         for child in ast.iter_child_nodes(node):
