@@ -24,7 +24,10 @@ failed-check labels of each case, and `Cases.check` counts the cases and
 quotes the failures.  The 4 `IdentityInfo` rows (thm4, cor9, prop10,
 log-Bessel) build their own report, with a detail dict or term counts,
 from a function of (name, n); thm4 checks the sum of the `cor_runs` row
-under its own name, then its cancellation lemma.
+under its own name, then its cancellation lemma as a count.  That count,
+like the ordered-monotone form of `FamilySum`, stands for a polynomial
+sum: B_pi and H_pi are m_pi plus strictly finer monomials, so a sum of
+them is fixed by its coefficients.
 
 The sums are added by `_cumulant_sum(kind, n, weighted)`, over
 partitioned cumulants, or with all variables identified by `_type_sum`,
@@ -181,11 +184,11 @@ class FamilySum:
     weight as a lambda, so the library functions it calls are looked up
     when it runs.  Both sides are added by `_cumulant_sum` or, with
     `univariate`, by `_type_sum`, which compares them after all variables
-    are identified.  For n <= `ordered_max_n` (monotone rhs) the sum is
-    checked again in ordered-monotone form: each member pi is summed once
-    with weight(pi) * tau(pi)! / |pi|! times the number of its monotone
-    orders, read from `_monotone_order_counts(n)` after the "monotone"
-    limit is checked.
+    are identified.  For n <= `ordered_max_n` (monotone rhs, noncrossing
+    class, no zero weight) the ordered-monotone form is checked as a
+    count: each member pi has |pi|!/tau(pi)! monotone orders in
+    `_monotone_order_counts(n)`, read after the "monotone" limit is
+    checked, and the witness names the first pi that has not.
     """
 
     name: str
@@ -210,14 +213,13 @@ class FamilySum:
         if rep.holds and n <= self.ordered_max_n:
             check_limit("monotone", n)
             orders = _monotone_order_counts(n)
-            ordered = add(self.rhs, n, (
-                (Fraction(self.weight(pi)) * partition_tree_factorial(pi)
-                 / factorial(pi.num_blocks) * orders[pi], pi)
-                for pi in members
-            ))
-            if ordered != lhs:
-                rep.holds = False
-                rep.witness = "ordered-partition form differs: " + repr(lhs - ordered)
+            for pi in members:
+                tau, size = partition_tree_factorial(pi), factorial(pi.num_blocks)
+                if orders[pi] * tau != size:
+                    rep.holds = False
+                    rep.witness = (f"ordered-partition form differs: {pi} has {orders[pi]} "
+                                   f"monotone orders, not |pi|!/tau(pi)! = {size}/{tau}")
+                    break
             rep.detail = {"ordered_form_checked": True}
         return rep
 
@@ -303,25 +305,20 @@ def _shape_type_counts(n: int) -> tuple[tuple[SetPartition, int], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_run_sum(n) -> MomentPolynomial:
-    """The sum of (-1)^(#cycleruns - #cycles) B_cycleruns over S_n, one term
-    per pair of `_cycle_run_counts(n)`; the count is read unchecked, so the
-    caller checks the limits of the row first."""
-    return _cumulant_sum(B, n, (
-        (_sign(part) * sign * c, part) for (part, sign), c in _cycle_run_counts(n).items()
-    ))
-
-
 def _thm4_cyclecruns(name, n):
     # the sum of `cor_runs`: the runs of the words 1 a_2 ... a_n are the
-    # cycle runs of the full cycles (1 a_2 ... a_n)
+    # cycle runs of the full cycles (1 a_2 ... a_n); it checks the row's
+    # limits before the unchecked cycle-run count below is read
     rep = replace(_COR_RUNS, name=name).check(n)
     if rep.holds and n <= 6:
-        # The cancellation underlying the cyclic form: summing over all of
-        # S_n with sign (-1)^(#cycleruns - #cycles) gives the plain moment.
-        full = _cycle_run_sum(n)
-        target = moment_monomial(SetPartition.one_block(n))
-        if full != target:
+        # The cancellation underlying the cyclic form: phi pairs off all of
+        # S_n but one permutation per interval partition, so the sigma with
+        # cycle runs pi, signed (-1)^(#cycleruns - #cycles), count 1 on I(n)
+        # and 0 (not less) elsewhere.
+        signed = Counter()
+        for (part, sign), c in _cycle_run_counts(n).items():
+            signed[part] += _sign(part) * sign * c
+        if {p: c for p, c in signed.items() if c} != dict.fromkeys(partitions_of(n, "interval"), 1):
             rep.holds = False
             rep.witness = "signed full-symmetric-group sum differs"
         rep.detail = {"cancellation_lemma_checked": True}

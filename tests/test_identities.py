@@ -7,8 +7,9 @@ from math import factorial
 import pytest
 
 from cumulantcalc import cumulants, identities, limits, partitions
-from cumulantcalc.algebra import Polynomial
+from cumulantcalc.algebra import Polynomial, moment_monomial
 from cumulantcalc.cumulants import CumulantKind
+from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.identities import (
     IDENTITY_CATALOG,
     Report,
@@ -22,6 +23,7 @@ from cumulantcalc.identities import (
 )
 from cumulantcalc.limits import ResourceLimitError
 from cumulantcalc.partitions import SetPartition, partitions_of
+from cumulantcalc.permutations import all_permutations, cycle_runs, cycles
 from oracles import (
     catalan_direct,
     cycle_runs_sum_per_permutation,
@@ -211,12 +213,13 @@ def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
     # two or more orders and holds 1 and n in one block; such a base is
     # irreducible, so it is a member of every row below
     real = identities.enumerate_monotone
+    short = {}
 
     def one_order_short(n):
         stream = list(real(n))
         counts = Counter(op.base for op in stream)
-        base = next(op.base for op in stream
-                    if counts[op.base] >= 2 and op.base.rgs[0] == op.base.rgs[-1])
+        base = short[n] = next(op.base for op in stream
+                               if counts[op.base] >= 2 and op.base.rgs[0] == op.base.rgs[-1])
         last = max(i for i, op in enumerate(stream) if op.base == base)
         yield from stream[:last] + stream[last + 1:]
 
@@ -230,6 +233,9 @@ def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
                 rep = verify_identity(name, n)
                 assert not rep.holds, (name, n)
                 assert rep.witness.startswith("ordered-partition form differs:"), (name, n)
+                # the witness names the base and its count, one order short
+                orders = factorial(short[n].num_blocks) // partition_tree_factorial(short[n])
+                assert f" {short[n]} has {orders - 1} monotone orders," in rep.witness, (name, n)
                 assert rep.detail == {"ordered_form_checked": True}, (name, n)
     finally:
         monkeypatch.undo()
@@ -240,9 +246,9 @@ def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
 def test_ordered_form_catches_a_wrong_tree_factorial_with_warm_counts(monkeypatch):
     # tau(pi)! doubled on every three-block pi, in both modules that read it,
     # with the cumulant caches emptied before and after and the order counts
-    # left warm: the counts carry no tau, so the ordered form sums
-    # |orders(pi)| / |pi|! H_pi and fails, where the grouped form of
-    # moment_cumulant_H reads the same tau as H itself and holds
+    # left warm: the counts carry no tau, so the ordered form's count
+    # orders(pi) * tau(pi)! == |pi|! fails on those pi, where the grouped
+    # form of moment_cumulant_H reads the same tau as H itself and holds
     names = ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free")
     caches = (cumulants._cumulant_poly, cumulants._block_cumulant, cumulants._partitioned_cumulant)
     counts = identities._monotone_order_counts
@@ -353,10 +359,14 @@ def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, key, low):
 
 @pytest.mark.parametrize("name, most", [
     *((name, 8) for name in (
-        "free2boolean", "class2free", "class2boolean", "thm1_mono2free",
-        "moment_cumulant_H", "free2class_tutte", "thm4_cyclecruns", "cor_runs",
+        "free2boolean", "class2free", "class2boolean", "free2class_tutte", "cor_runs",
         "thm2_free2mono_mv",
     )),
+    # the second checks read counts and check no cumulant limit: thm4's
+    # lemma checks the interval walk only, the ordered form "monotone" only
+    ("thm4_cyclecruns", 6),
+    ("thm1_mono2free", 6),
+    ("moment_cumulant_H", 4),
     # the lattice rows, per lattice: 1 for its members, 2 for the cumulant
     # limits, and 6 in lower_interval, public, once per block size k <= 6
     ("moment_cumulant_K", 9),
@@ -440,7 +450,16 @@ def test_counted_run_sums_match_the_per_permutation_sums():
     for n in range(1, 8):
         weighted = [(row.weight(pi), pi) for pi in partitions_of(n, row.cls)]
         assert _cumulant_sum(row.rhs, n, weighted) == runs_sum_per_word(n), n
-        assert identities._cycle_run_sum(n) == cycle_runs_sum_per_permutation(n), n
+        # thm4's lemma in polynomial form, and the signed counts it reads
+        # instead, recounted one permutation at a time
+        assert cycle_runs_sum_per_permutation(n) == moment_monomial(SetPartition.one_block(n)), n
+        signed = Counter()
+        for s in all_permutations(n):
+            signed[cycle_runs(s)] += identities._sign(cycle_runs(s)) * identities._sign(cycles(s))
+        counted = Counter()
+        for (part, sign), c in identities._cycle_run_counts(n).items():
+            counted[part] += identities._sign(part) * sign * c
+        assert counted == signed, n
 
 
 def test_run_rows_fail_on_a_wrong_run_count(monkeypatch):
@@ -463,6 +482,58 @@ def test_run_rows_fail_on_a_wrong_run_count(monkeypatch):
     finally:
         monkeypatch.undo()
         real.cache_clear()
+
+
+@pytest.mark.parametrize("case", ["identity sign flipped", "non-interval count moved"])
+def test_thm4_lemma_fails_on_a_wrong_cycle_run_count(monkeypatch, case):
+    # (a) the identity permutation's sign flipped, at every n: its cycle
+    # runs 1|2|...|n are an interval partition, whose signed count becomes
+    # -1; (b) at n = 3, the count of (1,3|2, -1) moved onto (1,3|2, +1):
+    # the signed count of that non-interval partition becomes -2, a
+    # negative count that the lemma must read
+    real = identities._cycle_run_counts
+
+    def wrong(n):
+        counts = Counter(real(n))
+        if case == "identity sign flipped":
+            pi = SetPartition.singletons(n)
+            sign = identities._sign(pi)  # the identity has n cycles
+        elif n == 3:
+            pi, sign = SetPartition.from_text("1,3|2"), -1
+        else:
+            return counts
+        counts[pi, -sign] += counts.pop((pi, sign))
+        return counts
+
+    real.cache_clear()
+    monkeypatch.setattr(identities, "_cycle_run_counts", wrong)
+    try:
+        failing = [n for n in range(1, 8) if not verify_identity("thm4_cyclecruns", n).holds]
+        # the lemma runs at n <= 6 only
+        assert failing == ([1, 2, 3, 4, 5, 6] if case == "identity sign flipped" else [3])
+        rep = verify_identity("thm4_cyclecruns", 3)
+        assert rep.witness == "signed full-symmetric-group sum differs"
+        assert rep.detail == {"cancellation_lemma_checked": True}
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()
+    assert verify_identity("thm4_cyclecruns", 3).holds
+
+
+def test_ordered_form_rows_meet_the_count_checks_precondition():
+    # the count orders(pi) * tau(pi)! == |pi|! stands for the ordered sum
+    # only over monotone cumulants with no zero weight, and only on
+    # noncrossing pi: a crossing pi has no monotone orders
+    rows = {name: row for name, row in IDENTITY_CATALOG.items()
+            if getattr(row, "ordered_max_n", 0) > 0}
+    assert set(rows) == {"thm1_mono2boolean", "thm1_mono2free", "moment_cumulant_H"}
+    for name, row in rows.items():
+        assert type(row) is identities.FamilySum and row.rhs is CumulantKind.MONOTONE, name
+        assert row.ordered_max_n <= min(row.max_n, limits.DEFAULT_LIMITS["monotone"]), name
+        for n in range(1, row.ordered_max_n + 1):
+            members = partitions_of(n, row.cls)
+            assert set(members) <= set(partitions_of(n, "noncrossing")), (name, n)
+            assert all(row.weight(pi) != 0 for pi in members), (name, n)
 
 
 def test_warm_monotone_count_checks_a_lowered_limit(monkeypatch):
