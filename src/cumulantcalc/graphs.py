@@ -81,6 +81,14 @@ class MixedGraph:
         object.__setattr__(self, "directed", tuple(sorted(self.directed)))
         object.__setattr__(self, "loops", tuple(sorted(self.loops)))
 
+    @classmethod
+    def _unchecked(cls, n: int, undirected, directed=()) -> "MixedGraph":
+        """A loopless graph from edge tuples known to be valid and sorted,
+        built without the `__post_init__` check."""
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, undirected=undirected, directed=directed, loops=())
+        return self
+
 
 def _reached(edges, start: int) -> set[int]:
     """The vertices joined to `start` by a path along `edges`."""
@@ -103,21 +111,25 @@ def _reached(edges, start: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+# `block_pairs` lists valid pairs (i, j), i < j, each list sorted, so the
+# graphs skip the `MixedGraph` check; `sorted` merges two such runs.
+
+
 def crossing_graph(pi: SetPartition) -> MixedGraph:
     """Simple graph on blocks; edges join crossing pairs."""
-    return MixedGraph(pi.num_blocks, tuple(pi.block_pairs()[0]))
+    return MixedGraph._unchecked(pi.num_blocks, tuple(pi.block_pairs()[0]))
 
 
 def anti_interval_graph(pi: SetPartition) -> MixedGraph:
     """Simple graph on blocks; edges join pairs with intersecting hulls."""
     crossing, nesting = pi.block_pairs()
-    return MixedGraph(pi.num_blocks, tuple(crossing + nesting))
+    return MixedGraph._unchecked(pi.num_blocks, tuple(sorted(crossing + nesting)))
 
 
 def anti_interval_digraph(pi: SetPartition) -> MixedGraph:
     """Anti-interval graph with nesting edges directed outer -> inner."""
     crossing, nesting = pi.block_pairs()
-    return MixedGraph(pi.num_blocks, tuple(crossing), tuple(nesting))
+    return MixedGraph._unchecked(pi.num_blocks, tuple(crossing), tuple(nesting))
 
 
 # ---------------------------------------------------------------------------

@@ -23,21 +23,26 @@ position reached so far, `is_interval` by checking that it never steps
 down.
 
 Each class is enumerated by one of three walks over RGS prefixes, all of
-P(n), NC(n) (pruned at a crossing) or I(n) (pruned at a gap), filtered by
-the class's predicate (`_CLASS_WALK`, keyed by the class's name).  The
-connected classes also prune a prefix with more singleton blocks than
-elements left to fill them, since a singleton crosses nothing: their
-filter reads only the partitions with no singleton, 17,722 of the 115,975
-in P(10) and 4,213 of the 208,012 in NC(12).  The prune is only a
-necessary condition, so the filter stays exact.  A class is bounded by
-what its unpruned walk costs, so the walk's name is also the limit key the
-class is checked against.  The three unpruned, unfiltered classes are the
+P(n), NC(n) or I(n), narrowed for the irreducible and connected classes
+(`_CLASS_WALK`, keyed by the class's name).  Each walk draws the choices
+at a position from state it carries, never from a test per block: the
+noncrossing walk follows the chain of blocks that enclose the new element,
+the interval walk offers the last block or a new one.  The irreducible
+classes carry the smallest cut not yet spanned, so they end only on the
+blocks that span it and read no string outside the class.  The connected
+classes are irreducible too, and also drop a prefix with more singleton
+blocks than elements left to fill them, since a singleton crosses nothing;
+their predicate then reads 15,747 of the 115,975 strings of P(10) and
+2,188 of the 208,012 of NC(12).  That is only a necessary condition, so
+the predicate stays as their exact filter.  A class is bounded by what its
+unnarrowed walk costs, so the walk's name is also the limit key the class
+is checked against.  The three unnarrowed, unfiltered classes are the
 lattices, and a lattice is named by its class: `lower_interval` and
 `mobius_to_top` take "all", "noncrossing" or "interval".
-The walks yield bare RGS tuples and the filters are the module-level
-predicates over a tuple that `is_irreducible` and `is_connected` also
-call, so a `SetPartition` is built only for each member of the class, never
-for a string the filter drops.
+The walks yield bare RGS tuples and the connected filter is the
+module-level predicate over a tuple that `is_connected` also calls, so a
+`SetPartition` is built only for each member of the class, never for a
+string the filter drops.
 
 Block relations
 ---------------
@@ -89,6 +94,7 @@ prefix.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -532,7 +538,7 @@ def mobius_to_top(pi: SetPartition, lattice: str) -> int:
 
 def _unknown_lattice(lattice) -> ValueError:
     """The error for a name that is not a lattice, one of the walks."""
-    return ValueError(f"unknown lattice {lattice!r}; lattices: {', '.join(_WALK_PRUNE)}")
+    return ValueError(f"unknown lattice {lattice!r}; lattices: {', '.join(_WALKS)}")
 
 
 def lower_interval(pi: SetPartition, lattice: str):
@@ -547,7 +553,7 @@ def lower_interval(pi: SetPartition, lattice: str):
     Order: the last block of pi varies fastest.  The lattice's limit is
     checked on every call, hit or miss, at the largest block.
     """
-    if lattice not in _WALK_PRUNE:
+    if lattice not in _WALKS:
         raise _unknown_lattice(lattice)
     if lattice == "noncrossing" and not pi.is_noncrossing():
         raise ValueError(f"{pi} is not a noncrossing partition")
@@ -585,124 +591,139 @@ def _block_lattice_cached(k: int, lattice: str) -> tuple[tuple[tuple[int, ...], 
 # ---------------------------------------------------------------------------
 
 
-def _rgs_partitions(n, prune=None):
-    """The RGS tuples of all partitions of [n] in lexicographic order, with
-    optional prefix pruning (prune(blocks, target_index, element) -> bool
-    keeps).
+def _rgs_partitions(n: int, walk: str, restriction: str | None):
+    """The RGS tuples of the walk's partitions of [n] ("all", "noncrossing"
+    or "interval") in lexicographic order, narrowed by the restriction
+    (None, "irreducible" or "connected").
 
     A depth-first walk over positions with an explicit stack of choices,
     so each tuple is yielded from this frame; the last position yields its
-    choices in a direct loop.
+    choices in a direct loop.  The choices at a position, ascending, come
+    from state the walk carries:
+
+    * all: every block, then a new one;
+    * noncrossing: the chain of enclosing blocks, that is the block of the
+      element before and then, from each block on the chain, `below`: the
+      block of the element just before its first, fixed when it opens;
+      then a new block.  A block off the chain ends inside the hull of a
+      block on it, so joining it would cross;
+    * interval: the top of that chain, the last block, then a new one.
+
+    "irreducible": with u the smallest cut (between i and i + 1) that no
+    block spans yet, the blocks with minimum at or before u are a prefix
+    0..m-1 of the block indices.  An element joining one of them spans
+    every cut below it, so u passes it and m covers every block so far;
+    other choices keep u and m.  Every prefix extends to a member, so only
+    the last element is restricted, to the blocks below m.
+    "connected" is "irreducible" plus a count of singleton blocks: a
+    singleton crosses nothing and each element still to place fills at
+    most one, so a prefix keeps at most as many as there are elements left.
     """
-    rgs = [0] * n
-    blocks = [[1]]
-    last = n - 1
-    if not last:
+    if n == 1:
         yield (0,)
         return
-    chosen = [-1] * n  # block index placed at each position, -1 if none
-    i = 1
-    while i:
-        x = i + 1
-        if i == last:
-            for v in range(len(blocks) + 1):
-                if prune is None or prune(blocks, v, x):
-                    rgs[i] = v
-                    yield tuple(rgs)
-            i -= 1
-            continue
-        v = chosen[i]
-        if v >= 0:  # take back the element placed here last time
-            if len(blocks[v]) == 1:
-                blocks.pop()
-            else:
-                blocks[v].pop()
-        v += 1
-        k = len(blocks)
-        if prune is not None:
-            while v <= k and not prune(blocks, v, x):
-                v += 1
-        if v > k:
-            chosen[i] = -1
-            i -= 1
-            continue
-        chosen[i] = v
-        rgs[i] = v
-        if v == k:
-            blocks.append([x])
+    noncrossing = walk == "noncrossing"
+    interval = walk == "interval"
+    cut = restriction is not None
+    counted = restriction == "connected"
+    last = n - 1
+    rgs = [0] * n
+    below = [-1] * n  # per block: the block of the element just before its first
+    blocks = [1] * n  # the number of blocks after each position
+    reach = [1] * n  # m, the blocks at or before the smallest unspanned cut
+    sizes = [1] + [0] * last  # per block, counted walks only
+    singles = [1] * n  # the number of singleton blocks after each position
+    choices = [()] * n  # the choices at each position
+    tried = [0] * n  # how many of them were taken
+
+    def options(i):
+        """The choices at position i, ascending."""
+        k = blocks[i - 1]
+        if noncrossing:
+            opts = []
+            v = rgs[i - 1]
+            while v >= 0:
+                opts.append(v)
+                v = below[v]
+            opts.reverse()
+            opts.append(k)
+        elif interval:
+            opts = (k - 1, k)
         else:
-            blocks[v].append(x)
-        i += 1
+            opts = range(k + 1)
+        if counted:
+            s = singles[i - 1]
+            left = last - i  # elements still to place after this one
+            if s > left:  # only joining a singleton leaves few enough
+                opts = [v for v in opts if v < k and sizes[v] == 1]
+            elif s == left:  # a new singleton would be one too many
+                opts = opts[:-1]
+        if cut and i == last:
+            opts = opts[:bisect_left(opts, reach[i - 1])]
+        return opts
+
+    i = 0  # the position placed last
+    while True:
+        if i + 1 == last:
+            for v in options(last):
+                rgs[last] = v
+                yield tuple(rgs)
+        else:
+            i += 1
+            choices[i] = options(i)
+            tried[i] = 0
+        # back up to the deepest position with a choice left
+        while i:
+            j = tried[i]
+            if counted and j:  # take back the element placed there
+                sizes[rgs[i]] -= 1
+            if j < len(choices[i]):
+                break
+            i -= 1
+        else:
+            return
+        v = choices[i][j]
+        tried[i] = j + 1
+        rgs[i] = v
+        k = blocks[i - 1]
+        if v == k:
+            below[k] = rgs[i - 1]
+            blocks[i] = k + 1
+            reach[i] = reach[i - 1]
+        else:
+            blocks[i] = k
+            reach[i] = k if v < reach[i - 1] else reach[i - 1]
+        if counted:
+            s = singles[i - 1]
+            size = sizes[v]
+            sizes[v] = size + 1
+            singles[i] = s + 1 if not size else s - 1 if size == 1 else s
 
 
-def _prune_noncrossing(blocks, v, x):
-    # The prefix is noncrossing and x exceeds every placed element, so x
-    # joining block v crosses exactly the blocks with elements on both
-    # sides of the current last element of v (block v itself ends there).
-    if v == len(blocks):
-        return True
-    last = blocks[v][-1]
-    for b in blocks:
-        if b[0] < last < b[-1]:
-            return False
-    return True
-
-
-def _prune_interval(blocks, v, x):
-    # Joining any block other than the current last, or than a new one,
-    # leaves a permanent gap.
-    return v == len(blocks) or (blocks[v][-1] == x - 1)
-
-
-def _prune_singletons(n, walk_prune):
-    """The walk's prune plus the singleton test of the connected classes
-    of [n], n >= 2 (the walk calls no prune at n = 1): a singleton block
-    crosses nothing, and each element still to place fills at most one
-    singleton, so a prefix keeps at most as many singleton blocks as there
-    are elements left (none at the end).
-    """
-    def prune(blocks, v, x):
-        left = n - x  # elements still to place after x
-        k = len(blocks)
-        if k >= left:  # else fewer than left + 1 blocks: nothing to count
-            singles = list(map(len, blocks)).count(1)
-            if v == k:
-                singles += 1
-            elif len(blocks[v]) == 1:
-                singles -= 1
-            if singles > left:
-                return False
-        return walk_prune is None or walk_prune(blocks, v, x)
-    return prune
-
-
-#: the partition classes, by name: class -> (walk, prune, filter).  The walk
-#: is the pruned RGS walk that runs and the limit key checked.  The prune,
-#: if any, makes from n and the walk's prune the prune that runs in its
-#: place; it drops only prefixes that no member extends.  The filter keeps
-#: the RGS tuples of the class's members (None: all).
+#: the partition classes, by name: class -> (walk, restriction, filter).
+#: The walk is the RGS walk that runs and the limit key checked; the
+#: restriction (`_rgs_partitions`) narrows its choices and drops only
+#: strings outside the class.  The filter keeps the RGS tuples of the
+#: class's members (None: all).
 _CLASS_WALK = {
     "all": ("all", None, None),
     "noncrossing": ("noncrossing", None, None),
     "interval": ("interval", None, None),
-    "irreducible": ("all", None, _rgs_irreducible),
-    "connected": ("all", _prune_singletons, _rgs_connected),
-    "irreducible-noncrossing": ("noncrossing", None, _rgs_irreducible),
-    "connected-noncrossing": ("noncrossing", _prune_singletons, _rgs_connected),
+    "irreducible": ("all", "irreducible", None),
+    "connected": ("all", "connected", _rgs_connected),
+    "irreducible-noncrossing": ("noncrossing", "irreducible", None),
+    "connected-noncrossing": ("noncrossing", "connected", _rgs_connected),
 }
 
-#: the walks, by name: walk -> its prune (None: none).  Each walk is also
-#: the class of its unpruned, unfiltered members, and these are the lattices.
-_WALK_PRUNE = {"all": None, "noncrossing": _prune_noncrossing, "interval": _prune_interval}
+#: the walks; each is also the class of its unrestricted, unfiltered
+#: members, and these are the lattices
+_WALKS = ("all", "noncrossing", "interval")
 
 
 def _enumerate_unchecked(n: int, cls: str):
     """The members of the class in RGS order, with no limit check."""
-    walk, class_prune, keep = _CLASS_WALK[cls]
-    prune = _WALK_PRUNE[walk]
-    if class_prune is not None:
-        prune = class_prune(n, prune)
-    members = _rgs_partitions(n, prune)
+    walk, restriction, keep = _CLASS_WALK[cls]
+    members = _rgs_partitions(n, walk, restriction)
     if keep is not None:
         members = filter(keep, members)
     return map(SetPartition._unchecked, members)

@@ -56,6 +56,51 @@ def partitions_by_growth(n: int) -> list[SetPartition]:
     return [SetPartition(s) for s in strings]
 
 
+def rgs_by_prune(n: int, prune):
+    """The RGS tuples of P(n) in lexicographic order, each choice of block
+    tested by prune(blocks, target_index, element) -> bool (keep), where
+    blocks lists the blocks of the prefix."""
+    rgs = [0] * n
+    blocks = [[1]]
+
+    def extend(i):
+        if i == n:
+            yield tuple(rgs)
+            return
+        x = i + 1
+        for v in range(len(blocks) + 1):
+            if not prune(blocks, v, x):
+                continue
+            rgs[i] = v
+            if v == len(blocks):
+                blocks.append([x])
+            else:
+                blocks[v].append(x)
+            yield from extend(i + 1)
+            if len(blocks[v]) == 1:
+                blocks.pop()
+            else:
+                blocks[v].pop()
+
+    return extend(1)
+
+
+def prune_noncrossing(blocks, v, x):
+    # The prefix is noncrossing and x exceeds every placed element, so x
+    # joining block v crosses exactly the blocks with elements on both
+    # sides of the current last element of v (block v itself ends there).
+    if v == len(blocks):
+        return True
+    last = blocks[v][-1]
+    return not any(b[0] < last < b[-1] for b in blocks)
+
+
+def prune_interval(blocks, v, x):
+    # Joining any block other than the current last, or than a new one,
+    # leaves a permanent gap.
+    return v == len(blocks) or blocks[v][-1] == x - 1
+
+
 # --- closures by exhaustive minimum --------------------------------------
 
 

@@ -87,6 +87,11 @@ def test_enumerate_golden_digests(capsys):
             "9281791c16c9fdadc26b2d524d2db70375000750f2334e050c47a6c25c5198b2",
         ("enumerate", "10", "irreducible"):
             "c83d6f2d016bd89fc1f5184c189c54ff066e46ab774f5bf404e70e5a9a5aa53d",
+        # the interval walk and the irreducible restriction on NC(11)
+        ("enumerate", "12", "interval"):
+            "9e253b6decfd787d52d263be05e61f4d167f411d56c98ae38c5e4e3606c213cb",
+        ("enumerate", "11", "irreducible-noncrossing"):
+            "f02831130fe0c8c766e8d2e7ca4d68c0fdb68f14a64d2c35623c31f2488146fe",
         # the four class flags of every row, and the monotone records
         ("--format", "json", "enumerate", "7", "all"):
             "abac9e177fb8522823310a9f7ea730039602bf65e3a17574282053716ebe593d",

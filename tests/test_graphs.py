@@ -79,6 +79,17 @@ def test_mixed_graph_validation():
         MixedGraph(2, (), ((0, 0),))
 
 
+def test_partition_graphs_equal_the_checked_constructor():
+    # the graphs skip the check and the sort: the edges are valid and sorted
+    for n in range(1, 9):
+        for pi in partitions_of(n):
+            crossing, nesting = pi.block_pairs()
+            k = pi.num_blocks
+            assert crossing_graph(pi) == MixedGraph(k, tuple(crossing))
+            assert anti_interval_graph(pi) == MixedGraph(k, tuple(crossing + nesting))
+            assert anti_interval_digraph(pi) == MixedGraph(k, tuple(crossing), tuple(nesting))
+
+
 def _oracle_value(g, x, y) -> Fraction:
     """T_G(x, y) summed from the subset-expansion oracle's coefficients."""
     x, y = Fraction(x), Fraction(y)

@@ -13,6 +13,7 @@ from cumulantcalc.partitions import (
     OrderedPartition,
     SetPartition,
     _CLASS_WALK,
+    _rgs_irreducible,
     catalan_number,
     enumerate_monotone,
     enumerate_partitions,
@@ -42,6 +43,9 @@ from oracles import (
     noncrossing_closure_by_fixpoint,
     ordered_text_by_blocks,
     partitions_by_growth,
+    prune_interval,
+    prune_noncrossing,
+    rgs_by_prune,
     text_by_blocks,
     triangle_geq,
 )
@@ -200,22 +204,40 @@ def test_enumeration_is_rgs_filter_order():
         ]
 
 
+def test_walks_equal_the_walk_that_tests_every_block():
+    # the chain of enclosing blocks against a crossing test per block
+    for n, walk, prune in ((10, "noncrossing", prune_noncrossing),
+                           (11, "noncrossing", prune_noncrossing),
+                           (12, "interval", prune_interval)):
+        assert [p.rgs for p in enumerate_partitions(n, walk)] == list(rgs_by_prune(n, prune))
+
+
+def test_irreducible_counts_are_a074664():
+    counts = [1, 1, 2, 6, 22, 92, 426, 2146, 11624, 67146]
+    assert [len(partitions_of(n, "irreducible")) for n in range(1, 11)] == counts
+
+
 @pytest.mark.parametrize("cls, n, walk_reads", [
-    ("connected", 10, 17_722),  # A000296(10): no singleton block
-    ("connected-noncrossing", 12, 4_213),  # the members of NC(12) with none either
+    ("connected", 10, 15_747),  # irreducible, with no singleton block
+    ("connected-noncrossing", 12, 2_188),  # the members of NC(12) with 1 ~ 12 and none either
+    ("irreducible", 10, 67_146),  # A074664(10): the members alone
+    ("irreducible-noncrossing", 11, 16_796),  # C(10): the members alone
 ])
 def test_connected_walks_skip_prefixes_with_too_many_singletons(
         monkeypatch, cls, n, walk_reads):
-    # the filter reads only strings the prune let through; unpruned, it
-    # would read all of P(10) (115,975) or NC(12) (208,012)
-    walk, prune, keep = _CLASS_WALK[cls]
+    # the filter reads only strings the restriction let through; without
+    # it, it would read all of P(10) (115,975) or NC(n).  The irreducible
+    # classes keep no filter, so their predicate stands in for one: it
+    # reads no string outside the class
+    walk, restriction, keep = _CLASS_WALK[cls]
+    keep = keep or _rgs_irreducible
     read = []
 
     def counted(rgs):
         read.append(rgs)
         return keep(rgs)
 
-    monkeypatch.setitem(_CLASS_WALK, cls, (walk, prune, counted))
+    monkeypatch.setitem(_CLASS_WALK, cls, (walk, restriction, counted))
     stream = [p.rgs for p in enumerate_partitions(n, cls)]
     assert len(read) <= walk_reads
     monkeypatch.setitem(_CLASS_WALK, cls, (walk, None, keep))
