@@ -167,7 +167,9 @@ def _cmd_verify(args) -> int:
     reports = []
     with ExitStack() as stack:
         if args.jobs > 1 and len(jobs) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            # the pool forks all its workers at once: no more than can run
+            workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             # on a failed job, drop the jobs that have not started
             stack.callback(pool.shutdown, cancel_futures=True)
             runs = pool.map(_verify_worker, jobs)
@@ -270,8 +272,12 @@ def _cached_table_rows(cache_dir: Path, what: str, n: int):
     header, rows = _table_rows(what, n)
     cache_dir.mkdir(parents=True, exist_ok=True)  # only once there is a table
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(_json_dumps({"header": header, "rows": [list(r) for r in rows]}))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(_json_dumps({"header": header, "rows": [list(r) for r in rows]}))
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)  # a failed write leaves nothing behind
+        raise
     return header, rows
 
 

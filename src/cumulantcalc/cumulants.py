@@ -362,88 +362,38 @@ def boolean_poisson_kappa(n: int) -> Polynomial:
     return cumulants_from_moments(CumulantKind.CLASSICAL, moments)[n - 1]
 
 
-def _det(matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Each row is scaled to integers by the lcm d_i of its denominators, so
-    det = det(scaled) / prod d_i.  On the integer matrix, step k replaces
-    every entry (i, j) with i, j > k by (a_ij a_kk - a_ik a_kj) / p, p the
-    pivot of step k - 1 (1 at the first step); the division is exact, and
-    the last pivot is the determinant.  A zero pivot is swapped with a row
-    below, which flips the sign; a column with no nonzero pivot gives 0.
-    """
-    m = []
-    scale = 1
-    for row in matrix:
-        d = lcm(*(v.denominator for v in row))
-        scale *= d
-        m.append([v.numerator * (d // v.denominator) for v in row])
-    size = len(m)
-    sign = 1
-    previous = 1
-    for k in range(size):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, size) if m[r][k]), None)
-            if pivot is None:
-                return Fraction(0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        top = m[k]
-        p = top[k]
-        for row in m[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * p - a * top[j]) // previous
-        previous = p
-    return Fraction(sign * previous, scale)
-
-
-def _leading_minors(n: int, entry) -> list[Fraction]:
-    """The leading principal minors of order 1..n of a lower Hessenberg matrix.
-
-    The matrix has entry(i, j) on and below the diagonal, ones at (i, i + 1)
-    and zeros above (1-based); the entries do not depend on the order, so
-    the matrix is built once and each minor is the `_det` of its leading
-    block.
-    """
-    matrix = [
-        [entry(i, j) if j <= i else 1 if j == i + 1 else 0
-         for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return [_det([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
-
-
 def determinant_cumulants(kind: str, moments) -> list[Fraction]:
     """Classical or Boolean cumulants via the Hessenberg determinants.
 
-    classical: kappa_k = (-1)^(k-1) (k-1)! det A_k with A_k[i][0] =
-    m_i/(i-1)!, A_k[i][j] = m_{i-j+1}/(i-j+1)! below the superdiagonal of
-    ones; Boolean: b_k = (-1)^(k-1) det of the Toeplitz variant with plain
-    m entries.  Must agree with the Moebius route.
+    A is lower Hessenberg with ones on the superdiagonal (1-based), and D_k
+    is its leading minor of order k.  Classical: with f_i = m_i/i!,
+    A[i][1] = i f_i and A[i][j] = f_{i-j+1} for 2 <= j <= i, and kappa_k =
+    (-1)^(k-1) (k-1)! D_k; Boolean: A[i][j] = m_{i-j+1} and b_k =
+    (-1)^(k-1) D_k.  Along the last row, the minor of A[k][j] is block
+    triangular: A_{j-1}, then a triangle with the unit superdiagonal on its
+    diagonal.  So D_0 = 1 and D_k = sum_j (-1)^(k-j) A[k][j] D_{j-1}, every
+    minor in one pass.  Must agree with the Moebius route.
     """
-    moments = [Fraction(v) for v in moments]
-
-    def m(i):
-        return moments[i - 1]
-
+    m = [Fraction(v) for v in moments]
     if kind == "classical":
-        def entry(i, j):
-            if j == 1:
-                return m(i) / factorial(i - 1)
-            return m(i - j + 1) / factorial(i - j + 1)
+        f = [v / factorial(i) for i, v in enumerate(m, start=1)]
     elif kind == "boolean":
-        def entry(i, j):
-            return m(i - j + 1)
+        f = m
     else:
         raise ValueError(f"unknown determinant kind {kind!r}")
-    minors = _leading_minors(len(moments), entry)
+    minors = [Fraction(1)]
     out = []
-    for k, det in enumerate(minors, start=1):
-        value = (-1) ** (k - 1) * det
+    for k in range(1, len(m) + 1):
+        row = [f[k - j] for j in range(1, k + 1)]  # A[k][1..k]
         if kind == "classical":
-            value *= factorial(k - 1)
-        out.append(value)
+            row[0] *= k
+        det = 0
+        for j, a in enumerate(row, start=1):
+            term = a * minors[j - 1]
+            det = det - term if (k - j) % 2 else det + term
+        minors.append(det)
+        value = det if k % 2 else -det
+        out.append(value * factorial(k - 1) if kind == "classical" else value)
     return out
 
 

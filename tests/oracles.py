@@ -4,7 +4,8 @@ Everything here recomputes a quantity by a route different from the one
 the library takes: exhaustive search instead of closed forms, direct
 summation instead of recurrences, termwise series instead of Newton
 iteration, Fraction-dict moment polynomials and Fraction-coefficient series
-instead of the integer kernels, Gaussian elimination instead of Bareiss,
+instead of the integer kernels, Gaussian elimination of each leading
+minor instead of the one-pass cofactor recurrence,
 the subset expansion instead of deletion-contraction, vertex orders
 instead of orientation masks, the recursion over coarsenings instead
 of the closed sum for beta, and one lower-interval sum per partition

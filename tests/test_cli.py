@@ -424,6 +424,34 @@ def test_verify_parallel_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+def test_verify_pool_starts_no_more_workers_than_cpus(capsys, monkeypatch):
+    # the pool forks every worker at its first submit; a stand-in records
+    # the size asked for and runs the jobs here, so no process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    _, serial, _ = run_cli(capsys, "verify", "--all", "2")
+    code, out, _ = run_cli(capsys, "--jobs", "100000", "verify", "--all", "2")
+    assert code == 0 and out == serial
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+
+
 def test_verbose_verify_reports_each_job_on_stderr(capsys):
     line = re.compile(r"verify (\w+) n=(\d+) wall_s=\d+\.\d{3} peak_rss_mb=\d+\.\d\n")
     for jobs in ((), ("--jobs", "2")):
@@ -662,6 +690,17 @@ def test_unusable_cache_dir_is_usage_error(tmp_path, capsys):
         assert code == 2 and out == "", cache
         assert err.startswith(f"error: --cache-dir {cache} ") and err.count("\n") == 1, err
     assert regular.read_text() == "" and not dangling.exists()
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", no_space)
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "--cache-dir", str(cache), "table", "alpha", "4")
+    assert code == 2 and out == "" and err.startswith("error: --cache-dir"), err
+    assert list(cache.iterdir()) == []
 
 
 def test_benchmark_recorded_digests(tmp_path, capsys):

@@ -11,7 +11,6 @@ from cumulantcalc import cumulants
 from cumulantcalc.algebra import MomentPolynomial, Polynomial
 from cumulantcalc.cumulants import (
     CumulantKind,
-    _det,
     beta_formula,
     boolean_poisson_kappa,
     build_beta_table,
@@ -295,25 +294,43 @@ def test_determinant_cumulants():
         determinant_cumulants("fancy", m)
 
 
-def test_det_matches_gaussian_elimination():
-    rng = random.Random(20261018)
-    for _ in range(400):
-        size = rng.randint(0, 7)
-        m = [
-            [0 if rng.randrange(3) == 0 else Fraction(rng.randint(-7, 7), rng.randint(1, 6))
-             for _ in range(size)]
-            for _ in range(size)
-        ]
-        if size >= 2 and rng.randrange(3) == 0:  # singular: a row repeated up to a factor
-            i, j = rng.sample(range(size), 2)
-            m[j] = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * v for v in m[i]]
-        if size and rng.randrange(3) == 0:  # a zero pivot to swap past
-            m[0][0] = 0
-        assert _det(m) == det_by_elimination(m), m
-    assert _det([]) == 1
-    assert _det([[0, 1], [1, 0]]) == -1  # the first pivot is zero
-    assert _det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
-    assert _det([[1, 2], [2, 4]]) == 0
+def test_determinant_cumulants_match_eliminated_minors():
+    # the lower Hessenberg matrix, ones on its superdiagonal, built here
+    # entry by entry; each leading block is eliminated on its own
+    def hessenberg(kind, m):
+        n = len(m)
+
+        def entry(i, j):  # 1-based, j <= i
+            if kind == "boolean":
+                return m[i - j]
+            if j == 1:
+                return m[i - 1] / factorial(i - 1)
+            return m[i - j] / factorial(i - j + 1)
+
+        return [[entry(i, j) if j <= i else 1 if j == i + 1 else 0
+                 for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+    rng = random.Random(20261020)
+    cases = [[Fraction(0)] * 4, [Fraction(0), Fraction(1), Fraction(0), Fraction(2)]]
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        m = [Fraction(0) if rng.randrange(4) == 0
+             else Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)]
+        if rng.randrange(3) == 0:
+            m[0] = Fraction(0)  # m_1 = 0: elimination swaps rows
+        cases.append(m)
+    for m in cases:
+        for kind in ("classical", "boolean"):
+            a = hessenberg(kind, m)
+            expected = [
+                (-1) ** (k - 1) * det_by_elimination([row[:k] for row in a[:k]])
+                * (factorial(k - 1) if kind == "classical" else 1)
+                for k in range(1, len(m) + 1)
+            ]
+            got = determinant_cumulants(kind, m)
+            assert got == expected, (kind, m)
+            assert all(type(v) is Fraction for v in got)
+    assert determinant_cumulants("boolean", []) == []
 
 
 def test_beta_values():

@@ -112,6 +112,9 @@ def test_full_catalog_small_n():
      "N=1; N=2; N=3"),
     ("lenczewski_sum", "monotone_dilate", lambda real: lambda h, t: real(h, t + 1), 5,
      "N=1; N=2; N=3"),
+    ("determinant_formulas", "determinant_cumulants",
+     lambda real: lambda kind, m: real(kind, m)[:-1], 50,
+     "seq#0:classical; seq#0:boolean; seq#1:classical"),
     # the lattice rows: one case per pi, 42 = |NC(5)| and 110 = 52 + 42 + 16
     # over P(5), NC(5) and I(5); the inverted form labels each by lattice
     ("moment_cumulant_R", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 42,
