@@ -64,11 +64,12 @@ positive denominator, reduced so that the denominator shares no factor
 with all the numerators (the zero polynomial has denominator 1);
 equality is therefore canonical and decided term by term.  Sums of
 weighted polynomials go through one accumulator, `linear_combination`,
-which the ring operations use as well.  At the boundary (construction,
-``sorted_terms`` and the text form) symbols are increasing element
-tuples, sorted inside a monomial by (size, subset), and coefficients are
-Fractions.  There is no ``evaluate``: identities compare polynomials, and
-a caller that wants a value reads ``sorted_terms``.
+which the ring operations and the constructor use as well.  At the
+boundary (construction, ``sorted_terms`` and the text form) symbols are
+increasing element tuples, sorted inside a monomial by (size, subset),
+and coefficients are Fractions.  There is no ``evaluate``: identities
+compare polynomials, and a caller that wants a value reads
+``sorted_terms``.
 """
 
 from __future__ import annotations
@@ -567,7 +568,7 @@ class MomentPolynomial:
     __slots__ = ("terms", "den", "layout")
 
     def __init__(self, terms):
-        acc: dict[int, Fraction] = {}
+        pairs = []
         for mono, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff:
@@ -577,13 +578,9 @@ class MomentPolynomial:
                         f"the symbols of {mono} meet: construction is multilinear, "
                         "and univariate() is the way into the univariate layout"
                     )
-                acc[key] = acc.get(key, 0) + coeff
-        den = lcm(*(c.denominator for c in acc.values()))
-        self.terms = {
-            m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
-        }
-        self.den = den if self.terms else 1
-        self.layout = _MULTILINEAR if any(self.terms) else 0
+                pairs.append((coeff, MomentPolynomial._wrap({key: 1}, 1, _MULTILINEAR)))
+        total = linear_combination(pairs)
+        self.terms, self.den, self.layout = total.terms, total.den, total.layout
 
     # -- constructors -------------------------------------------------------
 

@@ -1,11 +1,14 @@
 """Set partitions of [n] = {1,...,n}: classes, closures, lattice structure.
 
-A partition is stored canonically as a *restricted growth string* (RGS): a
-tuple (a_1,...,a_n) with a_1 = 0 and a_{i+1} <= max(a_1..a_i) + 1, where a_i
-is the index of the block containing i and blocks are numbered by first
-appearance.  Because blocks sorted by their minima appear in first-use
-order, the RGS doubles as the canonical block order, equality is O(n), and
-enumeration order is simply lexicographic order of the strings.
+A partition is its canonical *restricted growth string* (RGS): a tuple
+(a_1,...,a_n) with a_1 = 0 and a_{i+1} <= max(a_1..a_i) + 1, where a_i is
+the index of the block containing i and blocks are numbered by first
+appearance.  `SetPartition` subclasses `tuple` and holds nothing else, so
+it compares, hashes, sorts and pickles as that tuple.  Because blocks
+sorted by their minima appear in first-use order, the RGS doubles as the
+canonical block order, equality is O(n), and enumeration order is simply
+the sorted order of the strings.  An `OrderedPartition` is likewise the
+pair (base, order).
 
 Partition classes
 -----------------
@@ -95,7 +98,6 @@ prefix.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
@@ -124,12 +126,16 @@ def catalan_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class SetPartition:
-    """A set partition of [n], canonical and immutable."""
+class SetPartition(tuple):
+    """A set partition of [n]: the tuple of its restricted growth string.
 
-    __slots__ = ("_rgs", "_blocks")
+    Equality, hashing, ordering, immutability and pickling are the tuple's,
+    so a partition equals the plain tuple of its RGS and sorts in RGS order.
+    """
 
-    def __init__(self, rgs):
+    __slots__ = ()
+
+    def __new__(cls, rgs):
         rgs = tuple(rgs)
         if not rgs:
             raise ValueError("partitions of the empty set are not used here")
@@ -139,24 +145,12 @@ class SetPartition:
                 raise ValueError(f"not a restricted growth string: {rgs}")
             if a == fresh:
                 fresh += 1
-        _set_rgs(self, rgs)
-        _set_blocks(self, None)
+        return tuple.__new__(cls, rgs)
 
     @classmethod
-    def _unchecked(cls, rgs: tuple[int, ...]) -> "SetPartition":
-        """A partition from a tuple known to be a restricted growth string.
-
-        The slots are set through their descriptors (`_set_rgs`,
-        `_set_blocks`), a direct store where `object.__setattr__` would
-        look each name up first.
-        """
-        self = _new_object(cls)
-        _set_rgs(self, rgs)
-        _set_blocks(self, None)
-        return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("SetPartition is immutable")
+    def _unchecked(cls, rgs) -> "SetPartition":
+        """A partition from a sequence known to be a restricted growth string."""
+        return tuple.__new__(cls, rgs)
 
     # -- constructors -------------------------------------------------------
 
@@ -181,7 +175,7 @@ class SetPartition:
             if m not in order:
                 order[m] = len(order)
             rgs.append(order[m])
-        return cls._unchecked(tuple(rgs))
+        return cls._unchecked(rgs)
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
@@ -229,52 +223,40 @@ class SetPartition:
 
     @property
     def rgs(self) -> tuple[int, ...]:
-        return self._rgs
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self._rgs)
+        return len(self)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        cached = self._blocks
-        if cached is None:
-            k = max(self._rgs) + 1
-            out = [[] for _ in range(k)]
-            for i, a in enumerate(self._rgs, start=1):
-                out[a].append(i)
-            cached = tuple(map(tuple, out))
-            _set_blocks(self, cached)
-        return cached
+        out = [[] for _ in range(max(self) + 1)]
+        for i, a in enumerate(self, start=1):
+            out[a].append(i)
+        return tuple(map(tuple, out))
 
     @property
     def num_blocks(self) -> int:
-        return max(self._rgs) + 1
+        return max(self) + 1
 
     def block_index_of(self, i: int) -> int:
-        return self._rgs[i - 1]
+        return self[i - 1]
 
     def block_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * (max(self._rgs) + 1)
-        for a in self._rgs:
+        sizes = [0] * (max(self) + 1)
+        for a in self:
             sizes[a] += 1
         return tuple(sizes)
-
-    def __eq__(self, other):
-        return isinstance(other, SetPartition) and self._rgs == other._rgs
-
-    def __hash__(self):
-        return hash(self._rgs)
 
     def __repr__(self):
         return self.to_text()
 
     def to_text(self) -> str:
         # the parent prefix's block texts, extended by element n
-        rgs = self._rgs
-        texts = _parent_block_texts(rgs[:-1])[:]
-        a = rgs[-1]
-        label = str(len(rgs))
+        texts = _parent_block_texts(self[:-1])[:]
+        a = self[-1]
+        label = str(len(self))
         if a == len(texts):
             texts.append(label)
         else:
@@ -292,7 +274,7 @@ class SetPartition:
         left = list(self.block_sizes())
         stack = []
         fresh = 0  # the index the next new block gets
-        for a in self._rgs:
+        for a in self:
             if a == fresh:
                 fresh += 1
                 stack.append(a)
@@ -306,14 +288,13 @@ class SetPartition:
     def is_interval(self) -> bool:
         # blocks are numbered by first use, so each is a run of consecutive
         # elements iff the RGS never steps down to an earlier block
-        rgs = self._rgs
-        return all(a <= b for a, b in zip(rgs, rgs[1:]))
+        return all(a <= b for a, b in zip(self, self[1:]))
 
     def is_irreducible(self) -> bool:
-        return _rgs_irreducible(self._rgs)
+        return _rgs_irreducible(self)
 
     def is_connected(self) -> bool:
-        return _rgs_connected(self._rgs)
+        return _rgs_connected(self)
 
     # -- block relations and closures ----------------------------------------
 
@@ -328,10 +309,9 @@ class SetPartition:
         block j ends after block i or block i comes back inside the hull of
         block j; else block j sits in one gap of block i.
         """
-        rgs = self._rgs
         first: list[int] = []  # the first position of each block
         last: list[int] = []  # the last position of each block
-        for pos, a in enumerate(rgs):
+        for pos, a in enumerate(self):
             if a == len(first):
                 first.append(pos)
                 last.append(pos)
@@ -344,7 +324,7 @@ class SetPartition:
                 start = first[j]
                 if start > end:
                     break
-                crosses = last[j] > end or i in rgs[start + 1:last[j]]
+                crosses = last[j] > end or i in self[start + 1:last[j]]
                 (crossing if crosses else nesting).append((i, j))
         return crossing, nesting
 
@@ -361,18 +341,11 @@ class SetPartition:
         for i, j in pairs:
             root[find(j)] = find(i)
         label: dict[int, int] = {}
-        return SetPartition._unchecked(
-            tuple([label.setdefault(find(a), len(label)) for a in self._rgs])
-        )
+        return SetPartition._unchecked([label.setdefault(find(a), len(label)) for a in self])
 
     def noncrossing_closure(self) -> "SetPartition":
         """Smallest noncrossing partition dominating self."""
         return self._merge_components(self.block_pairs()[0])
-
-
-_new_object = object.__new__
-_set_rgs = SetPartition._rgs.__set__
-_set_blocks = SetPartition._blocks.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +481,7 @@ def kreweras_complement(pi: SetPartition) -> SetPartition:
                 out[i] = fresh
                 i = prev[(i + 1) % n]
             fresh += 1
-    return SetPartition._unchecked(tuple(out))
+    return SetPartition._unchecked(out)
 
 
 def _mu_full_p(k: int) -> int:
@@ -575,7 +548,7 @@ def lower_interval(pi: SetPartition, lattice: str):
             mu *= m
         label = {}
         yield (
-            SetPartition._unchecked(tuple([label.setdefault(a, len(label)) for a in raw])),
+            SetPartition._unchecked([label.setdefault(a, len(label)) for a in raw]),
             mu,
         )
 
@@ -583,7 +556,7 @@ def lower_interval(pi: SetPartition, lattice: str):
 @lru_cache(maxsize=64)
 def _block_lattice_cached(k: int, lattice: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(RGS, mu(sigma, 1)) for every sigma of the lattice on k elements."""
-    return tuple((s.rgs, mobius_to_top(s, lattice)) for s in _partitions_of(k, lattice))
+    return tuple((s, mobius_to_top(s, lattice)) for s in _partitions_of(k, lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -773,35 +746,46 @@ partitions_of.cache_clear = _partitions_of.cache_clear
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderedPartition:
-    """A partition together with a linear order on its blocks.
+class OrderedPartition(tuple):
+    """A partition together with a linear order on its blocks: the tuple
+    (base, order), which it compares, hashes, sorts and pickles as.
 
     `order` lists canonical block indices in lambda-order, so the blocks in
     execution order are base.blocks[order[0]], base.blocks[order[1]], ...
     """
 
-    base: SetPartition
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(self.base.num_blocks)):
+    def __new__(cls, base: SetPartition, order: tuple[int, ...]):
+        if sorted(order) != list(range(base.num_blocks)):
             raise ValueError("order must be a permutation of the block indices")
+        return tuple.__new__(cls, (base, order))
 
     @classmethod
     def _unchecked(cls, base: SetPartition, order: tuple[int, ...]) -> "OrderedPartition":
         """An ordered partition whose order is known to be a permutation of
-        the block indices, built without the `__post_init__` check."""
-        self = _new_object(cls)
-        self.__dict__.update(base=base, order=order)
-        return self
+        the block indices, built without the check."""
+        return tuple.__new__(cls, (base, order))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which takes two arguments
+        return tuple(self)
+
+    @property
+    def base(self) -> SetPartition:
+        return self[0]
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        return self[1]
 
     @property
     def blocks_in_order(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.base.blocks[i] for i in self.order)
+        blocks = self.base.blocks
+        return tuple(blocks[i] for i in self.order)
 
     def to_text(self) -> str:
-        texts = _last_block_texts(self.base.rgs)
+        texts = _last_block_texts(self.base)
         return "|".join([texts[i] for i in self.order])
 
     def __repr__(self):

@@ -4,7 +4,8 @@ and the sign-cancelling involution on the last descent.
 
 Conventions
 -----------
-Permutations are stored in one-line notation (sigma(1), ..., sigma(n)).
+A permutation is its one-line word (sigma(1), ..., sigma(n)): `Permutation`
+subclasses `tuple`, so it compares, hashes and pickles as that word.
 The cycle decomposition is standard: every cycle is written starting at
 its minimum and cycles are sorted by their minima.  A *run* is a maximal
 increasing segment of the one-line word; a *cycle run* is a maximal
@@ -45,20 +46,17 @@ __all__ = [
 ]
 
 
-class Permutation:
-    """A bijection of [n] in one-line notation."""
+class Permutation(tuple):
+    """A bijection of [n]: the tuple of its one-line word, whose equality,
+    hash, ordering and pickling it keeps."""
 
-    __slots__ = ("word", "_cycles")
+    __slots__ = ()
 
-    def __init__(self, word):
+    def __new__(cls, word):
         word = tuple(word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of [n]: {word}")
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_cycles", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Permutation is immutable")
+        return tuple.__new__(cls, word)
 
     @classmethod
     def from_cycles(cls, n: int, cycles_list) -> "Permutation":
@@ -77,17 +75,15 @@ class Permutation:
     # -- structure ----------------------------------------------------------
 
     @property
+    def word(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
     def n(self) -> int:
-        return len(self.word)
+        return len(self)
 
     def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
+        return self[i - 1]
 
     def __repr__(self):
         return self.cycle_string()
@@ -96,24 +92,20 @@ class Permutation:
 
     def standard_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle words, each starting at its minimum, sorted by minima."""
-        cached = self._cycles
-        if cached is None:
-            seen = [False] * (self.n + 1)
-            out = []
-            for start in range(1, self.n + 1):
-                if seen[start]:
-                    continue
-                cyc = [start]
-                seen[start] = True
-                x = self(start)
-                while x != start:
-                    cyc.append(x)
-                    seen[x] = True
-                    x = self(x)
-                out.append(tuple(cyc))
-            cached = tuple(out)
-            object.__setattr__(self, "_cycles", cached)
-        return cached
+        seen = [False] * (self.n + 1)
+        out = []
+        for start in range(1, self.n + 1):
+            if seen[start]:
+                continue
+            cyc = [start]
+            seen[start] = True
+            x = self(start)
+            while x != start:
+                cyc.append(x)
+                seen[x] = True
+                x = self(x)
+            out.append(tuple(cyc))
+        return tuple(out)
 
     def cycle_string(self) -> str:
         return "".join(
@@ -237,13 +229,14 @@ def psi_inverse(heap: HeapOrder) -> Permutation:
     for u, v in heap.above:
         out_arcs[u].add(v)
     remaining = set(range(base.num_blocks))
+    blocks = base.blocks
     word: list[int] = []
     while remaining:
         sinks = [b for b in remaining if not (out_arcs[b] & remaining)]
         if not sinks:
             raise ValueError("heap relations contain a cycle")
-        leftmost = min(sinks, key=lambda b: base.blocks[b][0])
-        word = list(base.blocks[leftmost]) + word
+        leftmost = min(sinks, key=lambda b: blocks[b][0])
+        word = list(blocks[leftmost]) + word
         remaining.discard(leftmost)
     assert word[0] == 1
     return Permutation.from_cycles(base.n, [word])

@@ -497,6 +497,12 @@ def test_moment_polynomial_bitmask_storage():
     # symbol that holds i
     assert p.terms == {0b00001_00010_00001: 3, 0b00001_00001_00001: -2}
     assert p.den == 6
+    # one monomial listed in two symbol orders adds up; a coefficient is a
+    # Fraction before its zero test, and a zero one is skipped before its
+    # monomial (here two meeting symbols) is checked
+    q = MomentPolynomial({((1, 3), (2,)): Fraction(1, 4), ((2,), (1, 3)): Fraction(1, 4),
+                          ((1, 2, 3),): Fraction(-1, 3), ((1,), (1,)): "0/5"})
+    assert q.terms == p.terms and q.den == p.den and q.layout == p.layout
     # symbols inside a monomial by (size, subset), monomials as tuples
     assert p.sorted_terms() == [
         (((1, 2, 3),), Fraction(-1, 3)),

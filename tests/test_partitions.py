@@ -60,6 +60,20 @@ def test_canonical_form_and_text():
     assert P("1,3|2|4,5") == pi
     assert SetPartition.from_json([[1, 3], [2], [4, 5]]) == pi
     assert pi.rgs == (0, 1, 0, 2, 2)
+    # a partition is its RGS tuple: the hash, equality and order of the
+    # tuple keep every cache key, Counter and set order of the RGS
+    for n in range(1, 8):
+        for cls in _CLASS_WALK:
+            members = partitions_of(n, cls)
+            assert sorted(members) == list(members), (n, cls)
+            for p in members:
+                assert type(p.rgs) is tuple
+                assert p == p.rgs and hash(p) == hash(p.rgs)
+    op = OrderedPartition(pi, (2, 0, 1))
+    assert op == (pi, (2, 0, 1)) and hash(op) == hash((op.base, op.order))
+    for value, name in ((pi, "rgs"), (pi, "extra"), (op, "order"), (op, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
 
 
 def test_invalid_partitions_rejected():

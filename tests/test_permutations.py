@@ -33,6 +33,11 @@ def test_permutation_basics():
     assert s.cycle_string() == "(1,2,3)"
     assert Permutation.from_cycles(3, [(1, 2, 3)]) == s
     assert Permutation.from_cycles(7, [(1, 3), (2, 5, 7)]).word == (3, 5, 1, 4, 7, 6, 2)
+    # a permutation is its one-line word
+    assert s == s.word and hash(s) == hash(s.word) and type(s.word) is tuple
+    for name in ("word", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, (1, 2, 3))
     assert identity_permutation(4).is_interval_type()
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))

@@ -18,10 +18,34 @@ only their own tests call belong in `tests/oracles.py`.
 The same scan holds `src/` to exact arithmetic: it may hold no float
 literal, no call to `float` and no `isclose`; and it holds every module of
 `src/` but the package's `__init__` to reading each name it imports.
+
+Every class the package exports, but its one exception, is a value that
+survives pickle, `copy.copy` and `copy.deepcopy` as an equal value of the
+same type.
 """
 
 import ast
+import copy
+import pickle
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+import cumulantcalc
+from cumulantcalc import (
+    CumulantKind,
+    HeapOrder,
+    MixedGraph,
+    MomentPolynomial,
+    OrderedPartition,
+    Permutation,
+    Polynomial,
+    Report,
+    ResourceLimitError,
+    SetPartition,
+    TruncatedSeries,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cumulantcalc"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
@@ -198,3 +222,34 @@ def test_every_import_in_src_is_read():
                     if name not in loaded:
                         unread.append(f"{path.name}:{node.lineno}: {name}")
     assert not unread, f"imports with no reader: {unread}"
+
+
+def test_every_exported_value_type_survives_pickle_and_copy():
+    pi = SetPartition((0, 1, 0, 2))
+    samples = [
+        CumulantKind.FREE,
+        HeapOrder(SetPartition((0, 1, 0, 1)), ((0, 1),)),
+        MixedGraph(3, undirected=((0, 1),), directed=((2, 1),), loops=(2,)),
+        MomentPolynomial({((1, 3), (2,)): Fraction(1, 2), ((1, 2, 3),): -1}),
+        OrderedPartition(pi, (2, 0, 1)),
+        Permutation((2, 3, 1)),
+        Polynomial([1, Fraction(-1, 2)]),
+        Report("free2boolean", 3, True, 4, 4),
+        pi,
+        TruncatedSeries([1, Fraction(1, 2), 3], 4),
+    ]
+    exported = {value for value in vars(cumulantcalc).values() if isinstance(value, type)}
+    assert {type(v) for v in samples} == exported - {ResourceLimitError}
+    broken = []
+    for v in samples:
+        try:
+            for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+                assert type(w) is type(v) and w == v
+        except Exception as exc:  # every failing type is listed
+            broken.append(f"{type(v).__name__}: {exc!r}")
+    assert not broken, broken
+    # unpickling goes through the constructor's check
+    blob = pickle.dumps(SetPartition((0, 1)))
+    assert blob.count(b"K\x00K\x01\x86") == 1  # the RGS, a pair of small ints
+    with pytest.raises(ValueError, match="not a restricted growth string"):
+        pickle.loads(blob.replace(b"K\x00K\x01\x86", b"K\x00K\x05\x86"))
