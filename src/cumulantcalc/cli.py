@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 identity failure, 2 usage error, 3 resource
 limit exceeded or memory exhausted (a `MemoryError`, or a `verify --jobs`
-worker that died), 141 stdout closed early (128 + SIGPIPE, as when piped
-into `head`).  Data goes to stdout, diagnostics to stderr; identical
-invocations produce byte-identical stdout (reports carry no timestamps
-and all randomized checks are seeded).  With `-v`, `verify` also writes
+worker that died), 130 interrupted (128 + SIGINT, as by Ctrl-C; a
+`verify --jobs` pool is stopped without waiting for its running jobs),
+141 stdout closed early (128 + SIGPIPE, as when piped into `head`).
+Data goes to stdout, diagnostics to stderr; identical invocations
+produce byte-identical stdout (reports carry no timestamps and all
+randomized checks are seeded).  With `-v`, `verify` also writes
 one line per (identity, n) to stderr: its wall time and the peak RSS of
 the process that ran it.
 
@@ -30,8 +32,10 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import os
 import resource
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +70,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 
@@ -160,6 +165,21 @@ def _verify_worker(job):
     return report, time.perf_counter() - start, _peak_rss_mb()
 
 
+def _ignore_interrupts() -> None:
+    """A pool worker's initializer: Ctrl-C reaches the whole process group,
+    and only the parent handles it, by killing the workers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _kill_workers_on_interrupt(exc_type, exc, tb) -> None:
+    """An exit callback: on Ctrl-C, kill the pool's workers (the only
+    children `verify` starts), so that the pool's shutdown does not wait
+    for the running jobs."""
+    if exc_type is KeyboardInterrupt:
+        for worker in multiprocessing.active_children():
+            worker.kill()
+
+
 def _cmd_verify(args) -> int:
     names = None if args.all else [args.identity]
     jobs = [(name, n, args.limit)
@@ -169,9 +189,12 @@ def _cmd_verify(args) -> int:
         if args.jobs > 1 and len(jobs) > 1:
             # the pool forks all its workers at once: no more than can run
             workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_ignore_interrupts)
+            )
             # on a failed job, drop the jobs that have not started
             stack.callback(pool.shutdown, cancel_futures=True)
+            stack.push(_kill_workers_on_interrupt)
             runs = pool.map(_verify_worker, jobs)
         else:
             runs = map(_verify_worker, jobs)
@@ -469,6 +492,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print(f"error: {args.command} interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # the reader went away: silence the flush at exit (recipe from the
         # Python docs, "Note on SIGPIPE") and exit as SIGPIPE would

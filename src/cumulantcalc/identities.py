@@ -33,9 +33,13 @@ The sums are added by `_cumulant_sum(kind, n, weighted)`, over
 partitioned cumulants, or with all variables identified by `_type_sum`,
 over one product per block-size type of the univariate cumulants that
 `_symbol_cumulants` converts once per (kind, n).  Both check the limits
-of `kind` once, at n.  The lattice formulas check them once per kind, add
-one interval sum per block size k <= n, at pi = 1_k, and multiply those
-sums block by block for every pi.
+of `kind` once, at n.  The lattice formulas check them once per kind.
+The moment formulas add one sum over the lattice on k elements per block
+size k <= n and multiply those sums block by block for every pi.
+`mobius_inversions` builds no Moebius sum of its own: the kind_k of
+`cumulant_poly` already are the Moebius sums, so it checks their
+univariate images against the kind's moment-cumulant recursion, which
+reads no mu, and fails every pi with a block of a wrong size.
 
 Four walks depend only on n, and each is counted once per n: the monotone
 orders of each noncrossing pi, the runs of the words 1 a_2 ... a_n, the
@@ -71,6 +75,7 @@ from .cumulants import (
     CumulantKind,
     _LATTICE_OF_KIND,
     _check_cumulant_limits,
+    _cumulant_poly,
     _partitioned_cumulant,
     beta_formula,
     boolean_poisson_kappa,
@@ -85,12 +90,7 @@ from .cumulants import (
 from .forests import _shape, alpha, depth, labelling_polynomial_of, partition_tree_factorial
 from .graphs import anti_interval_graph, crossing_graph, tutte_eval
 from .limits import ResourceLimitError, check_limit
-from .partitions import (
-    SetPartition,
-    enumerate_monotone,
-    lower_interval,
-    partitions_of,
-)
+from .partitions import SetPartition, enumerate_monotone, partitions_of
 from .permutations import (
     Permutation,
     all_permutations,
@@ -235,8 +235,9 @@ def _cumulant_sum(kind: CumulantKind, n: int, weighted) -> MomentPolynomial:
 @lru_cache(maxsize=None)
 def _symbol_cumulants(kind: CumulantKind, n: int) -> tuple[MomentPolynomial, ...]:
     """u_1..u_n, the univariate cumulants of the moment symbols m_{1..k};
-    unchecked: `_type_sum`, and `_lenczewski_sum` for its monotone side,
-    check the limits before they read this cache."""
+    unchecked: `_type_sum`, `_lenczewski_sum` for its monotone side, and
+    the inverted lattice form of `mobius_inversions` check the limits
+    before they read this cache."""
     symbols = [MomentPolynomial.symbol(range(1, k + 1)).univariate() for k in range(1, n + 1)]
     return tuple(cumulants_from_moments(kind, symbols))
 
@@ -336,24 +337,37 @@ def _failed(*checks: tuple[str, bool]) -> list[str]:
 
 
 def _lattice_formula(kinds, inverted, n):
-    """On every pi of each kind's lattice, a sum over sigma in [0, pi]:
-    m_pi = sum kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma.
+    """On every pi of each kind's lattice: m_pi = sum over sigma in [0, pi]
+    of kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma.
 
     [0, pi] is the product of the lattices on the blocks W of pi, and
-    kind_sigma, m_sigma and mu(sigma, pi) are products over those blocks.
-    So the sum over [0, pi] is the product over W of one sum over the
-    lattice on |W| elements, S_k = sum kind_sigma or
-    T_k = sum mu(sigma, 1_k) m_sigma, relabelled onto W: the intervals are
-    summed once per k, at pi = 1_k, each block's sum is relabelled once,
-    and each pi multiplies its blocks' sums, smallest block first."""
+    kind_sigma is a product over those blocks.  So the sum over [0, pi] is
+    the product over W of S_k = sum kind_sigma over the lattice on
+    k = |W| elements, relabelled onto W: S_k is summed once per k, each
+    block's sum is relabelled once, and each pi multiplies its blocks'
+    sums, smallest block first.
+
+    Inverted, kind_pi is the product of kind_k = sum mu(sigma, 1_k) m_sigma
+    over its blocks, which is how `_cumulant_poly` builds kind_k; a second
+    Moebius sum would only repeat it.  So each kind_k, k <= n, is checked
+    once against the kind's moment-cumulant recursion, which reads no mu:
+    its univariate image must be u_k of `_symbol_cumulants`, and a pi
+    fails when one of its block sizes does.  The images identify the
+    variables, so two mu errors that cancel within one block-size type
+    still pass."""
     for kind in kinds:
         lattice = _LATTICE_OF_KIND[kind]
         members = partitions_of(n, lattice)
         _check_cumulant_limits(kind, n)
+        if inverted:
+            u = _symbol_cumulants(kind, n)
+            wrong = {k for k in range(1, n + 1) if _cumulant_poly(kind, k).univariate() != u[k - 1]}
+            for pi in members:
+                yield [f"{lattice}:{pi}"] if wrong.intersection(pi.block_sizes()) else []
+            continue
         sums = {
             k: linear_combination(
-                (mu, moment_monomial(s)) if inverted else (1, _partitioned_cumulant(kind, s))
-                for s, mu in lower_interval(SetPartition.one_block(k), lattice)
+                (1, _partitioned_cumulant(kind, s)) for s in partitions_of(k, lattice)
             )
             for k in range(1, n + 1)
         }
@@ -363,11 +377,7 @@ def _lattice_formula(kinds, inverted, n):
             rhs = relabelled(first)
             for block in rest:
                 rhs = rhs * relabelled(block)
-            if inverted:
-                holds = _partitioned_cumulant(kind, pi) == rhs
-            else:
-                holds = moment_monomial(pi) == rhs
-            yield [] if holds else [f"{lattice}:{pi}" if inverted else f"pi={pi}"]
+            yield [] if moment_monomial(pi) == rhs else [f"pi={pi}"]
 
 
 def _series_B(n):

@@ -6,8 +6,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -215,6 +217,40 @@ def test_out_of_memory_exits_3_without_traceback():
     assert proc.stderr == "error: verify ran out of memory; lower n or --limit\n"
 
 
+@pytest.mark.parametrize("jobs", [(), ("--jobs", "2")], ids=["serial", "jobs2"])
+def test_interrupt_exits_130_without_traceback(jobs):
+    # one child in a session of its own, interrupted as a terminal's Ctrl-C
+    # is: SIGINT to its whole process group, pool workers included, once it
+    # has reported its first job
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cumulantcalc", *jobs, "-v", "verify", "--all", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        first = proc.stderr.readline().decode()
+        assert first.startswith("verify free2boolean n=1 ")
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        lines = (first + err.decode()).splitlines()
+        assert proc.returncode == 130 and out == b""
+        assert "Traceback" not in err.decode()
+        verbose = [line for line in lines if line.startswith("verify ")]
+        assert lines == verbose + ["error: verify interrupted"]
+        # no process of the group outlives the interrupt
+        deadline = time.monotonic() + 5
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
 def _worker_out_of_memory(job):
     raise MemoryError
 
@@ -357,6 +393,7 @@ def test_verify_lattice_rows_golden_digests(capsys):
         ("moment_cumulant_R", "8"): "ce2d3f84973197d72d1ce2d50ffc48843b69d32c80ba70713635e6bfdd2d900f",
         ("moment_cumulant_B", "9"): "fcabde8ec99c76daefc8266a75cddf112d0a2cbb53fe21f8a2caeb6328c53382",
         ("mobius_inversions", "7"): "05bf5be698719d2d46ccbb0b405e94bd3890677dcc22721f9573925ecbc20783",
+        ("mobius_inversions", "8"): "a0952f0a725345beaeb8840131a3516d00e1b0daffee6b80845c4bb6d8dc6d2e",
     }
     for (name, n), digest in golden.items():
         code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)
@@ -430,7 +467,7 @@ def test_verify_pool_starts_no_more_workers_than_cpus(capsys, monkeypatch):
     sizes = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):

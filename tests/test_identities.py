@@ -119,7 +119,8 @@ def test_full_catalog_small_n():
     # over P(5), NC(5) and I(5); the inverted form labels each by lattice
     ("moment_cumulant_R", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 42,
      "pi=1,2,3,4,5; pi=1,2,3,4|5; pi=1,2,3,5|4"),
-    ("mobius_inversions", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 110,
+    ("mobius_inversions", "_symbol_cumulants",
+     lambda real: lambda kind, n: tuple(u + u for u in real(kind, n)), 110,
      "all:1,2,3,4,5; all:1,2,3,4|5; all:1,2,3,5|4"),
 ])
 def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, broken,
@@ -137,40 +138,39 @@ def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, brok
                                   CumulantKind.BOOLEAN])
 @pytest.mark.parametrize("inverted", [False, True])
 def test_lattice_formula_matches_per_pi_interval_sums(monkeypatch, kind, inverted):
-    # the row multiplies one interval sum per block size; the oracle sums
-    # the whole lower interval of every pi.  The row reads pi's own side
-    # (m_pi, or kind_pi inverted) once per case, so recording those reads
-    # gives the pi it checks, in order.
-    target = "_partitioned_cumulant" if inverted else "moment_monomial"
-    real = getattr(identities, target)
+    # the row multiplies one lattice sum per block size, or checks kind_k
+    # once per block size inverted; the oracle sums the whole lower interval
+    # of every pi.  The moment form reads m_pi once per case, so recording
+    # those reads gives the pi it checks, in order; the inverted form reads
+    # no m_sigma, since it builds no Moebius sum.
+    real = identities.moment_monomial
     seen = []
 
-    def recording(*args):
-        seen.append(args[-1])
-        return real(*args)
+    def recording(pi):
+        seen.append(pi)
+        return real(pi)
 
-    monkeypatch.setattr(identities, target, recording)
+    monkeypatch.setattr(identities, "moment_monomial", recording)
     for n in range(1, 8):
         expected = list(lattice_formula_by_intervals(kind, inverted, n))
         assert all(holds for _, holds in expected), (n, kind, inverted)
         seen.clear()
         outcomes = list(identities._lattice_formula([kind], inverted, n))
         assert outcomes == [[]] * len(expected)
-        assert seen == [pi for pi, _ in expected]
+        assert seen == ([] if inverted else [pi for pi, _ in expected])
 
 
 @pytest.mark.parametrize("name, lattice", [
     ("moment_cumulant_K", "all"),
     ("moment_cumulant_R", "noncrossing"),
     ("moment_cumulant_B", "interval"),
-    ("mobius_inversions", "all"),
 ])
 @pytest.mark.parametrize("target", ["_partitioned_cumulant", "moment_monomial"])
 def test_lattice_rows_read_every_sigma(monkeypatch, name, lattice, target):
     # doubling kind_sigma or m_sigma for one sigma strictly between 0 and 1
     # of a lattice on four elements fails the row at n = 4 and not below:
-    # S_4 reads every kind_sigma and T_4 every m_sigma, and each sigma is
-    # also a pi whose own side is compared
+    # S_4 reads every kind_sigma, and each sigma is also a pi whose m_pi is
+    # compared
     real = getattr(identities, target)
     ends = (SetPartition.singletons(4), SetPartition.one_block(4))
     for sigma in partitions_of(4, lattice):
@@ -189,7 +189,8 @@ def test_lattice_rows_read_every_sigma(monkeypatch, name, lattice, target):
 def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
     # mu(pi, 1) doubled on every two-block pi, in both modules that read it;
     # the caches built on mu are emptied before and after, so no corrupted
-    # entry outlives the test
+    # entry outlives the test.  mobius_inversions fails too: it checks the
+    # Moebius sums kind_k against the recursions, which read no mu
     caches = (partitions._block_lattice_cached, cumulants._cumulant_poly,
               cumulants._block_cumulant, cumulants._partitioned_cumulant)
     real = partitions.mobius_to_top
@@ -203,12 +204,33 @@ def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
     monkeypatch.setattr(partitions, "mobius_to_top", doubled)
     monkeypatch.setattr(cumulants, "mobius_to_top", doubled)
     try:
-        for name in ("moment_cumulant_K", "moment_cumulant_R", "moment_cumulant_B"):
-            for n in range(2, 6):
+        for name in ("moment_cumulant_K", "moment_cumulant_R", "moment_cumulant_B",
+                     "mobius_inversions"):
+            for n in range(2, 7):
                 assert not verify_identity(name, n).holds, (name, n)
     finally:
         for cached in caches:
             cached.cache_clear()
+
+
+def test_wrong_cumulant_of_one_order_fails_the_inverted_row(monkeypatch):
+    # kind_4 doubled where mobius_inversions reads it: the row checks kind_k
+    # for each k <= n, so it holds below n = 4 and, from there on, fails
+    # exactly the pi of each lattice that have a block of four
+    real = identities._cumulant_poly
+
+    def doubled(kind, k):
+        out = real(kind, k)
+        return out + out if k == 4 else out
+
+    monkeypatch.setattr(identities, "_cumulant_poly", doubled)
+    kinds = (CumulantKind.CLASSICAL, CumulantKind.FREE, CumulantKind.BOOLEAN)
+    for n in range(1, 8):
+        assert verify_identity("mobius_inversions", n).holds == (n < 4), n
+        expected = [[f"{lattice}:{pi}"] if 4 in pi.block_sizes() else []
+                    for lattice in ("all", "noncrossing", "interval")
+                    for pi in partitions_of(n, lattice)]
+        assert list(identities._lattice_formula(kinds, True, n)) == expected, n
 
 
 def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
@@ -370,11 +392,12 @@ def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, key, low):
     ("thm4_cyclecruns", 6),
     ("thm1_mono2free", 6),
     ("moment_cumulant_H", 4),
-    # the lattice rows, per lattice: 1 for its members, 2 for the cumulant
-    # limits, and 6 in lower_interval, public, once per block size k <= 6
+    # the lattice rows, per lattice: 1 for its members and 2 for the cumulant
+    # limits, and the moment forms 6 more, for the lattices on k <= 6
+    # elements, once per block size
     ("moment_cumulant_K", 9),
     ("moment_cumulant_R", 9),
-    ("mobius_inversions", 3 * 9),
+    ("mobius_inversions", 3 * 3),
 ])
 def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
     # the limits are checked where the row chooses its work, not again for
