@@ -195,7 +195,12 @@ def _cmd_verify(args) -> int:
             # on a failed job, drop the jobs that have not started
             stack.callback(pool.shutdown, cancel_futures=True)
             stack.push(_kill_workers_on_interrupt)
-            runs = pool.map(_verify_worker, jobs)
+            # results read in order, not by `pool.map`: its iterator cancels
+            # the pending futures as an interrupt unwinds it, and once the
+            # workers are killed the pool's manager thread fails setting the
+            # error of a cancelled future, with a traceback
+            futures = [pool.submit(_verify_worker, job) for job in jobs]
+            runs = (future.result() for future in futures)
         else:
             runs = map(_verify_worker, jobs)
         for report, wall_s, peak_mb in runs:

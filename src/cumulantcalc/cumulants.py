@@ -6,10 +6,20 @@ Cumulant families (multivariate, as polynomials in moment symbols):
 * classical K_n: Moebius inversion over the full partition lattice P(n);
 * free      R_n: Moebius inversion over noncrossing partitions NC(n);
 * Boolean   B_n: Moebius inversion over interval partitions I(n);
-* monotone  H_n: triangular solve of
-      m_{[n]} = sum over NC(n) of H_pi / tau(pi)!
-  which is the ungrouped form of the ordered-partition sum with weights
-  1/|pi|! (each noncrossing pi admits |pi|!/tau(pi)! monotone orders).
+* monotone  H_n: the interval flow (`_monotone_flow`).  The moment is the
+  sum over the monotone partitions of [n], noncrossing pi with an order of
+  their blocks in which no block comes before a block it is nested in, of
+  H_pi / |pi|!.  With E_n[j] the sum of H_pi over those with j blocks,
+      m_{[n]} = H_n + sum over j >= 2 of E_n[j] / j!.
+  The last block of a monotone order has no block nested inside it, so in
+  a noncrossing pi it is an interval V of [n]; removed, it leaves a
+  monotone partition of [n] minus V.  So E_n[j] = sum over the intervals
+  V != [n] of H_V * E_{n-|V|}[j-1], relabelled onto V and [n] minus V,
+  and E_k[1] = H_k: O(n^3) relabelled products per n, with no sum over
+  NC(n).  This is the multivariate form of the flow of Hasebe and Saigo
+  that `_recursion` runs on sequences, and grouped by pi it is the sum
+  over NC(n) of H_pi / tau(pi)! (pi has |pi|!/tau(pi)! monotone orders)
+  that the `moment_cumulant_H` identity checks.
 
 Univariate sequences use moments as the universal pivot basis: every
 family's moment-cumulant sum over its lattice has a short recursion in
@@ -47,7 +57,6 @@ from .algebra import (
     linear_combination,
     moment_monomial,
 )
-from .forests import partition_tree_factorial
 from .limits import check_limit
 from .partitions import SetPartition, mobius_to_top, partitions_of
 
@@ -77,8 +86,9 @@ class CumulantKind(enum.Enum):
     MONOTONE = "monotone"
 
 
-#: the lattice each kind's sums run over: its Moebius inversion for K, R
-#: and B, the tau-weighted noncrossing sum for H
+#: the lattice each kind's moment-cumulant sum runs over, and so the limit
+#: key of its cumulants: its Moebius inversion for K, R and B, the
+#: noncrossing partitions that carry the monotone orders for H
 _LATTICE_OF_KIND = {
     CumulantKind.CLASSICAL: "all",
     CumulantKind.FREE: "noncrossing",
@@ -125,12 +135,9 @@ def partitioned_cumulant(kind: CumulantKind, pi: SetPartition) -> MomentPolynomi
 @lru_cache(maxsize=None)
 def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
     if kind is CumulantKind.MONOTONE:
-        # Triangular solve against the tau-weighted noncrossing sum.
-        pairs = (
-            (1, moment_monomial(pi)) if pi.num_blocks == 1
-            else (-Fraction(1, partition_tree_factorial(pi)), _partitioned_cumulant(kind, pi))
-            for pi in partitions_of(n, "noncrossing")
-        )
+        # m_[n] = H_n + sum over j >= 2 of E_n[j] / j!
+        pairs = [(1, moment_monomial(SetPartition.one_block(n)))]
+        pairs += ((-Fraction(1, factorial(j)), row) for j, row in enumerate(_monotone_flow(n), 2))
     else:
         lattice = _LATTICE_OF_KIND[kind]
         pairs = (
@@ -138,6 +145,28 @@ def _cumulant_poly(kind: CumulantKind, n: int) -> MomentPolynomial:
             for pi in partitions_of(n, lattice)
         )
     return linear_combination(pairs)
+
+
+@lru_cache(maxsize=None)
+def _monotone_flow(n: int) -> tuple[MomentPolynomial, ...]:
+    """E_n[2], ..., E_n[n] of the interval flow (module docstring): E_n[j]
+    is the sum over the intervals V != [n] of H_V times E_{n-|V|}[j-1]
+    relabelled onto [n] minus V, with E_k[1] = H_k, summed one product at
+    a time."""
+    H = CumulantKind.MONOTONE
+
+    def flow(k: int, j: int) -> MomentPolynomial:  # E_k[j]
+        return _cumulant_poly(H, k) if j == 1 else _monotone_flow(k)[j - 2]
+
+    def row(j: int) -> MomentPolynomial:
+        return linear_combination(
+            (1, _block_cumulant(H, tuple(range(start, start + size)))
+             * flow(n - size, j - 1).relabel((*range(1, start), *range(start + size, n + 1))))
+            for size in range(1, n - j + 2)  # [n] minus V holds j - 1 blocks
+            for start in range(1, n - size + 2)
+        )
+
+    return tuple(row(j) for j in range(2, n + 1))
 
 
 @lru_cache(maxsize=None)

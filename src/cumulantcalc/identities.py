@@ -41,11 +41,18 @@ size k <= n and multiply those sums block by block for every pi.
 univariate images against the kind's moment-cumulant recursion, which
 reads no mu, and fails every pi with a block of a wrong size.
 
-Four walks depend only on n, and each is counted once per n: the monotone
+Four counts depend only on n, and each is made once per n: the monotone
 orders of each noncrossing pi, the runs of the words 1 a_2 ... a_n, the
 cycle runs of S_n, and the (forest shape, block-size type) classes of
-NC(n).  A count holds partitions and integer counts only, so the sums
+NC(n).  The monotone orders are counted, not walked: they are the linear
+extensions of pi's nesting order, counted over the sets of blocks placed
+first.  A count holds partitions and integer counts only, so the sums
 weight each distinct partition once, times its count.
+
+`moment_cumulant_H` checks its grouped form, the sum over NC(n) of
+H_pi / tau(pi)!, up to n = 9, and the ordered form up to 7.  H_n is built
+by the interval flow of `cumulants`, which reads no tau, so the grouped
+form is a check of tau and of the flow.
 
 Identity naming follows the project-wide convention: conversion formulas
 are `<source>2<target>`; grouped families of statements carry short
@@ -90,7 +97,7 @@ from .cumulants import (
 from .forests import _shape, alpha, depth, labelling_polynomial_of, partition_tree_factorial
 from .graphs import anti_interval_graph, crossing_graph, tutte_eval
 from .limits import ResourceLimitError, check_limit
-from .partitions import SetPartition, enumerate_monotone, partitions_of
+from .partitions import SetPartition, partitions_of
 from .permutations import (
     Permutation,
     all_permutations,
@@ -270,8 +277,33 @@ def _type_sum(kind: CumulantKind, n: int, weighted) -> MomentPolynomial:
 
 @cache
 def _monotone_order_counts(n: int) -> Counter[SetPartition]:
-    """The number of monotone orders of each noncrossing pi of [n]."""
-    return Counter(op.base for op in enumerate_monotone(n))
+    """The number of monotone orders of each noncrossing pi of [n]: the
+    linear extensions of its nesting order, counted by
+    `_linear_extensions`, with no order of the blocks walked."""
+    return Counter({
+        pi: _linear_extensions(pi.num_blocks, tuple(pi.block_pairs()[1]))
+        for pi in partitions_of(n, "noncrossing")
+    })
+
+
+@cache
+def _linear_extensions(k: int, nesting: tuple[tuple[int, int], ...]) -> int:
+    """The orders of blocks 0..k-1 that put block j after block i for each
+    pair (i, j) of `nesting`, counted over the sets of blocks placed first:
+    the ways[S] orders of a set S that can start an order each go on with
+    every block outside S whose predecessors all lie in S.  The partitions
+    of one nesting order share its count."""
+    before = [0] * k
+    for i, j in nesting:
+        before[j] |= 1 << i
+    ways = [0] * (1 << k)
+    ways[0] = 1
+    for placed, w in enumerate(ways):  # each set before its supersets
+        if w:
+            for j in range(k):
+                if not placed >> j & 1 and not before[j] & ~placed:
+                    ways[placed | 1 << j] += w
+    return ways[-1]
 
 
 @cache
@@ -664,7 +696,7 @@ IDENTITY_CATALOG: dict[str, FamilySum | Cases | IdentityInfo] = {
               "defining moment formula of free cumulants on every noncrossing partition"),
         Cases("moment_cumulant_B", 10, partial(_lattice_formula, [B], False),
               "defining moment formula of Boolean cumulants on every interval partition"),
-        FamilySum("moment_cumulant_H", 7, None, H, "noncrossing",
+        FamilySum("moment_cumulant_H", 9, None, H, "noncrossing",
                   lambda pi: Fraction(1, partition_tree_factorial(pi)), False,
                   "monotone moment formula, grouped and ordered forms", ordered_max_n=7),
         Cases("mobius_inversions", 8, partial(_lattice_formula, [K, R, B], True),

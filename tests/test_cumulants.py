@@ -468,7 +468,6 @@ def test_conversions_enumerate_nothing(monkeypatch):
         raise AssertionError("the univariate conversions enumerate nothing")
 
     monkeypatch.setattr(cumulants, "partitions_of", enumerates)
-    monkeypatch.setattr(cumulants, "partition_tree_factorial", enumerates)
     with override(12):
         for kind in CumulantKind:
             moments = moments_from_cumulants(kind, values)

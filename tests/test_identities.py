@@ -22,11 +22,12 @@ from cumulantcalc.identities import (
     verify_identity,
 )
 from cumulantcalc.limits import ResourceLimitError
-from cumulantcalc.partitions import SetPartition, partitions_of
+from cumulantcalc.partitions import SetPartition, enumerate_monotone, partitions_of
 from cumulantcalc.permutations import all_permutations, cycle_runs, cycles
 from oracles import (
     catalan_direct,
     cycle_runs_sum_per_permutation,
+    fd_cumulant,
     lattice_formula_by_intervals,
     lenczewski_sides_per_partition,
     runs_sum_per_word,
@@ -233,25 +234,29 @@ def test_wrong_cumulant_of_one_order_fails_the_inverted_row(monkeypatch):
         assert list(identities._lattice_formula(kinds, True, n)) == expected, n
 
 
-def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
-    # one order short: the last order of the first base (RGS order) that has
-    # two or more orders and holds 1 and n in one block; such a base is
-    # irreducible, so it is a member of every row below
-    real = identities.enumerate_monotone
+def test_ordered_form_catches_a_miscounted_order_count(monkeypatch):
+    # one order short on one base: the first (RGS order) that has two or
+    # more orders and holds 1 and n in one block.  Such a base is
+    # irreducible, so it is a member of every row below.  Both properties
+    # are read off its nesting order (1 and n share block 0 iff every other
+    # block is nested in it), so the count is made short on that order, and
+    # no partition before the base has it
     short = {}
+    for n in (4, 5):
+        counts = identities._monotone_order_counts(n)
+        short[n] = next(pi for pi in partitions_of(n, "noncrossing")
+                        if counts[pi] >= 2 and pi[0] == pi[-1])
+    orders_short = {(pi.num_blocks, tuple(pi.block_pairs()[1])) for pi in short.values()}
+    real = identities._linear_extensions
 
-    def one_order_short(n):
-        stream = list(real(n))
-        counts = Counter(op.base for op in stream)
-        base = short[n] = next(op.base for op in stream
-                               if counts[op.base] >= 2 and op.base.rgs[0] == op.base.rgs[-1])
-        last = max(i for i, op in enumerate(stream) if op.base == base)
-        yield from stream[:last] + stream[last + 1:]
+    def one_short(k, nesting):
+        count = real(k, nesting)
+        return count - 1 if (k, nesting) in orders_short else count
 
     # the orders are counted once per n: the count is emptied before and
-    # after, so the short stream is read and no short count outlives the test
+    # after, so the short count is read and does not outlive the test
     identities._monotone_order_counts.cache_clear()
-    monkeypatch.setattr(identities, "enumerate_monotone", one_order_short)
+    monkeypatch.setattr(identities, "_linear_extensions", one_short)
     try:
         for name in ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free"):
             for n in (4, 5):
@@ -268,15 +273,15 @@ def test_ordered_form_catches_a_miscounted_enumeration(monkeypatch):
     assert verify_identity("moment_cumulant_H", 5).holds
 
 
-def test_ordered_form_catches_a_wrong_tree_factorial_with_warm_counts(monkeypatch):
-    # tau(pi)! doubled on every three-block pi, in both modules that read it,
-    # with the cumulant caches emptied before and after and the order counts
-    # left warm: the counts carry no tau, so the ordered form's count
-    # orders(pi) * tau(pi)! == |pi|! fails on those pi, where the grouped
-    # form of moment_cumulant_H reads the same tau as H itself and holds
+def test_grouped_form_catches_a_wrong_tree_factorial(monkeypatch):
+    # tau(pi)! doubled on every three-block pi, in identities, the one
+    # module of the package that reads it: H_n is built by the interval
+    # flow, which reads no tau.  So the grouped form of moment_cumulant_H,
+    # m_[n] = sum over NC(n) of H_pi / tau(pi)!, fails from n = 3 on with a
+    # polynomial witness; the thm1 rows fail from n = 4 on, where their
+    # first three-block member appears
+    assert not hasattr(cumulants, "partition_tree_factorial")
     names = ("moment_cumulant_H", "thm1_mono2boolean", "thm1_mono2free")
-    caches = (cumulants._cumulant_poly, cumulants._block_cumulant, cumulants._partitioned_cumulant)
-    counts = identities._monotone_order_counts
     for name in names:
         for n in range(3, 7):
             assert verify_identity(name, n).holds, (name, n)
@@ -286,21 +291,36 @@ def test_ordered_form_catches_a_wrong_tree_factorial_with_warm_counts(monkeypatc
         tau = real(pi)
         return 2 * tau if pi.num_blocks == 3 else tau
 
+    monkeypatch.setattr(identities, "partition_tree_factorial", doubled)
+    for name in names:
+        for n in range(3 if name == "moment_cumulant_H" else 4, 7):
+            rep = verify_identity(name, n)
+            assert not rep.holds, (name, n)
+            assert "m{" in rep.witness and not rep.detail, (name, n)
+
+
+def test_monotone_cumulants_and_order_counts_walk_nothing(monkeypatch):
+    # H_n by the interval flow reads no partition class, and the order
+    # counts walk no order of the blocks (`enumerate_monotone` walks them
+    # by permutations); the oracles are the triangular solve over NC(n)
+    # and the monotone partitions themselves
+    expected = {n: Counter(op.base for op in enumerate_monotone(n)) for n in range(1, 8)}
+
+    def walks(*args):
+        raise AssertionError("the monotone layer walks no class and no order")
+
+    monkeypatch.setattr(cumulants, "partitions_of", walks)
+    monkeypatch.setattr(partitions, "permutations", walks)
+    caches = (cumulants._cumulant_poly, cumulants._monotone_flow, cumulants._block_cumulant,
+              identities._monotone_order_counts)
     for cached in caches:
         cached.cache_clear()
-    misses = counts.cache_info().misses
-    monkeypatch.setattr(cumulants, "partition_tree_factorial", doubled)
-    monkeypatch.setattr(identities, "partition_tree_factorial", doubled)
     try:
-        for name in names:
-            for n in range(3, 7):
-                rep = verify_identity(name, n)
-                assert not rep.holds, (name, n)
-                if name == "moment_cumulant_H":
-                    assert rep.witness.startswith("ordered-partition form differs:"), n
-        assert counts.cache_info().misses == misses
+        for n in range(1, 8):
+            h = cumulants._cumulant_poly(CumulantKind.MONOTONE, n)
+            assert h.sorted_terms() == sorted(fd_cumulant(CumulantKind.MONOTONE, n).items()), n
+            assert identities._monotone_order_counts(n) == expected[n], n
     finally:
-        monkeypatch.undo()
         for cached in caches:
             cached.cache_clear()
 
