@@ -33,13 +33,9 @@ The sums are added by `_cumulant_sum(kind, n, weighted)`, over
 partitioned cumulants, or with all variables identified by `_type_sum`,
 over one product per block-size type of the univariate cumulants that
 `_symbol_cumulants` converts once per (kind, n).  Both check the limits
-of `kind` once, at n.  The lattice formulas check them once per kind.
-The moment formulas add one sum over the lattice on k elements per block
-size k <= n and multiply those sums block by block for every pi.
-`mobius_inversions` builds no Moebius sum of its own: the kind_k of
-`cumulant_poly` already are the Moebius sums, so it checks their
-univariate images against the kind's moment-cumulant recursion, which
-reads no mu, and fails every pi with a block of a wrong size.
+of `kind` once, at n.  The lattice formulas check them once per kind, and
+in both forms check each kind_k, k <= n, once by the kind's first-block
+recursion, which reads no mu: a pi fails when one of its block sizes does.
 
 Four counts depend only on n, and each is made once per n: the monotone
 orders of each noncrossing pi, the runs of the words 1 a_2 ... a_n, the
@@ -68,7 +64,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from .algebra import (
@@ -81,6 +77,7 @@ from .algebra import (
 from .cumulants import (
     CumulantKind,
     _LATTICE_OF_KIND,
+    _block_cumulant,
     _check_cumulant_limits,
     _cumulant_poly,
     _partitioned_cumulant,
@@ -242,9 +239,8 @@ def _cumulant_sum(kind: CumulantKind, n: int, weighted) -> MomentPolynomial:
 @lru_cache(maxsize=None)
 def _symbol_cumulants(kind: CumulantKind, n: int) -> tuple[MomentPolynomial, ...]:
     """u_1..u_n, the univariate cumulants of the moment symbols m_{1..k};
-    unchecked: `_type_sum`, `_lenczewski_sum` for its monotone side, and
-    the inverted lattice form of `mobius_inversions` check the limits
-    before they read this cache."""
+    unchecked: `_type_sum` and `_lenczewski_sum`, for its monotone side,
+    check the limits before they read this cache."""
     symbols = [MomentPolynomial.symbol(range(1, k + 1)).univariate() for k in range(1, n + 1)]
     return tuple(cumulants_from_moments(kind, symbols))
 
@@ -368,48 +364,51 @@ def _failed(*checks: tuple[str, bool]) -> list[str]:
     return [label for label, holds in checks if not holds]
 
 
+def _first_blocks(lattice: str, k: int):
+    """(V, gaps) for each block V != [k] that holds 1 in a member of the
+    lattice on [k]: any V and one gap, [k] minus V (all); any V and the
+    maximal runs of [k] minus V (noncrossing); a prefix V and one gap."""
+    for r in range(k - 1):
+        for tail in combinations(range(2, k + 1), r):
+            first = (1, *tail)
+            if lattice == "all":
+                yield first, [[x for x in range(2, k + 1) if x not in tail]]
+            elif lattice == "noncrossing" or first[-1] == r + 1:
+                yield first, [range(a + 1, b) for a, b in zip(first, (*tail, k + 1)) if b > a + 1]
+
+
 def _lattice_formula(kinds, inverted, n):
     """On every pi of each kind's lattice: m_pi = sum over sigma in [0, pi]
     of kind_sigma or, inverted, kind_pi = sum mu(sigma, pi) m_sigma.
 
-    [0, pi] is the product of the lattices on the blocks W of pi, and
-    kind_sigma is a product over those blocks.  So the sum over [0, pi] is
-    the product over W of S_k = sum kind_sigma over the lattice on
-    k = |W| elements, relabelled onto W: S_k is summed once per k, each
-    block's sum is relabelled once, and each pi multiplies its blocks'
-    sums, smallest block first.
+    [0, pi] is the product of the lattices on the blocks of pi, and both
+    sides are products over those blocks with disjoint supports, so pi
+    fails exactly when one of its block sizes k fails on 1_k.  Each k <= n
+    is checked once by the kind's first-block recursion, the sum over the
+    lattice on [k] grouped by the block V that holds 1,
 
-    Inverted, kind_pi is the product of kind_k = sum mu(sigma, 1_k) m_sigma
-    over its blocks, which is how `_cumulant_poly` builds kind_k; a second
-    Moebius sum would only repeat it.  So each kind_k, k <= n, is checked
-    once against the kind's moment-cumulant recursion, which reads no mu:
-    its univariate image must be u_k of `_symbol_cumulants`, and a pi
-    fails when one of its block sizes does.  The images identify the
-    variables, so two mu errors that cancel within one block-size type
-    still pass."""
+        kind_k = m_[k] - sum over V != [k] of kind_V * prod over gaps g of m_g
+
+    over the V and gaps of `_first_blocks`, kind_V from `_block_cumulant`.
+    Given kind_{<k} it fixes kind_k, so it holds at every k <= n exactly
+    when every sum over [0, 1_k] does.  Inverted it is the same statement:
+    `_cumulant_poly` builds kind_k as the Moebius sum over the lattice on
+    [k], and the recursion reads no mu and identifies no variables."""
     for kind in kinds:
         lattice = _LATTICE_OF_KIND[kind]
         members = partitions_of(n, lattice)
         _check_cumulant_limits(kind, n)
-        if inverted:
-            u = _symbol_cumulants(kind, n)
-            wrong = {k for k in range(1, n + 1) if _cumulant_poly(kind, k).univariate() != u[k - 1]}
-            for pi in members:
-                yield [f"{lattice}:{pi}"] if wrong.intersection(pi.block_sizes()) else []
-            continue
-        sums = {
-            k: linear_combination(
-                (1, _partitioned_cumulant(kind, s)) for s in partitions_of(k, lattice)
+        wrong = set()
+        for k in range(1, n + 1):
+            rest = linear_combination(
+                (1, prod(map(MomentPolynomial.symbol, gaps), start=_block_cumulant(kind, first)))
+                for first, gaps in _first_blocks(lattice, k)
             )
-            for k in range(1, n + 1)
-        }
-        relabelled = cache(lambda block: sums[len(block)].relabel(block))
+            if _cumulant_poly(kind, k) != moment_monomial(SetPartition.one_block(k)) - rest:
+                wrong.add(k)
+        tag = f"{lattice}:" if inverted else "pi="
         for pi in members:
-            first, *rest = sorted(pi.blocks, key=len)
-            rhs = relabelled(first)
-            for block in rest:
-                rhs = rhs * relabelled(block)
-            yield [] if moment_monomial(pi) == rhs else [f"pi={pi}"]
+            yield [f"{tag}{pi}"] if wrong.intersection(pi.block_sizes()) else []
 
 
 def _series_B(n):

@@ -203,14 +203,14 @@ def test_closed_stdout_exits_141_without_traceback():
 
 def test_out_of_memory_exits_3_without_traceback():
     # one child whose address space is capped at 100 MB; uncapped, the
-    # command peaks near 215 MB, and `verify` prints only once every job
-    # has finished, so stdout stays empty
+    # command peaks near 126 MB (its product cache at n = 10), and `verify`
+    # prints only once every job has finished, so stdout stays empty
     import resource
 
     cap = 100 * 2**20
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "cumulantcalc", "verify", "moment_cumulant_K", "9"],
+        [sys.executable, "-m", "cumulantcalc", "verify", "thm1_mono2boolean", "10"],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
@@ -387,14 +387,17 @@ def test_verify_tree_factorial_and_depth_rows_golden_digests(capsys):
 
 
 def test_verify_lattice_rows_golden_digests(capsys):
-    # pins the lattice rows beyond the n <= 6 of `verify --all 6`, at the
-    # caps they had when each pi summed its whole lower interval
+    # pins the lattice rows beyond the n <= 6 of `verify --all 6`, at their
+    # caps and at the caps they had when each pi summed its lower interval
     golden = {
         ("moment_cumulant_K", "8"): "a9ead0cf2cfa2c5069cd24a8479b14c180e7bc06dfd46c3dc5c5b4cdb5a93a6a",
         ("moment_cumulant_R", "8"): "ce2d3f84973197d72d1ce2d50ffc48843b69d32c80ba70713635e6bfdd2d900f",
         ("moment_cumulant_B", "9"): "fcabde8ec99c76daefc8266a75cddf112d0a2cbb53fe21f8a2caeb6328c53382",
         ("mobius_inversions", "7"): "05bf5be698719d2d46ccbb0b405e94bd3890677dcc22721f9573925ecbc20783",
         ("mobius_inversions", "8"): "a0952f0a725345beaeb8840131a3516d00e1b0daffee6b80845c4bb6d8dc6d2e",
+        ("moment_cumulant_K", "9"): "c99aeb409a20d2b8284fa7f91ae0fdabcbb21409185f114ec7744a1d42c7a2cf",
+        ("moment_cumulant_R", "10"): "dfede6ebdb0794b70f9df3314fa704397466a250d8b541acd545842ab6e85052",
+        ("moment_cumulant_B", "10"): "2ec51d8cb6e3821435aba8fe63334b01bdb2f6b00dfdf322dde967c8dbdb422f",
     }
     for (name, n), digest in golden.items():
         code, out, _ = run_cli(capsys, "--format", "json", "verify", name, n)

@@ -141,10 +141,11 @@ def test_partitioned_cumulants_relabel_each_block_once(monkeypatch):
 @pytest.mark.parametrize("kind", [K, R, B])
 @pytest.mark.parametrize("inverted, n", [(False, 7)])
 def test_lattice_rows_relabel_each_block_once(monkeypatch, kind, inverted, n):
-    # with the cumulant caches warm, one row call relabels the sum of each
-    # block size onto each block of its lattice once, however many pi hold
-    # it; the inverted form multiplies no sums, so it relabels nothing
+    # with the block cumulants emptied, one row call relabels kind_k onto
+    # each first block V != [k] of its lattice on [k] once, however many k
+    # read it, and a second call relabels nothing
     list(_lattice_formula([kind], inverted, n))
+    cumulants._block_cumulant.cache_clear()
     real = MomentPolynomial.relabel
     blocks = Counter()
 
@@ -155,8 +156,11 @@ def test_lattice_rows_relabel_each_block_once(monkeypatch, kind, inverted, n):
     monkeypatch.setattr(MomentPolynomial, "relabel", counting)
     assert all(case == [] for case in _lattice_formula([kind], inverted, n))
     lattice = cumulants._LATTICE_OF_KIND[kind]
-    every = {block for pi in partitions_of(n, lattice) for block in pi.blocks}
+    every = {pi.blocks[0] for pi in partitions_of(n, lattice) if pi.num_blocks > 1}
     assert set(blocks) == every and set(blocks.values()) == {1}, kind
+    blocks.clear()
+    assert all(case == [] for case in _lattice_formula([kind], inverted, n))
+    assert not blocks, kind
 
 
 def test_sequences_match_polynomials():

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from cumulantcalc import cumulants, identities, limits, partitions
-from cumulantcalc.algebra import Polynomial, moment_monomial
+from cumulantcalc.algebra import MomentPolynomial, Polynomial, moment_monomial
 from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.identities import (
@@ -117,11 +117,13 @@ def test_full_catalog_small_n():
      lambda real: lambda kind, m: real(kind, m)[:-1], 50,
      "seq#0:classical; seq#0:boolean; seq#1:classical"),
     # the lattice rows: one case per pi, 42 = |NC(5)| and 110 = 52 + 42 + 16
-    # over P(5), NC(5) and I(5); the inverted form labels each by lattice
+    # over P(5), NC(5) and I(5); the inverted form labels each by lattice.
+    # Doubled, m_[k] or kind_k fails the recursion at every k, so every pi
+    # fails
     ("moment_cumulant_R", "moment_monomial", lambda real: lambda pi: real(pi) + real(pi), 42,
      "pi=1,2,3,4,5; pi=1,2,3,4|5; pi=1,2,3,5|4"),
-    ("mobius_inversions", "_symbol_cumulants",
-     lambda real: lambda kind, n: tuple(u + u for u in real(kind, n)), 110,
+    ("mobius_inversions", "_cumulant_poly",
+     lambda real: lambda kind, k: real(kind, k) + real(kind, k), 110,
      "all:1,2,3,4,5; all:1,2,3,4|5; all:1,2,3,5|4"),
 ])
 def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, broken,
@@ -135,30 +137,40 @@ def test_forced_failures_report_cases_and_labels(monkeypatch, name, target, brok
     }
 
 
+def _first_blocks_of_members(lattice, n):
+    """The first block V of each member pi != 1_k of the lattice on [k],
+    once per k <= n: the kind_V that the recursion for kind_k reads."""
+    return sorted(
+        first for k in range(1, n + 1)
+        for first in {pi.blocks[0] for pi in partitions_of(k, lattice) if pi.num_blocks > 1}
+    )
+
+
 @pytest.mark.parametrize("kind", [CumulantKind.CLASSICAL, CumulantKind.FREE,
                                   CumulantKind.BOOLEAN])
 @pytest.mark.parametrize("inverted", [False, True])
 def test_lattice_formula_matches_per_pi_interval_sums(monkeypatch, kind, inverted):
-    # the row multiplies one lattice sum per block size, or checks kind_k
-    # once per block size inverted; the oracle sums the whole lower interval
-    # of every pi.  The moment form reads m_pi once per case, so recording
-    # those reads gives the pi it checks, in order; the inverted form reads
-    # no m_sigma, since it builds no Moebius sum.
-    real = identities.moment_monomial
+    # the row checks kind_k once per block size k by its first-block
+    # recursion, in both forms; the oracle sums the whole lower interval of
+    # every pi.  The recursion for kind_k reads kind_V once for the first
+    # block V of each member of the lattice on [k] other than 1_k, and no
+    # other block cumulant
+    real = identities._block_cumulant
     seen = []
 
-    def recording(pi):
-        seen.append(pi)
-        return real(pi)
+    def recording(kind, block):
+        seen.append(block)
+        return real(kind, block)
 
-    monkeypatch.setattr(identities, "moment_monomial", recording)
+    monkeypatch.setattr(identities, "_block_cumulant", recording)
+    lattice = cumulants._LATTICE_OF_KIND[kind]
     for n in range(1, 8):
         expected = list(lattice_formula_by_intervals(kind, inverted, n))
         assert all(holds for _, holds in expected), (n, kind, inverted)
         seen.clear()
         outcomes = list(identities._lattice_formula([kind], inverted, n))
         assert outcomes == [[]] * len(expected)
-        assert seen == ([] if inverted else [pi for pi, _ in expected])
+        assert sorted(seen) == _first_blocks_of_members(lattice, n)
 
 
 @pytest.mark.parametrize("name, lattice", [
@@ -166,25 +178,32 @@ def test_lattice_formula_matches_per_pi_interval_sums(monkeypatch, kind, inverte
     ("moment_cumulant_R", "noncrossing"),
     ("moment_cumulant_B", "interval"),
 ])
-@pytest.mark.parametrize("target", ["_partitioned_cumulant", "moment_monomial"])
-def test_lattice_rows_read_every_sigma(monkeypatch, name, lattice, target):
-    # doubling kind_sigma or m_sigma for one sigma strictly between 0 and 1
-    # of a lattice on four elements fails the row at n = 4 and not below:
-    # S_4 reads every kind_sigma, and each sigma is also a pi whose m_pi is
-    # compared
-    real = getattr(identities, target)
-    ends = (SetPartition.singletons(4), SetPartition.one_block(4))
-    for sigma in partitions_of(4, lattice):
-        if sigma in ends:
-            continue
+def test_lattice_rows_read_every_first_block(monkeypatch, name, lattice):
+    # doubling kind_V for one block V that the recursion first reads at
+    # k = 4 (a first block of L(4) that L(3) has not, 1_4 aside), or one
+    # moment m_g of the rest that holds 4, fails the row at n = 4 and not
+    # below.  The rest is [k] minus V for K, and its gaps for R and B:
+    # those never read m_{2,4}, since 1,3|2,4 crosses
+    real_block, real_symbol = identities._block_cumulant, MomentPolynomial.symbol
+    firsts = set(_first_blocks_of_members(lattice, 4)) - set(_first_blocks_of_members(lattice, 3))
+    assert (1, 2, 3) in firsts  # 1,2,3|4 opens with it; the others hold 4
+    for first in firsts:
+        def block(kind, v, first=first):
+            out = real_block(kind, v)
+            return out + out if v == first else out
 
-        def corrupted(*args, sigma=sigma):
-            out = real(*args)
-            return out + out if args[-1] == sigma else out
+        monkeypatch.setattr(identities, "_block_cumulant", block)
+        assert verify_identity(name, 3).holds, first
+        assert not verify_identity(name, 4).holds, first
+    monkeypatch.setattr(identities, "_block_cumulant", real_block)
+    for rest in [(2, 3, 4), (3, 4), (2, 4), (4,)]:
+        def symbol(cls, g, rest=rest):
+            out = real_symbol(g)
+            return out + out if tuple(g) == rest else out
 
-        monkeypatch.setattr(identities, target, corrupted)
-        assert verify_identity(name, 3).holds, sigma
-        assert not verify_identity(name, 4).holds, sigma
+        monkeypatch.setattr(MomentPolynomial, "symbol", classmethod(symbol))
+        assert verify_identity(name, 3).holds, rest
+        assert verify_identity(name, 4).holds == (rest == (2, 4) and lattice != "all"), rest
 
 
 def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
@@ -214,10 +233,40 @@ def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
             cached.cache_clear()
 
 
+def test_cancelling_mobius_errors_fail_the_inverted_row(monkeypatch):
+    # mu(12|34, 1) + 1 and mu(13|24, 1) - 1 in P(4): the errors cancel in
+    # the univariate image of K_4, so only a multivariate check sees them.
+    # The recursion reads no mu, so mobius_inversions fails from n = 4 on,
+    # as moment_cumulant_K does; the caches built on mu are emptied before
+    # and after
+    caches = (cumulants._cumulant_poly, cumulants._block_cumulant,
+              cumulants._partitioned_cumulant)
+    real = cumulants.mobius_to_top
+    shifts = {SetPartition.from_text("1,2|3,4"): 1, SetPartition.from_text("1,3|2,4"): -1}
+
+    def shifted(pi, lattice):
+        return real(pi, lattice) + (shifts.get(pi, 0) if lattice == "all" else 0)
+
+    true_k4 = cumulants._cumulant_poly(CumulantKind.CLASSICAL, 4)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(cumulants, "mobius_to_top", shifted)
+    try:
+        k4 = cumulants._cumulant_poly(CumulantKind.CLASSICAL, 4)
+        assert k4 != true_k4 and k4.univariate() == true_k4.univariate()
+        for name in ("mobius_inversions", "moment_cumulant_K"):
+            for n in range(1, 7):
+                assert verify_identity(name, n).holds == (n < 4), (name, n)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+
+
 def test_wrong_cumulant_of_one_order_fails_the_inverted_row(monkeypatch):
-    # kind_4 doubled where mobius_inversions reads it: the row checks kind_k
-    # for each k <= n, so it holds below n = 4 and, from there on, fails
-    # exactly the pi of each lattice that have a block of four
+    # kind_4 doubled where mobius_inversions checks it: the recursion for
+    # kind_k reads the lower orders through `_block_cumulant`, so the row
+    # holds below n = 4 and, from there on, fails exactly the pi of each
+    # lattice that have a block of four
     real = identities._cumulant_poly
 
     def doubled(kind, k):
@@ -413,10 +462,9 @@ def test_univariate_rows_check_a_lowered_limit(monkeypatch, name, key, low):
     ("thm1_mono2free", 6),
     ("moment_cumulant_H", 4),
     # the lattice rows, per lattice: 1 for its members and 2 for the cumulant
-    # limits, and the moment forms 6 more, for the lattices on k <= 6
-    # elements, once per block size
-    ("moment_cumulant_K", 9),
-    ("moment_cumulant_R", 9),
+    # limits; the recursions walk no lattice on k < n elements
+    ("moment_cumulant_K", 3),
+    ("moment_cumulant_R", 3),
     ("mobius_inversions", 3 * 3),
 ])
 def test_warm_rows_check_each_limit_once(monkeypatch, name, most):
