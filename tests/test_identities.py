@@ -2,12 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from cumulantcalc import cumulants, identities, limits, partitions
-from cumulantcalc.algebra import MomentPolynomial, Polynomial, moment_monomial
+from cumulantcalc.algebra import MomentPolynomial, Polynomial, linear_combination, moment_monomial
 from cumulantcalc.cumulants import CumulantKind
 from cumulantcalc.forests import partition_tree_factorial
 from cumulantcalc.identities import (
@@ -204,6 +204,57 @@ def test_lattice_rows_read_every_first_block(monkeypatch, name, lattice):
         monkeypatch.setattr(MomentPolynomial, "symbol", classmethod(symbol))
         assert verify_identity(name, 3).holds, rest
         assert verify_identity(name, 4).holds == (rest == (2, 4) and lattice != "all"), rest
+
+
+@pytest.mark.parametrize("name, lattice", [
+    ("moment_cumulant_K", "all"),
+    ("moment_cumulant_R", "noncrossing"),
+    ("moment_cumulant_B", "interval"),
+])
+@pytest.mark.parametrize("target", ["_partitioned_cumulant", "moment_monomial"])
+def test_lattice_rows_read_every_sigma(monkeypatch, name, lattice, target):
+    # every sigma of the lattice on [k] enters the row's check of kind_k.
+    # kind_sigma: the recursion's rest, kind_V * prod m_g over the V and
+    # gaps of `_first_blocks`, is the sum of kind_sigma over sigma != 1_k.
+    # m_sigma: kind_k is the Moebius sum of the m_sigma, so doubling m_sigma
+    # there for one sigma strictly between 0 and 1 on four elements fails
+    # the row at n = 4 and not below; the caches built on m_sigma are
+    # emptied before and after
+    kind = {"all": CumulantKind.CLASSICAL, "noncrossing": CumulantKind.FREE,
+            "interval": CumulantKind.BOOLEAN}[lattice]
+    if target == "_partitioned_cumulant":
+        for k in range(1, 5):
+            rest = linear_combination(
+                (1, prod(map(MomentPolynomial.symbol, gaps),
+                         start=identities._block_cumulant(kind, first)))
+                for first, gaps in identities._first_blocks(lattice, k)
+            )
+            sigmas = [s for s in partitions_of(k, lattice) if s.num_blocks > 1]
+            assert rest == linear_combination(
+                (1, cumulants._partitioned_cumulant(kind, s)) for s in sigmas), k
+        return
+    caches = (cumulants._cumulant_poly, cumulants._block_cumulant,
+              cumulants._partitioned_cumulant)
+    real = cumulants.moment_monomial
+    ends = (SetPartition.singletons(4), SetPartition.one_block(4))
+    try:
+        for sigma in partitions_of(4, lattice):
+            if sigma in ends:
+                continue
+
+            def corrupted(pi, sigma=sigma):
+                out = real(pi)
+                return out + out if pi == sigma else out
+
+            for cached in caches:
+                cached.cache_clear()
+            monkeypatch.setattr(cumulants, "moment_monomial", corrupted)
+            assert verify_identity(name, 3).holds, sigma
+            assert not verify_identity(name, 4).holds, sigma
+    finally:
+        monkeypatch.setattr(cumulants, "moment_monomial", real)
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_wrong_mobius_function_fails_the_moment_rows(monkeypatch):
